@@ -15,7 +15,7 @@ three computations and the sign identity kappa = (-1)^delta must agree.
 import numpy as np
 
 from topoinv import (builtin_model, delta_invariant, kappa_invariant,
-                     lattice_z2, make_projector_family, wz_amplitude_phi)
+                     lattice_z2, make_projector_family, z2_ingredients)
 from topoinv.core import TRSOperator
 
 LAMBDA_SO = 0.3
@@ -29,10 +29,11 @@ print("-" * 80)
 for lv in [0.0, 0.5, 1.0, 1.4, 1.8, 2.2, 2.8]:
     spec = builtin_model("kane_mele", {"lambda_so": LAMBDA_SO, "lambda_v": lv})
     fam = make_projector_family(spec, fermi_level=0.0)
-    d = delta_invariant(fam, theta, n_loop=128, n1=48, n2=64)
-    kap = kappa_invariant(fam, theta, n_loop=128, n1=48, n2=64)
+    ingredients = z2_ingredients(fam, theta, n_loop=128, n1=48, n2=64)
+    d = delta_invariant(ingredients)
+    kap = kappa_invariant(ingredients)
     z2 = lattice_z2(fam, theta, n1=24, n2=48)
-    sq = wz_amplitude_phi(fam.loop(0, 0.0), theta, n_grid=128).sqrt_amplitude
+    sq = ingredients.wz["T0"].sqrt_amplitude
     consistent = (d.snapped is not None and kap.snapped == (-1) ** d.snapped
                   and z2.snapped == d.snapped)
     ds = "?" if d.snapped is None else str(d.snapped)
@@ -44,7 +45,8 @@ print("\nwith Rashba coupling the spin blocks mix; the machinery is unchanged:")
 spec = builtin_model("kane_mele", {"lambda_so": LAMBDA_SO, "lambda_v": 1.0,
                                    "lambda_r": 0.4})
 fam = make_projector_family(spec, fermi_level=0.0)
-d = delta_invariant(fam, theta, n_loop=128, n1=48, n2=64)
-kap = kappa_invariant(fam, theta, n_loop=128, n1=48, n2=64)
+ingredients = z2_ingredients(fam, theta, n_loop=128, n1=48, n2=64)
+d = delta_invariant(ingredients)
+kap = kappa_invariant(ingredients)
 z2 = lattice_z2(fam, theta, n1=24, n2=48)
 print(f"lambda_r=0.4: delta={d.snapped} kappa={kap.snapped} lattice={z2.snapped}")

@@ -5,8 +5,8 @@ the equality of the amplitude with the Berry phase.
 
 import numpy as np
 
-from topoinv import (builtin_model, make_projector_family, normal_form_field,
-                     winding_pair, wz_amplitude_phi)
+from topoinv import (build_trs_frame, builtin_model, make_projector_family,
+                     normal_form_field, winding_pair, wz_amplitude_phi)
 from topoinv.core import TRSOperator
 from topoinv.wz import (apw_functional, inverse_field, product_field,
                         pw_functional, random_unwindable_field)
@@ -47,7 +47,8 @@ for lv, label in [(0.4, "topological"), (2.5, "trivial")]:
     fam = make_projector_family(spec, fermi_level=0.0)
     parts = {}
     for name, k1 in (("T0", 0.0), ("Tpi", np.pi)):
-        parts[name] = wz_amplitude_phi(fam.loop(0, k1), theta, n_grid=128)
+        parts[name] = wz_amplitude_phi(build_trs_frame(fam.loop(0, k1), theta,
+                                                       n_grid=128))
     ratio = parts["Tpi"].sqrt_amplitude / parts["T0"].sqrt_amplitude
     print(f"  {label:>11}: sqrt-amplitude ratio Tpi/T0 = "
           f"{ratio.real:+.6f}{ratio.imag:+.6f}j")

@@ -16,10 +16,10 @@ from .transport import (BlochFrame, TransportResult, build_frame, build_trs_fram
 from .berry import (berry_connection, berry_curvature, berry_curvature_ebz,
                     berry_phase, berry_phase_sqrt, chern_number, delta_invariant,
                     gauge_transform, random_gauge, random_trs_gauge)
-from .wz import (FieldGrid, WZValue, apw_functional, kappa_invariant,
-                 normal_form_field, pw_functional, up_extension,
+from .wz import (FieldGrid, WZValue, Z2Ingredients, apw_functional,
+                 kappa_invariant, normal_form_field, pw_functional, up_extension,
                  wz_action_extension, wz_amplitude_phi, wz_derivative, winding,
-                 winding_pair)
+                 winding_pair, z2_ingredients)
 from .lattice import lattice_z2, overlap_berry_phase, plaquette_chern
 from .results import InvariantResult
 
@@ -28,8 +28,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BlochFrame", "BlochHamiltonianSpec", "DEFAULT_TOL", "FieldGrid",
     "InvariantResult", "ProjectorFamily", "TRSOperator", "Tolerances",
-    "TransportResult", "WZValue", "apw_functional", "berry_connection",
-    "berry_curvature", "berry_curvature_ebz", "berry_phase", "berry_phase_sqrt",
+    "TransportResult", "WZValue", "Z2Ingredients", "apw_functional",
+    "berry_connection", "berry_curvature", "berry_curvature_ebz", "berry_phase",
+    "berry_phase_sqrt",
     "build_frame", "build_trs_frame", "builtin_model", "check_trs",
     "chern_number", "delta_invariant", "gauge_transform", "kappa_invariant",
     "lattice_z2", "load_model", "make_projector_family", "normal_form_field",
@@ -37,5 +38,5 @@ __all__ = [
     "pw_functional", "random_gauge", "random_trs_gauge", "save_model",
     "save_results", "symplectic_basis", "up_extension", "wilson_holonomy",
     "winding", "winding_pair", "wz_action_extension", "wz_amplitude_phi",
-    "wz_derivative",
+    "wz_derivative", "z2_ingredients",
 ]

@@ -115,9 +115,8 @@ def criterion_3_sqrt_channel(scale=1.0, n_gauges=10):
     worst = 0.0
     details = {}
     for loop_label, k1 in (("T0", 0.0), ("Tpi", np.pi)):
-        loop = fam.loop(0, k1)
-        wzv = wz.wz_amplitude_phi(loop, theta, n_grid=n, method="beta")
-        frame = transport.build_trs_frame(loop, theta, n_grid=n)
+        frame = transport.build_trs_frame(fam.loop(0, k1), theta, n_grid=n)
+        wzv = wz.wz_amplitude_phi(frame, method="beta")
         sq = berry.berry_phase_sqrt(berry.berry_connection(frame)).raw
         diff = abs(wzv.sqrt_amplitude - sq)
         gauge_spread = 0.0
@@ -151,10 +150,14 @@ def criterion_4_fkm(scale=1.0):
     worst = 0.0
     rows = []
     all_ok = True
+
+    def invariants(fam):
+        ingredients = wz.z2_ingredients(fam, theta, n_loop=n_loop, n1=n1, n2=n2)
+        return berry.delta_invariant(ingredients), wz.kappa_invariant(ingredients)
+
     for ratio in kane_mele_sweep_points():
         fam = _km(ratio * KM_SO)
-        d = berry.delta_invariant(fam, theta, n_loop=n_loop, n1=n1, n2=n2)
-        kap = wz.kappa_invariant(fam, theta, n_loop=n_loop, n1=n1, n2=n2)
+        d, kap = invariants(fam)
         z2 = lattice.lattice_z2(fam, theta, n1=max(16, n1), n2=max(32, n2))
         expected = 1 if ratio < KM_BOUNDARY else 0
         ok = (d.snapped is not None and kap.snapped is not None
@@ -167,8 +170,7 @@ def criterion_4_fkm(scale=1.0):
                      "delta_residual": d.residual, "kappa_residual": kap.residual})
     for lv, lr in ((0.4, 0.2), (1.0, 0.4)):
         fam = _km(lv, lr)
-        d = berry.delta_invariant(fam, theta, n_loop=n_loop, n1=n1, n2=n2)
-        kap = wz.kappa_invariant(fam, theta, n_loop=n_loop, n1=n1, n2=n2)
+        d, kap = invariants(fam)
         z2 = lattice.lattice_z2(fam, theta, n1=max(16, n1), n2=max(32, n2))
         ok = (d.snapped is not None and kap.snapped == (-1) ** d.snapped
               and z2.snapped == d.snapped)
@@ -190,9 +192,9 @@ def criterion_5_phi_reduction(scale=1.0):
     n2d = _even(_scaled(128, scale))
     theta = TRSOperator.standard(4)
     fam = _km(0.4, 0.2)
-    kap = wz.kappa_invariant(fam, theta, n_loop=_even(_scaled(128, scale)),
-                             n1=n2d // 2, n2=n2d,
-                             direct_grid=(max(8, n3 // 4), n3, n3))
+    ingredients = wz.z2_ingredients(fam, theta, n_loop=_even(_scaled(128, scale)),
+                                    n1=n2d // 2, n2=n2d)
+    kap = wz.kappa_invariant(ingredients, direct_grid=(max(8, n3 // 4), n3, n3))
     worst = kap.meta["phi3_discrepancy"]
     return CriterionResult(5, "3D winding density reduces to the curvature integral",
                            worst < 1e-5, 1e-5, worst, time.time() - t0,
@@ -372,8 +374,8 @@ def criterion_11_convergence(scale=1.0):
     probes["wz_chern"] = (up_diff(8), up_diff(16))
 
     def delta_resid(n):
-        return berry.delta_invariant(fam_km, theta, n_loop=4 * n, n1=n,
-                                     n2=2 * n).residual
+        return berry.delta_invariant(wz.z2_ingredients(fam_km, theta, n_loop=4 * n,
+                                                       n1=n, n2=2 * n)).residual
 
     probes["delta"] = (delta_resid(8), delta_resid(16))
 

@@ -4,8 +4,8 @@ models, run parameter sweeps, and run the certification suite.
 Exit codes: 0 success, 2 precondition violated (no time-reversal symmetry /
 gap closure), 3 a result refused to snap, 4 bad input or I/O. Errors are
 emitted as JSON objects on stderr so sweeps stay scriptable. Outputs written
-with --out contain no wall-clock data, so identical (config, seed) runs are
-byte-identical; the certify report is the one exception (it reports
+with --out contain no wall-clock data, so runs of identical configurations
+are byte-identical; the certify report is the one exception (it reports
 runtimes by design).
 """
 
@@ -40,7 +40,6 @@ class RunConfig:
     grid: int = N_2D
     grid_t: int = 64
     loop_grid: int = N_LOOP
-    seed: int = 0
     out: str = ""
     as_json: bool = False
     invariants: tuple = ()
@@ -114,7 +113,7 @@ def cmd_chern(cfg: RunConfig):
     wz_diff = abs(action.amplitude - target) if target is not None else None
     report = {
         "command": "chern", "model": spec.name, "parameters": spec.parameters,
-        "grid": cfg.grid, "grid_t": cfg.grid_t, "seed": cfg.seed,
+        "grid": cfg.grid, "grid_t": cfg.grid_t,
         "chern": _invariant_payload(c),
         "plaquette_oracle": _invariant_payload(oracle),
         "wz_check": {"action": action.raw_action, "amplitude": action.amplitude,
@@ -128,38 +127,54 @@ def cmd_chern(cfg: RunConfig):
     return EXIT_OK
 
 
-def cmd_fkm(cfg: RunConfig):
-    spec, fam = _family(cfg)
+def _z2_evaluation(fam, cfg: RunConfig):
+    """The time-reversal check, then delta, kappa and the boundary Berry
+    phases from one set of Z2 ingredients; shared by fkm and sweep.
+
+    Returns (violation, z2, results). violation is None for an odd ambient
+    dimension; z2 and results are None unless the family is time-reversal
+    symmetric. results maps report keys to delta, kappa and the phases.
+    """
     if fam.ambient_dim % 2 != 0:
-        return _fail(EXIT_PRECONDITION, "NotTRS",
-                     f"odd ambient dimension {fam.ambient_dim}")
+        return None, None, None
     theta = TRSOperator.standard(fam.ambient_dim)
     ok, violation = check_trs(fam, theta)
     if not ok:
+        return violation, None, None
+    z2 = wz.z2_ingredients(fam, theta, n_loop=cfg.loop_grid,
+                           n1=max(16, cfg.grid // 2), n2=cfg.grid)
+    results = {"delta": berry.delta_invariant(z2), "kappa": wz.kappa_invariant(z2)}
+    for label, value in z2.wz.items():
+        results[f"berry_phase_{label}"] = value.amplitude
+        results[f"sqrt_berry_phase_{label}"] = value.sqrt_amplitude
+    return violation, z2, results
+
+
+def cmd_fkm(cfg: RunConfig):
+    spec, fam = _family(cfg)
+    violation, z2, results = _z2_evaluation(fam, cfg)
+    if violation is None:
+        return _fail(EXIT_PRECONDITION, "NotTRS",
+                     f"odd ambient dimension {fam.ambient_dim}")
+    if z2 is None:
         return _fail(EXIT_PRECONDITION, "NotTRS",
                      "family is not time-reversal symmetric", violation=violation)
-    n1 = max(16, cfg.grid // 2)
-    d = berry.delta_invariant(fam, theta, n_loop=cfg.loop_grid, n1=n1, n2=cfg.grid)
-    kap = wz.kappa_invariant(fam, theta, n_loop=cfg.loop_grid, n1=n1, n2=cfg.grid)
-    z2 = lattice.lattice_z2(fam, theta, n1=n1, n2=cfg.grid)
-    phases = {}
-    for label, k1 in (("T0", 0.0), ("Tpi", np.pi)):
-        wzv = wz.wz_amplitude_phi(fam.loop(0, k1), theta, n_grid=cfg.loop_grid)
-        phases[f"berry_phase_{label}"] = wzv.amplitude
-        phases[f"sqrt_berry_phase_{label}"] = wzv.sqrt_amplitude
+    d, kap = results.pop("delta"), results.pop("kappa")
+    _, n1, n2 = z2.grid
+    oracle = lattice.lattice_z2(fam, z2.theta, n1=n1, n2=n2)
     agree = (d.snapped is not None and kap.snapped is not None
              and kap.snapped == (-1) ** d.snapped)
     report = {
         "command": "fkm", "model": spec.name, "parameters": spec.parameters,
-        "grid": cfg.grid, "loop_grid": cfg.loop_grid, "seed": cfg.seed,
+        "grid": cfg.grid, "loop_grid": cfg.loop_grid,
         "trs_violation": violation,
         "delta": _invariant_payload(d),
         "kappa": _invariant_payload(kap),
-        "lattice_oracle": _invariant_payload(z2),
-        "oracle_agrees": z2.snapped == d.snapped,
+        "lattice_oracle": _invariant_payload(oracle),
+        "oracle_agrees": oracle.snapped == d.snapped,
         "kappa_equals_minus_one_to_delta": agree,
-        **phases,
-        "residual_max": max(d.residual, kap.residual, z2.residual),
+        **results,
+        "residual_max": max(d.residual, kap.residual, oracle.residual),
     }
     _emit(report, cfg)
     if d.snapped is None or kap.snapped is None:
@@ -168,7 +183,7 @@ def cmd_fkm(cfg: RunConfig):
 
 
 def _sweep_job(cfg: RunConfig):
-    return SweepJob(model=cfg.model or cfg.model_file, ranges=cfg.sweeps,
+    return SweepJob(model=cfg.model, ranges=cfg.sweeps,
                     grid=cfg.grid, loop_grid=cfg.loop_grid,
                     invariants=cfg.invariants or ("chern", "delta", "kappa"),
                     out=cfg.out, base_params=cfg.params)
@@ -179,37 +194,25 @@ def _sweep_point(args):
     cfg_dict, params = args
     cfg = RunConfig(**cfg_dict)
     row = dict(params)
-    row["model"] = cfg.model or Path(cfg.model_file).stem
+    row["model"] = cfg.model
     try:
-        spec = (load_model(cfg.model_file) if cfg.model_file
-                else builtin_model(cfg.model, params))
-        fam = make_projector_family(spec, fermi_level=0.0)
+        fam = make_projector_family(builtin_model(cfg.model, params), fermi_level=0.0)
         wants = cfg.invariants or ("chern", "delta", "kappa")
         residuals = []
         if "chern" in wants:
             c = berry.chern_number(berry.berry_curvature(fam, n_grid=cfg.grid))
             row["chern"] = c.snapped
             residuals.append(c.residual)
-        if {"delta", "kappa"} & set(wants) and fam.ambient_dim % 2 == 0:
-            theta = TRSOperator.standard(fam.ambient_dim)
-            ok, violation = check_trs(fam, theta)
-            if ok:
-                n1 = max(16, cfg.grid // 2)
-                if "delta" in wants:
-                    d = berry.delta_invariant(fam, theta, n_loop=cfg.loop_grid,
-                                              n1=n1, n2=cfg.grid)
-                    row["delta"] = d.snapped
-                    residuals.append(d.residual)
-                if "kappa" in wants:
-                    kap = wz.kappa_invariant(fam, theta, n_loop=cfg.loop_grid,
-                                             n1=n1, n2=cfg.grid)
-                    row["kappa"] = kap.snapped
-                    residuals.append(kap.residual)
-                for label, k1 in (("T0", 0.0), ("Tpi", np.pi)):
-                    wzv = wz.wz_amplitude_phi(fam.loop(0, k1), theta,
-                                              n_grid=cfg.loop_grid)
-                    row[f"berry_phase_{label}"] = wzv.amplitude
-            else:
+        if {"delta", "kappa"} & set(wants):
+            violation, z2, results = _z2_evaluation(fam, cfg)
+            if z2 is not None:
+                for key in ("delta", "kappa"):
+                    if key in wants:
+                        row[key] = results[key].snapped
+                        residuals.append(results[key].residual)
+                for key in ("berry_phase_T0", "berry_phase_Tpi"):
+                    row[key] = results[key]
+            elif violation is not None:
                 row["error"] = f"NotTRS(violation={violation:.3e})"
         row["residual_max"] = max(residuals) if residuals else None
     except (TopoinvError, ValueError) as exc:
@@ -220,6 +223,9 @@ def _sweep_point(args):
 def cmd_sweep(cfg: RunConfig):
     if not cfg.sweeps:
         return _fail(EXIT_IO, "BadConfig", "at least one --sweep NAME START STOP COUNT is required")
+    if cfg.model_file:
+        # a model file fixes its matrices, so swept parameters cannot reach it
+        return _fail(EXIT_IO, "BadConfig", "--sweep needs a builtin --model, not --model-file")
     tasks = _sweep_job(cfg).points()
     cfg_dict = asdict(cfg)
     args = [(cfg_dict, t) for t in tasks]
@@ -228,10 +234,10 @@ def cmd_sweep(cfg: RunConfig):
             rows = pool.map(_sweep_point, args)
     else:
         rows = [_sweep_point(a) for a in args]
-    sidecar_config = {"command": "sweep", "model": cfg.model or cfg.model_file,
+    sidecar_config = {"command": "sweep", "model": cfg.model,
                       "base_params": cfg.params, "sweeps": list(cfg.sweeps),
                       "grid": cfg.grid, "loop_grid": cfg.loop_grid,
-                      "invariants": list(cfg.invariants), "seed": cfg.seed}
+                      "invariants": list(cfg.invariants)}
     if cfg.out:
         save_results(cfg.out, rows, config=sidecar_config)
         print(f"wrote {cfg.out} ({len(rows)} rows)")
@@ -244,7 +250,7 @@ def cmd_certify(cfg: RunConfig):
     scale = cfg.grid / N_2D
     results = certify.run_all(scale=scale, verbose=not cfg.as_json)
     report = {
-        "command": "certify", "scale": scale, "seed": cfg.seed,
+        "command": "certify", "scale": scale,
         "criteria": [{"index": r.index, "name": r.name, "passed": r.passed,
                       "tolerance": r.tolerance, "worst": r.worst,
                       "runtime_s": r.runtime, "details": r.details}
@@ -288,7 +294,6 @@ def build_parser():
                        help="extension-direction grid for 3D quadratures")
         p.add_argument("--loop-grid", type=int, default=N_LOOP,
                        help="loop grid for transport and connections")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="", help="write the report/CSV here")
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="machine-readable output on stdout")
@@ -313,7 +318,7 @@ def main(argv=None):
         cfg = RunConfig(
             command=ns.command, model=ns.model, model_file=ns.model_file,
             params=_parse_params(ns.param), grid=ns.grid, grid_t=ns.grid_t,
-            loop_grid=ns.loop_grid, seed=ns.seed, out=ns.out,
+            loop_grid=ns.loop_grid, out=ns.out,
             as_json=ns.as_json,
             invariants=tuple(x for x in getattr(ns, "invariants", "").split(",") if x),
             sweeps=sweeps, workers=getattr(ns, "workers", 1))
@@ -326,7 +331,7 @@ def main(argv=None):
     try:
         return ns.fn(cfg)
     except GapClosure as exc:
-        return _fail(EXIT_PRECONDITION, "GapClosure", str(exc), gap=exc.gap)
+        return _fail(EXIT_PRECONDITION, "GapClosure", str(exc), gap=exc.gap, k=exc.k)
     except NotTRS as exc:
         return _fail(EXIT_PRECONDITION, "NotTRS", str(exc))
     except UnsnappedError as exc:

@@ -4,7 +4,7 @@ Every check in the library reports a residual next to its boolean verdict;
 the thresholds collected here are the defaults those checks compare against.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,3 @@ DEFAULT_TOL = Tolerances()
 # so reflection pairs k <-> -k land exactly on grid points.
 N_LOOP = 256
 N_2D = 128
-
-
-def with_overrides(tol: Tolerances | None = None, **kwargs) -> Tolerances:
-    """Return a Tolerances with selected fields replaced."""
-    base = tol or DEFAULT_TOL
-    return replace(base, **kwargs) if kwargs else base

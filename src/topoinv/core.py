@@ -3,9 +3,8 @@ time-reversal structure acting on them.
 
 A ProjectorFamily wraps a smooth periodic sampler k -> P(k) for rank-m
 orthogonal projectors on C^N, with derivatives by Richardson-extrapolated
-central differences (or an analytic sampler when available). The
-TRSOperator is the antiunitary theta = J K (K = complex conjugation) with
-theta^2 = -1 in the working basis.
+central differences. The TRSOperator is the antiunitary theta = J K
+(K = complex conjugation) with theta^2 = -1 in the working basis.
 """
 
 from dataclasses import dataclass, field, replace
@@ -49,8 +48,7 @@ class ProjectorFamily:
 
     `sampler` maps a k-point (float for loops, length-2 array for the torus)
     to an (N, N) projector matrix. `batch_sampler`, when present, evaluates a
-    whole (..., d) array of k-points at once. `deriv_sampler(k, axis)` returns
-    the analytic derivative of P; otherwise derivatives use central
+    whole (..., d) array of k-points at once. Derivatives use central
     differences with Richardson extrapolation at step `fd_step`.
     """
 
@@ -59,7 +57,6 @@ class ProjectorFamily:
     domain: str  # "loop" | "torus"
     sampler: Callable
     batch_sampler: Optional[Callable] = None
-    deriv_sampler: Optional[Callable] = None
     fd_step: float = 1e-3
     name: str = ""
 
@@ -85,14 +82,9 @@ class ProjectorFamily:
     def derivative(self, ks, axis=0):
         """dP/dk_axis on an array of k-points.
 
-        Richardson-extrapolated central differences, error O(h^4), unless an
-        analytic derivative sampler was supplied.
+        Richardson-extrapolated central differences, error O(h^4).
         """
         ks = np.asarray(ks, dtype=float)
-        if self.deriv_sampler is not None:
-            flat = ks.reshape(-1, self.ndim) if self.ndim > 1 else ks.reshape(-1)
-            out = np.stack([self.deriv_sampler(k, axis) for k in flat])
-            return out.reshape(self._batch_shape(ks) + (self.ambient_dim, self.ambient_dim))
         h = self.fd_step
         e = np.zeros(self.ndim)
         e[axis] = 1.0
@@ -118,11 +110,7 @@ class ProjectorFamily:
 
         sampler = lambda k: self.sampler(embed(np.asarray(k)).reshape(2))
         batch = (lambda ks: self.batch_sampler(embed(ks))) if self.batch_sampler else None
-        deriv = None
-        if self.deriv_sampler is not None:
-            deriv = lambda k, _ax: self.deriv_sampler(embed(np.asarray(k)).reshape(2), 1 - axis)
         return replace(self, domain="loop", sampler=sampler, batch_sampler=batch,
-                       deriv_sampler=deriv,
                        name=f"{self.name}[k{axis + 1}={fixed:.4f}]")
 
     def validate(self, n_grid=64, tol: Tolerances = DEFAULT_TOL):
@@ -151,27 +139,31 @@ class ProjectorFamily:
                 "ok": proj <= tol.projector and tr <= tol.trace and per <= tol.periodicity}
 
 
-def _occupied_projector(h, fermi_level, threshold):
-    """Batched eigenprojector onto eigenvalues below fermi_level.
+def _occupied_projector(spec, ks, fermi_level, threshold):
+    """Batched eigenprojector of spec.bloch(ks) onto eigenvalues below
+    fermi_level.
 
-    Returns (P, rank, min_gap); raises GapClosure when the gap at the Fermi
-    level drops below threshold anywhere in the batch.
+    Returns (P, rank, min_gap); raises GapClosure, carrying the momentum
+    (k1, k2), where the occupied rank differs from that of the first point
+    or the gap at the Fermi level drops below threshold.
     """
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(spec.bloch(ks))
     occ = w < fermi_level
-    ranks = occ.sum(axis=-1)
-    r0 = int(ranks.reshape(-1)[0])
-    if r0 == 0 or r0 == h.shape[-1]:
-        raise GapClosure(k=None, gap=0.0, threshold=threshold)
-    if not np.all(ranks == r0):
-        raise GapClosure(k=None, gap=0.0, threshold=threshold)
+    ranks = occ.sum(axis=-1).reshape(-1)
+    momentum = lambda j: tuple(float(x) for x in np.reshape(ks, (-1, 2))[j])
+    r0 = int(ranks[0])
+    if r0 == 0 or r0 == spec.dim:
+        raise GapClosure(k=momentum(0), gap=0.0, threshold=threshold)
+    changed = np.flatnonzero(ranks != r0)
+    if changed.size:
+        raise GapClosure(k=momentum(changed[0]), gap=0.0, threshold=threshold)
     below = np.max(np.where(occ, w, -np.inf), axis=-1)
     above = np.min(np.where(~occ, w, np.inf), axis=-1)
-    gaps = above - below
-    min_gap = float(np.min(gaps))
+    gaps = (above - below).reshape(-1)
+    worst = int(np.argmin(gaps))
+    min_gap = float(gaps[worst])
     if min_gap <= threshold:
-        idx = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
-        raise GapClosure(k=idx, gap=min_gap, threshold=threshold)
+        raise GapClosure(k=momentum(worst), gap=min_gap, threshold=threshold)
     vocc = np.where(occ[..., None, :], v, 0.0)
     p = vocc @ linalg.dagger(vocc)
     return p, r0, min_gap
@@ -197,26 +189,12 @@ def make_projector_family(spec, fermi_level=0.0, gap_threshold=DEFAULT_TOL.gap_t
     """
 
     def batch(ks):
-        h = spec.bloch(ks)
-        p, _, _ = _occupied_projector(h, fermi_level, gap_threshold)
-        return p
+        return _occupied_projector(spec, ks, fermi_level, gap_threshold)[0]
 
     ax = loop_axis(check_grid)
     k1, k2 = np.meshgrid(ax.points, ax.points, indexing="ij")
-    probe = np.stack([k1, k2], axis=-1)
-    w = np.linalg.eigh(spec.bloch(probe))[0]
-    occ = w < fermi_level
-    ranks = occ.sum(axis=-1)
-    if ranks.min() != ranks.max() or ranks.min() in (0, spec.dim):
-        raise GapClosure(k=None, gap=0.0, threshold=gap_threshold)
-    below = np.max(np.where(occ, w, -np.inf), axis=-1)
-    above = np.min(np.where(~occ, w, np.inf), axis=-1)
-    gaps = above - below
-    if gaps.min() <= gap_threshold:
-        idx = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
-        raise GapClosure(k=probe[idx], gap=float(gaps.min()), threshold=gap_threshold)
-
-    rank = int(ranks.reshape(-1)[0])
+    _, rank, _ = _occupied_projector(spec, np.stack([k1, k2], axis=-1),
+                                     fermi_level, gap_threshold)
     return ProjectorFamily(
         ambient_dim=spec.dim, rank=rank, domain="torus",
         sampler=lambda k: batch(np.asarray(k, dtype=float).reshape(1, 2))[0],

@@ -17,12 +17,6 @@ from .results import snap_integer
 TWO_PI = 2.0 * np.pi
 
 
-def _occupied_frame(p):
-    """Orthonormal columns spanning Ran P from the projector's eigenvectors."""
-    w, v = np.linalg.eigh(p)
-    return v[..., :, w[0] > 0.5] if p.ndim == 2 else None
-
-
 def _frames_on(family, ks):
     p = family.sample(ks)
     w, v = np.linalg.eigh(p)

@@ -48,11 +48,6 @@ def is_projector(p, tol=DEFAULT_TOL.projector):
     return bool(np.all(projector_residual(p) <= tol))
 
 
-def assert_finite(a, what="matrix"):
-    if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
-        raise ValueError(f"{what} contains NaN/Inf entries")
-
-
 def polar_project(a):
     """Nearest unitary to `a` (polar factor), batched over leading axes."""
     u, _, vh = np.linalg.svd(a)

@@ -17,13 +17,14 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
+from .berry import berry_curvature_ebz
 from .config import DEFAULT_TOL, N_2D, N_LOOP, Tolerances
 from .core import ProjectorFamily, TRSOperator
-from .errors import BadDims, NotAnExtension
+from .errors import BadDims, NotAnExtension, NotTRSFrame
 from .grids import (ebz_axis, integrate_grid, interval_axis, loop_axis,
                     grid_derivative, unit_circle_axis)
 from .results import snap_integer, snap_sign
-from .transport import build_trs_frame, parallel_transport, periodize
+from .transport import BlochFrame, build_trs_frame, parallel_transport, periodize
 
 TWO_PI = 2.0 * np.pi
 
@@ -67,14 +68,6 @@ class FieldGrid:
         if self.axes[0].periodic:
             raise ValueError("leading axis is periodic; no end slices")
         return self.samples[0] if which == 0 else self.samples[-1]
-
-
-def field_from_matrix_function(axes, fn, name=""):
-    """Sample fn over the grid of `axes`; fn maps stacked coordinates
-    (..., len(axes)) to (..., N, N)."""
-    mesh = np.meshgrid(*[ax.points for ax in axes], indexing="ij")
-    coords = np.stack(mesh, axis=-1)
-    return FieldGrid(axes=tuple(axes), samples=fn(coords), name=name)
 
 
 def constant_field(axes, matrix, name="constant"):
@@ -441,19 +434,6 @@ def wz_derivative(g: FieldGrid, g_dot):
 
 # --------------------------------------------------- amplitudes of phi fields
 
-def phi_field(loop_family: ProjectorFamily, n_t=16, n_k=N_LOOP):
-    """phi(t, k) = exp(2 pi i t P(k)) on the unit-period circle x loop."""
-    t_ax = unit_circle_axis(n_t)
-    k_ax = loop_axis(n_k)
-    p = loop_family.sample(k_ax.points)
-    eye = np.eye(loop_family.ambient_dim, dtype=complex)
-    tphase = np.exp(TWO_PI * 1j * t_ax.points)
-    samples = eye + (tphase[:, None, None, None] - 1.0) * p[None]
-    dt = TWO_PI * 1j * tphase[:, None, None, None] * p[None]
-    return FieldGrid(axes=(t_ax, k_ax), samples=samples, derivs={0: dt},
-                     name=f"phi[{loop_family.name}]")
-
-
 def psi_field_from(p0, n_t=16, n_k=N_LOOP):
     """psi(t) = exp(2 pi i t P0), constant along the loop direction."""
     t_ax = unit_circle_axis(n_t)
@@ -467,68 +447,57 @@ def psi_field_from(p0, n_t=16, n_k=N_LOOP):
     return FieldGrid(axes=(t_ax, k_ax), samples=samples, derivs={0: dt}, name="psi")
 
 
-def wz_amplitude_phi(loop_family: ProjectorFamily, theta: Optional[TRSOperator] = None,
-                     n_grid=N_LOOP, substeps=4, n_t=16, method="reduced",
-                     tol: Tolerances = DEFAULT_TOL, rng=None):
+def wz_amplitude_phi(loop, n_grid=N_LOOP, substeps=4, n_t=16, method="reduced",
+                     tol: Tolerances = DEFAULT_TOL):
     """Wess-Zumino amplitude of phi(t,k) = exp(2 pi i t P(k)), and its square
-    root when an odd time reversal makes the family symmetric.
+    root for a time-reversal symmetric frame.
+
+    `loop` is either a loop ProjectorFamily, trivialized here by periodized
+    parallel transport on n_grid points (base point -pi), or a time-reversal
+    symmetric BlochFrame built with W (build_trs_frame, base point 0). For a
+    frame the action is defined mod 4 pi and carries the root.
 
     The field factorizes as phi = W psi W^-1 through the loop trivialization,
     so the adjoint product formula collapses the 3D action:
 
-    - method "reduced": 1D integral i * loop-int Tr{P(k0) W^-1 dW} with the
-      exact trivialization derivative (time-reversal symmetric W when theta
-      is given; the action is then defined mod 4 pi and carries the root).
+    - method "reduced": 1D integral i * loop-int Tr{P(k0) W^-1 dW} at the
+      base point k0, where W = 1.
     - method "beta": the 2D quadrature of (W x psi)*beta over the (t, k)
       torus divided by 4 pi; an independent route through the generic
       machinery, used for certification.
     """
-    if theta is None:
-        trp = periodize(parallel_transport(loop_family, n_grid=n_grid,
-                                           substeps=substeps, tol=tol))
-        w = trp.w_samples[:-1]
+    if isinstance(loop, BlochFrame):
+        if not loop.trs_flag or loop.w_samples is None:
+            raise NotTRSFrame("the amplitude of a frame needs a TRS frame with W")
+        w = loop.w_samples
+        dw = grid_derivative(w, 0, loop_axis(len(w)))
+        p0 = loop.family.sample(np.array([0.0]))[0]
+        modulus = 4.0 * np.pi
+        meta = {"frame_loop_integral": loop.analytic_loop_integral}
+    else:
+        trp = periodize(parallel_transport(loop, n_grid=n_grid, substeps=substeps,
+                                           tol=tol))
+        w, dw = trp.w_samples[:-1], trp.w_derivatives[:-1]
         p0 = trp.p_samples[0]
-        if method == "reduced":
-            logd = linalg.dagger(w) @ trp.w_derivatives[:-1]
-            integrand = np.trace(p0[None] @ logd, axis1=-2, axis2=-1)
-            s_val = 1j * np.sum(integrand) * (TWO_PI / n_grid)
-            resid = float(abs(np.imag(s_val)))
-            action = float(np.real(s_val))
-        else:
-            w_field = FieldGrid(axes=(unit_circle_axis(n_t), loop_axis(n_grid)),
-                                samples=np.broadcast_to(
-                                    w[None], (n_t, n_grid) + w.shape[-2:]).copy(),
-                                name="W")
-            psi = psi_field_from(p0, n_t=n_t, n_k=n_grid)
-            b_int, resid = beta_integral(w_field, psi)
-            action = b_int / (4.0 * np.pi)
-        return WZValue(raw_action=action, modulus=TWO_PI, quad_residual=resid,
-                       meta={"method": method, "m_eigenvalues": trp.m_eigenvalues})
-
-    frame = build_trs_frame(loop_family, theta, n_grid=n_grid, substeps=substeps,
-                            tol=tol, rng=rng, with_w=True)
-    w = frame.w_samples
-    base = n_grid // 2    # index of k = 0, where W = 1
-    p0 = loop_family.sample(np.array([0.0]))[0]
+        modulus = TWO_PI
+        meta = {"m_eigenvalues": trp.m_eigenvalues}
+    n = len(w)
     if method == "reduced":
-        ax = loop_axis(n_grid)
-        dw = grid_derivative(w, 0, ax)
         logd = linalg.dagger(w) @ dw
         integrand = np.trace(p0[None] @ logd, axis1=-2, axis2=-1)
-        s_val = 1j * np.sum(integrand) * ax.step
+        s_val = 1j * np.sum(integrand) * (TWO_PI / n)
         resid = float(abs(np.imag(s_val)))
         action = float(np.real(s_val))
     else:
-        w_field = FieldGrid(axes=(unit_circle_axis(n_t), loop_axis(n_grid)),
+        w_field = FieldGrid(axes=(unit_circle_axis(n_t), loop_axis(n)),
                             samples=np.broadcast_to(
-                                w[None], (n_t, n_grid) + w.shape[-2:]).copy(),
-                            name="W_trs")
-        psi = psi_field_from(p0, n_t=n_t, n_k=n_grid)
+                                w[None], (n_t, n) + w.shape[-2:]).copy(),
+                            name="W")
+        psi = psi_field_from(p0, n_t=n_t, n_k=n)
         b_int, resid = beta_integral(w_field, psi)
         action = b_int / (4.0 * np.pi)
-    return WZValue(raw_action=action, modulus=4.0 * np.pi, quad_residual=resid,
-                   meta={"method": method,
-                         "frame_loop_integral": frame.analytic_loop_integral})
+    return WZValue(raw_action=action, modulus=modulus, quad_residual=resid,
+                   meta={"method": method, **meta})
 
 
 def up_extension(family: ProjectorFamily, n_t=64, n1=64, n2=64, path="forward"):
@@ -575,10 +544,39 @@ def phi_ebz_extension(family: ProjectorFamily, n_t=16, n1=64, n2=64):
                      name="Phi on S1 x EBZ")
 
 
-def kappa_invariant(family: ProjectorFamily, theta: TRSOperator, n_loop=N_LOOP,
-                    n1=N_2D // 2, n2=N_2D, substeps=4, direct_grid=None,
-                    snap_tol=DEFAULT_TOL.snap, tol: Tolerances = DEFAULT_TOL,
-                    rng=None):
+@dataclass(frozen=True)
+class Z2Ingredients:
+    """What both forms of the Z2 invariant are built from, each computed once:
+    a time-reversal symmetric frame with W on each boundary loop (k1 = 0 and
+    pi, keys "T0" and "Tpi"), the square-root WZ value of phi on it, and the
+    integral of the curvature over the half zone [0, pi] x T."""
+
+    family: ProjectorFamily
+    theta: TRSOperator
+    frames: dict
+    wz: dict
+    ebz_integral: float
+    grid: tuple                   # (n_loop, n1, n2)
+    tol: Tolerances
+
+
+def z2_ingredients(family: ProjectorFamily, theta: TRSOperator, n_loop=N_LOOP,
+                   n1=N_2D // 2, n2=N_2D, substeps=4, tol: Tolerances = DEFAULT_TOL,
+                   rng=None):
+    """Build the boundary frames, their WZ values and the half-zone curvature
+    shared by delta_invariant and kappa_invariant."""
+    frames, values = {}, {}
+    for label, k1 in (("T0", 0.0), ("Tpi", np.pi)):
+        frames[label] = build_trs_frame(family.loop(0, k1), theta, n_grid=n_loop,
+                                        substeps=substeps, tol=tol, rng=rng,
+                                        with_w=True)
+        values[label] = wz_amplitude_phi(frames[label])
+    ebz = berry_curvature_ebz(family, n1=n1, n2=n2).integral()
+    return Z2Ingredients(family=family, theta=theta, frames=frames, wz=values,
+                         ebz_integral=ebz, grid=(n_loop, n1, n2), tol=tol)
+
+
+def kappa_invariant(z2: Z2Ingredients, direct_grid=None):
     """The amplitude form of the Z2 invariant:
 
     K = sqrtWZ[phi_pi] / sqrtWZ[phi_0] * exp( (i/24 pi) I3 ),
@@ -589,20 +587,14 @@ def kappa_invariant(family: ProjectorFamily, theta: TRSOperator, n_loop=N_LOOP,
     the raw 3D quadrature runs as well and the relative discrepancy between
     the channels is reported in meta ("phi3_discrepancy").
     """
-    from .berry import berry_curvature_ebz
-    sqrt_amps = {}
-    for label, k1 in (("T0", 0.0), ("Tpi", np.pi)):
-        wzv = wz_amplitude_phi(family.loop(0, k1), theta, n_grid=n_loop,
-                               substeps=substeps, tol=tol, rng=rng)
-        sqrt_amps[label] = wzv.sqrt_amplitude
-    curv = berry_curvature_ebz(family, n1=n1, n2=n2)
-    ebz = curv.integral()
+    sqrt_amps = {label: v.sqrt_amplitude for label, v in z2.wz.items()}
+    ebz = z2.ebz_integral
     i3_reduced = 12.0 * np.pi * ebz
     meta = {"sqrt_wz_T0": sqrt_amps["T0"], "sqrt_wz_Tpi": sqrt_amps["Tpi"],
-            "ebz_curvature_integral": ebz, "grid": (n_loop, n1, n2)}
+            "ebz_curvature_integral": ebz, "grid": z2.grid}
     if direct_grid is not None:
         m_t, m1, m2 = direct_grid
-        phi = phi_ebz_extension(family, n_t=m_t, n1=m1, n2=m2)
+        phi = phi_ebz_extension(z2.family, n_t=m_t, n1=m1, n2=m2)
         i3_direct, i3_imag = chi_triple_integral(phi)
         scale = max(abs(i3_reduced), abs(i3_direct), 1.0)
         meta["phi3_direct"] = i3_direct
@@ -610,4 +602,4 @@ def kappa_invariant(family: ProjectorFamily, theta: TRSOperator, n_loop=N_LOOP,
         meta["phi3_discrepancy"] = abs(i3_direct - i3_reduced) / scale
         meta["phi3_imag"] = i3_imag
     raw = (sqrt_amps["Tpi"] / sqrt_amps["T0"]) * np.exp(1j * i3_reduced / (24.0 * np.pi))
-    return snap_sign("Kappa", raw, snap_tol=snap_tol, meta=meta)
+    return snap_sign("Kappa", raw, snap_tol=z2.tol.snap, meta=meta)

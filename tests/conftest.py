@@ -60,11 +60,11 @@ def atomic_limit():
 
 @pytest.fixture(scope="session")
 def constant_loop():
-    """P(k) = diag(0, 1) on a loop, with an exact zero derivative."""
+    """P(k) = diag(0, 1) on a loop; its finite-difference derivative is
+    exactly zero."""
     p0 = np.diag([0.0, 1.0]).astype(complex)
     return ProjectorFamily(
         ambient_dim=2, rank=1, domain="loop",
         sampler=lambda k: p0,
         batch_sampler=lambda ks: np.broadcast_to(p0, np.shape(ks) + (2, 2)).copy(),
-        deriv_sampler=lambda k, axis: np.zeros((2, 2), dtype=complex),
         name="constant")

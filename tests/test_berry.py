@@ -5,7 +5,7 @@ from topoinv import (berry_connection, berry_curvature, berry_curvature_ebz,
                      berry_phase, berry_phase_sqrt, build_frame, build_trs_frame,
                      chern_number, delta_invariant, gauge_transform,
                      parallel_transport, periodize, plaquette_chern,
-                     random_gauge, random_trs_gauge)
+                     random_gauge, random_trs_gauge, z2_ingredients)
 from topoinv.berry import holonomy_flux_check
 from topoinv.errors import DimensionMismatch, NotTRSFrame, UnsnappedError
 
@@ -157,20 +157,20 @@ def test_stokes_on_subrectangles(haldane_topo):
 
 
 def test_delta_atomic_limit_is_trivial(atomic_limit, theta4):
-    d = delta_invariant(atomic_limit, theta4, n_loop=64, n1=16, n2=32)
+    d = delta_invariant(z2_ingredients(atomic_limit, theta4, n_loop=64, n1=16, n2=32))
     assert d.snapped == 0
     assert d.residual < 1e-10
 
 
 def test_delta_kane_mele_phases(km_topo, km_trivial, theta4):
-    d_topo = delta_invariant(km_topo, theta4, n_loop=128, n1=32, n2=64)
-    d_triv = delta_invariant(km_trivial, theta4, n_loop=128, n1=32, n2=64)
+    d_topo = delta_invariant(z2_ingredients(km_topo, theta4, n_loop=128, n1=32, n2=64))
+    d_triv = delta_invariant(z2_ingredients(km_trivial, theta4, n_loop=128, n1=32, n2=64))
     assert d_topo.snapped == 1
     assert d_triv.snapped == 0
     # raw lands near an integer and the integer is grid-stable 64 -> 256
     assert d_topo.residual < 1e-3
-    d_coarse = delta_invariant(km_topo, theta4, n_loop=64, n1=16, n2=32)
-    d_fine = delta_invariant(km_topo, theta4, n_loop=256, n1=64, n2=128)
+    d_coarse = delta_invariant(z2_ingredients(km_topo, theta4, n_loop=64, n1=16, n2=32))
+    d_fine = delta_invariant(z2_ingredients(km_topo, theta4, n_loop=256, n1=64, n2=128))
     assert d_coarse.snapped == d_fine.snapped == d_topo.snapped
 
 

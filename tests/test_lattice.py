@@ -2,7 +2,7 @@ import numpy as np
 
 from topoinv import (berry_curvature, chern_number, delta_invariant, lattice_z2,
                      overlap_berry_phase, parallel_transport, periodize,
-                     plaquette_chern, wilson_holonomy)
+                     plaquette_chern, wilson_holonomy, z2_ingredients)
 from topoinv import builtin_model, make_projector_family
 from topoinv.core import ProjectorFamily
 
@@ -18,7 +18,7 @@ def test_lattice_z2_matches_delta_with_rashba(theta4):
                                        "lambda_r": 0.4})
     fam = make_projector_family(spec, 0.0)
     z2 = lattice_z2(fam, theta4, n1=24, n2=48)
-    d = delta_invariant(fam, theta4, n_loop=128, n1=32, n2=64)
+    d = delta_invariant(z2_ingredients(fam, theta4, n_loop=128, n1=32, n2=64))
     assert z2.residual < 1e-12
     assert z2.snapped == d.snapped == 1
 

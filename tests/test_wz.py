@@ -5,10 +5,10 @@ from topoinv import (berry_connection, berry_phase, berry_phase_sqrt,
                      build_trs_frame, delta_invariant, kappa_invariant,
                      normal_form_field, parallel_transport, periodize,
                      up_extension, winding, winding_pair, wz_action_extension,
-                     wz_amplitude_phi, wz_derivative)
+                     wz_amplitude_phi, wz_derivative, z2_ingredients)
 from topoinv import build_frame, chern_number, berry_curvature
 from topoinv import wz
-from topoinv.errors import BadDims, NotAnExtension
+from topoinv.errors import BadDims, NotAnExtension, NotTRSFrame
 from topoinv.grids import interval_axis, loop_axis, unit_circle_axis
 from topoinv.wz import (FieldGrid, alpha_integral, apw_functional, beta_integral,
                         conjugated_field, constant_field, inverse_field,
@@ -221,27 +221,36 @@ def test_amplitude_flat_band_matches_berry(flat_band):
 
 def test_sqrt_amplitude_matches_sqrt_berry(km_topo, theta4):
     for k1 in (0.0, np.pi):
-        loop = km_topo.loop(0, k1)
-        val = wz_amplitude_phi(loop, theta4, n_grid=256)
-        frame = build_trs_frame(loop, theta4, n_grid=256)
+        frame = build_trs_frame(km_topo.loop(0, k1), theta4, n_grid=256)
+        val = wz_amplitude_phi(frame)
         sq = berry_phase_sqrt(berry_connection(frame)).raw
         assert abs(val.sqrt_amplitude - sq) < 1e-6
         assert abs(val.sqrt_amplitude ** 2 - val.amplitude) < 1e-12
-        beta_route = wz_amplitude_phi(loop, theta4, n_grid=256, method="beta")
+        beta_route = wz_amplitude_phi(frame, method="beta")
         assert abs(beta_route.sqrt_amplitude - val.sqrt_amplitude) < 1e-6
 
 
+def test_amplitude_of_frame_needs_trs_frame_with_w(km_topo, theta4):
+    loop = km_topo.loop(0, 0.0)
+    trp = periodize(parallel_transport(loop, n_grid=64))
+    w, v = np.linalg.eigh(trp.p_samples[0])
+    for frame in (build_frame(trp, v[:, w > 0.5]),
+                  build_trs_frame(loop, theta4, n_grid=64, with_w=False)):
+        with pytest.raises(NotTRSFrame):
+            wz_amplitude_phi(frame)
+
+
 def test_kappa_atomic_limit(atomic_limit, theta4):
-    kap = kappa_invariant(atomic_limit, theta4, n_loop=64, n1=16, n2=32)
+    kap = kappa_invariant(z2_ingredients(atomic_limit, theta4, n_loop=64, n1=16, n2=32))
     assert kap.snapped == 1
     assert kap.residual < 1e-8
 
 
 def test_kappa_equals_sign_of_delta(km_topo, km_trivial, theta4):
     for fam, expected in ((km_topo, 1), (km_trivial, 0)):
-        kap = kappa_invariant(fam, theta4, n_loop=128, n1=32, n2=64,
-                              direct_grid=(8, 32, 32))
-        d = delta_invariant(fam, theta4, n_loop=128, n1=32, n2=64)
+        z2 = z2_ingredients(fam, theta4, n_loop=128, n1=32, n2=64)
+        kap = kappa_invariant(z2, direct_grid=(8, 32, 32))
+        d = delta_invariant(z2)
         assert d.snapped == expected
         assert kap.snapped == (-1) ** expected
         assert kap.meta["phi3_discrepancy"] < 1e-5
