@@ -370,17 +370,10 @@ def holonomy_flux_check(family: ProjectorFamily, corner, widths, n_edge=256,
     t_loop = np.eye(family.ambient_dim, dtype=complex)
     for i in range(4):
         start, stop = corners[i], corners[(i + 1) % 4]
-        direction = stop - start
-        axis = int(np.argmax(np.abs(direction)))
-
-        def edge_sampler(s, start=start, direction=direction):
-            return family.sampler(start + s * direction)
-
-        edge = ProjectorFamily(family.ambient_dim, family.rank, "loop",
-                               sampler=edge_sampler, fd_step=family.fd_step)
+        edge = family.restrict(start, stop - start, f"{family.name}[edge {i}]")
         _, t, _, _, _, _ = _segment_transport(edge, 0.0, 1.0, n_edge, substeps, tol.drift)
         t_loop = t[-1] @ t_loop
-    p0 = family.sampler(corners[0])
+    p0 = family(corners[0])
     w, v = np.linalg.eigh(p0)
     b = v[:, w > 0.5]
     hol = linalg.dagger(b) @ t_loop @ b

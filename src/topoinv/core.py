@@ -1,14 +1,15 @@
 """Families of band projectors over the Brillouin torus and the odd
 time-reversal structure acting on them.
 
-A ProjectorFamily wraps a smooth periodic sampler k -> P(k) for rank-m
-orthogonal projectors on C^N, with derivatives by Richardson-extrapolated
-central differences. The TRSOperator is the antiunitary theta = J K
+A ProjectorFamily is the occupied-band projector P(k) of a Bloch
+Hamiltonian H(k), on the torus or on a line through it; its derivatives
+follow exactly from dH by perturbation theory on the same eigensystem. The
+TRSOperator is the antiunitary theta = J K
 (K = complex conjugation) with theta^2 = -1 in the working basis.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from . import linalg
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
 from .grids import loop_axis, reflect_index
+from .models import BlochHamiltonianSpec
 
 
 @dataclass(frozen=True)
@@ -44,74 +46,77 @@ class TRSOperator:
 
 @dataclass(frozen=True)
 class ProjectorFamily:
-    """Smooth periodic family of rank-m projectors on a loop or the 2-torus.
+    """Occupied-band projectors P(k) of one Bloch Hamiltonian, on the 2-torus
+    or restricted to a line.
 
-    `sampler` maps a k-point (float for loops, length-2 array for the torus)
-    to an (N, N) projector matrix. `batch_sampler`, when present, evaluates a
-    whole (..., d) array of k-points at once. Derivatives use central
-    differences with Richardson extrapolation at step `fd_step`.
+    P(k) projects onto the eigenvectors of spec.bloch(k) below `fermi_level`;
+    every evaluation checks that the `rank` occupied bands stay separated
+    from the empty ones by more than `gap_threshold`. With `line` =
+    (origin, direction) the family is the loop s -> P(origin + s direction).
     """
 
-    ambient_dim: int
+    spec: BlochHamiltonianSpec
     rank: int
-    domain: str  # "loop" | "torus"
-    sampler: Callable
-    batch_sampler: Optional[Callable] = None
-    fd_step: float = 1e-3
+    fermi_level: float = 0.0
+    gap_threshold: float = DEFAULT_TOL.gap_threshold
+    line: Optional[tuple] = None  # ((o1, o2), (d1, d2))
     name: str = ""
 
     @property
-    def ndim(self):
-        return 1 if self.domain == "loop" else 2
+    def ambient_dim(self):
+        return self.spec.dim
+
+    @property
+    def domain(self):
+        return "torus" if self.line is None else "loop"
 
     def __call__(self, k):
-        return self.sampler(k)
+        return self.sample(k)
 
-    def _batch_shape(self, ks):
-        return ks.shape[:-1] if self.ndim > 1 else ks.shape
+    def _eigensystem(self, ks):
+        """The torus points of ks and the eigensystem (w, v, occ) there."""
+        k = np.asarray(ks, dtype=float)
+        if self.line is not None:
+            origin, direction = np.asarray(self.line)
+            k = origin + k[..., None] * direction
+        return (k,) + _gap_checked_eigh(self.spec, k, self.fermi_level,
+                                        self.gap_threshold, rank=self.rank)
 
     def sample(self, ks):
-        """Evaluate P on an array of k-points, shape (..., d) -> (..., N, N)."""
-        ks = np.asarray(ks, dtype=float)
-        if self.batch_sampler is not None:
-            return self.batch_sampler(ks)
-        flat = ks.reshape(-1, self.ndim) if self.ndim > 1 else ks.reshape(-1)
-        out = np.stack([self.sampler(k) for k in flat])
-        return out.reshape(self._batch_shape(ks) + (self.ambient_dim, self.ambient_dim))
+        """Evaluate P on an array of k-points: (..., 2) on the torus and (...)
+        on a line -> (..., N, N)."""
+        _, _, v, occ = self._eigensystem(ks)
+        vocc = np.where(occ[..., None, :], v, 0.0)
+        return vocc @ linalg.dagger(vocc)
 
     def derivative(self, ks, axis=0):
-        """dP/dk_axis on an array of k-points.
+        """dP/dk_axis on an array of k-points (along the line for a loop).
 
-        Richardson-extrapolated central differences, error O(h^4).
+        First-order perturbation theory on the eigensystem of H:
+        dP = V (X + X^+) V^+ with X_ij = (V^+ dH V)_ij / (e_i - e_j) for
+        occupied i and empty j, and 0 elsewhere. Only occupied-empty pairs
+        are divided, so degenerate occupied levels never are, and the gap
+        check bounds every denominator below by gap_threshold.
         """
-        ks = np.asarray(ks, dtype=float)
-        h = self.fd_step
-        e = np.zeros(self.ndim)
-        e[axis] = 1.0
-        e = e if self.ndim > 1 else 1.0
+        k, w, v, occ = self._eigensystem(ks)
+        dh = self.spec.bloch_derivative(k, axis if self.line is None else self.line[1])
+        pairs = occ[..., :, None] & ~occ[..., None, :]
+        gaps = np.where(pairs, w[..., :, None] - w[..., None, :], 1.0)
+        x = np.where(pairs, linalg.dagger(v) @ dh @ v / gaps, 0.0)
+        return v @ (x + linalg.dagger(x)) @ linalg.dagger(v)
 
-        def cd(step):
-            return (self.sample(ks + step * e) - self.sample(ks - step * e)) / (2 * step)
-
-        return (4.0 * cd(h / 2) - cd(h)) / 3.0
+    def restrict(self, origin, direction, name):
+        """The loop s -> P(origin + s direction) of a torus family."""
+        if self.line is not None:
+            raise ValueError("line restriction needs a torus family")
+        line = (tuple(float(x) for x in origin), tuple(float(x) for x in direction))
+        return replace(self, line=line, name=name)
 
     def loop(self, axis, value):
         """Restriction of a torus family to a loop (the other coordinate varies)."""
-        if self.domain != "torus":
-            raise ValueError("loop restriction needs a torus family")
-        fixed = float(value)
-
-        def embed(ks):
-            ks = np.asarray(ks, dtype=float)
-            full = np.empty(ks.shape + (2,))
-            full[..., axis] = fixed
-            full[..., 1 - axis] = ks
-            return full
-
-        sampler = lambda k: self.sampler(embed(np.asarray(k)).reshape(2))
-        batch = (lambda ks: self.batch_sampler(embed(ks))) if self.batch_sampler else None
-        return replace(self, domain="loop", sampler=sampler, batch_sampler=batch,
-                       name=f"{self.name}[k{axis + 1}={fixed:.4f}]")
+        origin, direction = np.zeros(2), np.zeros(2)
+        origin[axis], direction[1 - axis] = value, 1.0
+        return self.restrict(origin, direction, f"{self.name}[k{axis + 1}={float(value):.4f}]")
 
     def validate(self, n_grid=64, tol: Tolerances = DEFAULT_TOL):
         """Projector, rank-constancy, and periodicity residuals on a probe grid.
@@ -139,19 +144,20 @@ class ProjectorFamily:
                 "ok": proj <= tol.projector and tr <= tol.trace and per <= tol.periodicity}
 
 
-def _occupied_projector(spec, ks, fermi_level, threshold):
-    """Batched eigenprojector of spec.bloch(ks) onto eigenvalues below
-    fermi_level.
+def _gap_checked_eigh(spec, ks, fermi_level, threshold, rank=None):
+    """Batched eigensystem (w, v, occ) of spec.bloch(ks) on torus points ks,
+    with occ marking the eigenvalues below fermi_level.
 
-    Returns (P, rank, min_gap); raises GapClosure, carrying the momentum
-    (k1, k2), where the occupied rank differs from that of the first point
-    or the gap at the Fermi level drops below threshold.
+    Raises GapClosure, carrying the momentum (k1, k2), where the occupied
+    rank differs from `rank` (by default that of the first point), where no
+    band or every band is occupied, or where the gap at the Fermi level
+    drops below threshold.
     """
     w, v = np.linalg.eigh(spec.bloch(ks))
     occ = w < fermi_level
     ranks = occ.sum(axis=-1).reshape(-1)
     momentum = lambda j: tuple(float(x) for x in np.reshape(ks, (-1, 2))[j])
-    r0 = int(ranks[0])
+    r0 = int(ranks[0]) if rank is None else rank
     if r0 == 0 or r0 == spec.dim:
         raise GapClosure(k=momentum(0), gap=0.0, threshold=threshold)
     changed = np.flatnonzero(ranks != r0)
@@ -164,9 +170,7 @@ def _occupied_projector(spec, ks, fermi_level, threshold):
     min_gap = float(gaps[worst])
     if min_gap <= threshold:
         raise GapClosure(k=momentum(worst), gap=min_gap, threshold=threshold)
-    vocc = np.where(occ[..., None, :], v, 0.0)
-    p = vocc @ linalg.dagger(vocc)
-    return p, r0, min_gap
+    return w, v, occ
 
 
 def make_projector_family(spec, fermi_level=0.0, gap_threshold=DEFAULT_TOL.gap_threshold,
@@ -187,18 +191,12 @@ def make_projector_family(spec, fermi_level=0.0, gap_threshold=DEFAULT_TOL.gap_t
     -------
     ProjectorFamily on the torus, with rank fixed by the gap condition.
     """
-
-    def batch(ks):
-        return _occupied_projector(spec, ks, fermi_level, gap_threshold)[0]
-
     ax = loop_axis(check_grid)
     k1, k2 = np.meshgrid(ax.points, ax.points, indexing="ij")
-    _, rank, _ = _occupied_projector(spec, np.stack([k1, k2], axis=-1),
-                                     fermi_level, gap_threshold)
-    return ProjectorFamily(
-        ambient_dim=spec.dim, rank=rank, domain="torus",
-        sampler=lambda k: batch(np.asarray(k, dtype=float).reshape(1, 2))[0],
-        batch_sampler=batch, name=spec.name)
+    _, _, occ = _gap_checked_eigh(spec, np.stack([k1, k2], axis=-1), fermi_level,
+                                  gap_threshold)
+    return ProjectorFamily(spec=spec, rank=int(occ[0, 0].sum()), fermi_level=fermi_level,
+                           gap_threshold=gap_threshold, name=spec.name)
 
 
 def check_trs(family: ProjectorFamily, theta: TRSOperator, n_grid=64,

@@ -40,12 +40,15 @@ class BlochHamiltonianSpec:
         return out
 
     def bloch_derivative(self, ks, axis):
-        """Analytic dH/dk_axis (the trig-polynomial form differentiates freely)."""
+        """Analytic dH/dk_axis (the trig-polynomial form differentiates
+        freely); a direction (d1, d2) in place of the axis gives the
+        derivative d1 dH/dk1 + d2 dH/dk2 along it."""
         ks = np.asarray(ks, dtype=float)
+        d = np.eye(2)[axis] if np.ndim(axis) == 0 else np.asarray(axis, dtype=float)
         out = np.zeros(ks.shape[:-1] + (self.dim, self.dim), dtype=complex)
         for mat, vec in self.terms:
             phase = np.exp(1j * (ks[..., 0] * vec[0] + ks[..., 1] * vec[1]))
-            out += (1j * vec[axis]) * phase[..., None, None] * mat
+            out += (1j * (vec[0] * d[0] + vec[1] * d[1])) * phase[..., None, None] * mat
         return out
 
     def hermiticity_residual(self, n_samples=1000, seed=7):

@@ -471,7 +471,8 @@ def wz_amplitude_phi(loop, n_grid=N_LOOP, substeps=4, n_t=16, method="reduced",
             raise NotTRSFrame("the amplitude of a frame needs a TRS frame with W")
         w = loop.w_samples
         dw = grid_derivative(w, 0, loop_axis(len(w)))
-        p0 = loop.family.sample(np.array([0.0]))[0]
+        e0 = loop.e_samples[loop.n // 2]           # k = 0 sits mid-grid
+        p0 = e0 @ linalg.dagger(e0)
         modulus = 4.0 * np.pi
         meta = {"frame_loop_integral": loop.analytic_loop_integral}
     else:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from topoinv import builtin_model, make_projector_family
-from topoinv.core import ProjectorFamily, TRSOperator
+from topoinv.core import TRSOperator
 from topoinv.models import BlochHamiltonianSpec
 
 
@@ -60,11 +60,9 @@ def atomic_limit():
 
 @pytest.fixture(scope="session")
 def constant_loop():
-    """P(k) = diag(0, 1) on a loop; its finite-difference derivative is
-    exactly zero."""
-    p0 = np.diag([0.0, 1.0]).astype(complex)
-    return ProjectorFamily(
-        ambient_dim=2, rank=1, domain="loop",
-        sampler=lambda k: p0,
-        batch_sampler=lambda ks: np.broadcast_to(p0, np.shape(ks) + (2, 2)).copy(),
-        name="constant")
+    """P(k) = diag(0, 1) on a loop, from the on-site H = diag(1, -1); dH = 0,
+    so its derivative is exactly zero."""
+    onsite = np.diag([1.0, -1.0]).astype(complex)
+    spec = BlochHamiltonianSpec(dim=2, terms=((onsite, np.zeros(2, dtype=int)),),
+                                name="constant")
+    return make_projector_family(spec, 0.0).loop(0, 0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from topoinv import check_trs, make_projector_family, symplectic_basis
+from topoinv import builtin_model, check_trs, make_projector_family, symplectic_basis
 from topoinv.errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
 from topoinv.models import BlochHamiltonianSpec
 from topoinv import linalg
@@ -114,7 +114,7 @@ def test_loop_restriction_matches_torus(km_topo):
         assert np.allclose(loop(k), km_topo(np.array([np.pi, k])), atol=1e-14)
 
 
-def test_richardson_derivative_accuracy(flat_band):
+def test_projector_derivative_accuracy(flat_band):
     loop = flat_band.loop(1, 0.0)
     k = 0.7
     # closed form: P = (1 - n.sigma)/2, dP = -(dn.sigma)/2
@@ -123,3 +123,27 @@ def test_richardson_derivative_accuracy(flat_band):
     exact = -0.5 * dn_sigma
     got = loop.derivative(np.array([k]))[0]
     assert np.max(np.abs(got - exact)) < 1e-10
+
+
+def _richardson(sample, ks, e, h=1e-3):
+    """Richardson-extrapolated central difference of sample along e."""
+    def cd(step):
+        return (sample(ks + step * e) - sample(ks - step * e)) / (2 * step)
+    return (4.0 * cd(h / 2) - cd(h)) / 3.0
+
+
+def test_analytic_derivative_matches_finite_differences_with_rashba():
+    spec = builtin_model("kane_mele", {"lambda_so": 0.3, "lambda_v": 0.4,
+                                       "lambda_r": 0.2})
+    fam = make_projector_family(spec, 0.0)
+    assert fam.ambient_dim == 4 and fam.rank == 2
+    # the four TRIMs (Kramers-degenerate occupied pair) and a generic point
+    ks = np.array([[0.0, 0.0], [np.pi, 0.0], [0.0, np.pi], [np.pi, np.pi],
+                   [0.37, -1.21]])
+    for axis in range(2):
+        fd = _richardson(fam.sample, ks, np.eye(2)[axis])
+        assert np.max(np.abs(fam.derivative(ks, axis) - fd)) < 1e-10
+    line = fam.restrict((0.2, -0.5), (1.0, 2.0), "diagonal")
+    s = np.linspace(-np.pi, np.pi, 9)
+    fd = _richardson(line.sample, s, 1.0)
+    assert np.max(np.abs(line.derivative(s) - fd)) < 1e-10

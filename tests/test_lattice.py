@@ -4,7 +4,7 @@ from topoinv import (berry_curvature, chern_number, delta_invariant, lattice_z2,
                      overlap_berry_phase, parallel_transport, periodize,
                      plaquette_chern, wilson_holonomy, z2_ingredients)
 from topoinv import builtin_model, make_projector_family
-from topoinv.core import ProjectorFamily
+from topoinv.models import BlochHamiltonianSpec
 
 
 def test_plaquette_chern_is_exactly_integer(haldane_topo):
@@ -35,24 +35,9 @@ def test_spin_chern_parity_oracle(theta4):
     spec = builtin_model("kane_mele", {"lambda_so": 0.3, "lambda_v": 0.6,
                                        "lambda_r": 0.0})
     up = [0, 2]   # (A up, B up) rows/columns of the spin-conserving model
-
-    def up_block(ks):
-        h = spec.bloch(ks)
-        return h[..., :, up][..., up, :]
-
-    def sampler(k):
-        h = up_block(np.asarray(k, dtype=float).reshape(1, 2))[0]
-        w, v = np.linalg.eigh(h)
-        return v[:, :1] @ v[:, :1].conj().T
-
-    def batch(ks):
-        h = up_block(ks)
-        w, v = np.linalg.eigh(h)
-        vo = v[..., :, :1]
-        return vo @ np.conjugate(np.swapaxes(vo, -1, -2))
-
-    fam_up = ProjectorFamily(2, 1, "torus", sampler=sampler, batch_sampler=batch,
-                             name="km_up")
+    terms = tuple((mat[np.ix_(up, up)], vec) for mat, vec in spec.terms)
+    fam_up = make_projector_family(BlochHamiltonianSpec(dim=2, terms=terms, name="km_up"),
+                                   0.0)
     c_up = plaquette_chern(fam_up, n_grid=48).require_snapped()
     fam = make_projector_family(spec, 0.0)
     z2 = lattice_z2(fam, theta4, n1=24, n2=48).require_snapped()

@@ -3,10 +3,10 @@ import pytest
 
 from topoinv import (berry_connection, berry_phase, build_frame, build_trs_frame,
                      parallel_transport, periodize, wilson_holonomy)
-from topoinv import linalg, wz
-from topoinv.core import ProjectorFamily
+from topoinv import linalg, make_projector_family, wz
 from topoinv.errors import BadBaseBasis, NotTRS, StepFailure
 from topoinv.grids import loop_axis
+from topoinv.models import BlochHamiltonianSpec
 
 
 def test_constant_family_trivial_transport(constant_loop):
@@ -34,11 +34,11 @@ def test_rk4_order(km_topo):
 
 
 def test_step_failure_on_underresolved_loop():
-    fast = ProjectorFamily(
-        ambient_dim=2, rank=1, domain="loop",
-        sampler=lambda k: 0.5 * (np.eye(2) - np.cos(20 * k) * np.array([[0, 1], [1, 0]])
-                                 - np.sin(20 * k) * np.array([[0, -1j], [1j, 0]])),
-        name="fast_winding")
+    sigma_plus = np.array([[0, 1], [0, 0]], dtype=complex)
+    spec = BlochHamiltonianSpec(dim=2, terms=((sigma_plus, np.array([0, 20])),
+                                              (sigma_plus.T, np.array([0, -20]))),
+                                name="fast_winding")
+    fast = make_projector_family(spec, 0.0).loop(0, 0.0)
     with pytest.raises(StepFailure):
         parallel_transport(fast, n_grid=16, substeps=1)
 
