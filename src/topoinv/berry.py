@@ -141,8 +141,7 @@ class CurvatureField:
 
 def _omega_on(family: ProjectorFamily, ks):
     p = family.sample(ks)
-    d1 = family.derivative(ks, 0)
-    d2 = family.derivative(ks, 1)
+    d1, d2 = family.derivative(ks, (0, 1))
     comm = d1 @ d2 - d2 @ d1
     tr = np.trace(p @ comm, axis1=-2, axis2=-1)
     omega = -1j * tr

@@ -96,14 +96,23 @@ class ProjectorFamily:
         dP = V (X + X^+) V^+ with X_ij = (V^+ dH V)_ij / (e_i - e_j) for
         occupied i and empty j, and 0 elsewhere. Only occupied-empty pairs
         are divided, so degenerate occupied levels never are, and the gap
-        check bounds every denominator below by gap_threshold.
+        check bounds every denominator below by gap_threshold. A tuple of
+        torus axes gives a tuple of dP, one per axis, from one eigensystem.
         """
+        if isinstance(axis, tuple) and self.line is not None:
+            raise ValueError("a tuple of axes needs a torus family")
         k, w, v, occ = self._eigensystem(ks)
-        dh = self.spec.bloch_derivative(k, axis if self.line is None else self.line[1])
         pairs = occ[..., :, None] & ~occ[..., None, :]
         gaps = np.where(pairs, w[..., :, None] - w[..., None, :], 1.0)
-        x = np.where(pairs, linalg.dagger(v) @ dh @ v / gaps, 0.0)
-        return v @ (x + linalg.dagger(x)) @ linalg.dagger(v)
+
+        def along(direction):
+            dh = self.spec.bloch_derivative(k, direction)
+            x = np.where(pairs, linalg.dagger(v) @ dh @ v / gaps, 0.0)
+            return v @ (x + linalg.dagger(x)) @ linalg.dagger(v)
+
+        if isinstance(axis, tuple):
+            return tuple(along(a) for a in axis)
+        return along(axis if self.line is None else self.line[1])
 
     def restrict(self, origin, direction, name):
         """The loop s -> P(origin + s direction) of a torus family."""

@@ -143,6 +143,10 @@ def test_analytic_derivative_matches_finite_differences_with_rashba():
     for axis in range(2):
         fd = _richardson(fam.sample, ks, np.eye(2)[axis])
         assert np.max(np.abs(fam.derivative(ks, axis) - fd)) < 1e-10
+    # both axes from one eigensystem are exactly the single-axis derivatives
+    d1, d2 = fam.derivative(ks, (0, 1))
+    assert np.array_equal(d1, fam.derivative(ks, 0))
+    assert np.array_equal(d2, fam.derivative(ks, 1))
     line = fam.restrict((0.2, -0.5), (1.0, 2.0), "diagonal")
     s = np.linspace(-np.pi, np.pi, 9)
     fd = _richardson(line.sample, s, 1.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from topoinv import (berry_connection, berry_phase, berry_phase_sqrt,
 from topoinv import build_frame, chern_number, berry_curvature
 from topoinv import wz
 from topoinv.errors import BadDims, NotAnExtension, NotTRSFrame
-from topoinv.grids import interval_axis, loop_axis, unit_circle_axis
+from topoinv.grids import integrate_grid, interval_axis, loop_axis, unit_circle_axis
 from topoinv.wz import (FieldGrid, alpha_integral, apw_functional, beta_integral,
                         conjugated_field, constant_field, inverse_field,
                         product_field, pw_functional, random_equivariant_field,
@@ -83,6 +85,56 @@ def test_up_extension_gives_pi_chern(haldane_topo):
     assert abs(val.amplitude - (-1.0) ** c) < 1e-6
     # action representative is reduced into [0, modulus)
     assert 0.0 <= val.action < val.modulus
+
+
+def _batched_chi_triple(g):
+    """Reference density: batched N x N products at every grid point, with
+    the whole-field derivative of each axis. Returns the integral and the
+    integral of |density|, the scale its rounding error is measured on."""
+    gi = np.conjugate(np.swapaxes(g.samples, -1, -2))
+    a0, a1, a2 = (gi @ g.derivative(i) for i in range(3))
+    dens = 3.0 * np.einsum("...ab,...ba->...", a0, a1 @ a2 - a2 @ a1)
+    axes = list(g.axes)
+    return integrate_grid(dens, axes), float(integrate_grid(np.abs(dens), axes))
+
+
+def _no_exact_channel(g):
+    return FieldGrid(axes=g.axes, samples=g.samples, name=f"{g.name} (no channel)")
+
+
+@pytest.mark.parametrize("case", ["haldane", "kane_mele_rashba", "tube", "no_channel",
+                                  "phi_ebz", "phi_ebz_no_channel"])
+def test_chi_triple_matches_batched_reference(case, haldane_topo, km_topo):
+    if case == "haldane":
+        g = up_extension(haldane_topo, n_t=16, n1=16, n2=16)
+    elif case == "kane_mele_rashba":
+        g = up_extension(km_topo, n_t=16, n1=16, n2=16)
+    elif case == "tube":
+        g = random_unwindable_field(16, 3, seed=5)[1]
+    elif case == "no_channel":
+        g = _no_exact_channel(up_extension(haldane_topo, n_t=16, n1=16, n2=16))
+    elif case == "phi_ebz":
+        g = wz.phi_ebz_extension(km_topo, n_t=8, n1=8, n2=16)
+    else:
+        g = _no_exact_channel(wz.phi_ebz_extension(km_topo, n_t=8, n1=8, n2=16))
+    ref, scale = _batched_chi_triple(g)
+    real, imag = wz.chi_triple_integral(g)
+    assert scale > 1.0
+    assert abs(real - ref.real) <= 1e-12 * scale
+    assert abs(imag - abs(ref.imag)) <= 1e-12 * scale
+
+
+def test_chi_triple_builds_no_full_grid_temporary(km_topo):
+    g = up_extension(km_topo, n_t=32, n1=32, n2=32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        wz.chi_triple_integral(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < g.samples.nbytes
 
 
 def test_not_an_extension():
