@@ -254,6 +254,205 @@ def test_alpha_beta_integrals_are_real():
         assert imag < 1e-9
 
 
+# ------------------- plane-by-plane products against batched references
+#
+# Reference formulas with one batched matmul per product at every grid
+# point. The library multiplies the same factors plane by plane, so only the
+# summation order differs and the two agree to rounding.
+
+def _dagger(x):
+    return np.conjugate(np.swapaxes(x, -1, -2))
+
+
+def _common(g, h):
+    return set(g.derivs) & set(h.derivs)
+
+
+def _ref_product(g, h):
+    derivs = {i: g.derivs[i] @ h.samples + g.samples @ h.derivs[i] for i in _common(g, h)}
+    return g.samples @ h.samples, derivs
+
+
+def _ref_conjugated(g, h):
+    gi = _dagger(g.samples)
+    derivs = {}
+    for i in _common(g, h):
+        dgi = -gi @ g.derivs[i] @ gi
+        derivs[i] = (g.derivs[i] @ h.samples @ gi + g.samples @ h.derivs[i] @ gi
+                     + g.samples @ h.samples @ dgi)
+    return g.samples @ h.samples @ gi, derivs
+
+
+def _ref_inverse(g):
+    gi = _dagger(g.samples)
+    return gi, {i: -gi @ d @ gi for i, d in g.derivs.items()}
+
+
+def _ref_tube(base, z, n_s):
+    w, v = np.linalg.eigh(-1j * z)
+    blocks, dblocks = [], []
+    for s in interval_axis(n_s, 0.0, 1.0).points:
+        slab = base.samples @ ((v * np.exp(1j * s * w)[..., None, :]) @ _dagger(v))
+        blocks.append(slab)
+        dblocks.append(slab @ z)
+    return np.stack(blocks), {0: np.stack(dblocks)}
+
+
+def _integral_and_scale(dens, axes):
+    """The integral of a density and the integral of its modulus, the scale
+    its rounding error is measured on."""
+    return integrate_grid(dens, list(axes)), float(integrate_grid(np.abs(dens), list(axes)))
+
+
+def _ref_alpha(g, h):
+    gi, hi = _dagger(g.samples), _dagger(h.samples)
+    g1, g2 = gi @ g.derivative(0), gi @ g.derivative(1)
+    h1, h2 = h.derivative(0) @ hi, h.derivative(1) @ hi
+    dens = -(np.einsum("...ab,...ba->...", g1, h2) - np.einsum("...ab,...ba->...", g2, h1))
+    return _integral_and_scale(dens, g.axes)
+
+
+def _ref_beta(g, h):
+    gi, hi = _dagger(g.samples), _dagger(h.samples)
+    g1, g2 = gi @ g.derivative(0), gi @ g.derivative(1)
+    dh1, dh2 = h.derivative(0), h.derivative(1)
+    d1, d2, e1, e2 = hi @ dh1, hi @ dh2, dh1 @ hi, dh2 @ hi
+    hg1, hg2 = h.samples @ g1 @ hi, h.samples @ g2 @ hi
+    term1 = np.einsum("...ab,...ba->...", hg1, g2) - np.einsum("...ab,...ba->...", hg2, g1)
+    term2 = (np.einsum("...ab,...ba->...", g1, d2 + e2)
+             - np.einsum("...ab,...ba->...", g2, d1 + e1))
+    return _integral_and_scale(-(term1 + term2), g.axes)
+
+
+def _ref_wz_derivative(g, dot):
+    gi = _dagger(g.samples)
+    g1, g2 = gi @ g.derivative(0), gi @ g.derivative(1)
+    dens = np.einsum("...ab,...ba->...", gi @ dot, g1 @ g2 - g2 @ g1)
+    total, scale = _integral_and_scale(dens, g.axes)
+    return total.real / (4.0 * np.pi), scale / (4.0 * np.pi)
+
+
+def _with_channels(g):
+    """The field with a derivative channel on every axis (spectral or
+    stencil), so that every Leibniz term of a product runs."""
+    return FieldGrid(axes=g.axes, samples=g.samples,
+                     derivs={i: g.derivative(i) for i in range(g.n_axes)}, name=g.name)
+
+
+def _assert_close(value, ref, rel=1e-12):
+    assert np.max(np.abs(value - ref)) <= rel * max(np.max(np.abs(ref)), 1.0)
+
+
+def _pair(case, theta4):
+    """Two fields on one grid: N=2 normal forms, N=3 random unwindable and
+    N=4 random equivariant fields, on the torus, on [0,1] x T^2 (tube
+    extensions, from the normal forms along random deformations) and, for
+    N=3, on a loop."""
+    if case.startswith("normal_n2"):
+        nfs = normal_form_field(1, -2, 2, n_grid=16), normal_form_field(-1, 3, 2, n_grid=16)
+        if case == "normal_n2_torus":
+            return nfs
+        ext_g, ext_h = (tube_extension(f, 1j * random_hermitian_field(f.axes, 2, seed=s,
+                                                                     scale=0.3), n_s=8)
+                        for f, s in zip(nfs, (3, 4)))
+    elif case.startswith("unwindable_n3"):
+        (g, ext_g), (h, ext_h) = (random_unwindable_field(16, 3, seed=s, bandwidth=1)
+                                  for s in (5, 6))
+    else:
+        (g, ext_g), (h, ext_h) = (random_equivariant_field(16, theta4, seed=s, bandwidth=1,
+                                                           windings=w)
+                                  for s, w in ((7, (1, 0)), (8, (0, 1))))
+    if case.endswith("tube"):
+        return _with_channels(ext_g), _with_channels(ext_h)
+    if case.endswith("loop"):
+        g, h = (FieldGrid(axes=f.axes[:1], samples=f.samples[:, 3]) for f in (g, h))
+    return _with_channels(g), _with_channels(h)
+
+
+PAIR_CASES = ["normal_n2_torus", "normal_n2_tube", "unwindable_n3_torus", "unwindable_n3_tube",
+              "unwindable_n3_loop", "equivariant_n4_torus", "equivariant_n4_tube"]
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+def test_field_products_match_batched_reference(case, theta4):
+    g, h = _pair(case, theta4)
+    for fld, (ref, ref_derivs) in ((product_field(g, h), _ref_product(g, h)),
+                                   (conjugated_field(g, h), _ref_conjugated(g, h)),
+                                   (inverse_field(g), _ref_inverse(g))):
+        assert fld.samples.shape == ref.shape and fld.axes == g.axes
+        _assert_close(fld.samples, ref)
+        assert set(fld.derivs) == set(ref_derivs) == set(range(g.n_axes))
+        for i, d in ref_derivs.items():
+            _assert_close(fld.derivs[i], d)
+
+
+@pytest.mark.parametrize("case", [c for c in PAIR_CASES if not c.endswith("loop")])
+def test_functional_integrals_match_batched_reference(case, theta4):
+    g, h = _pair(case, theta4)
+    for value, (ref, scale) in ((alpha_integral(g, h), _ref_alpha(g, h)),
+                                (beta_integral(g, h), _ref_beta(g, h))):
+        assert scale > 0.1
+        assert abs(value[0] - ref.real) <= 1e-12 * scale
+        assert abs(value[1] - abs(ref.imag)) <= 1e-12 * scale
+    ref, scale = _ref_wz_derivative(g, h.samples)
+    assert abs(wz_derivative(g, h) - ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_tube_extension_matches_batched_reference(dim, theta4):
+    if dim == 3:
+        base = constant_field((loop_axis(16),) * 2, np.eye(3, dtype=complex))
+    else:
+        base = normal_form_field(1, -1, dim, equivariant=dim == 4, n_grid=16)
+    z = 1j * random_hermitian_field(base.axes, dim, seed=dim, scale=0.4)
+    ext = tube_extension(base, z, n_s=8)
+    ref, ref_derivs = _ref_tube(base, z, 8)
+    assert ext.samples.shape == ref.shape and set(ext.derivs) == {0}
+    _assert_close(ext.samples, ref)
+    _assert_close(ext.derivs[0], ref_derivs[0])
+    _assert_close(ext.samples[0], base.samples)
+
+
+def test_winding_matches_batched_trace():
+    g, _ = random_unwindable_field(16, 3, seed=5, bandwidth=1)
+    loop = FieldGrid(axes=g.axes[:1], samples=g.samples[:, 3] @ normal_form_field(
+        2, 0, 3, n_grid=16).samples[:, 0])
+    w = winding(loop)
+    ref = integrate_grid(np.trace(_dagger(loop.samples) @ loop.derivative(0),
+                                  axis1=-2, axis2=-1), list(loop.axes)) / (2j * np.pi)
+    assert w.require_snapped() == 2
+    assert abs(complex(w.raw).real - ref.real) < 1e-12
+    assert abs(w.meta["imag_raw"] - ref.imag) < 1e-12
+
+
+def _peak_bytes(fn):
+    """Result of fn() and the tracemalloc peak of the allocations made inside
+    it, the result included."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _field_bytes(fld):
+    return fld.samples.nbytes + sum(d.nbytes for d in fld.derivs.values())
+
+
+def test_tube_and_product_build_no_full_grid_temporary():
+    nf_g, nf_h = normal_form_field(1, -1, 2, n_grid=32), normal_form_field(0, 2, 2, n_grid=32)
+    hg, hh = (random_hermitian_field(nf_g.axes, 2, seed=s, scale=0.3) for s in (1, 2))
+    ext_g, peak = _peak_bytes(lambda: tube_extension(nf_g, 1j * hg, n_s=48))
+    assert peak < 1.25 * _field_bytes(ext_g)
+    ext_h = tube_extension(nf_h, 1j * hh, n_s=48)
+    ext_gh, peak = _peak_bytes(lambda: product_field(ext_g, ext_h))
+    assert peak < 1.25 * _field_bytes(ext_gh)
+
+
 # ------------------------------------------- phi amplitudes and kappa
 
 def test_amplitude_constant_family(constant_loop):
