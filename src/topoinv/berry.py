@@ -18,7 +18,8 @@ from . import linalg
 from .config import DEFAULT_TOL, N_2D, Tolerances
 from .core import ProjectorFamily
 from .errors import DimensionMismatch, NotTRSFrame
-from .grids import Axis, ebz_axis, integrate_grid, loop_axis, spectral_derivative
+from .grids import (Axis, ebz_axis, integrate_grid, loop_axis, reflect_index,
+                    spectral_derivative)
 from .results import snap_integer, snap_unit
 # build_trs_frame stays bound here: perfbench/selfcheck.py checks this binding
 from .transport import (BlochFrame, build_trs_frame, smooth_ramp,  # noqa: F401
@@ -135,7 +136,7 @@ class CurvatureField:
         ax1, ax2 = self.axes
         if not (ax1.periodic and ax2.periodic):
             raise ValueError("odd-symmetry check needs the full torus grid")
-        flipped = self.omega[(-np.arange(ax1.n)) % ax1.n][:, (-np.arange(ax2.n)) % ax2.n]
+        flipped = self.omega[reflect_index(ax1.n)][:, reflect_index(ax2.n)]
         return float(np.max(np.abs(self.omega + flipped)))
 
 
@@ -220,8 +221,7 @@ class GaugeField:
             m = self.rank
             jm = linalg.symplectic_blocks(m)
             refl = jm.T @ np.conjugate(self.u_samples) @ jm
-            idx = (-np.arange(self.n)) % self.n
-            trs = float(np.max(linalg.frob(self.u_samples[idx] - refl)))
+            trs = float(np.max(linalg.frob(self.u_samples[reflect_index(self.n)] - refl)))
             report["trs"] = trs
             report["ok"] = report["ok"] and trs <= tol.trs
         return report
@@ -311,40 +311,32 @@ def random_trs_gauge(n_points, m, seed, scale=0.4, winding=None):
     h2 = scale * 0.5 * (h2 + h2.conj().T)
 
     ks = loop_axis(n_points).points
-    u = np.empty((n_points, m, m), dtype=complex)
-    logd = np.empty_like(u)
     half = n_points // 2
+    k = np.append(ks[half:], np.pi)             # [0, pi]
+    x = k / np.pi
+    col = lambda a: a[:, None, None]
+    f1 = scipy.linalg.expm(col(smooth_ramp(x)) * big_s)
+    f2 = scipy.linalg.expm(col(_bump(x) * 1j) * h1)
+    prof3 = _bump(x) * np.sin(2 * np.pi * x)
+    f3 = scipy.linalg.expm(col(prof3 * 1j) * h2)
+    wind = np.tile(np.eye(m, dtype=complex), (half + 1, 1, 1))
+    wind[:, 0, 0] = wind[:, 1, 1] = np.exp(1j * winding * k)
+    rest = s0 @ f1 @ f2 @ f3
+    uj = wind @ rest
+    # single-generator factors commute with their own derivatives;
+    # dk = (dx/pi) d/dx throughout
+    d1 = col(smooth_ramp_derivative(x) / np.pi) * big_s
+    d2 = col((_bump_derivative(x) / np.pi) * 1j) * h1
+    d3 = col(((_bump_derivative(x) * np.sin(2 * np.pi * x)
+               + _bump(x) * 2 * np.pi * np.cos(2 * np.pi * x)) / np.pi) * 1j) * h2
     wind_diag = np.zeros((m, m), dtype=complex)
     wind_diag[0, 0] = wind_diag[1, 1] = 1j * winding
-
-    for j in range(half, n_points + 1):
-        idx = j % n_points
-        k = np.pi if j == n_points else ks[j]
-        x = k / np.pi
-        f1 = scipy.linalg.expm(smooth_ramp(x) * big_s)
-        f2 = scipy.linalg.expm(_bump(x) * 1j * h1)
-        prof3 = _bump(x) * np.sin(2 * np.pi * x)
-        f3 = scipy.linalg.expm(prof3 * 1j * h2)
-        wind = np.eye(m, dtype=complex)
-        wind[0, 0] = wind[1, 1] = np.exp(1j * winding * k)
-        rest = s0 @ f1 @ f2 @ f3
-        uj = wind @ rest
-        # single-generator factors commute with their own derivatives;
-        # dk = (dx/pi) d/dx throughout
-        d1 = (smooth_ramp_derivative(x) / np.pi) * big_s
-        d2 = (_bump_derivative(x) / np.pi) * 1j * h1
-        d3 = ((_bump_derivative(x) * np.sin(2 * np.pi * x)
-               + _bump(x) * 2 * np.pi * np.cos(2 * np.pi * x)) / np.pi) * 1j * h2
-        f23 = f2 @ f3
-        ld = (linalg.dagger(f23) @ d1 @ f23 + linalg.dagger(f3) @ d2 @ f3 + d3
-              + linalg.dagger(rest) @ wind_diag @ rest)
-        if j < n_points:
-            u[idx] = uj
-            logd[idx] = ld
-        if j > half or j == n_points:
-            ridx = (-j) % n_points
-            u[ridx] = jm.T @ np.conjugate(uj) @ jm
-            logd[ridx] = -(jm.T @ np.conjugate(ld) @ jm)
+    f23 = f2 @ f3
+    ld = (linalg.dagger(f23) @ d1 @ f23 + linalg.dagger(f3) @ d2 @ f3 + d3
+          + linalg.dagger(rest) @ wind_diag @ rest)
+    # grid index of k = j*h is half + j; k = -pi carries the reflection of pi
+    u = np.concatenate([jm.T @ np.conjugate(uj[half:0:-1]) @ jm, uj[:half]])
+    logd = np.concatenate([-(jm.T @ np.conjugate(ld[half:0:-1]) @ jm), ld[:half]])
     return GaugeField(ks=ks, u_samples=u, trs_flag=True, log_derivative=logd)
 
 

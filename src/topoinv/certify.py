@@ -286,8 +286,7 @@ def criterion_8_homotopy_invariance(scale=1.0, n_trials=20, seed=11):
             g_s = FieldGrid(axes=nf_g.axes, samples=ext_g.samples[-1])
             h_s = FieldGrid(axes=nf_h.axes, samples=ext_h.samples[-1])
             ext_gh = wz.product_field(ext_g, ext_h)
-            ext_ghg = wz.product_field(wz.product_field(ext_g, ext_h),
-                                       wz.inverse_field(ext_g))
+            ext_ghg = wz.product_field(ext_gh, wz.inverse_field(ext_g))
             pw_vals.append(wz.pw_functional(g_s, h_s, ext_g=ext_g, ext_h=ext_h,
                                             ext_gh=ext_gh))
             apw_vals.append(wz.apw_functional(g_s, h_s, ext_ghg=ext_ghg,

@@ -2,7 +2,8 @@
 models, run parameter sweeps, and run the certification suite.
 
 Exit codes: 0 success, 2 precondition violated (no time-reversal symmetry /
-gap closure), 3 a result refused to snap, 4 bad input or I/O. Errors are
+gap closure), 3 a result refused to snap, 4 bad input (usage errors
+included) or I/O. Errors are
 emitted as JSON objects on stderr so sweeps stay scriptable. Outputs written
 with --out contain no wall-clock data, so runs of identical configurations
 are byte-identical; the certify report is the one exception (it reports
@@ -272,8 +273,16 @@ def _parse_params(items):
     return params
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, so that main
+    reports them as BadConfig (exit 4) instead of exiting with argparse's 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="topoinv",
         description="Topological band invariants: Chern numbers, the Z2 "
                     "invariant in both its boundary-obstruction and "
@@ -310,9 +319,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         sweeps = tuple((s[0], float(s[1]), float(s[2]), int(s[3]))
                        for s in (getattr(ns, "sweep", None) or []))
         cfg = RunConfig(

@@ -219,17 +219,15 @@ def check_trs(family: ProjectorFamily, theta: TRSOperator, n_grid=64,
         raise DimensionMismatch(
             f"family dimension {family.ambient_dim} != theta dimension {theta.dim}")
     ax = loop_axis(n_grid)
+    idx = reflect_index(n_grid)
     if family.domain == "loop":
-        ks = ax.points
-        p = family.sample(ks)
-        refl = p[[reflect_index(j, n_grid) for j in range(n_grid)]]
+        p = family.sample(ax.points)
+        refl = p[idx]
     else:
         k1, k2 = np.meshgrid(ax.points, ax.points, indexing="ij")
         p = family.sample(np.stack([k1, k2], axis=-1))
-        idx = [reflect_index(j, n_grid) for j in range(n_grid)]
         refl = p[np.ix_(idx, idx)]
-    conj = theta.j @ np.conjugate(p) @ theta.j.T
-    violation = float(np.max(linalg.frob(refl - conj)))
+    violation = float(np.max(linalg.frob(refl - theta.adjoint(p))))
     return violation <= tol, violation
 
 

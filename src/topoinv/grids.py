@@ -56,9 +56,10 @@ def ebz_axis(n, name="k1"):
     return interval_axis(n, 0.0, np.pi, name=name)
 
 
-def reflect_index(j, n):
-    """Grid index of -k for a loop_axis point index j (k_j = -pi + 2pi j/n)."""
-    return (-j) % n
+def reflect_index(n):
+    """Index map k -> -k on the n points of a loop_axis grid
+    (k_j = -pi + 2pi j/n): entry j is the grid index of -k_j."""
+    return (-np.arange(n)) % n
 
 
 def quad_weights(axis: Axis):

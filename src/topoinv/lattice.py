@@ -88,20 +88,14 @@ def _trs_boundary_line(family, theta: TRSOperator, k1, n2):
     frames = np.empty((n2, dim, m), dtype=complex)
     frames[0] = _kramers_pairs(p[0], theta)       # k2 = -pi
     frames[half] = _kramers_pairs(p[half], theta)  # k2 = 0
-    for j in range(half + 1, n2):
-        frames[j] = _frames_on_point(p[j], m)
+    _, v = np.linalg.eigh(p[half + 1:])           # 0 < k2 < pi
+    frames[half + 1:] = v[..., -m:]
     jm = np.zeros((m, m))
     for b in range(m // 2):
         jm[2 * b, 2 * b + 1] = 1.0
         jm[2 * b + 1, 2 * b] = -1.0
-    for j in range(1, half):
-        frames[j] = theta.j @ np.conjugate(frames[n2 - j]) @ jm
+    frames[1:half] = theta.j @ np.conjugate(frames[n2 - 1:half:-1]) @ jm
     return frames
-
-
-def _frames_on_point(p, m):
-    w, v = np.linalg.eigh(p)
-    return v[:, -m:]
 
 
 def lattice_z2(family: ProjectorFamily, theta: TRSOperator, n1=32, n2=64,
@@ -120,9 +114,8 @@ def lattice_z2(family: ProjectorFamily, theta: TRSOperator, n1=32, n2=64,
     frames = np.empty((n1 + 1, n2, dim, m), dtype=complex)
     frames[0] = _trs_boundary_line(family, theta, 0.0, n2)
     frames[-1] = _trs_boundary_line(family, theta, np.pi, n2)
-    for i in range(1, n1):
-        ks = np.stack([np.full(n2, k1_lines[i]), ax2.points], axis=-1)
-        frames[i] = _frames_on(family, ks)
+    k1, k2 = np.meshgrid(k1_lines[1:-1], ax2.points, indexing="ij")
+    frames[1:-1] = _frames_on(family, np.stack([k1, k2], axis=-1))
 
     up = np.roll(frames, -1, axis=1)                       # +k2 neighbour
     link2 = _link_phase(frames, up)                        # (n1+1, n2)

@@ -18,7 +18,7 @@ from . import linalg
 from .config import DEFAULT_TOL, N_LOOP, Tolerances
 from .core import ProjectorFamily, TRSOperator, check_trs, symplectic_basis
 from .errors import (BadBaseBasis, NotTRS, StepFailure, SymmetrizationFailure)
-from .grids import loop_axis
+from .grids import loop_axis, reflect_index
 
 
 def smooth_ramp(x):
@@ -228,13 +228,8 @@ class BlochFrame:
         """max_k of || E(-k) - theta(E(k)) J || over the grid."""
         if not self.trs_flag or self.theta is None:
             raise ValueError("not a time-reversal symmetric frame")
-        n = self.n
-        jm = linalg.symplectic_blocks(self.rank)
-        worst = 0.0
-        for j in range(n):
-            refl = self.theta.apply(self.e_samples[j]) @ jm
-            worst = max(worst, float(linalg.frob(self.e_samples[(-j) % n] - refl)))
-        return worst
+        refl = self.theta.apply(self.e_samples) @ linalg.symplectic_blocks(self.rank)
+        return float(np.max(linalg.frob(self.e_samples[reflect_index(self.n)] - refl)))
 
 
 def build_frame(tr: TransportResult, base_basis, tol: Tolerances = DEFAULT_TOL):
@@ -303,19 +298,17 @@ def _trs_mismatch_gauge(e_pi, theta, tol, rng=None):
 
 
 def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid=N_LOOP,
-                    substeps=4, tol: Tolerances = DEFAULT_TOL, rng=None,
-                    with_w=True):
-    """Smooth periodic time-reversal symmetric Bloch frame on a symmetric loop.
+                    substeps=4, tol: Tolerances = DEFAULT_TOL, rng=None):
+    """Smooth periodic time-reversal symmetric Bloch frame on a symmetric loop,
+    with its time-reversal symmetric trivialization W(k), W(0) = 1.
 
     Steps: Kramers-paired (symplectic) basis at the fixed point k = 0;
     parallel transport over [0, pi]; the fixed-point mismatch at pi is
     absorbed by exp(ramp(k/pi) log u_pi) with a flat-ended smooth ramp; the
-    frame on [-pi, 0) is the Kramers reflection. The exact connection
-    A(k) = ramp'(|k|/pi)/pi * sum(eigenphases of u_pi) is recorded.
-
-    With `with_w`, the same construction on the complementary band group
-    (same transport: i[dP,P] = i[d(1-P),(1-P)]) assembles the full
-    time-reversal symmetric trivialization W(k) with W(0) = 1.
+    frame on (-pi, 0) is the Kramers reflection. The exact connection
+    A(k) = ramp'(|k|/pi)/pi * sum(eigenphases of u_pi) is recorded. The same
+    construction on the complementary band group (same transport:
+    i[dP,P] = i[d(1-P),(1-P)]) gives W = E E(0)^+ + E_c E_c(0)^+.
 
     Raises NotTRS if the family is not symmetric, SymmetrizationFailure when
     log u_pi hits the -1 branch degeneracy.
@@ -329,78 +322,52 @@ def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid=N_LOOP,
 
     ks_half, t_half, p_half, _, _, _ = _segment_transport(
         family, 0.0, np.pi, half, substeps, tol.drift)
-
-    p0 = p_half[0]
     ramp = smooth_ramp(ks_half / np.pi)
 
-    def symmetrized_half(base, basis_rng=None):
-        e_sharp = t_half @ base
-        u_pi, mismatch_resid = _trs_mismatch_gauge(e_sharp[-1], theta, tol,
-                                                   rng=basis_rng)
-        try:
-            log_u, phases = linalg.principal_log_unitary(u_pi)
-        except ValueError:
-            raise SymmetrizationFailure(np.angle(np.linalg.eigvals(u_pi))) from None
-        gauges = _expm_ramp(log_u, ramp)
-        return e_sharp @ gauges, float(np.sum(phases)), mismatch_resid
+    def symmetrized_half(projector):
+        """Frame of Ran(projector) on [0, pi], its sum of mismatch
+        eigenphases and its Kramers basis at k = 0.
 
-    def attempt(projector, attempt_rng):
-        base = symplectic_basis(theta, projector, tol=tol, rng=attempt_rng)
-        return symmetrized_half(base, basis_rng=attempt_rng), base
-
-    def with_retries(projector):
-        # The fixed-point basis is free up to an exact symplectic gauge; a
-        # mismatch eigenvalue pinned at -1 (extra model symmetries do this)
-        # moves off the cut under a redrawn basis while every mod-4pi
-        # observable stays fixed. Deterministic unless the caller's rng is
-        # used; only persistent failure propagates.
-        try:
-            return attempt(projector, rng)
-        except SymmetrizationFailure as failure:
-            last = failure
-        for retry in range(8):
-            draw = rng if rng is not None else np.random.default_rng(1009 + retry)
+        The fixed-point basis is free up to an exact symplectic gauge; a
+        mismatch eigenvalue pinned at -1 (extra model symmetries do this)
+        moves off the cut under a redrawn basis while every mod-4pi
+        observable stays fixed. Deterministic unless the caller's rng is
+        used; only persistent failure propagates.
+        """
+        draws = [rng] + [rng if rng is not None else np.random.default_rng(1009 + retry)
+                         for retry in range(8)]
+        for draw in draws:
+            base = symplectic_basis(theta, projector, tol=tol, rng=draw)
+            e_sharp = t_half @ base
+            u_pi, _ = _trs_mismatch_gauge(e_sharp[-1], theta, tol, rng=draw)
             try:
-                return attempt(projector, draw)
-            except SymmetrizationFailure as failure:
-                last = failure
-        raise last
+                log_u, phases = linalg.principal_log_unitary(u_pi)
+            except ValueError:
+                failure = SymmetrizationFailure(np.angle(np.linalg.eigvals(u_pi)))
+                continue
+            return e_sharp @ _expm_ramp(log_u, ramp), float(np.sum(phases)), base
+        raise failure
 
-    (e_plus, phase_sum, _), e0 = with_retries(p0)
+    def whole_loop(e_plus):
+        """The loop-grid frame from its half on [0, pi]: grid index of
+        k = j*h is half + j, k = -pi is k = pi, and (-pi, 0) carries the
+        Kramers reflection E(-k) = theta(E(k)) J."""
+        jm = linalg.symplectic_blocks(e_plus.shape[-1])
+        e = np.empty((n_grid,) + e_plus.shape[1:], dtype=complex)
+        e[half:] = e_plus[:half]
+        e[0] = e_plus[half]
+        e[1:half] = theta.apply(e_plus[half - 1:0:-1]) @ jm
+        return e
 
-    n_amb, m = family.ambient_dim, e0.shape[1]
-    jm = linalg.symplectic_blocks(m)
-    e = np.empty((n_grid, n_amb, m), dtype=complex)
-    # grid index of k = j*h is half + j (loop grid starts at -pi)
-    e[half:] = e_plus[:half]
-    e[0] = e_plus[half]                      # k = -pi identified with +pi
-    for j in range(1, half):
-        e[half - j] = theta.apply(e[half + j]) @ jm
-    seam = float(linalg.frob(e_plus[half] - theta.apply(e_plus[half]) @ jm))
+    e_plus, phase_sum, e0 = symmetrized_half(p_half[0])
+    ec_plus, _, e0c = symmetrized_half(np.eye(family.ambient_dim) - p_half[0])
+    e = whole_loop(e_plus)
+    w = e @ linalg.dagger(e0) + whole_loop(ec_plus) @ linalg.dagger(e0c)
+    jm = linalg.symplectic_blocks(e.shape[-1])
+    seam = float(linalg.frob(e[0] - theta.apply(e[0]) @ jm))
 
     ks = loop_axis(n_grid).points
     a_samples = (smooth_ramp_derivative(np.abs(ks) / np.pi) / np.pi) * phase_sum
-
-    w = None
-    if with_w:
-        b0 = linalg.dagger(e0)
-        w = np.empty((n_grid, n_amb, n_amb), dtype=complex)
-        if n_amb == m:
-            w[half:] = e_plus[:half] @ b0
-            w[0] = e_plus[half] @ b0
-            for j in range(1, half):
-                w[half - j] = e[half - j] @ b0
-        else:
-            comp0 = np.eye(n_amb) - p0
-            (ec_plus, _, _), e0c = with_retries(comp0)
-            jc = linalg.symplectic_blocks(n_amb - m)
-            b0c = linalg.dagger(e0c)
-            w[half:] = e_plus[:half] @ b0 + ec_plus[:half] @ b0c
-            w[0] = e_plus[half] @ b0 + ec_plus[half] @ b0c
-            for j in range(1, half):
-                ec_refl = theta.apply(ec_plus[j]) @ jc
-                w[half - j] = e[half - j] @ b0 + ec_refl @ b0c
-
     return BlochFrame(ks=ks, e_samples=e, trs_flag=True, family=family,
                       seam_residual=seam, analytic_a=a_samples,
                       analytic_loop_integral=2.0 * phase_sum,

@@ -27,7 +27,7 @@ from .config import DEFAULT_TOL, N_2D, N_LOOP, Tolerances
 from .core import ProjectorFamily, TRSOperator
 from .errors import BadDims, NotAnExtension, NotTRSFrame
 from .grids import (ebz_axis, integrate_grid, interval_axis, loop_axis,
-                    grid_derivative, unit_circle_axis)
+                    grid_derivative, reflect_index, unit_circle_axis)
 from .results import snap_integer, snap_sign
 from .transport import BlochFrame, build_trs_frame, parallel_transport, periodize
 
@@ -64,12 +64,6 @@ class FieldGrid:
 
     def unitarity_residual(self):
         return float(np.max(linalg.unitarity_residual(self.samples)))
-
-    def end_slice(self, which=0):
-        """Boundary slice of the leading interval axis."""
-        if self.axes[0].periodic:
-            raise ValueError("leading axis is periodic; no end slices")
-        return self.samples[0] if which == 0 else self.samples[-1]
 
 
 def constant_field(axes, matrix, name="constant"):
@@ -405,10 +399,8 @@ def random_equivariant_field(n_grid, theta: TRSOperator, seed, bandwidth=2,
     h = random_hermitian_field((ax, ax), dim, seed, bandwidth, scale)
     z = 1j * h
     # equivariant symmetrization: Z(k) <- (Z(k) + Theta(Z(-k))) / 2
-    idx1 = (-np.arange(n_grid)) % n_grid
-    z_refl = z[np.ix_(idx1, idx1)]
-    z_refl = theta.j @ np.conjugate(z_refl) @ theta.j.T
-    z = 0.5 * (z + z_refl)
+    idx = reflect_index(n_grid)
+    z = 0.5 * (z + theta.adjoint(z[np.ix_(idx, idx)]))
     n, m = windings
     base = normal_form_field(n, m, dim, equivariant=True, n_grid=n_grid)
     ext = tube_extension(base, z)
@@ -417,11 +409,9 @@ def random_equivariant_field(n_grid, theta: TRSOperator, seed, bandwidth=2,
 
 def equivariance_residual(g: FieldGrid, theta: TRSOperator):
     """max_k || g(-k) - Theta(g(k)) || on the grid (loop or torus fields)."""
-    ns = tuple(ax.n for ax in g.axes)
-    idx = [(-np.arange(n)) % n for n in ns]
+    idx = [reflect_index(ax.n) for ax in g.axes]
     refl = g.samples[np.ix_(*idx)] if g.n_axes == 2 else g.samples[idx[0]]
-    conj = theta.j @ np.conjugate(g.samples) @ theta.j.T
-    return float(np.max(linalg.frob(refl - conj)))
+    return float(np.max(linalg.frob(refl - theta.adjoint(g.samples))))
 
 
 # ------------------------------------------- Polyakov-Wiegmann functionals
@@ -654,8 +644,7 @@ def z2_ingredients(family: ProjectorFamily, theta: TRSOperator, n_loop=N_LOOP,
     frames, values = {}, {}
     for label, k1 in (("T0", 0.0), ("Tpi", np.pi)):
         frames[label] = build_trs_frame(family.loop(0, k1), theta, n_grid=n_loop,
-                                        substeps=substeps, tol=tol, rng=rng,
-                                        with_w=True)
+                                        substeps=substeps, tol=tol, rng=rng)
         values[label] = wz_amplitude_phi(frames[label])
     ebz = berry_curvature_ebz(family, n1=n1, n2=n2).integral()
     return Z2Ingredients(family=family, theta=theta, frames=frames, wz=values,

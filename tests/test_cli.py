@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from topoinv import berry, transport, wz
 from topoinv.cli import main
@@ -92,6 +93,21 @@ def test_bad_grid_exit_code(capsys):
     code, _, err = run_cli(capsys, "chern", "--model", "haldane", "--grid", "17")
     assert code == 4
     assert json.loads(err.splitlines()[-1])["error"] == "BadConfig"
+
+
+def test_usage_error_exit_code(capsys):
+    """argparse usage errors are bad input: exit 4 with a BadConfig payload,
+    returned from main rather than raised as argparse's SystemExit(2)."""
+    for argv in (["chern", "--grid", "abc"], ["chern", "--model", "haldane", "--nope"],
+                 ["bogus"], []):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 4, argv
+        assert json.loads(err.splitlines()[-1])["error"] == "BadConfig"
+    for argv in (["-h"], ["chern", "-h"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert "usage: topoinv" in capsys.readouterr().out
 
 
 def test_sweep_deterministic_and_records_failures(capsys, tmp_path):

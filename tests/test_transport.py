@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from topoinv import (berry_connection, berry_phase, build_frame, build_trs_frame
                      parallel_transport, periodize, wilson_holonomy)
 from topoinv import linalg, make_projector_family, wz
 from topoinv.errors import BadBaseBasis, NotTRS, StepFailure
-from topoinv.grids import loop_axis
+from topoinv.grids import loop_axis, reflect_index
 from topoinv.models import BlochHamiltonianSpec
 
 
@@ -81,6 +83,46 @@ def test_trs_frame_invariants(km_topo, theta4):
     diffs = np.linalg.norm(np.diff(frame.e_samples, axis=0), axis=(1, 2))
     h = 2 * np.pi / frame.n
     assert np.max(diffs) < 10.0 * h
+
+
+@pytest.mark.parametrize("model", ["km_topo", "bhz_topo"])
+def test_trs_frame_w_is_symmetric_trivialization(model, request, theta4):
+    """W(-k) = Theta(W(k)), W(0) = 1 and W unitary on both boundary loops
+    (kane_mele with Rashba, and bhz)."""
+    family = request.getfixturevalue(model)
+    for k1 in (0.0, np.pi):
+        frame = build_trs_frame(family.loop(0, k1), theta4, n_grid=64)
+        w = frame.w_samples
+        assert w.shape == (64, 4, 4)
+        assert np.max(linalg.frob(w[reflect_index(64)] - theta4.adjoint(w))) < 1e-8
+        assert linalg.frob(w[32] - np.eye(4)) < 1e-8          # k = 0
+        assert np.max(linalg.unitarity_residual(w)) < 1e-8
+
+
+def _kramers_residual_per_point(frame):
+    jm = linalg.symplectic_blocks(frame.rank)
+    return max(float(linalg.frob(frame.e_samples[(-j) % frame.n]
+                                 - frame.theta.apply(frame.e_samples[j]) @ jm))
+               for j in range(frame.n))
+
+
+@pytest.mark.parametrize("model", ["km_topo", "bhz_topo"])
+def test_kramers_residual_matches_per_point_and_sees_perturbation(model, request,
+                                                                  theta4):
+    family = request.getfixturevalue(model)
+    frame = build_trs_frame(family.loop(0, np.pi), theta4, n_grid=64)
+    assert frame.kramers_residual() == pytest.approx(
+        _kramers_residual_per_point(frame), rel=1e-12, abs=1e-15)
+    # perturb the reflected half (-pi, 0) by 1e-3 per point
+    rng = np.random.default_rng(3)
+    delta = rng.standard_normal((31, 4, 2)) + 1j * rng.standard_normal((31, 4, 2))
+    delta *= 1e-3 / linalg.frob(delta)[:, None, None]
+    e = frame.e_samples.copy()
+    e[1:32] += delta
+    perturbed = dataclasses.replace(frame, e_samples=e)
+    resid = perturbed.kramers_residual()
+    assert resid == pytest.approx(_kramers_residual_per_point(perturbed), rel=1e-12)
+    assert resid >= 1e-3 * (1 - 1e-9)
 
 
 def test_trs_frame_requires_symmetry(haldane_topo, theta2):

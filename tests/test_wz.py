@@ -8,7 +8,8 @@ from topoinv import (berry_connection, berry_phase, berry_phase_sqrt,
                      normal_form_field, parallel_transport, periodize,
                      up_extension, winding, winding_pair, wz_action_extension,
                      wz_amplitude_phi, wz_derivative, z2_ingredients)
-from topoinv import build_frame, chern_number, berry_curvature
+from topoinv import (build_frame, chern_number, berry_curvature, gauge_transform,
+                     random_trs_gauge)
 from topoinv import wz
 from topoinv.errors import BadDims, NotAnExtension, NotTRSFrame
 from topoinv.grids import integrate_grid, interval_axis, loop_axis, unit_circle_axis
@@ -59,7 +60,6 @@ def test_normal_form_bad_dims():
 def test_equivariant_random_fields_have_even_winding(theta4):
     worst = 0.0
     for seed in range(20):
-        from topoinv import random_trs_gauge
         gauge = random_trs_gauge(128, 4, seed=seed)
         fld = FieldGrid(axes=(loop_axis(128),), samples=gauge.u_samples)
         w = winding(fld)
@@ -485,8 +485,10 @@ def test_amplitude_of_frame_needs_trs_frame_with_w(km_topo, theta4):
     loop = km_topo.loop(0, 0.0)
     trp = periodize(parallel_transport(loop, n_grid=64))
     w, v = np.linalg.eigh(trp.p_samples[0])
-    for frame in (build_frame(trp, v[:, w > 0.5]),
-                  build_trs_frame(loop, theta4, n_grid=64, with_w=False)):
+    regauged = gauge_transform(build_trs_frame(loop, theta4, n_grid=64),
+                               random_trs_gauge(64, 2, seed=5))
+    assert regauged.trs_flag and regauged.w_samples is None
+    for frame in (build_frame(trp, v[:, w > 0.5]), regauged):
         with pytest.raises(NotTRSFrame):
             wz_amplitude_phi(frame)
 
