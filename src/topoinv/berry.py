@@ -22,8 +22,8 @@ from .grids import (Axis, ebz_axis, integrate_grid, loop_axis, reflect_index,
                     spectral_derivative)
 from .results import snap_integer, snap_unit
 # build_trs_frame stays bound here: perfbench/selfcheck.py checks this binding
-from .transport import (BlochFrame, build_trs_frame, smooth_ramp,  # noqa: F401
-                        smooth_ramp_derivative)
+from .transport import (BlochFrame, _segment_transport, build_trs_frame,  # noqa: F401
+                        smooth_ramp, smooth_ramp_derivative)
 
 TWO_PI = 2.0 * np.pi
 
@@ -141,8 +141,7 @@ class CurvatureField:
 
 
 def _omega_on(family: ProjectorFamily, ks):
-    p = family.sample(ks)
-    d1, d2 = family.derivative(ks, (0, 1))
+    p, (d1, d2) = family.derivative(ks, (0, 1))
     comm = d1 @ d2 - d2 @ d1
     tr = np.trace(p @ comm, axis1=-2, axis2=-1)
     omega = -1j * tr
@@ -341,8 +340,8 @@ def random_trs_gauge(n_points, m, seed, scale=0.4, winding=None):
 
 
 def _bump_derivative(x):
-    from .transport import smooth_ramp_derivative as srd
-    return 2 * srd(2 * x) * smooth_ramp(2 * (1 - x)) - 2 * smooth_ramp(2 * x) * srd(2 * (1 - x))
+    return (2 * smooth_ramp_derivative(2 * x) * smooth_ramp(2 * (1 - x))
+            - 2 * smooth_ramp(2 * x) * smooth_ramp_derivative(2 * (1 - x)))
 
 
 def holonomy_flux_check(family: ProjectorFamily, corner, widths, n_edge=256,
@@ -354,7 +353,6 @@ def holonomy_flux_check(family: ProjectorFamily, corner, widths, n_edge=256,
     parallel transport along the four edges; gauge invariant, no frame
     needed.
     """
-    from .transport import _segment_transport
     (a1, a2), (w1, w2) = corner, widths
     corners = [np.array([a1, a2]), np.array([a1 + w1, a2]),
                np.array([a1 + w1, a2 + w2]), np.array([a1, a2 + w2])]

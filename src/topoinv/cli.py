@@ -1,12 +1,13 @@
 """Command-line driver: compute invariants for builtin or file-loaded
 models, run parameter sweeps, and run the certification suite.
 
-Exit codes: 0 success, 2 precondition violated (no time-reversal symmetry /
-gap closure), 3 a result refused to snap, 4 bad input (usage errors
-included) or I/O. Errors are
-emitted as JSON objects on stderr so sweeps stay scriptable. Outputs written
-with --out contain no wall-clock data, so runs of identical configurations
-are byte-identical; the certify report is the one exception (it reports
+Each subcommand accepts only the options it reads. Exit codes: 0 success,
+2 precondition violated (no time-reversal symmetry / gap closure), 3 a
+result refused to snap, 4 bad input (usage errors, such as an option the
+subcommand does not read, included) or I/O. Errors are emitted as JSON
+objects on stderr so sweeps stay scriptable. Outputs written with --out
+contain no wall-clock data, so runs of identical configurations are
+byte-identical; the certify report is the one exception (it reports
 runtimes by design).
 """
 
@@ -224,9 +225,6 @@ def _sweep_point(args):
 def cmd_sweep(cfg: RunConfig):
     if not cfg.sweeps:
         return _fail(EXIT_IO, "BadConfig", "at least one --sweep NAME START STOP COUNT is required")
-    if cfg.model_file:
-        # a model file fixes its matrices, so swept parameters cannot reach it
-        return _fail(EXIT_IO, "BadConfig", "--sweep needs a builtin --model, not --model-file")
     tasks = _sweep_job(cfg).points()
     cfg_dict = asdict(cfg)
     args = [(cfg_dict, t) for t in tasks]
@@ -281,6 +279,37 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+# every option, keyed by its RunConfig field: (flag, argparse keywords)
+_OPTIONS = {
+    "model": ("--model", dict(default="", help="builtin model name")),
+    "model_file": ("--model-file", dict(default="", help="model JSON file")),
+    "params": ("--param", dict(action="append", metavar="NAME=VALUE",
+                               help="model parameter override (repeatable)")),
+    "grid": ("--grid", dict(type=int, default=N_2D,
+                            help="2D grid size per direction (power of two, 16..1024)")),
+    "grid_t": ("--grid-t", dict(type=int, default=64,
+                                help="extension-direction grid for 3D quadratures")),
+    "loop_grid": ("--loop-grid", dict(type=int, default=N_LOOP,
+                                      help="loop grid for transport and connections")),
+    "out": ("--out", dict(default="", help="write the report/CSV here")),
+    "as_json": ("--json", dict(action="store_true", help="machine-readable output on stdout")),
+    "sweeps": ("--sweep", dict(action="append", nargs=4, metavar=("NAME", "START", "STOP", "COUNT"),
+                               help="parameter range (repeatable)")),
+    "invariants": ("--invariants", dict(default="", help="comma list among chern,delta,kappa")),
+    "workers": ("--workers", dict(type=int, default=multiprocessing.cpu_count(),
+                                  help="worker processes for sweep points")),
+}
+
+# each subcommand takes only the options it reads; any other is a usage
+# error (a model file fixes its matrices, so sweep takes no --model-file)
+_COMMANDS = {
+    "chern": (cmd_chern, "model model_file params grid grid_t out as_json"),
+    "fkm": (cmd_fkm, "model model_file params grid loop_grid out as_json"),
+    "sweep": (cmd_sweep, "model params grid loop_grid out as_json sweeps invariants workers"),
+    "certify": (cmd_certify, "grid out as_json"),
+}
+
+
 def build_parser():
     parser = _Parser(
         prog="topoinv",
@@ -289,55 +318,30 @@ def build_parser():
                     "Wess-Zumino amplitude forms, and the certification "
                     "suite for the identities relating them.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("chern", cmd_chern), ("fkm", cmd_fkm),
-                     ("sweep", cmd_sweep), ("certify", cmd_certify)):
+    for name, (fn, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        p.add_argument("--model", default="", help="builtin model name")
-        p.add_argument("--model-file", default="", help="model JSON file")
-        p.add_argument("--param", action="append", metavar="NAME=VALUE",
-                       help="model parameter override (repeatable)")
-        p.add_argument("--grid", type=int, default=N_2D,
-                       help="2D grid size per direction (power of two, 16..1024)")
-        p.add_argument("--grid-t", type=int, default=64,
-                       help="extension-direction grid for 3D quadratures")
-        p.add_argument("--loop-grid", type=int, default=N_LOOP,
-                       help="loop grid for transport and connections")
-        p.add_argument("--out", default="", help="write the report/CSV here")
-        p.add_argument("--json", action="store_true", dest="as_json",
-                       help="machine-readable output on stdout")
-        if name == "sweep":
-            p.add_argument("--sweep", action="append", nargs=4,
-                           metavar=("NAME", "START", "STOP", "COUNT"),
-                           help="parameter range (repeatable)")
-            p.add_argument("--invariants", default="",
-                           help="comma list among chern,delta,kappa")
-            p.add_argument("--workers", type=int,
-                           default=multiprocessing.cpu_count(),
-                           help="worker processes for sweep points")
+        for dest in options.split():
+            flag, kwargs = _OPTIONS[dest]
+            p.add_argument(flag, dest=dest, **kwargs)
     return parser
 
 
 def main(argv=None):
     try:
-        ns = build_parser().parse_args(argv)
-        sweeps = tuple((s[0], float(s[1]), float(s[2]), int(s[3]))
-                       for s in (getattr(ns, "sweep", None) or []))
-        cfg = RunConfig(
-            command=ns.command, model=ns.model, model_file=ns.model_file,
-            params=_parse_params(ns.param), grid=ns.grid, grid_t=ns.grid_t,
-            loop_grid=ns.loop_grid, out=ns.out,
-            as_json=ns.as_json,
-            invariants=tuple(x for x in getattr(ns, "invariants", "").split(",") if x),
-            sweeps=sweeps, workers=getattr(ns, "workers", 1))
-        if ns.command != "certify":
+        ns = vars(build_parser().parse_args(argv))
+        fn = ns.pop("fn")
+        ns["params"] = _parse_params(ns.get("params"))
+        ns["sweeps"] = tuple((s[0], float(s[1]), float(s[2]), int(s[3]))
+                             for s in ns.get("sweeps") or ())
+        ns["invariants"] = tuple(x for x in ns.get("invariants", "").split(",") if x)
+        cfg = RunConfig(**ns)
+        if cfg.command != "certify":
             cfg.validate()
-        else:
-            cfg.model = cfg.model or "-"
     except ValueError as exc:
         return _fail(EXIT_IO, "BadConfig", str(exc))
     try:
-        return ns.fn(cfg)
+        return fn(cfg)
     except GapClosure as exc:
         return _fail(EXIT_PRECONDITION, "GapClosure", str(exc), gap=exc.gap, k=exc.k)
     except NotTRS as exc:

@@ -2,8 +2,9 @@
 time-reversal structure acting on them.
 
 A ProjectorFamily is the occupied-band projector P(k) of a Bloch
-Hamiltonian H(k), on the torus or on a line through it; its derivatives
-follow exactly from dH by perturbation theory on the same eigensystem. The
+Hamiltonian H(k), on the torus or on a line through it. One eigensystem of H
+per set of points gives P and, through `derivative`, its derivatives exactly
+from dH by perturbation theory, so no caller diagonalizes H twice. The
 TRSOperator is the antiunitary theta = J K
 (K = complex conjugation) with theta^2 = -1 in the working basis.
 """
@@ -86,22 +87,23 @@ class ProjectorFamily:
         """Evaluate P on an array of k-points: (..., 2) on the torus and (...)
         on a line -> (..., N, N)."""
         _, _, v, occ = self._eigensystem(ks)
-        vocc = np.where(occ[..., None, :], v, 0.0)
-        return vocc @ linalg.dagger(vocc)
+        return _occupied_projector(v, occ)
 
     def derivative(self, ks, axis=0):
-        """dP/dk_axis on an array of k-points (along the line for a loop).
+        """(P, dP/dk_axis) on an array of k-points (along the line for a
+        loop), both from one eigensystem of H; P equals `sample(ks)` exactly.
 
-        First-order perturbation theory on the eigensystem of H:
+        First-order perturbation theory on that eigensystem:
         dP = V (X + X^+) V^+ with X_ij = (V^+ dH V)_ij / (e_i - e_j) for
         occupied i and empty j, and 0 elsewhere. Only occupied-empty pairs
         are divided, so degenerate occupied levels never are, and the gap
         check bounds every denominator below by gap_threshold. A tuple of
-        torus axes gives a tuple of dP, one per axis, from one eigensystem.
+        torus axes gives (P, (dP, ...)), one dP per axis.
         """
         if isinstance(axis, tuple) and self.line is not None:
             raise ValueError("a tuple of axes needs a torus family")
         k, w, v, occ = self._eigensystem(ks)
+        p = _occupied_projector(v, occ)
         pairs = occ[..., :, None] & ~occ[..., None, :]
         gaps = np.where(pairs, w[..., :, None] - w[..., None, :], 1.0)
 
@@ -111,8 +113,8 @@ class ProjectorFamily:
             return v @ (x + linalg.dagger(x)) @ linalg.dagger(v)
 
         if isinstance(axis, tuple):
-            return tuple(along(a) for a in axis)
-        return along(axis if self.line is None else self.line[1])
+            return p, tuple(along(a) for a in axis)
+        return p, along(axis if self.line is None else self.line[1])
 
     def restrict(self, origin, direction, name):
         """The loop s -> P(origin + s direction) of a torus family."""
@@ -151,6 +153,12 @@ class ProjectorFamily:
         tr = float(np.max(np.abs(np.trace(p, axis1=-2, axis2=-1).real - self.rank)))
         return {"projector": proj, "trace": tr, "periodicity": per,
                 "ok": proj <= tol.projector and tr <= tol.trace and per <= tol.periodicity}
+
+
+def _occupied_projector(v, occ):
+    """P = V_occ V_occ^+ from eigenvectors v and the occupied mask occ."""
+    vocc = np.where(occ[..., None, :], v, 0.0)
+    return vocc @ linalg.dagger(vocc)
 
 
 def _gap_checked_eigh(spec, ks, fermi_level, threshold, rank=None):

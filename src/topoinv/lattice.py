@@ -78,17 +78,17 @@ def _kramers_pairs(p, theta: TRSOperator):
 def _trs_boundary_line(family, theta: TRSOperator, k1, n2):
     """Frames along the loop {k1} x T with the Kramers constraint:
     fixed points carry paired frames, negative k2 carries the reflection
-    of positive k2."""
+    of positive k2, so P is sampled only at k2 = -pi and on [0, pi)."""
     ax = loop_axis(n2)
     half = n2 // 2
     dim = family.ambient_dim
-    ks = np.stack([np.full(n2, k1), ax.points], axis=-1)
-    p = family.sample(ks)
+    k2 = ax.points[np.r_[0, half:n2]]
+    p = family.sample(np.stack([np.full(half + 1, k1), k2], axis=-1))
     m = family.rank
     frames = np.empty((n2, dim, m), dtype=complex)
     frames[0] = _kramers_pairs(p[0], theta)       # k2 = -pi
-    frames[half] = _kramers_pairs(p[half], theta)  # k2 = 0
-    _, v = np.linalg.eigh(p[half + 1:])           # 0 < k2 < pi
+    frames[half] = _kramers_pairs(p[1], theta)    # k2 = 0
+    _, v = np.linalg.eigh(p[2:])                  # 0 < k2 < pi
     frames[half + 1:] = v[..., -m:]
     jm = np.zeros((m, m))
     for b in range(m // 2):

@@ -608,8 +608,7 @@ def phi_ebz_extension(family: ProjectorFamily, n_t=16, n1=64, n2=64):
     k2_ax = loop_axis(n2)
     k1, k2 = np.meshgrid(k1_ax.points, k2_ax.points, indexing="ij")
     ks = np.stack([k1, k2], axis=-1)
-    p = family.sample(ks)
-    dp1 = family.derivative(ks, 0)
+    p, dp1 = family.derivative(ks, 0)
     eye = np.eye(family.ambient_dim, dtype=complex)
     tphase = np.exp(TWO_PI * 1j * t_ax.points)
     tfac = tphase[:, None, None, None, None]

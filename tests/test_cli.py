@@ -99,7 +99,8 @@ def test_usage_error_exit_code(capsys):
     """argparse usage errors are bad input: exit 4 with a BadConfig payload,
     returned from main rather than raised as argparse's SystemExit(2)."""
     for argv in (["chern", "--grid", "abc"], ["chern", "--model", "haldane", "--nope"],
-                 ["bogus"], []):
+                 ["bogus"], [], ["fkm", "--model", "kane_mele", "--grid-t", "32"],
+                 ["certify", "--model", "haldane"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 4, argv
         assert json.loads(err.splitlines()[-1])["error"] == "BadConfig"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from topoinv import builtin_model, check_trs, make_projector_family, symplectic_basis
+from topoinv import (berry, builtin_model, check_trs, lattice, make_projector_family,
+                     symplectic_basis, transport)
+from topoinv.config import DEFAULT_TOL
 from topoinv.errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
 from topoinv.models import BlochHamiltonianSpec
 from topoinv import linalg
@@ -121,7 +123,7 @@ def test_projector_derivative_accuracy(flat_band):
     dn_sigma = (-np.sin(k)) * np.array([[0, 1], [1, 0]], dtype=complex) \
         + np.cos(k) * np.array([[0, -1j], [1j, 0]], dtype=complex)
     exact = -0.5 * dn_sigma
-    got = loop.derivative(np.array([k]))[0]
+    got = loop.derivative(np.array([k]))[1][0]
     assert np.max(np.abs(got - exact)) < 1e-10
 
 
@@ -140,14 +142,46 @@ def test_analytic_derivative_matches_finite_differences_with_rashba():
     # the four TRIMs (Kramers-degenerate occupied pair) and a generic point
     ks = np.array([[0.0, 0.0], [np.pi, 0.0], [0.0, np.pi], [np.pi, np.pi],
                    [0.37, -1.21]])
+    p = fam.sample(ks)
     for axis in range(2):
         fd = _richardson(fam.sample, ks, np.eye(2)[axis])
-        assert np.max(np.abs(fam.derivative(ks, axis) - fd)) < 1e-10
-    # both axes from one eigensystem are exactly the single-axis derivatives
-    d1, d2 = fam.derivative(ks, (0, 1))
-    assert np.array_equal(d1, fam.derivative(ks, 0))
-    assert np.array_equal(d2, fam.derivative(ks, 1))
+        p_axis, d_axis = fam.derivative(ks, axis)
+        assert np.array_equal(p_axis, p)
+        assert np.max(np.abs(d_axis - fd)) < 1e-10
+    # both axes from one eigensystem are exactly the single-axis derivatives,
+    # and the P returned with them is exactly the sampled one
+    p_both, (d1, d2) = fam.derivative(ks, (0, 1))
+    assert np.array_equal(p_both, p)
+    assert np.array_equal(d1, fam.derivative(ks, 0)[1])
+    assert np.array_equal(d2, fam.derivative(ks, 1)[1])
     line = fam.restrict((0.2, -0.5), (1.0, 2.0), "diagonal")
     s = np.linspace(-np.pi, np.pi, 9)
     fd = _richardson(line.sample, s, 1.0)
-    assert np.max(np.abs(line.derivative(s) - fd)) < 1e-10
+    p_line, d_line = line.derivative(s)
+    assert np.array_equal(p_line, line.sample(s))
+    assert np.max(np.abs(d_line - fd)) < 1e-10
+
+
+def test_each_point_set_is_diagonalized_once(monkeypatch, haldane_topo, km_topo, theta4):
+    """P and dP come from one eigh per point: the curvature and transport
+    paths diagonalize each Hamiltonian once, and the lattice boundary line
+    samples P only where its Kramers reflection does not overwrite it."""
+    original = np.linalg.eigh
+    count = [0]
+
+    def counted(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cases = (
+        (lambda: berry.berry_curvature(haldane_topo, n_grid=16), 256),
+        (lambda: berry.berry_curvature_ebz(km_topo, n1=8, n2=16), 144),
+        (lambda: transport._segment_transport(km_topo.loop(0, 0.0), 0.0, np.pi, 32, 4,
+                                              DEFAULT_TOL.drift), 257),
+        (lambda: lattice._trs_boundary_line(km_topo, theta4, 0.0, 32), 32),
+    )
+    for run, matrices in cases:
+        count[0] = 0
+        run()
+        assert count[0] == matrices, (count[0], matrices)
