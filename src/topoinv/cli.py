@@ -13,6 +13,7 @@ runtimes by design).
 
 import argparse
 import json
+import math
 import multiprocessing
 import sys
 from dataclasses import asdict, dataclass, field
@@ -53,6 +54,8 @@ class RunConfig:
                          ("--loop-grid", self.loop_grid)):
             if n < 16 or n > 1024 or (n & (n - 1)) != 0:
                 raise ValueError(f"{label} must be a power of two in [16, 1024], got {n}")
+        if self.command == "certify":
+            return
         if self.model and self.model_file:
             raise ValueError("give either --model or --model-file, not both")
         if not self.model and not self.model_file:
@@ -60,10 +63,13 @@ class RunConfig:
 
 
 def _jsonify(obj):
+    """Plain JSON values; a NaN or infinite float becomes null."""
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_jsonify(obj.real), _jsonify(obj.imag)]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        return _jsonify(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, dict):
@@ -336,8 +342,7 @@ def main(argv=None):
                              for s in ns.get("sweeps") or ())
         ns["invariants"] = tuple(x for x in ns.get("invariants", "").split(",") if x)
         cfg = RunConfig(**ns)
-        if cfg.command != "certify":
-            cfg.validate()
+        cfg.validate()
     except ValueError as exc:
         return _fail(EXIT_IO, "BadConfig", str(exc))
     try:

@@ -14,6 +14,11 @@ Matrix products of fields (products, inverses, adjoint products, tube
 extensions and the 3-form and product-functional densities) run one torus
 slice at a time in the entries-first layout (N, N, n1, n2), as N^3
 multiply-adds over whole planes instead of one small product per grid point.
+
+The projector extensions exp(i w(t) P(k)) = 1 + (e^{i w(t)} - 1) P(k) of
+U_P and Phi are rank-one in t, so they are ProjectorExtensions: P and its
+torus derivatives on the 2D grid and the t factor are stored, and each t
+slice is produced when the 3-form density reads it.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -27,7 +32,8 @@ from .config import DEFAULT_TOL, N_2D, N_LOOP, Tolerances
 from .core import ProjectorFamily, TRSOperator
 from .errors import BadDims, NotAnExtension, NotTRSFrame
 from .grids import (ebz_axis, integrate_grid, interval_axis, loop_axis,
-                    grid_derivative, reflect_index, unit_circle_axis)
+                    grid_derivative, reflect_index, spectral_derivative,
+                    unit_circle_axis)
 from .results import snap_integer, snap_sign
 from .transport import BlochFrame, build_trs_frame, parallel_transport, periodize
 
@@ -62,8 +68,63 @@ class FieldGrid:
             return self.derivs[i]
         return grid_derivative(self.samples, i, self.axes[i])
 
+    def slab(self, j):
+        """Slice j of the leading axis with its exact derivative channels:
+        (samples_j, {axis: derivative_j})."""
+        return self.samples[j], {i: d[j] for i, d in self.derivs.items()}
+
     def unitarity_residual(self):
         return float(np.max(linalg.unitarity_residual(self.samples)))
+
+
+@dataclass(frozen=True)
+class ProjectorExtension:
+    """The field g(t, k) = 1 + f(t) P(k) on a grid with axes (t, k1, k2),
+    where f(t) = e^{i w(t)} - 1, produced one t slice at a time.
+
+    Only P and its torus derivatives dp = (d1 P, d2 P) on the 2D grid, in
+    the entries-first layout (N, N, n1, n2), and f, f' on the t axis are
+    stored, so no array spans the 3D grid. Slice j is 1 + f_j P with the
+    exact channels {0: f'_j P, 1: f_j d1P, 2: f_j d2P}, returned as
+    (n1, n2, N, N) views of entries-first planes. `samples` and
+    `derivative(i)` build the full arrays each time they are read.
+    """
+
+    axes: tuple
+    p: np.ndarray
+    dp: tuple
+    f: np.ndarray
+    df: np.ndarray
+    name: str = ""
+    abelian_diagonal = False
+
+    @property
+    def dim(self):
+        return self.p.shape[0]
+
+    @property
+    def n_axes(self):
+        return len(self.axes)
+
+    def _channels(self):
+        """(t factor, 2D planes) per axis: d_i g = t_i(t) planes_i(k)."""
+        return (self.df, self.p), (self.f, self.dp[0]), (self.f, self.dp[1])
+
+    def slab(self, j):
+        value = self.f[j] * self.p
+        for a in range(self.dim):
+            value[a, a] += 1.0
+        return _matrices_last(value), {i: _matrices_last(t[j] * x)
+                                       for i, (t, x) in enumerate(self._channels())}
+
+    @property
+    def samples(self):
+        return (np.eye(self.dim, dtype=complex)
+                + np.multiply.outer(self.f, _matrices_last(self.p)))
+
+    def derivative(self, i):
+        t, x = self._channels()[i]
+        return np.multiply.outer(t, _matrices_last(x))
 
 
 def constant_field(axes, matrix, name="constant"):
@@ -229,29 +290,43 @@ def chi_triple_integral(g: FieldGrid):
     the axis order of the grid. For a unitary field the result is real up to
     differencing noise; the size of its imaginary part is returned as well.
 
-    The density is evaluated one slice of the leading axis at a time, with
-    each slice in the entries-first layout (N, N, n1, n2): an N x N product
-    is then N^3 multiply-adds over whole planes instead of one tiny product
-    per grid point, whose per-matrix overhead would dominate, and no matrix
-    temporary spans the whole grid. g^-1 = g^+ is read as the
+    The density is evaluated one slice of the leading axis at a time, as
+    `g.slab(j)` gives it: a ProjectorExtension produces the slice and its
+    exact channels from P, a FieldGrid indexes its stored arrays. Each
+    slice is taken in the entries-first layout (N, N, n1, n2): an N x N
+    product is then N^3 multiply-adds over whole planes instead of one tiny
+    product per grid point, whose per-matrix overhead would dominate, and
+    no matrix temporary spans the whole grid. g^-1 = g^+ is read as the
     conjugate-transposed planes of the slice. The one full-grid matrix
     array it may build is the axis-0 derivative of a field without an exact
     channel there, since its stencil needs the neighbouring slices.
     """
     if g.n_axes != 3:
         raise BadDims("triple integral needs a 3-axis field")
-    d0 = g.derivative(0)
-    dens = np.empty(g.samples.shape[:3], dtype=complex)
-    for j, slab in enumerate(g.samples):
-        slab = _entries_first(slab)
-        ginv = _inverse_planes(slab)
-        d1, d2 = (_entries_first(g.derivs[i][j]) if i in g.derivs
-                  else grid_derivative(slab, i + 1, g.axes[i]) for i in (1, 2))
-        a0, a1, a2 = (_plane_product(ginv, d) for d in (_entries_first(d0[j]), d1, d2))
-        comm = _plane_product(a1, a2) - _plane_product(a2, a1)
-        dens[j] = 3.0 * _trace_product(a0, comm)
+    dens = np.empty(tuple(len(ax.points) for ax in g.axes), dtype=complex)
+    d0 = None
+    for j in range(len(dens)):
+        slab, derivs = g.slab(j)
+        if 0 not in derivs:
+            if d0 is None:
+                d0 = g.derivative(0)
+            derivs[0] = d0[j]
+        dens[j] = _triple_density(slab, derivs, g.axes)
     total = integrate_grid(dens, list(g.axes))
     return float(np.real(total)), float(abs(np.imag(total)))
+
+
+def _triple_density(slab, derivs, axes):
+    """3 Tr{A0 [A1, A2]} on one slice of the leading axis, from its samples
+    and derivative channels; torus axes without a channel differentiate the
+    slice. Its temporaries are freed before the next slice is produced."""
+    slab = _entries_first(slab)
+    ginv = _inverse_planes(slab)
+    a1, a2 = (_plane_product(ginv, _entries_first(derivs[i]) if i in derivs
+                             else grid_derivative(slab, i + 1, axes[i])) for i in (1, 2))
+    comm = _plane_product(a1, a2)
+    comm -= _plane_product(a2, a1)
+    return 3.0 * _trace_product(_plane_product(ginv, _entries_first(derivs[0])), comm)
 
 
 def _slices(g: FieldGrid):
@@ -308,7 +383,7 @@ def wz_action_extension(ext: FieldGrid, tol: Tolerances = DEFAULT_TOL,
     if ext.n_axes != 3 or ext.axes[0].periodic or not (ext.axes[1].periodic
                                                        and ext.axes[2].periodic):
         raise NotAnExtension("need axes (interval, periodic, periodic)")
-    end0 = ext.samples[0]
+    end0 = ext.slab(0)[0]
     const_resid = float(np.max(linalg.frob(end0 - end0.reshape(-1, ext.dim, ext.dim)[0])))
     ok = const_resid <= tol.extension_end
     if not ok:
@@ -577,7 +652,9 @@ def wz_amplitude_phi(loop, n_grid=N_LOOP, substeps=4, n_t=16, method="reduced",
 
 
 def up_extension(family: ProjectorFamily, n_t=64, n1=64, n2=64, path="forward"):
-    """Extension exp(i w(t) P(k)) of U_P = 1 - 2P over [0,1] x T^2.
+    """Extension exp(i w(t) P(k)) = 1 + (e^{i w(t)} - 1) P(k) of U_P = 1 - 2P
+    over [0,1] x T^2, as a ProjectorExtension: P on the n1 x n2 torus grid with
+    its spectral torus derivatives, and the t factor.
 
     path selects the phase ramp w(t): "forward" pi t, "reverse" -pi t,
     "reparam" pi t (2 - t); all end at U_P, providing independent extensions
@@ -587,36 +664,34 @@ def up_extension(family: ProjectorFamily, n_t=64, n1=64, n2=64, path="forward"):
     k_ax = loop_axis(n1)
     k2_ax = loop_axis(n2)
     k1, k2 = np.meshgrid(k_ax.points, k2_ax.points, indexing="ij")
-    p = family.sample(np.stack([k1, k2], axis=-1))
+    p = _entries_first(family.sample(np.stack([k1, k2], axis=-1)))
     t = t_ax.points
     omega = {"forward": np.pi * t, "reverse": -np.pi * t,
              "reparam": np.pi * t * (2.0 - t)}[path]
     domega = {"forward": np.pi * np.ones_like(t), "reverse": -np.pi * np.ones_like(t),
               "reparam": np.pi * (2.0 - 2.0 * t)}[path]
-    eye = np.eye(family.ambient_dim, dtype=complex)
     phase = np.exp(1j * omega)
-    samples = eye + (phase[:, None, None, None, None] - 1.0) * p[None]
-    dt = (1j * domega * phase)[:, None, None, None, None] * p[None]
-    return FieldGrid(axes=(t_ax, k_ax, k2_ax), samples=samples, derivs={0: dt},
-                     name=f"U_P extension ({path})")
+    return ProjectorExtension(axes=(t_ax, k_ax, k2_ax), p=p,
+                              dp=(spectral_derivative(p, 2, k_ax),
+                                  spectral_derivative(p, 3, k2_ax)),
+                              f=phase - 1.0, df=1j * domega * phase,
+                              name=f"U_P extension ({path})")
 
 
 def phi_ebz_extension(family: ProjectorFamily, n_t=16, n1=64, n2=64):
-    """Phi(t, k) = exp(2 pi i t P(k)) on S^1 x [0, pi] x T (axes t, k1, k2)."""
+    """Phi(t, k) = exp(2 pi i t P(k)) on S^1 x [0, pi] x T (axes t, k1, k2),
+    as a ProjectorExtension with the exact d1 P of the projector family and
+    the spectral d2 P."""
     t_ax = unit_circle_axis(n_t)
     k1_ax = ebz_axis(n1)
     k2_ax = loop_axis(n2)
     k1, k2 = np.meshgrid(k1_ax.points, k2_ax.points, indexing="ij")
-    ks = np.stack([k1, k2], axis=-1)
-    p, dp1 = family.derivative(ks, 0)
-    eye = np.eye(family.ambient_dim, dtype=complex)
+    p, dp1 = map(_entries_first, family.derivative(np.stack([k1, k2], axis=-1), 0))
     tphase = np.exp(TWO_PI * 1j * t_ax.points)
-    tfac = tphase[:, None, None, None, None]
-    samples = eye + (tfac - 1.0) * p[None]
-    derivs = {0: TWO_PI * 1j * tfac * p[None],
-              1: (tfac - 1.0) * dp1[None]}
-    return FieldGrid(axes=(t_ax, k1_ax, k2_ax), samples=samples, derivs=derivs,
-                     name="Phi on S1 x EBZ")
+    return ProjectorExtension(axes=(t_ax, k1_ax, k2_ax), p=p,
+                              dp=(dp1, spectral_derivative(p, 3, k2_ax)),
+                              f=tphase - 1.0, df=TWO_PI * 1j * tphase,
+                              name="Phi on S1 x EBZ")
 
 
 @dataclass(frozen=True)

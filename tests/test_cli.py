@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from topoinv import berry, transport, wz
+from topoinv import berry, certify, transport, wz
 from topoinv.cli import main
 from topoinv.models import BlochHamiltonianSpec, builtin_model, save_model
 
@@ -90,9 +90,11 @@ def test_unknown_model_exit_code(capsys):
 
 
 def test_bad_grid_exit_code(capsys):
-    code, _, err = run_cli(capsys, "chern", "--model", "haldane", "--grid", "17")
-    assert code == 4
-    assert json.loads(err.splitlines()[-1])["error"] == "BadConfig"
+    for argv in (["chern", "--model", "haldane", "--grid", "17"],
+                 ["certify", "--grid", "17"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 4, argv
+        assert json.loads(err.splitlines()[-1])["error"] == "BadConfig"
 
 
 def test_usage_error_exit_code(capsys):
@@ -146,6 +148,24 @@ def test_sweep_rejects_model_file(capsys, tmp_path):
                            "--grid", "32", "--loop-grid", "64", "--workers", "1")
     assert code == 4
     assert json.loads(err.splitlines()[-1])["error"] == "BadConfig"
+
+
+def test_certify_json_reports_errored_criterion_as_null(capsys, monkeypatch):
+    """An errored criterion has NaN tolerance and worst value; --json prints
+    them as null, so the report stays valid JSON."""
+    errored = certify.CriterionResult(1, "criterion_1", passed=False,
+                                      tolerance=float("nan"), worst=float("nan"),
+                                      runtime=0.5, details={"error": "ValueError: x"})
+    monkeypatch.setattr(certify, "run_all", lambda scale, verbose: [errored])
+    code, out, _ = run_cli(capsys, "certify", "--grid", "16", "--json")
+
+    def refuse(name):
+        raise ValueError(f"bare {name} in JSON output")
+
+    report = json.loads(out, parse_constant=refuse)
+    assert code == 1
+    assert report["criteria"][0]["worst"] is None
+    assert report["criteria"][0]["tolerance"] is None
 
 
 def test_certify_smoke_at_coarse_grids(capsys):

@@ -12,7 +12,8 @@ from topoinv import (build_frame, chern_number, berry_curvature, gauge_transform
                      random_trs_gauge)
 from topoinv import wz
 from topoinv.errors import BadDims, NotAnExtension, NotTRSFrame
-from topoinv.grids import integrate_grid, interval_axis, loop_axis, unit_circle_axis
+from topoinv.grids import (integrate_grid, interval_axis, loop_axis,
+                           spectral_derivative, unit_circle_axis)
 from topoinv.wz import (FieldGrid, alpha_integral, apw_functional, beta_integral,
                         conjugated_field, constant_field, inverse_field,
                         product_field, pw_functional, random_equivariant_field,
@@ -135,6 +136,75 @@ def test_chi_triple_builds_no_full_grid_temporary(km_topo):
     finally:
         tracemalloc.stop()
     assert peak < g.samples.nbytes
+
+
+_PATHS = {"forward": (lambda t: np.pi * t, lambda t: np.pi * np.ones_like(t)),
+          "reverse": (lambda t: -np.pi * t, lambda t: -np.pi * np.ones_like(t)),
+          "reparam": (lambda t: np.pi * t * (2.0 - t), lambda t: np.pi * (2.0 - 2.0 * t))}
+
+
+def _stored_extension(family, axes, kind, path):
+    """Reference: the U_P or Phi extension as full stored arrays, samples
+    1 + (e^{iw} - 1) P and the exact channels (t; for Phi also k1), with
+    the spectral derivative of each slice on the remaining torus axes."""
+    k1, k2 = np.meshgrid(axes[1].points, axes[2].points, indexing="ij")
+    ks = np.stack([k1, k2], axis=-1)
+    eye = np.eye(family.ambient_dim, dtype=complex)
+    t = axes[0].points
+    if kind == "phi_ebz":
+        p, dp1 = family.derivative(ks, 0)
+        tfac = np.exp(TWO_PI * 1j * t)[:, None, None, None, None]
+        samples = eye + (tfac - 1.0) * p[None]
+        derivs = {0: TWO_PI * 1j * tfac * p[None], 1: (tfac - 1.0) * dp1[None]}
+    else:
+        p = family.sample(ks)
+        omega, domega = (fn(t) for fn in _PATHS[path])
+        phase = np.exp(1j * omega)
+        samples = eye + (phase[:, None, None, None, None] - 1.0) * p[None]
+        derivs = {0: (1j * domega * phase)[:, None, None, None, None] * p[None]}
+    for i in (1, 2):
+        if i not in derivs:
+            derivs[i] = np.stack([spectral_derivative(s, i - 1, axes[i]) for s in samples])
+    return samples, derivs
+
+
+@pytest.mark.parametrize("case", [f"{m}-{p}" for m in ("haldane", "kane_mele_rashba")
+                                  for p in _PATHS] + ["phi_ebz"])
+def test_projector_extension_slabs_match_stored_arrays(case, haldane_topo, km_topo):
+    """Every slab and channel a ProjectorExtension produces equals the
+    stored-array extension: samples exactly, derivatives within 1e-12."""
+    kind, _, path = case.partition("-")
+    family = haldane_topo if kind == "haldane" else km_topo
+    if kind == "phi_ebz":
+        ext = wz.phi_ebz_extension(family, n_t=8, n1=8, n2=16)
+    else:
+        ext = up_extension(family, n_t=16, n1=16, n2=16, path=path)
+    samples, derivs = _stored_extension(family, ext.axes, kind, path)
+    assert len(ext.axes[0].points) == len(samples) and ext.dim == samples.shape[-1]
+    for j, ref in enumerate(samples):
+        value, channels = ext.slab(j)
+        assert np.array_equal(value, ref)
+        assert set(channels) == {0, 1, 2}
+        for i, d in channels.items():
+            assert np.max(np.abs(d - derivs[i][j])) <= 1e-12, (j, i)
+    assert np.array_equal(ext.samples, samples)
+    for i in range(3):
+        assert np.max(np.abs(ext.derivative(i) - derivs[i])) <= 1e-12, i
+
+
+def test_up_extension_action_holds_no_full_grid_array(km_topo):
+    """Building the N=4 U_P extension and taking its action peaks below half
+    of one (n_t+1, n1, n2, N, N) complex array: no full-grid array is held."""
+    full = 33 * 32 * 32 * 4 * 4 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        wz_action_extension(up_extension(km_topo, 32, 32, 32))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < full / 2
 
 
 def test_not_an_extension():
