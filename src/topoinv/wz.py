@@ -17,8 +17,10 @@ multiply-adds over whole planes instead of one small product per grid point.
 
 The projector extensions exp(i w(t) P(k)) = 1 + (e^{i w(t)} - 1) P(k) of
 U_P and Phi are rank-one in t, so they are ProjectorExtensions: P and its
-torus derivatives on the 2D grid and the t factor are stored, and each t
-slice is produced when the 3-form density reads it.
+torus derivatives on the 2D grid and the t factor are stored. Their 3-form
+density is a polynomial of degree 3 in the conjugate t factor whose
+coefficients are four trace fields on the 2D grid, so it is evaluated on
+the whole 3D grid without forming any t slice.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -73,20 +75,33 @@ class FieldGrid:
         (samples_j, {axis: derivative_j})."""
         return self.samples[j], {i: d[j] for i, d in self.derivs.items()}
 
-    def unitarity_residual(self):
-        return float(np.max(linalg.unitarity_residual(self.samples)))
+    def triple_density(self):
+        """3 Tr{A0 [A1, A2]} on a 3-axis grid, one slice of the leading axis
+        at a time. A field without an axis-0 channel gets one whole-field
+        derivative(0), since its stencil needs the neighbouring slices."""
+        dens = np.empty(tuple(len(ax.points) for ax in self.axes), dtype=complex)
+        d0 = None
+        for j in range(len(dens)):
+            slab, derivs = self.slab(j)
+            if 0 not in derivs:
+                if d0 is None:
+                    d0 = self.derivative(0)
+                derivs[0] = d0[j]
+            dens[j] = _triple_density(slab, derivs, self.axes)
+        return dens
 
 
 @dataclass(frozen=True)
 class ProjectorExtension:
     """The field g(t, k) = 1 + f(t) P(k) on a grid with axes (t, k1, k2),
-    where f(t) = e^{i w(t)} - 1, produced one t slice at a time.
+    where f(t) = e^{i w(t)} - 1.
 
     Only P and its torus derivatives dp = (d1 P, d2 P) on the 2D grid, in
     the entries-first layout (N, N, n1, n2), and f, f' on the t axis are
-    stored, so no array spans the 3D grid. Slice j is 1 + f_j P with the
-    exact channels {0: f'_j P, 1: f_j d1P, 2: f_j d2P}, returned as
-    (n1, n2, N, N) views of entries-first planes. `samples` and
+    stored, so no array of matrices spans the 3D grid. The 3-form density
+    is built from 2D trace fields (`triple_density`). Slice j is 1 + f_j P
+    with the exact channels {0: f'_j P, 1: f_j d1P, 2: f_j d2P}, returned
+    as (n1, n2, N, N) views of entries-first planes. `samples` and
     `derivative(i)` build the full arrays each time they are read.
     """
 
@@ -116,6 +131,27 @@ class ProjectorExtension:
             value[a, a] += 1.0
         return _matrices_last(value), {i: _matrices_last(t[j] * x)
                                        for i, (t, x) in enumerate(self._channels())}
+
+    def triple_density(self):
+        """3 Tr{A0 [A1, A2]} on the whole grid, with g^-1 read as
+        1 + conj(f) P^+: A0 = f'(P + conj(f) P^+P) and
+        A_i = f(d_iP + conj(f) P^+d_iP), so the density is
+        3 f' f^2 sum_n conj(f)^n T_n(k), n = 0..3, with the 2D trace fields
+        T_n = sum_{a+b+c=n} Tr{U_a [V_b, W_c]}, U = (P, P^+P),
+        V = (d1P, P^+d1P), W = (d2P, P^+d2P). No projector identity is
+        used, so it equals the slice-wise density up to rounding."""
+        p_dag = _inverse_planes(self.p)
+        u, v, w = ((x, _plane_product(p_dag, x)) for x in (self.p,) + self.dp)
+        comm = {(b, c): _plane_product(v[b], w[c]) - _plane_product(w[c], v[b])
+                for b in (0, 1) for c in (0, 1)}
+        t = np.zeros((4,) + self.p.shape[2:], dtype=complex)
+        for a in (0, 1):
+            for (b, c), x in comm.items():
+                t[a + b + c] += _trace_product(u[a], x)
+        fbar_powers = np.conjugate(self.f)[:, None] ** np.arange(4)
+        dens = np.tensordot(fbar_powers, t, axes=1)    # sum_n conj(f)^n T_n
+        dens *= 3.0 * (self.df * self.f ** 2)[:, None, None]
+        return dens
 
     @property
     def samples(self):
@@ -290,29 +326,18 @@ def chi_triple_integral(g: FieldGrid):
     the axis order of the grid. For a unitary field the result is real up to
     differencing noise; the size of its imaginary part is returned as well.
 
-    The density is evaluated one slice of the leading axis at a time, as
-    `g.slab(j)` gives it: a ProjectorExtension produces the slice and its
-    exact channels from P, a FieldGrid indexes its stored arrays. Each
-    slice is taken in the entries-first layout (N, N, n1, n2): an N x N
-    product is then N^3 multiply-adds over whole planes instead of one tiny
-    product per grid point, whose per-matrix overhead would dominate, and
-    no matrix temporary spans the whole grid. g^-1 = g^+ is read as the
-    conjugate-transposed planes of the slice. The one full-grid matrix
-    array it may build is the axis-0 derivative of a field without an exact
-    channel there, since its stencil needs the neighbouring slices.
+    Each field supplies its density, `g.triple_density()`, with g^-1 = g^+
+    read as the conjugate-transposed planes. A FieldGrid evaluates it one
+    slice of the leading axis at a time, in the entries-first layout
+    (N, N, n1, n2): an N x N product is then N^3 multiply-adds over whole
+    planes instead of one tiny product per grid point, whose per-matrix
+    overhead would dominate, and no matrix temporary spans the whole grid.
+    A ProjectorExtension 1 + f(t) P(k) builds it from four trace fields on
+    the 2D grid, with 11 plane products whatever the number of t slices.
     """
     if g.n_axes != 3:
         raise BadDims("triple integral needs a 3-axis field")
-    dens = np.empty(tuple(len(ax.points) for ax in g.axes), dtype=complex)
-    d0 = None
-    for j in range(len(dens)):
-        slab, derivs = g.slab(j)
-        if 0 not in derivs:
-            if d0 is None:
-                d0 = g.derivative(0)
-            derivs[0] = d0[j]
-        dens[j] = _triple_density(slab, derivs, g.axes)
-    total = integrate_grid(dens, list(g.axes))
+    total = integrate_grid(g.triple_density(), list(g.axes))
     return float(np.real(total)), float(abs(np.imag(total)))
 
 

@@ -91,36 +91,55 @@ def test_up_extension_gives_pi_chern(haldane_topo):
 def _batched_chi_triple(g):
     """Reference density: batched N x N products at every grid point, with
     the whole-field derivative of each axis. Returns the integral and the
-    integral of |density|, the scale its rounding error is measured on."""
+    integral of |density|, the scale its rounding error is measured on, and
+    the density itself."""
     gi = np.conjugate(np.swapaxes(g.samples, -1, -2))
     a0, a1, a2 = (gi @ g.derivative(i) for i in range(3))
     dens = 3.0 * np.einsum("...ab,...ba->...", a0, a1 @ a2 - a2 @ a1)
     axes = list(g.axes)
-    return integrate_grid(dens, axes), float(integrate_grid(np.abs(dens), axes))
+    return integrate_grid(dens, axes), float(integrate_grid(np.abs(dens), axes)), dens
 
 
 def _no_exact_channel(g):
     return FieldGrid(axes=g.axes, samples=g.samples, name=f"{g.name} (no channel)")
 
 
+def _generic_rank_one(g):
+    """The extension g with P replaced by a smooth non-Hermitian matrix field
+    that is no projector, so every term of the rank-one density counts."""
+    ax1, ax2 = g.axes[1:]
+    x = random_hermitian_field((ax1, ax2), 3, seed=7) + 1j * random_hermitian_field(
+        (ax1, ax2), 3, seed=8)
+    p = np.moveaxis(x, (-2, -1), (0, 1)).copy()
+    return wz.ProjectorExtension(axes=g.axes, p=p, dp=(spectral_derivative(p, 2, ax1),
+                                                       spectral_derivative(p, 3, ax2)),
+                                 f=g.f, df=g.df, name="generic rank one")
+
+
 @pytest.mark.parametrize("case", ["haldane", "kane_mele_rashba", "tube", "no_channel",
-                                  "phi_ebz", "phi_ebz_no_channel"])
+                                  "phi_ebz", "phi_ebz_no_channel"]
+                         + [f"{m}-{p}" for m in ("haldane", "kane_mele_rashba")
+                            for p in ("reverse", "reparam")] + ["rank_one_generic"])
 def test_chi_triple_matches_batched_reference(case, haldane_topo, km_topo):
-    if case == "haldane":
-        g = up_extension(haldane_topo, n_t=16, n1=16, n2=16)
-    elif case == "kane_mele_rashba":
-        g = up_extension(km_topo, n_t=16, n1=16, n2=16)
+    model, _, path = case.partition("-")
+    if model in ("haldane", "kane_mele_rashba"):
+        family = haldane_topo if model == "haldane" else km_topo
+        g = up_extension(family, n_t=16, n1=16, n2=16, path=path or "forward")
     elif case == "tube":
         g = random_unwindable_field(16, 3, seed=5)[1]
     elif case == "no_channel":
         g = _no_exact_channel(up_extension(haldane_topo, n_t=16, n1=16, n2=16))
+    elif case == "rank_one_generic":
+        g = _generic_rank_one(up_extension(haldane_topo, n_t=16, n1=16, n2=16,
+                                           path="reparam"))
     elif case == "phi_ebz":
         g = wz.phi_ebz_extension(km_topo, n_t=8, n1=8, n2=16)
     else:
         g = _no_exact_channel(wz.phi_ebz_extension(km_topo, n_t=8, n1=8, n2=16))
-    ref, scale = _batched_chi_triple(g)
+    ref, scale, dens = _batched_chi_triple(g)
     real, imag = wz.chi_triple_integral(g)
     assert scale > 1.0
+    assert np.max(np.abs(g.triple_density() - dens)) <= 1e-12 * np.max(np.abs(dens))
     assert abs(real - ref.real) <= 1e-12 * scale
     assert abs(imag - abs(ref.imag)) <= 1e-12 * scale
 
@@ -136,6 +155,26 @@ def test_chi_triple_builds_no_full_grid_temporary(km_topo):
     finally:
         tracemalloc.stop()
     assert peak < g.samples.nbytes
+
+
+def test_projector_extension_density_work_is_independent_of_n_t(km_topo, monkeypatch):
+    """The U_P density makes the same number of N x N plane products at
+    n_t = 8 and n_t = 32: its products run on the 2D grid only."""
+    calls = []
+    plane_product = wz._plane_product
+
+    def counted(x, y):
+        calls.append(1)
+        return plane_product(x, y)
+
+    monkeypatch.setattr(wz, "_plane_product", counted)
+    counts = []
+    for n_t in (8, 32):
+        g = up_extension(km_topo, n_t=n_t, n1=16, n2=16)
+        calls.clear()
+        wz.chi_triple_integral(g)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 _PATHS = {"forward": (lambda t: np.pi * t, lambda t: np.pi * np.ones_like(t)),
