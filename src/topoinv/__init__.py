@@ -7,7 +7,7 @@ them (amplitude = Berry phase, the adjoint product formula and its anomaly,
 the equivariant square roots).
 """
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .core import (ProjectorFamily, TRSOperator, check_trs,
                    make_projector_family, symplectic_basis)
 from .models import BlochHamiltonianSpec, builtin_model, load_model, save_model, save_results
@@ -27,10 +27,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlochFrame", "BlochHamiltonianSpec", "DEFAULT_TOL", "FieldGrid",
-    "InvariantResult", "ProjectorFamily", "TRSOperator", "Tolerances",
-    "TransportResult", "WZValue", "Z2Ingredients", "apw_functional",
-    "berry_connection", "berry_curvature", "berry_curvature_ebz", "berry_phase",
-    "berry_phase_sqrt",
+    "InvariantResult", "ProjectorFamily", "TRSOperator", "TransportResult",
+    "WZValue", "Z2Ingredients", "apw_functional", "berry_connection",
+    "berry_curvature", "berry_curvature_ebz", "berry_phase", "berry_phase_sqrt",
     "build_frame", "build_trs_frame", "builtin_model", "check_trs",
     "chern_number", "delta_invariant", "gauge_transform", "kappa_invariant",
     "lattice_z2", "load_model", "make_projector_family", "normal_form_field",

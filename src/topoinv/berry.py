@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .config import DEFAULT_TOL, N_2D, Tolerances
+from .config import DEFAULT_TOL, N_2D
 from .core import ProjectorFamily
 from .errors import DimensionMismatch, NotTRSFrame
 from .grids import (Axis, ebz_axis, integrate_grid, loop_axis, reflect_index,
@@ -88,31 +88,29 @@ def berry_connection(frame: BlochFrame, method="auto"):
                              imag_max=imag_max, frame=frame, method="spectral")
 
 
-def berry_phase(conn: ConnectionSamples, snap_tol=DEFAULT_TOL.snap,
-                cross_check=True):
+def berry_phase(conn: ConnectionSamples):
     """The loop exponential exp(-i loop-integral of A).
 
-    With cross_check, the gauge-invariant link-variable value is computed
-    from the same frame and the discrepancy recorded in meta
-    ("oracle_discrepancy"); a mismatch flags frame problems.
+    The gauge-invariant link-variable value is computed from the same frame
+    and the discrepancy recorded in meta ("oracle_discrepancy"); a mismatch
+    flags frame problems.
     """
     raw = np.exp(-1j * conn.loop_integral)
-    meta = {"loop_integral": conn.loop_integral, "method": conn.method,
-            "imag_max": conn.imag_max}
-    if cross_check:
-        oracle = np.exp(-1j * overlap_loop_integral(conn.frame))
-        meta["oracle_discrepancy"] = float(abs(raw - oracle))
-    return snap_unit("BerryPhase", raw, snap_tol=snap_tol, meta=meta)
+    oracle = np.exp(-1j * overlap_loop_integral(conn.frame))
+    return snap_unit("BerryPhase", raw,
+                     meta={"loop_integral": conn.loop_integral, "method": conn.method,
+                           "imag_max": conn.imag_max,
+                           "oracle_discrepancy": float(abs(raw - oracle))})
 
 
-def berry_phase_sqrt(conn: ConnectionSamples, snap_tol=DEFAULT_TOL.snap):
+def berry_phase_sqrt(conn: ConnectionSamples):
     """exp(-i/2 loop-integral of A) computed from a time-reversal symmetric
     frame; well defined because symmetric re-gaugings shift the integral by
     multiples of 4 pi."""
     if not conn.frame.trs_flag:
         raise NotTRSFrame("square root of the Berry phase needs a TRS frame")
     raw = np.exp(-0.5j * conn.loop_integral)
-    return snap_unit("SqrtBerryPhase", raw, snap_tol=snap_tol,
+    return snap_unit("SqrtBerryPhase", raw,
                      meta={"loop_integral": conn.loop_integral, "method": conn.method})
 
 
@@ -165,10 +163,10 @@ def berry_curvature_ebz(family: ProjectorFamily, n1=N_2D // 2, n2=N_2D):
     return CurvatureField(axes=(ax1, ax2), omega=omega, imag_max=imag_max, family=family)
 
 
-def chern_number(curvature: CurvatureField, snap_tol=DEFAULT_TOL.snap):
+def chern_number(curvature: CurvatureField):
     """C = (1/2 pi) integral of the curvature over the torus, snapped."""
     raw = curvature.integral() / TWO_PI
-    return snap_integer("Chern", raw, snap_tol=snap_tol,
+    return snap_integer("Chern", raw,
                         meta={"imag_max": curvature.imag_max,
                               "grid": tuple(ax.n for ax in curvature.axes)})
 
@@ -187,7 +185,7 @@ def delta_invariant(z2):
              for label, frame in z2.frames.items()}
     ebz = z2.ebz_integral
     raw = (loops["Tpi"] - loops["T0"] - ebz) / TWO_PI
-    return snap_integer("Delta", raw, snap_tol=z2.tol.snap, modulus=2,
+    return snap_integer("Delta", raw, modulus=2,
                         meta={"loop_A_T0": loops["T0"], "loop_A_Tpi": loops["Tpi"],
                               "ebz_curvature_integral": ebz, "grid": z2.grid})
 
@@ -213,7 +211,7 @@ class GaugeField:
     def rank(self):
         return self.u_samples.shape[-1]
 
-    def validate(self, tol: Tolerances = DEFAULT_TOL):
+    def validate(self):
         uni = float(np.max(linalg.unitarity_residual(self.u_samples)))
         report = {"unitarity": uni, "ok": uni <= 1e-10}
         if self.trs_flag:
@@ -222,7 +220,7 @@ class GaugeField:
             refl = jm.T @ np.conjugate(self.u_samples) @ jm
             trs = float(np.max(linalg.frob(self.u_samples[reflect_index(self.n)] - refl)))
             report["trs"] = trs
-            report["ok"] = report["ok"] and trs <= tol.trs
+            report["ok"] = report["ok"] and trs <= DEFAULT_TOL.trs
         return report
 
 
@@ -251,8 +249,10 @@ def gauge_transform(frame: BlochFrame, gauge: GaugeField):
                       theta=frame.theta)
 
 
-def random_gauge(n_points, m, seed, bandwidth=3, scale=0.25):
-    """Random smooth periodic gauge u = exp(iH(k)) with exact log-derivative."""
+def random_gauge(n_points, m, seed):
+    """Random smooth periodic gauge u = exp(iH(k)) with exact log-derivative;
+    H has Fourier modes up to 3 with amplitudes 0.25 / (1 + p)."""
+    bandwidth, scale = 3, 0.25
     rng = np.random.default_rng(seed)
     ks = loop_axis(n_points).points
     c = []
@@ -344,8 +344,7 @@ def _bump_derivative(x):
             - 2 * smooth_ramp(2 * x) * smooth_ramp_derivative(2 * (1 - x)))
 
 
-def holonomy_flux_check(family: ProjectorFamily, corner, widths, n_edge=256,
-                        substeps=4, tol: Tolerances = DEFAULT_TOL):
+def holonomy_flux_check(family: ProjectorFamily, corner, widths, n_edge=256):
     """Stokes check on a subrectangle: the phase of the boundary holonomy
     determinant equals the curvature integral over the rectangle (mod 2 pi).
 
@@ -360,7 +359,7 @@ def holonomy_flux_check(family: ProjectorFamily, corner, widths, n_edge=256,
     for i in range(4):
         start, stop = corners[i], corners[(i + 1) % 4]
         edge = family.restrict(start, stop - start, f"{family.name}[edge {i}]")
-        _, t, _, _, _, _ = _segment_transport(edge, 0.0, 1.0, n_edge, substeps, tol.drift)
+        _, t, _, _, _, _ = _segment_transport(edge, 0.0, 1.0, n_edge)
         t_loop = t[-1] @ t_loop
     p0 = family(corners[0])
     w, v = np.linalg.eigh(p0)

@@ -39,8 +39,8 @@ class CriterionResult:
                 f"{self.runtime:.1f}s)")
 
 
-def _scaled(n, scale, floor=8):
-    return max(floor, int(round(n * scale)))
+def _scaled(n, scale):
+    return max(8, int(round(n * scale)))
 
 
 def _even(n):
@@ -105,8 +105,8 @@ def criterion_2_amplitude_equals_berry(scale=1.0):
                            worst < 1e-6, 1e-6, worst, time.time() - t0, details)
 
 
-def criterion_3_sqrt_channel(scale=1.0, n_gauges=10):
-    """Square-root agreement for kane_mele on both loops, stable under
+def criterion_3_sqrt_channel(scale=1.0):
+    """Square-root agreement for kane_mele on both loops, stable under 10
     random time-reversal symmetric re-gaugings."""
     t0 = time.time()
     n = _even(_scaled(256, scale))
@@ -120,7 +120,7 @@ def criterion_3_sqrt_channel(scale=1.0, n_gauges=10):
         sq = berry.berry_phase_sqrt(berry.berry_connection(frame)).raw
         diff = abs(wzv.sqrt_amplitude - sq)
         gauge_spread = 0.0
-        for i in range(n_gauges):
+        for i in range(10):
             gauge = berry.random_trs_gauge(n, fam.rank, seed=2000 + i)
             regauged = berry.gauge_transform(frame, gauge)
             sq_g = berry.berry_phase_sqrt(berry.berry_connection(regauged)).raw
@@ -211,12 +211,12 @@ def _normal_form_cache(dim, equivariant, n_grid, span=3):
     return cache
 
 
-def criterion_6_apw_normal_forms(scale=1.0, span=3):
+def criterion_6_apw_normal_forms(scale=1.0):
     """APW[g,h] = -2 pi (n_g m_h - m_g n_h) exactly on all winding pairs with
     |n|,|m| <= 3; equivariant normal forms double it, landing in 4 pi Z."""
     t0 = time.time()
     n_grid = _even(_scaled(32, scale))
-    fields = _normal_form_cache(2, False, n_grid, span)
+    fields = _normal_form_cache(2, False, n_grid)
     worst = 0.0
     for (ng, mg), g in fields.items():
         for (nh, mh), h in fields.items():
@@ -238,12 +238,12 @@ def criterion_6_apw_normal_forms(scale=1.0, span=3):
                            {"plain_worst": worst, "equivariant_worst": eq_worst})
 
 
-def criterion_7_pw_anomaly(scale=1.0, span=3):
+def criterion_7_pw_anomaly(scale=1.0):
     """PW[g,h] = -pi (n_g m_h - m_g n_h) on the same pair set; odd winding
     combinations are verified NOT to land in 2 pi Z (the anomaly)."""
     t0 = time.time()
     n_grid = _even(_scaled(32, scale))
-    fields = _normal_form_cache(2, False, n_grid, span)
+    fields = _normal_form_cache(2, False, n_grid)
     worst = 0.0
     anomaly_ok = True
     for (ng, mg), g in fields.items():
@@ -264,13 +264,13 @@ def criterion_7_pw_anomaly(scale=1.0, span=3):
                            time.time() - t0, {"odd_combos_anomalous": anomaly_ok})
 
 
-def criterion_8_homotopy_invariance(scale=1.0, n_trials=20, seed=11):
+def criterion_8_homotopy_invariance(scale=1.0):
     """PW and APW constant along explicit pointwise-geodesic homotopies,
-    5 sampled deformation values, fixed seed."""
+    5 sampled deformation values, 20 trials from seed 11."""
     t0 = time.time()
     n_grid = _even(_scaled(32, scale))
-    n_s = 48
-    rng = np.random.default_rng(seed)
+    n_s, n_trials = 48, 20
+    rng = np.random.default_rng(11)
     s_values = [0.0, 0.25, 0.5, 0.75, 1.0]
     worst = 0.0
     for trial in range(n_trials):
@@ -297,10 +297,11 @@ def criterion_8_homotopy_invariance(scale=1.0, n_trials=20, seed=11):
                            {"trials": n_trials})
 
 
-def criterion_9_equivariant_winding(scale=1.0, n_fields=100, seed=23):
+def criterion_9_equivariant_winding(scale=1.0):
     """100 random equivariant loop fields all carry even winding."""
     t0 = time.time()
     n = _even(_scaled(256, scale))
+    n_fields = 100
     worst = 0.0
     all_even = True
     from .grids import loop_axis

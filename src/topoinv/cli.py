@@ -2,9 +2,10 @@
 models, run parameter sweeps, and run the certification suite.
 
 Each subcommand accepts only the options it reads. Exit codes: 0 success,
-2 precondition violated (no time-reversal symmetry / gap closure), 3 a
-result refused to snap, 4 bad input (usage errors, such as an option the
-subcommand does not read, included) or I/O. Errors are emitted as JSON
+1 a certification criterion failed (certify only), 2 precondition violated
+(no time-reversal symmetry / gap closure), 3 a result refused to snap, 4 bad
+input (usage errors, such as an option the subcommand does not read, and
+non-finite numbers included) or I/O. Errors are emitted as JSON
 objects on stderr so sweeps stay scriptable. Outputs written with --out
 contain no wall-clock data, so runs of identical configurations are
 byte-identical; the certify report is the one exception (it reports
@@ -29,6 +30,7 @@ from .errors import (GapClosure, NotTRS, ParseError, SchemaError, TopoinvError,
 from .models import SweepJob, builtin_model, load_model, save_results
 
 EXIT_OK = 0
+EXIT_CRITERION_FAILED = 1
 EXIT_PRECONDITION = 2
 EXIT_UNSNAPPED = 3
 EXIT_IO = 4
@@ -190,13 +192,6 @@ def cmd_fkm(cfg: RunConfig):
     return EXIT_OK
 
 
-def _sweep_job(cfg: RunConfig):
-    return SweepJob(model=cfg.model, ranges=cfg.sweeps,
-                    grid=cfg.grid, loop_grid=cfg.loop_grid,
-                    invariants=cfg.invariants or ("chern", "delta", "kappa"),
-                    out=cfg.out, base_params=cfg.params)
-
-
 def _sweep_point(args):
     """One sweep row; runs in a worker process, never raises."""
     cfg_dict, params = args
@@ -231,9 +226,9 @@ def _sweep_point(args):
 def cmd_sweep(cfg: RunConfig):
     if not cfg.sweeps:
         return _fail(EXIT_IO, "BadConfig", "at least one --sweep NAME START STOP COUNT is required")
-    tasks = _sweep_job(cfg).points()
+    job = SweepJob(ranges=cfg.sweeps, base_params=cfg.params)
     cfg_dict = asdict(cfg)
-    args = [(cfg_dict, t) for t in tasks]
+    args = [(cfg_dict, t) for t in job.points()]
     if cfg.workers > 1:
         with multiprocessing.Pool(cfg.workers) as pool:
             rows = pool.map(_sweep_point, args)
@@ -264,7 +259,7 @@ def cmd_certify(cfg: RunConfig):
     }
     if cfg.as_json or cfg.out:
         _emit(report, cfg)
-    return EXIT_OK if report["all_passed"] else 1
+    return EXIT_OK if report["all_passed"] else EXIT_CRITERION_FAILED
 
 
 def _parse_params(items):
@@ -273,7 +268,12 @@ def _parse_params(items):
         if "=" not in item:
             raise ValueError(f"--param expects NAME=VALUE, got {item!r}")
         key, val = item.split("=", 1)
-        params[key] = float(val)
+        try:
+            params[key] = float(val)
+        except ValueError:
+            params[key] = math.nan
+        if not math.isfinite(params[key]):
+            raise ValueError(f"--param {key} must be a finite number, got {val!r}")
     return params
 
 

@@ -1,7 +1,8 @@
-"""Centralized numerical tolerances and default grid sizes.
+"""Fixed numerical thresholds and default grid sizes.
 
-Every check in the library reports a residual next to its boolean verdict;
-the thresholds collected here are the defaults those checks compare against.
+Every check in the library reports a residual next to its boolean verdict
+and compares it against the fixed threshold collected here, read from
+DEFAULT_TOL; no function takes a tolerance argument.
 """
 
 from dataclasses import dataclass
@@ -13,13 +14,10 @@ class Tolerances:
     trace: float = 1e-8             # |tr P - m| (rank constancy)
     periodicity: float = 1e-10      # ||P(k) - P(k + 2*pi e_i)||
     trs: float = 1e-8               # ||P(-k) - Theta(P(k))||
-    homomorphism: float = 1e-12     # Theta(gh) vs Theta(g)Theta(h)
     pairing: float = 1e-10          # Kramers pairing residual of a symplectic basis
     unitary: float = 1e-9           # transported/trivializing unitaries
-    transport: float = 1e-7         # intertwining residual at default resolution
     frame_span: float = 1e-8        # ||P - E E*||
     frame_orthonormal: float = 1e-9
-    connection_imag: float = 1e-10  # imaginary contamination of the connection
     gap_threshold: float = 1e-6     # minimal spectral gap at the Fermi level
     branch_cut: float = 1e-10       # distance to the log branch cut that errors out
     branch_snap: float = 1e-13      # below this, a phase is roundoff and snaps to 0

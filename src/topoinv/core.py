@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
 from .grids import loop_axis, reflect_index
 from .models import BlochHamiltonianSpec
@@ -52,14 +52,13 @@ class ProjectorFamily:
 
     P(k) projects onto the eigenvectors of spec.bloch(k) below `fermi_level`;
     every evaluation checks that the `rank` occupied bands stay separated
-    from the empty ones by more than `gap_threshold`. With `line` =
+    from the empty ones by more than DEFAULT_TOL.gap_threshold. With `line` =
     (origin, direction) the family is the loop s -> P(origin + s direction).
     """
 
     spec: BlochHamiltonianSpec
     rank: int
     fermi_level: float = 0.0
-    gap_threshold: float = DEFAULT_TOL.gap_threshold
     line: Optional[tuple] = None  # ((o1, o2), (d1, d2))
     name: str = ""
 
@@ -80,8 +79,7 @@ class ProjectorFamily:
         if self.line is not None:
             origin, direction = np.asarray(self.line)
             k = origin + k[..., None] * direction
-        return (k,) + _gap_checked_eigh(self.spec, k, self.fermi_level,
-                                        self.gap_threshold, rank=self.rank)
+        return (k,) + _gap_checked_eigh(self.spec, k, self.fermi_level, rank=self.rank)
 
     def sample(self, ks):
         """Evaluate P on an array of k-points: (..., 2) on the torus and (...)
@@ -97,7 +95,7 @@ class ProjectorFamily:
         dP = V (X + X^+) V^+ with X_ij = (V^+ dH V)_ij / (e_i - e_j) for
         occupied i and empty j, and 0 elsewhere. Only occupied-empty pairs
         are divided, so degenerate occupied levels never are, and the gap
-        check bounds every denominator below by gap_threshold. A tuple of
+        check bounds every denominator below by the gap threshold. A tuple of
         torus axes gives (P, (dP, ...)), one dP per axis.
         """
         if isinstance(axis, tuple) and self.line is not None:
@@ -129,7 +127,7 @@ class ProjectorFamily:
         origin[axis], direction[1 - axis] = value, 1.0
         return self.restrict(origin, direction, f"{self.name}[k{axis + 1}={float(value):.4f}]")
 
-    def validate(self, n_grid=64, tol: Tolerances = DEFAULT_TOL):
+    def validate(self, n_grid=64):
         """Projector, rank-constancy, and periodicity residuals on a probe grid.
 
         Returns a dict of residuals; raises nothing (callers decide).
@@ -152,7 +150,8 @@ class ProjectorFamily:
         proj = float(np.max(linalg.projector_residual(p)))
         tr = float(np.max(np.abs(np.trace(p, axis1=-2, axis2=-1).real - self.rank)))
         return {"projector": proj, "trace": tr, "periodicity": per,
-                "ok": proj <= tol.projector and tr <= tol.trace and per <= tol.periodicity}
+                "ok": (proj <= DEFAULT_TOL.projector and tr <= DEFAULT_TOL.trace
+                       and per <= DEFAULT_TOL.periodicity)}
 
 
 def _occupied_projector(v, occ):
@@ -161,15 +160,16 @@ def _occupied_projector(v, occ):
     return vocc @ linalg.dagger(vocc)
 
 
-def _gap_checked_eigh(spec, ks, fermi_level, threshold, rank=None):
+def _gap_checked_eigh(spec, ks, fermi_level, rank=None):
     """Batched eigensystem (w, v, occ) of spec.bloch(ks) on torus points ks,
     with occ marking the eigenvalues below fermi_level.
 
     Raises GapClosure, carrying the momentum (k1, k2), where the occupied
     rank differs from `rank` (by default that of the first point), where no
     band or every band is occupied, or where the gap at the Fermi level
-    drops below threshold.
+    is at most DEFAULT_TOL.gap_threshold.
     """
+    threshold = DEFAULT_TOL.gap_threshold
     w, v = np.linalg.eigh(spec.bloch(ks))
     occ = w < fermi_level
     ranks = occ.sum(axis=-1).reshape(-1)
@@ -190,8 +190,7 @@ def _gap_checked_eigh(spec, ks, fermi_level, threshold, rank=None):
     return w, v, occ
 
 
-def make_projector_family(spec, fermi_level=0.0, gap_threshold=DEFAULT_TOL.gap_threshold,
-                          check_grid=64):
+def make_projector_family(spec, fermi_level=0.0):
     """Occupied-band projector family of a Bloch Hamiltonian below a Fermi level.
 
     Parameters
@@ -199,26 +198,23 @@ def make_projector_family(spec, fermi_level=0.0, gap_threshold=DEFAULT_TOL.gap_t
     spec : models.BlochHamiltonianSpec
         Trigonometric-polynomial Bloch Hamiltonian.
     fermi_level : float
-        Must sit in a spectral gap over the whole torus.
-    gap_threshold : float
-        Minimal admissible gap; a smaller gap anywhere on the probe grid (and
-        on every later sampling) raises GapClosure.
+        Must sit in a spectral gap over the whole torus: a gap of at most
+        DEFAULT_TOL.gap_threshold anywhere on the 64 x 64 probe grid (and on
+        every later sampling) raises GapClosure.
 
     Returns
     -------
     ProjectorFamily on the torus, with rank fixed by the gap condition.
     """
-    ax = loop_axis(check_grid)
+    ax = loop_axis(64)
     k1, k2 = np.meshgrid(ax.points, ax.points, indexing="ij")
-    _, _, occ = _gap_checked_eigh(spec, np.stack([k1, k2], axis=-1), fermi_level,
-                                  gap_threshold)
+    _, _, occ = _gap_checked_eigh(spec, np.stack([k1, k2], axis=-1), fermi_level)
     return ProjectorFamily(spec=spec, rank=int(occ[0, 0].sum()), fermi_level=fermi_level,
-                           gap_threshold=gap_threshold, name=spec.name)
+                           name=spec.name)
 
 
-def check_trs(family: ProjectorFamily, theta: TRSOperator, n_grid=64,
-              tol=DEFAULT_TOL.trs):
-    """Does P(-k) = Theta(P(k)) hold on a symmetric grid?
+def check_trs(family: ProjectorFamily, theta: TRSOperator, n_grid=64):
+    """Does P(-k) = Theta(P(k)) hold on a symmetric grid, to DEFAULT_TOL.trs?
 
     Returns (ok, max_violation). The grid includes the fixed points of
     k -> -k so reflection pairs are exact.
@@ -236,10 +232,10 @@ def check_trs(family: ProjectorFamily, theta: TRSOperator, n_grid=64,
         p = family.sample(np.stack([k1, k2], axis=-1))
         refl = p[np.ix_(idx, idx)]
     violation = float(np.max(linalg.frob(refl - theta.adjoint(p))))
-    return violation <= tol, violation
+    return violation <= DEFAULT_TOL.trs, violation
 
 
-def symplectic_basis(theta: TRSOperator, projector, tol=DEFAULT_TOL, rng=None):
+def symplectic_basis(theta: TRSOperator, projector, rng=None):
     """Orthonormal Kramers-paired basis of the range of a Theta-invariant projector.
 
     Pairs satisfy e_{2j} = theta e_{2j-1}; raises NotInvariant when the
@@ -251,6 +247,6 @@ def symplectic_basis(theta: TRSOperator, projector, tol=DEFAULT_TOL, rng=None):
     if rank % 2 != 0:
         raise OddRank(f"projector rank {rank} is odd")
     resid = float(linalg.frob(projector - theta.adjoint(projector)))
-    if resid > tol.trs:
-        raise NotInvariant(resid, tol.trs)
-    return linalg.kramers_basis(theta.apply, projector, pairing_tol=tol.pairing, rng=rng)
+    if resid > DEFAULT_TOL.trs:
+        raise NotInvariant(resid, DEFAULT_TOL.trs)
+    return linalg.kramers_basis(theta.apply, projector, rng=rng)

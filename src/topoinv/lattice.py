@@ -32,7 +32,7 @@ def _link_phase(e1, e2):
     return np.angle(np.linalg.det(ov))
 
 
-def plaquette_chern(family: ProjectorFamily, n_grid=64, snap_tol=1e-3):
+def plaquette_chern(family: ProjectorFamily, n_grid=64):
     """Chern number from plaquette fluxes of overlap-determinant links.
 
     Exactly integer up to roundoff once every plaquette flux is resolved
@@ -48,7 +48,7 @@ def plaquette_chern(family: ProjectorFamily, n_grid=64, snap_tol=1e-3):
             + _link_phase(diag, up) + _link_phase(up, frames))
     flux = (flux + np.pi) % TWO_PI - np.pi
     total = float(np.sum(flux)) / TWO_PI
-    return snap_integer("Chern", total, snap_tol=snap_tol,
+    return snap_integer("Chern", total,
                         meta={"method": "plaquette", "grid": n_grid,
                               "max_flux": float(np.max(np.abs(flux)))})
 
@@ -98,8 +98,7 @@ def _trs_boundary_line(family, theta: TRSOperator, k1, n2):
     return frames
 
 
-def lattice_z2(family: ProjectorFamily, theta: TRSOperator, n1=32, n2=64,
-               snap_tol=1e-3):
+def lattice_z2(family: ProjectorFamily, theta: TRSOperator, n1=32, n2=64):
     """Lattice Z2 invariant on the half zone [0, pi] x T.
 
     Boundary loops at k1 = 0, pi carry time-reversal-constrained frames
@@ -125,7 +124,7 @@ def lattice_z2(family: ProjectorFamily, theta: TRSOperator, n1=32, n2=64,
     flux = (flux + np.pi) % TWO_PI - np.pi
     boundary = float(np.sum(link2[-1]) - np.sum(link2[0]))
     raw = (boundary - float(np.sum(flux))) / TWO_PI
-    return snap_integer("Delta", raw, snap_tol=snap_tol, modulus=2,
+    return snap_integer("Delta", raw, modulus=2,
                         meta={"method": "lattice", "grid": (n1, n2),
                               "max_flux": float(np.max(np.abs(flux)))})
 

@@ -36,16 +36,16 @@ def projector_residual(p):
     return frob(p @ p - p) + hermiticity_residual(p)
 
 
-def is_unitary(u, tol=DEFAULT_TOL.unitary):
-    return bool(np.all(unitarity_residual(u) <= tol))
+def is_unitary(u):
+    return bool(np.all(unitarity_residual(u) <= DEFAULT_TOL.unitary))
 
 
-def is_hermitian(h, tol=DEFAULT_TOL.projector):
-    return bool(np.all(hermiticity_residual(h) <= tol))
+def is_hermitian(h):
+    return bool(np.all(hermiticity_residual(h) <= DEFAULT_TOL.projector))
 
 
-def is_projector(p, tol=DEFAULT_TOL.projector):
-    return bool(np.all(projector_residual(p) <= tol))
+def is_projector(p):
+    return bool(np.all(projector_residual(p) <= DEFAULT_TOL.projector))
 
 
 def polar_project(a):
@@ -78,14 +78,14 @@ def unitary_eig(u):
     return phases, q
 
 
-def unitary_log_generator(u, cut_tol=DEFAULT_TOL.branch_cut,
-                          snap_tol=DEFAULT_TOL.branch_snap):
+def unitary_log_generator(u):
     """Hermitian M with u = exp(2*pi*i*M), eigenvalues of M in [0, 1).
 
-    Eigenphases are taken in [0, 2*pi). Phases within `snap_tol` below zero
-    are roundoff and snap to 0; phases in (-cut_tol, -snap_tol] sit on the
-    branch cut and raise BranchAmbiguity.
+    Eigenphases are taken in [0, 2*pi). Phases within DEFAULT_TOL.branch_snap
+    below zero are roundoff and snap to 0; phases in (-branch_cut,
+    -branch_snap] sit on the branch cut and raise BranchAmbiguity.
     """
+    cut_tol, snap_tol = DEFAULT_TOL.branch_cut, DEFAULT_TOL.branch_snap
     phases, q = unitary_eig(u)
     near_cut = (phases < -snap_tol) & (phases > -cut_tol)
     if np.any(near_cut):
@@ -97,22 +97,21 @@ def unitary_log_generator(u, cut_tol=DEFAULT_TOL.branch_cut,
     return 0.5 * (m + dagger(m)), lam
 
 
-def principal_log_unitary(u, degeneracy_tol=1e-7):
+def principal_log_unitary(u):
     """Anti-Hermitian L = log(u) with eigenphases in (-pi, pi].
 
-    Returns (L, phases). Raises ValueError if an eigenphase is within
-    `degeneracy_tol` of -1 = exp(+-i*pi), where the principal branch is
-    ambiguous; callers translate this into their own error type.
+    Returns (L, phases). Raises ValueError if an eigenphase is within 1e-7
+    of -1 = exp(+-i*pi), where the principal branch is ambiguous; callers
+    translate this into their own error type.
     """
     phases, q = unitary_eig(u)
-    if np.any(np.pi - np.abs(phases) < degeneracy_tol):
+    if np.any(np.pi - np.abs(phases) < 1e-7):
         raise ValueError("eigenvalue at -1")
     l = (q * (1j * phases)[None, :]) @ dagger(q)
     return 0.5 * (l - dagger(l)), phases
 
 
-def kramers_basis(apply_antiunitary, projector, pairing_tol=DEFAULT_TOL.pairing,
-                  rng=None):
+def kramers_basis(apply_antiunitary, projector, rng=None):
     """Orthonormal basis of Ran(projector) in Kramers pairs (e, tau e).
 
     `apply_antiunitary` maps a vector x to tau(x) for an antiunitary tau with
@@ -154,8 +153,8 @@ def kramers_basis(apply_antiunitary, projector, pairing_tol=DEFAULT_TOL.pairing,
     for j in range(rank // 2):
         worst = max(worst, float(np.linalg.norm(
             basis[:, 2 * j + 1] - apply_antiunitary(basis[:, 2 * j]))))
-    if worst > pairing_tol:
-        raise ValueError(f"Kramers pairing residual {worst:.3e} > {pairing_tol:.1e}")
+    if worst > DEFAULT_TOL.pairing:
+        raise ValueError(f"Kramers pairing residual {worst:.3e} > {DEFAULT_TOL.pairing:.1e}")
     return basis
 
 

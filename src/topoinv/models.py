@@ -51,9 +51,10 @@ class BlochHamiltonianSpec:
             out += (1j * (vec[0] * d[0] + vec[1] * d[1])) * phase[..., None, None] * mat
         return out
 
-    def hermiticity_residual(self, n_samples=1000, seed=7):
-        """max ||H(k) - H(k)*|| over random k (should be ~1e-15 by construction)."""
-        rng = np.random.default_rng(seed)
+    def hermiticity_residual(self, n_samples=1000):
+        """max ||H(k) - H(k)*|| over n_samples seeded random k (should be
+        ~1e-15 by construction)."""
+        rng = np.random.default_rng(7)
         ks = rng.uniform(-np.pi, np.pi, size=(n_samples, 2))
         h = self.bloch(ks)
         return float(np.max(np.abs(h - np.conjugate(np.swapaxes(h, -1, -2)))))
@@ -255,6 +256,8 @@ def _matrix_from_json(obj, key):
         raise SchemaError(key, f"matrix entries must be [re, im] pairs: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SchemaError(key, f"matrix must be square, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(key, "matrix entries must be finite")
     return arr
 
 
@@ -307,12 +310,7 @@ class SweepJob:
     """A parameter sweep: ranges are (name, start, stop, count) tuples whose
     cartesian product defines the rows."""
 
-    model: str
     ranges: tuple
-    grid: int = 128
-    loop_grid: int = 256
-    invariants: tuple = ("chern", "delta", "kappa")
-    out: str = ""
     base_params: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -50,23 +50,24 @@ def snap_integer(kind, raw, snap_tol=DEFAULT_TOL.snap, meta=None, modulus=None):
                            snap_tol=snap_tol, meta=meta or {})
 
 
-def snap_sign(kind, raw, snap_tol=DEFAULT_TOL.snap, meta=None):
-    """Snap a complex value to the nearer of +1/-1."""
+def snap_sign(kind, raw, meta=None):
+    """Snap a complex value to the nearer of +1/-1, within DEFAULT_TOL.snap."""
     raw_c = complex(raw)
     sign = 1 if raw_c.real >= 0 else -1
     residual = abs(raw_c - sign)
-    snapped = sign if residual < snap_tol else None
+    snapped = sign if residual < DEFAULT_TOL.snap else None
     return InvariantResult(kind=kind, raw=raw_c, snapped=snapped,
-                           residual=float(residual), snap_tol=snap_tol,
+                           residual=float(residual), snap_tol=DEFAULT_TOL.snap,
                            meta=meta or {})
 
 
-def snap_unit(kind, raw, snap_tol=DEFAULT_TOL.snap, meta=None):
-    """Normalize a phase-like value to unit modulus; residual = | |raw| - 1 |."""
+def snap_unit(kind, raw, meta=None):
+    """Normalize a phase-like value to unit modulus; residual = | |raw| - 1 |,
+    snapped within DEFAULT_TOL.snap."""
     raw_c = complex(raw)
     mod = abs(raw_c)
     residual = abs(mod - 1.0)
-    snapped = raw_c / mod if (mod > 0 and residual < snap_tol) else None
+    snapped = raw_c / mod if (mod > 0 and residual < DEFAULT_TOL.snap) else None
     return InvariantResult(kind=kind, raw=raw_c, snapped=snapped,
-                           residual=float(residual), snap_tol=snap_tol,
+                           residual=float(residual), snap_tol=DEFAULT_TOL.snap,
                            meta=meta or {})

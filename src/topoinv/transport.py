@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOL, N_LOOP, Tolerances
+from .config import DEFAULT_TOL, N_LOOP
 from .core import ProjectorFamily, TRSOperator, check_trs, symplectic_basis
 from .errors import (BadBaseBasis, NotTRS, StepFailure, SymmetrizationFailure)
 from .grids import loop_axis, reflect_index
@@ -77,9 +77,10 @@ class TransportResult:
         return self.t_samples[-1]
 
 
-def _rk4_transport(p_fine, dp_fine, h, drift_tol):
+def _rk4_transport(p_fine, dp_fine, h):
     """March T through the fine grid (samples at spacing h/2), reprojecting
-    to the unitary group after every step. Returns T at every full step."""
+    to the unitary group after every step. Returns T at every full step; a
+    step whose unitarity drift exceeds DEFAULT_TOL.drift raises StepFailure."""
     n_steps = (p_fine.shape[0] - 1) // 2
     dim = p_fine.shape[-1]
     t = np.eye(dim, dtype=complex)
@@ -96,8 +97,8 @@ def _rk4_transport(p_fine, dp_fine, h, drift_tol):
         k4 = a2 @ (t + h * k3)
         t_new = t + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         drift = float(linalg.unitarity_residual(t_new))
-        if drift > drift_tol:
-            raise StepFailure(k=s * h, drift=drift, bound=drift_tol)
+        if drift > DEFAULT_TOL.drift:
+            raise StepFailure(k=s * h, drift=drift, bound=DEFAULT_TOL.drift)
         t = linalg.polar_project(t_new)
         drift_max = max(drift_max, drift)
         reproj_max = max(reproj_max, float(linalg.frob(t - t_new)))
@@ -105,14 +106,14 @@ def _rk4_transport(p_fine, dp_fine, h, drift_tol):
     return out, drift_max, reproj_max
 
 
-def _segment_transport(family, k_start, k_end, n_grid_points, substeps, drift_tol):
+def _segment_transport(family, k_start, k_end, n_grid_points, substeps=4):
     """Transport from k_start to k_end, returning T, P, G at the n_grid_points+1
     evenly spaced sample points."""
     n_steps = n_grid_points * substeps
     fine = np.linspace(k_start, k_end, 2 * n_steps + 1)
     p_fine, dp_fine = family.derivative(fine)
     h = (k_end - k_start) / n_steps
-    t_all, drift, reproj = _rk4_transport(p_fine, dp_fine, h, drift_tol)
+    t_all, drift, reproj = _rk4_transport(p_fine, dp_fine, h)
     sel = np.arange(0, n_steps + 1, substeps)
     t = t_all[sel]
     p = p_fine[2 * sel]
@@ -121,8 +122,7 @@ def _segment_transport(family, k_start, k_end, n_grid_points, substeps, drift_to
     return fine[2 * sel], t, p, g, drift, reproj
 
 
-def parallel_transport(family: ProjectorFamily, n_grid=N_LOOP, substeps=4,
-                       tol: Tolerances = DEFAULT_TOL):
+def parallel_transport(family: ProjectorFamily, n_grid=N_LOOP, substeps=4):
     """Parallel-transport unitaries T(k) around the loop, base point k0 = -pi.
 
     Parameters
@@ -141,7 +141,7 @@ def parallel_transport(family: ProjectorFamily, n_grid=N_LOOP, substeps=4,
     ax = loop_axis(n_grid)
     k0 = ax.start
     ks, t, p, g, drift, reproj = _segment_transport(
-        family, k0, k0 + 2 * np.pi, n_grid, substeps, tol.drift)
+        family, k0, k0 + 2 * np.pi, n_grid, substeps)
     inter = float(np.max(linalg.frob(p - t @ p[0] @ linalg.dagger(t))))
     return TransportResult(ks=ks, t_samples=t, p_samples=p, g_samples=g,
                            family=family, n_steps=n_grid * substeps,
@@ -149,7 +149,7 @@ def parallel_transport(family: ProjectorFamily, n_grid=N_LOOP, substeps=4,
                            intertwine_residual=inter)
 
 
-def periodize(tr: TransportResult, tol: Tolerances = DEFAULT_TOL):
+def periodize(tr: TransportResult):
     """Attach the periodic trivialization W(k) = T(k) exp(-i (k-k0) M).
 
     M is Hermitian with eigenvalues in [0, 1), obtained from the eigenphases
@@ -158,8 +158,7 @@ def periodize(tr: TransportResult, tol: Tolerances = DEFAULT_TOL):
     The analytic derivative dW/dk is recorded alongside (no finite
     differences of W anywhere downstream).
     """
-    m, lam = linalg.unitary_log_generator(tr.holonomy, cut_tol=tol.branch_cut,
-                                          snap_tol=tol.branch_snap)
+    m, lam = linalg.unitary_log_generator(tr.holonomy)
     w_eigvals, w_eigvecs = np.linalg.eigh(m)
     dk = tr.ks - tr.ks[0]
     phase = np.exp(-1j * np.outer(dk, w_eigvals))           # (n+1, N)
@@ -204,7 +203,8 @@ class BlochFrame:
     def rank(self):
         return self.e_samples.shape[-1]
 
-    def validate(self, tol: Tolerances = DEFAULT_TOL):
+    def validate(self):
+        tol = DEFAULT_TOL
         e = self.e_samples
         eye = np.eye(self.rank)
         ortho = float(np.max(linalg.frob(linalg.dagger(e) @ e - eye)))
@@ -226,7 +226,7 @@ class BlochFrame:
         return float(np.max(linalg.frob(self.e_samples[reflect_index(self.n)] - refl)))
 
 
-def build_frame(tr: TransportResult, base_basis, tol: Tolerances = DEFAULT_TOL):
+def build_frame(tr: TransportResult, base_basis):
     """Frame e_a(k) = W(k) e_a(k0) from a periodized transport.
 
     base_basis: (N, m) orthonormal columns spanning Ran P(k0); BadBaseBasis
@@ -240,7 +240,7 @@ def build_frame(tr: TransportResult, base_basis, tol: Tolerances = DEFAULT_TOL):
         raise BadBaseBasis(f"base basis shape {b.shape} does not match ambient dimension")
     ortho = float(linalg.frob(linalg.dagger(b) @ b - np.eye(b.shape[1])))
     span = float(linalg.frob(tr.p_samples[0] @ b - b))
-    if ortho > tol.frame_orthonormal or span > tol.frame_span:
+    if ortho > DEFAULT_TOL.frame_orthonormal or span > DEFAULT_TOL.frame_span:
         raise BadBaseBasis(f"orthonormality residual {ortho:.2e}, span residual {span:.2e}")
     e = tr.w_samples[:-1] @ b
     seam = float(linalg.frob(tr.w_samples[-1] @ b - e[0]))
@@ -274,7 +274,7 @@ def _expm_ramp(log_u, ramp_values):
     return (q[None, :, :] * phases[:, None, :]) @ linalg.dagger(q)[None]
 
 
-def _trs_mismatch_gauge(e_pi, theta, tol, rng=None):
+def _trs_mismatch_gauge(e_pi, theta, rng=None):
     """Mismatch unitary u with E(pi) u Kramers-symmetric at the fixed point.
 
     The sewing matrix V = E(pi)* theta(E(pi)) is antisymmetric unitary, so
@@ -283,12 +283,11 @@ def _trs_mismatch_gauge(e_pi, theta, tol, rng=None):
     """
     v = linalg.dagger(e_pi) @ theta.apply(e_pi)
     tau = lambda x: v @ np.conjugate(x)
-    return linalg.kramers_basis(tau, np.eye(v.shape[0], dtype=complex),
-                                pairing_tol=tol.pairing, rng=rng)
+    return linalg.kramers_basis(tau, np.eye(v.shape[0], dtype=complex), rng=rng)
 
 
 def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid=N_LOOP,
-                    substeps=4, tol: Tolerances = DEFAULT_TOL, rng=None):
+                    rng=None):
     """Smooth periodic time-reversal symmetric Bloch frame on a symmetric loop,
     with its time-reversal symmetric trivialization W(k), W(0) = 1.
 
@@ -303,15 +302,14 @@ def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid=N_LOOP,
     Raises NotTRS if the family is not symmetric, SymmetrizationFailure when
     log u_pi hits the -1 branch degeneracy.
     """
-    ok, viol = check_trs(family, theta, n_grid=n_grid, tol=tol.trs)
+    ok, viol = check_trs(family, theta, n_grid=n_grid)
     if not ok:
-        raise NotTRS(viol, tol.trs)
+        raise NotTRS(viol, DEFAULT_TOL.trs)
     if n_grid % 2 != 0:
         raise ValueError("symmetric loops need an even grid")
     half = n_grid // 2
 
-    ks_half, t_half, p_half, _, _, _ = _segment_transport(
-        family, 0.0, np.pi, half, substeps, tol.drift)
+    ks_half, t_half, p_half, _, _, _ = _segment_transport(family, 0.0, np.pi, half)
     ramp = smooth_ramp(ks_half / np.pi)
 
     def symmetrized_half(projector):
@@ -327,9 +325,9 @@ def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid=N_LOOP,
         draws = [rng] + [rng if rng is not None else np.random.default_rng(1009 + retry)
                          for retry in range(8)]
         for draw in draws:
-            base = symplectic_basis(theta, projector, tol=tol, rng=draw)
+            base = symplectic_basis(theta, projector, rng=draw)
             e_sharp = t_half @ base
-            u_pi = _trs_mismatch_gauge(e_sharp[-1], theta, tol, rng=draw)
+            u_pi = _trs_mismatch_gauge(e_sharp[-1], theta, rng=draw)
             try:
                 log_u, phases = linalg.principal_log_unitary(u_pi)
             except ValueError:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .berry import berry_curvature_ebz
-from .config import DEFAULT_TOL, N_2D, N_LOOP, Tolerances
+from .config import DEFAULT_TOL, N_2D, N_LOOP
 from .core import ProjectorFamily, TRSOperator
 from .errors import BadDims, NotAnExtension, NotTRSFrame
 from .grids import (ebz_axis, integrate_grid, interval_axis, loop_axis,
@@ -250,12 +250,12 @@ def winding(f: FieldGrid, snap_tol=1e-6):
                         meta={"imag_raw": float(np.imag(total))})
 
 
-def winding_pair(g: FieldGrid, snap_tol=1e-6):
+def winding_pair(g: FieldGrid):
     """det windings of the two loop restrictions of a torus field."""
     ax1, ax2 = g.axes
     f1 = FieldGrid(axes=(ax1,), samples=g.samples[:, 0], name=f"{g.name}|L")
     f2 = FieldGrid(axes=(ax2,), samples=g.samples[0, :], name=f"{g.name}|R")
-    return winding(f1, snap_tol=snap_tol), winding(f2, snap_tol=snap_tol)
+    return winding(f1), winding(f2)
 
 
 def normal_form_field(n, m, dim, equivariant=False, n_grid=64):
@@ -395,14 +395,13 @@ def _plane_product(x, y):
     return out
 
 
-def wz_action_extension(ext: FieldGrid, tol: Tolerances = DEFAULT_TOL,
-                        base_action=0.0):
+def wz_action_extension(ext: FieldGrid):
     """Wess-Zumino action from an explicit extension on [0,1] x T^2.
 
     The leading axis must be the extension interval; the slice at its 0 end
-    must be constant, independent of one torus direction (solid-torus
-    filling), or a marked diagonal normal form (whose own action is the
-    unwinding-convention 0, overridable through base_action). The boundary
+    must be constant or independent of one torus direction (solid-torus
+    filling), both to DEFAULT_TOL.extension_end, or a marked diagonal normal
+    form (whose own action is the unwinding-convention 0). The boundary
     field of interest is the slice at the 1 end.
     """
     if ext.n_axes != 3 or ext.axes[0].periodic or not (ext.axes[1].periodic
@@ -410,19 +409,18 @@ def wz_action_extension(ext: FieldGrid, tol: Tolerances = DEFAULT_TOL,
         raise NotAnExtension("need axes (interval, periodic, periodic)")
     end0 = ext.slab(0)[0]
     const_resid = float(np.max(linalg.frob(end0 - end0.reshape(-1, ext.dim, ext.dim)[0])))
-    ok = const_resid <= tol.extension_end
+    ok = const_resid <= DEFAULT_TOL.extension_end
     if not ok:
         for axis in (0, 1):
             ref = end0.take([0], axis=axis)
-            if float(np.max(linalg.frob(end0 - ref))) <= tol.extension_end:
+            if float(np.max(linalg.frob(end0 - ref))) <= DEFAULT_TOL.extension_end:
                 ok = True
                 break
     if not ok and not ext.abelian_diagonal:
         raise NotAnExtension(f"end-0 slice is not constant (residual {const_resid:.2e}) "
                              "nor cylinder-degenerate nor a marked normal form")
     raw, imag = chi_triple_integral(ext)
-    action = base_action + raw / (12.0 * np.pi)
-    return WZValue(raw_action=action, modulus=TWO_PI, quad_residual=imag,
+    return WZValue(raw_action=raw / (12.0 * np.pi), modulus=TWO_PI, quad_residual=imag,
                    meta={"end0_constant_residual": const_resid, "name": ext.name})
 
 
@@ -477,17 +475,17 @@ def random_hermitian_field(axes, dim, seed, bandwidth=2, scale=0.35):
     return 0.5 * (h + linalg.dagger(h))
 
 
-def random_unwindable_field(n_grid, dim, seed, bandwidth=2, scale=0.35):
+def random_unwindable_field(n_grid, dim, seed, bandwidth=2):
     """Random smooth zero-winding torus field with its tube extension."""
     ax = loop_axis(n_grid)
-    h = random_hermitian_field((ax, ax), dim, seed, bandwidth, scale)
+    h = random_hermitian_field((ax, ax), dim, seed, bandwidth)
     g, z = exp_field((ax, ax), h, name=f"rand{seed}")
     base = constant_field((ax, ax), np.eye(dim, dtype=complex))
     return g, tube_extension(base, np.broadcast_to(z, g.samples.shape))
 
 
 def random_equivariant_field(n_grid, theta: TRSOperator, seed, bandwidth=2,
-                             scale=0.35, windings=(0, 0)):
+                             windings=(0, 0)):
     """Random equivariant torus field Theta(g(k)) = g(-k), with windings.
 
     Built as (equivariant normal form) * exp(Z) with Z an equivariantly
@@ -496,7 +494,7 @@ def random_equivariant_field(n_grid, theta: TRSOperator, seed, bandwidth=2,
     """
     dim = theta.dim
     ax = loop_axis(n_grid)
-    h = random_hermitian_field((ax, ax), dim, seed, bandwidth, scale)
+    h = random_hermitian_field((ax, ax), dim, seed, bandwidth)
     z = 1j * h
     # equivariant symmetrization: Z(k) <- (Z(k) + Theta(Z(-k))) / 2
     idx = reflect_index(n_grid)
@@ -554,39 +552,37 @@ def beta_integral(g: FieldGrid, h: FieldGrid):
     return float(np.real(total)), float(abs(np.imag(total)))
 
 
-def _action_of(fld: FieldGrid, ext: Optional[FieldGrid], tol, label):
+def _action_of(fld: FieldGrid, ext: Optional[FieldGrid], label):
     if ext is not None:
-        return wz_action_extension(ext, tol=tol).raw_action
+        return wz_action_extension(ext).raw_action
     if fld.abelian_diagonal:
         return 0.0
     raise NotAnExtension(f"field {label} ({fld.name}) needs an explicit extension "
                          "unless it is a marked diagonal normal form")
 
 
-def pw_functional(g: FieldGrid, h: FieldGrid, ext_g=None, ext_h=None, ext_gh=None,
-                  tol: Tolerances = DEFAULT_TOL):
+def pw_functional(g: FieldGrid, h: FieldGrid, ext_g=None, ext_h=None, ext_gh=None):
     """PW[g,h] = S[gh] - S[g] - S[h] - (1/4 pi) int (g x h)*alpha.
 
     Vanishes mod 2 pi for simply connected groups; for U(N) on the torus the
     normal-form value is -pi (n_g m_h - m_g n_h), an anomaly when odd.
     """
-    s_g = _action_of(g, ext_g, tol, "g")
-    s_h = _action_of(h, ext_h, tol, "h")
-    s_gh = _action_of(product_field(g, h), ext_gh, tol, "gh")
+    s_g = _action_of(g, ext_g, "g")
+    s_h = _action_of(h, ext_h, "h")
+    s_gh = _action_of(product_field(g, h), ext_gh, "gh")
     a_int, _ = alpha_integral(g, h)
     return s_gh - s_g - s_h - a_int / (4.0 * np.pi)
 
 
-def apw_functional(g: FieldGrid, h: FieldGrid, ext_ghg=None, ext_h=None,
-                   tol: Tolerances = DEFAULT_TOL):
+def apw_functional(g: FieldGrid, h: FieldGrid, ext_ghg=None, ext_h=None):
     """APW[g,h] = S[g h g^-1] - S[h] - (1/4 pi) int (g x h)*beta.
 
     Lands in 2 pi Z for any U(N) fields on the torus (no anomaly), and in
     4 pi Z when both fields are equivariant; normal forms give
     -2 pi (n_g m_h - m_g n_h) (doubled in the equivariant case).
     """
-    s_h = _action_of(h, ext_h, tol, "h")
-    s_ghg = _action_of(conjugated_field(g, h), ext_ghg, tol, "g h g^-1")
+    s_h = _action_of(h, ext_h, "h")
+    s_ghg = _action_of(conjugated_field(g, h), ext_ghg, "g h g^-1")
     b_int, _ = beta_integral(g, h)
     return s_ghg - s_h - b_int / (4.0 * np.pi)
 
@@ -609,8 +605,10 @@ def wz_derivative(g: FieldGrid, g_dot):
 
 # --------------------------------------------------- amplitudes of phi fields
 
-def psi_field_from(p0, n_t=16, n_k=N_LOOP):
-    """psi(t) = exp(2 pi i t P0), constant along the loop direction."""
+def psi_field_from(p0, n_k):
+    """psi(t) = exp(2 pi i t P0) on 16 t points, constant along the loop
+    direction."""
+    n_t = 16
     t_ax = unit_circle_axis(n_t)
     k_ax = loop_axis(n_k)
     eye = np.eye(p0.shape[0], dtype=complex)
@@ -622,8 +620,7 @@ def psi_field_from(p0, n_t=16, n_k=N_LOOP):
     return FieldGrid(axes=(t_ax, k_ax), samples=samples, derivs={0: dt}, name="psi")
 
 
-def wz_amplitude_phi(loop, n_grid=N_LOOP, substeps=4, n_t=16, method="reduced",
-                     tol: Tolerances = DEFAULT_TOL):
+def wz_amplitude_phi(loop, n_grid=N_LOOP, method="reduced"):
     """Wess-Zumino amplitude of phi(t,k) = exp(2 pi i t P(k)), and its square
     root for a time-reversal symmetric frame.
 
@@ -651,8 +648,7 @@ def wz_amplitude_phi(loop, n_grid=N_LOOP, substeps=4, n_t=16, method="reduced",
         modulus = 4.0 * np.pi
         meta = {"frame_loop_integral": loop.analytic_loop_integral}
     else:
-        trp = periodize(parallel_transport(loop, n_grid=n_grid, substeps=substeps,
-                                           tol=tol))
+        trp = periodize(parallel_transport(loop, n_grid=n_grid))
         w, dw = trp.w_samples[:-1], trp.w_derivatives[:-1]
         p0 = trp.p_samples[0]
         modulus = TWO_PI
@@ -665,11 +661,9 @@ def wz_amplitude_phi(loop, n_grid=N_LOOP, substeps=4, n_t=16, method="reduced",
         resid = float(abs(np.imag(s_val)))
         action = float(np.real(s_val))
     else:
-        w_field = FieldGrid(axes=(unit_circle_axis(n_t), loop_axis(n)),
-                            samples=np.broadcast_to(
-                                w[None], (n_t, n) + w.shape[-2:]).copy(),
-                            name="W")
-        psi = psi_field_from(p0, n_t=n_t, n_k=n)
+        psi = psi_field_from(p0, n)
+        w_field = FieldGrid(axes=psi.axes, name="W",
+                            samples=np.broadcast_to(w[None], psi.samples.shape).copy())
         b_int, resid = beta_integral(w_field, psi)
         action = b_int / (4.0 * np.pi)
     return WZValue(raw_action=action, modulus=modulus, quad_residual=resid,
@@ -732,22 +726,19 @@ class Z2Ingredients:
     wz: dict
     ebz_integral: float
     grid: tuple                   # (n_loop, n1, n2)
-    tol: Tolerances
 
 
 def z2_ingredients(family: ProjectorFamily, theta: TRSOperator, n_loop=N_LOOP,
-                   n1=N_2D // 2, n2=N_2D, substeps=4, tol: Tolerances = DEFAULT_TOL,
-                   rng=None):
+                   n1=N_2D // 2, n2=N_2D):
     """Build the boundary frames, their WZ values and the half-zone curvature
     shared by delta_invariant and kappa_invariant."""
     frames, values = {}, {}
     for label, k1 in (("T0", 0.0), ("Tpi", np.pi)):
-        frames[label] = build_trs_frame(family.loop(0, k1), theta, n_grid=n_loop,
-                                        substeps=substeps, tol=tol, rng=rng)
+        frames[label] = build_trs_frame(family.loop(0, k1), theta, n_grid=n_loop)
         values[label] = wz_amplitude_phi(frames[label])
     ebz = berry_curvature_ebz(family, n1=n1, n2=n2).integral()
     return Z2Ingredients(family=family, theta=theta, frames=frames, wz=values,
-                         ebz_integral=ebz, grid=(n_loop, n1, n2), tol=tol)
+                         ebz_integral=ebz, grid=(n_loop, n1, n2))
 
 
 def kappa_invariant(z2: Z2Ingredients, direct_grid=None):
@@ -776,4 +767,4 @@ def kappa_invariant(z2: Z2Ingredients, direct_grid=None):
         meta["phi3_discrepancy"] = abs(i3_direct - i3_reduced) / scale
         meta["phi3_imag"] = i3_imag
     raw = (sqrt_amps["Tpi"] / sqrt_amps["T0"]) * np.exp(1j * i3_reduced / (24.0 * np.pi))
-    return snap_sign("Kappa", raw, snap_tol=z2.tol.snap, meta=meta)
+    return snap_sign("Kappa", raw, meta=meta)

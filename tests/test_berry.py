@@ -50,19 +50,18 @@ def test_fd_and_analytic_connections_agree(km_topo):
 
 def test_berry_phase_oracle_cross_check(km_topo):
     frame = w_frame(km_topo, 0.0)
-    result = berry_phase(berry_connection(frame), cross_check=True)
+    result = berry_phase(berry_connection(frame))
     assert result.meta["oracle_discrepancy"] < 1e-5
 
 
 def test_gauge_invariance_of_berry_phase(km_topo):
     frame = w_frame(km_topo, 0.0, n=256)
-    reference = berry_phase(berry_connection(frame), cross_check=False).raw
+    reference = berry_phase(berry_connection(frame)).raw
     worst = 0.0
     for seed in range(50):
         gauge = random_gauge(frame.n, frame.rank, seed=seed)
         transformed = gauge_transform(frame, gauge)
-        val = berry_phase(berry_connection(transformed, method="spectral"),
-                          cross_check=False).raw
+        val = berry_phase(berry_connection(transformed, method="spectral")).raw
         worst = max(worst, abs(val - reference))
     assert worst < 1e-7
 

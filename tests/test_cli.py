@@ -83,6 +83,33 @@ def test_gap_closure_exit_code(capsys, tmp_path):
     assert all(isinstance(x, float) for x in payload["k"])
 
 
+def test_non_finite_model_entry_is_a_schema_error(capsys, tmp_path):
+    """A NaN or infinite matrix entry is refused when the file is loaded,
+    with the term that holds it, before any eigensolver sees it."""
+    for bad in (np.nan, np.inf):
+        onsite = np.diag([bad, -1.0, 1.0, -1.0]).astype(complex)
+        path = tmp_path / "bad.json"
+        save_model(path, BlochHamiltonianSpec(dim=4, terms=((onsite, np.array([0, 0])),),
+                                              name="bad"))
+        for command in ("chern", "fkm"):
+            code, _, err = run_cli(capsys, command, "--model-file", str(path),
+                                   "--grid", "32")
+            assert code == 4, (bad, command)
+            payload = json.loads(err.splitlines()[-1])
+            assert payload["error"] == "SchemaError"
+            assert payload["message"].startswith("terms[0].matrix:")
+
+
+def test_param_must_be_a_finite_number(capsys):
+    for value in ("nan", "inf", "-inf", "abc"):
+        code, _, err = run_cli(capsys, "fkm", "--model", "kane_mele",
+                               "--param", f"lambda_v={value}")
+        assert code == 4, value
+        payload = json.loads(err.splitlines()[-1])
+        assert payload["error"] == "BadConfig"
+        assert "lambda_v" in payload["message"]
+
+
 def test_unknown_model_exit_code(capsys):
     code, _, err = run_cli(capsys, "chern", "--model", "nonsense", "--grid", "32")
     assert code == 4

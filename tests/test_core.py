@@ -3,7 +3,6 @@ import pytest
 
 from topoinv import (berry, builtin_model, check_trs, lattice, make_projector_family,
                      symplectic_basis, transport)
-from topoinv.config import DEFAULT_TOL
 from topoinv.errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
 from topoinv.models import BlochHamiltonianSpec
 from topoinv import linalg
@@ -177,8 +176,7 @@ def test_each_point_set_is_diagonalized_once(monkeypatch, haldane_topo, km_topo,
     cases = (
         (lambda: berry.berry_curvature(haldane_topo, n_grid=16), 256),
         (lambda: berry.berry_curvature_ebz(km_topo, n1=8, n2=16), 144),
-        (lambda: transport._segment_transport(km_topo.loop(0, 0.0), 0.0, np.pi, 32, 4,
-                                              DEFAULT_TOL.drift), 257),
+        (lambda: transport._segment_transport(km_topo.loop(0, 0.0), 0.0, np.pi, 32, 4), 257),
         (lambda: lattice._trs_boundary_line(km_topo, theta4, 0.0, 32), 32),
     )
     for run, matrices in cases:
