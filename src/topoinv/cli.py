@@ -26,7 +26,7 @@ from . import berry, certify, lattice, wz
 from .config import N_2D, N_LOOP
 from .core import TRSOperator, check_trs, make_projector_family
 from .errors import (GapClosure, NotTRS, ParseError, SchemaError, TopoinvError,
-                     UnknownModel, UnsnappedError)
+                     UnknownModel, UnknownParameter, UnsnappedError)
 from .models import SweepJob, builtin_model, load_model, save_results
 
 EXIT_OK = 0
@@ -34,6 +34,8 @@ EXIT_CRITERION_FAILED = 1
 EXIT_PRECONDITION = 2
 EXIT_UNSNAPPED = 3
 EXIT_IO = 4
+
+INVARIANTS = ("chern", "delta", "kappa")
 
 
 @dataclass
@@ -114,11 +116,13 @@ def _invariant_payload(res):
 
 def cmd_chern(cfg: RunConfig):
     spec, fam = _family(cfg)
-    c = berry.chern_number(berry.berry_curvature(fam, n_grid=cfg.grid))
-    oracle = lattice.plaquette_chern(fam, n_grid=cfg.grid)
+    # each grid is read by consecutive consumers, so the family diagonalizes
+    # it once: the gap probe's 64^2 grid by U_P, the curvature's by the oracle
     ext = wz.up_extension(fam, n_t=cfg.grid_t, n1=min(cfg.grid, 64),
                           n2=min(cfg.grid, 64))
     action = wz.wz_action_extension(ext)
+    c = berry.chern_number(berry.berry_curvature(fam, n_grid=cfg.grid))
+    oracle = lattice.plaquette_chern(fam, n_grid=cfg.grid)
     target = (-1.0) ** c.snapped if c.snapped is not None else None
     wz_diff = abs(action.amplitude - target) if target is not None else None
     report = {
@@ -200,7 +204,7 @@ def _sweep_point(args):
     row["model"] = cfg.model
     try:
         fam = make_projector_family(builtin_model(cfg.model, params), fermi_level=0.0)
-        wants = cfg.invariants or ("chern", "delta", "kappa")
+        wants = cfg.invariants or INVARIANTS
         residuals = []
         if "chern" in wants:
             c = berry.chern_number(berry.berry_curvature(fam, n_grid=cfg.grid))
@@ -226,9 +230,11 @@ def _sweep_point(args):
 def cmd_sweep(cfg: RunConfig):
     if not cfg.sweeps:
         return _fail(EXIT_IO, "BadConfig", "at least one --sweep NAME START STOP COUNT is required")
-    job = SweepJob(ranges=cfg.sweeps, base_params=cfg.params)
+    points = SweepJob(ranges=cfg.sweeps, base_params=cfg.params).points()
+    # every row sets the same parameter names: check them before any row runs
+    builtin_model(cfg.model, points[0])
     cfg_dict = asdict(cfg)
-    args = [(cfg_dict, t) for t in job.points()]
+    args = [(cfg_dict, t) for t in points]
     if cfg.workers > 1:
         with multiprocessing.Pool(cfg.workers) as pool:
             rows = pool.map(_sweep_point, args)
@@ -237,7 +243,7 @@ def cmd_sweep(cfg: RunConfig):
     sidecar_config = {"command": "sweep", "model": cfg.model,
                       "base_params": cfg.params, "sweeps": list(cfg.sweeps),
                       "grid": cfg.grid, "loop_grid": cfg.loop_grid,
-                      "invariants": list(cfg.invariants)}
+                      "invariants": list(cfg.invariants or INVARIANTS)}
     if cfg.out:
         save_results(cfg.out, rows, config=sidecar_config)
         print(f"wrote {cfg.out} ({len(rows)} rows)")
@@ -353,7 +359,7 @@ def main(argv=None):
         return _fail(EXIT_PRECONDITION, "NotTRS", str(exc))
     except UnsnappedError as exc:
         return _fail(EXIT_UNSNAPPED, "Unsnapped", str(exc))
-    except (UnknownModel, ParseError, SchemaError) as exc:
+    except (UnknownModel, UnknownParameter, ParseError, SchemaError) as exc:
         return _fail(EXIT_IO, type(exc).__name__, str(exc))
     except ValueError as exc:
         return _fail(EXIT_IO, "BadConfig", str(exc))

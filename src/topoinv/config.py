@@ -15,7 +15,6 @@ class Tolerances:
     periodicity: float = 1e-10      # ||P(k) - P(k + 2*pi e_i)||
     trs: float = 1e-8               # ||P(-k) - Theta(P(k))||
     pairing: float = 1e-10          # Kramers pairing residual of a symplectic basis
-    unitary: float = 1e-9           # transported/trivializing unitaries
     frame_span: float = 1e-8        # ||P - E E*||
     frame_orthonormal: float = 1e-9
     gap_threshold: float = 1e-6     # minimal spectral gap at the Fermi level

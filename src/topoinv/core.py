@@ -4,7 +4,10 @@ time-reversal structure acting on them.
 A ProjectorFamily is the occupied-band projector P(k) of a Bloch
 Hamiltonian H(k), on the torus or on a line through it. One eigensystem of H
 per set of points gives P and, through `derivative`, its derivatives exactly
-from dH by perturbation theory, so no caller diagonalizes H twice. The
+from dH by perturbation theory. The family remembers the eigensystem of the
+last point set it diagonalized (its gap probe, to begin with), so consumers
+that read the same grid one after another, such as the curvature and the
+lattice oracle of one request, diagonalize H on that grid once. The
 TRSOperator is the antiunitary theta = J K
 (K = complex conjugation) with theta^2 = -1 in the working basis.
 """
@@ -54,6 +57,11 @@ class ProjectorFamily:
     every evaluation checks that the `rank` occupied bands stay separated
     from the empty ones by more than DEFAULT_TOL.gap_threshold. With `line` =
     (origin, direction) the family is the loop s -> P(origin + s direction).
+
+    The eigensystem (w, v, occ) of the last point set is kept, keyed by the
+    bytes of the points, so sampling the same points again diagonalizes
+    nothing; P itself is formed afresh on every call and never kept. A
+    restricted family starts with nothing kept.
     """
 
     spec: BlochHamiltonianSpec
@@ -61,6 +69,7 @@ class ProjectorFamily:
     fermi_level: float = 0.0
     line: Optional[tuple] = None  # ((o1, o2), (d1, d2))
     name: str = ""
+    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ambient_dim(self):
@@ -74,12 +83,20 @@ class ProjectorFamily:
         return self.sample(k)
 
     def _eigensystem(self, ks):
-        """The torus points of ks and the eigensystem (w, v, occ) there."""
-        k = np.asarray(ks, dtype=float)
+        """The torus points of ks and the eigensystem (w, v, occ) there,
+        diagonalized only when ks differs from the last point set."""
+        ks = np.asarray(ks, dtype=float)
+        k = ks
         if self.line is not None:
             origin, direction = np.asarray(self.line)
-            k = origin + k[..., None] * direction
-        return (k,) + _gap_checked_eigh(self.spec, k, self.fermi_level, rank=self.rank)
+            k = origin + ks[..., None] * direction
+        key = (ks.shape, ks.tobytes())
+        eigensystem = self._last.get(key)
+        if eigensystem is None:
+            eigensystem = _gap_checked_eigh(self.spec, k, self.fermi_level, rank=self.rank)
+            self._last.clear()
+            self._last[key] = eigensystem
+        return (k,) + eigensystem
 
     def sample(self, ks):
         """Evaluate P on an array of k-points: (..., 2) on the torus and (...)
@@ -204,13 +221,18 @@ def make_projector_family(spec, fermi_level=0.0):
 
     Returns
     -------
-    ProjectorFamily on the torus, with rank fixed by the gap condition.
+    ProjectorFamily on the torus, with rank fixed by the gap condition; it
+    keeps the probe grid's eigensystem, so a consumer sampling that grid
+    next diagonalizes nothing.
     """
     ax = loop_axis(64)
     k1, k2 = np.meshgrid(ax.points, ax.points, indexing="ij")
-    _, _, occ = _gap_checked_eigh(spec, np.stack([k1, k2], axis=-1), fermi_level)
-    return ProjectorFamily(spec=spec, rank=int(occ[0, 0].sum()), fermi_level=fermi_level,
-                           name=spec.name)
+    ks = np.stack([k1, k2], axis=-1)
+    eigensystem = _gap_checked_eigh(spec, ks, fermi_level)
+    family = ProjectorFamily(spec=spec, rank=int(eigensystem[2][0, 0].sum()),
+                             fermi_level=fermi_level, name=spec.name)
+    family._last[(ks.shape, ks.tobytes())] = eigensystem
+    return family
 
 
 def check_trs(family: ProjectorFamily, theta: TRSOperator, n_grid=64):

@@ -95,6 +95,15 @@ class MissingParameter(TopoinvError):
     pass
 
 
+class UnknownParameter(TopoinvError):
+    """A parameter name the model does not have; lists the valid ones."""
+
+    def __init__(self, model, name, valid):
+        self.name = name
+        self.valid = list(valid)
+        super().__init__(f"{model} has no parameter {name!r}; valid: {self.valid}")
+
+
 class ParseError(TopoinvError):
     """Model file is not valid JSON; carries line/column from the decoder."""
 

@@ -11,14 +11,14 @@ boundary link sums are exactly integer multiples of 2 pi by construction.
 import numpy as np
 
 from .core import ProjectorFamily, TRSOperator
-from .grids import loop_axis
+from .grids import ebz_axis, loop_axis
 from .results import snap_integer
 
 TWO_PI = 2.0 * np.pi
 
 
-def _frames_on(family, ks):
-    p = family.sample(ks)
+def _frames(p):
+    """Occupied frames of the projectors p, from their own eigendecomposition."""
     w, v = np.linalg.eigh(p)
     occ = w > 0.5
     m = int(occ[(0,) * (occ.ndim - 1)].sum())
@@ -40,7 +40,7 @@ def plaquette_chern(family: ProjectorFamily, n_grid=64):
     """
     ax = loop_axis(n_grid)
     k1, k2 = np.meshgrid(ax.points, ax.points, indexing="ij")
-    frames = _frames_on(family, np.stack([k1, k2], axis=-1))
+    frames = _frames(family.sample(np.stack([k1, k2], axis=-1)))
     right = np.roll(frames, -1, axis=0)
     up = np.roll(frames, -1, axis=1)
     diag = np.roll(right, -1, axis=1)
@@ -75,20 +75,19 @@ def _kramers_pairs(p, theta: TRSOperator):
     return np.column_stack(cols)
 
 
-def _trs_boundary_line(family, theta: TRSOperator, k1, n2):
-    """Frames along the loop {k1} x T with the Kramers constraint:
-    fixed points carry paired frames, negative k2 carries the reflection
-    of positive k2, so P is sampled only at k2 = -pi and on [0, pi)."""
-    ax = loop_axis(n2)
+def _trs_boundary_line(p, theta: TRSOperator):
+    """Frames along a time-reversal invariant loop {k1} x T from P on its
+    loop_axis grid, with the Kramers constraint: fixed points carry paired
+    frames, negative k2 carries the reflection of positive k2, so P is read
+    only at k2 = -pi and on [0, pi)."""
+    n2 = len(p)
     half = n2 // 2
-    dim = family.ambient_dim
-    k2 = ax.points[np.r_[0, half:n2]]
-    p = family.sample(np.stack([np.full(half + 1, k1), k2], axis=-1))
-    m = family.rank
-    frames = np.empty((n2, dim, m), dtype=complex)
-    frames[0] = _kramers_pairs(p[0], theta)       # k2 = -pi
-    frames[half] = _kramers_pairs(p[1], theta)    # k2 = 0
-    _, v = np.linalg.eigh(p[2:])                  # 0 < k2 < pi
+    start = _kramers_pairs(p[0], theta)           # k2 = -pi
+    m = start.shape[1]
+    frames = np.empty((n2,) + start.shape, dtype=complex)
+    frames[0] = start
+    frames[half] = _kramers_pairs(p[half], theta)  # k2 = 0
+    _, v = np.linalg.eigh(p[half + 1:])           # 0 < k2 < pi
     frames[half + 1:] = v[..., -m:]
     jm = np.zeros((m, m))
     for b in range(m // 2):
@@ -105,16 +104,16 @@ def lattice_z2(family: ProjectorFamily, theta: TRSOperator, n1=32, n2=64):
     (Kramers pairs at the fixed momenta, reflection elsewhere); interior
     frames are free. The directed boundary link sums minus the plaquette
     fluxes are an exact multiple of 2 pi; half of that, mod 2, is the
-    invariant.
+    invariant. P is sampled once on the half-zone grid, the grid of
+    berry.berry_curvature_ebz.
     """
-    ax2 = loop_axis(n2)
-    k1_lines = np.linspace(0.0, np.pi, n1 + 1)
+    k1, k2 = np.meshgrid(ebz_axis(n1).points, loop_axis(n2).points, indexing="ij")
+    p = family.sample(np.stack([k1, k2], axis=-1))
     dim, m = family.ambient_dim, family.rank
     frames = np.empty((n1 + 1, n2, dim, m), dtype=complex)
-    frames[0] = _trs_boundary_line(family, theta, 0.0, n2)
-    frames[-1] = _trs_boundary_line(family, theta, np.pi, n2)
-    k1, k2 = np.meshgrid(k1_lines[1:-1], ax2.points, indexing="ij")
-    frames[1:-1] = _frames_on(family, np.stack([k1, k2], axis=-1))
+    frames[0] = _trs_boundary_line(p[0], theta)
+    frames[-1] = _trs_boundary_line(p[-1], theta)
+    frames[1:-1] = _frames(p[1:-1])
 
     up = np.roll(frames, -1, axis=1)                       # +k2 neighbour
     link2 = _link_phase(frames, up)                        # (n1+1, n2)
@@ -140,7 +139,7 @@ def overlap_berry_phase(loop_family: ProjectorFamily, n_grid=1024):
     """
     def total_phase(n):
         ks = loop_axis(n).points
-        frames = _frames_on(loop_family, ks)
+        frames = _frames(loop_family.sample(ks))
         nxt = np.roll(frames, -1, axis=0)
         return float(np.sum(_link_phase(frames, nxt)))
 

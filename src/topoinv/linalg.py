@@ -1,8 +1,8 @@
-"""Dense complex linear algebra helpers: predicates, polar projection,
+"""Dense complex linear algebra helpers: residuals, polar projection,
 unitary logarithms, and Kramers-paired (symplectic) bases.
 
-All matrices are plain complex numpy arrays; the predicates return the
-measured residual so callers can report it.
+All matrices are plain complex numpy arrays; the residual functions return
+the measured defect so callers can compare and report it.
 """
 
 import numpy as np
@@ -34,18 +34,6 @@ def hermiticity_residual(h):
 def projector_residual(p):
     """||P^2 - P|| + ||P - P*||, the combined projector defect."""
     return frob(p @ p - p) + hermiticity_residual(p)
-
-
-def is_unitary(u):
-    return bool(np.all(unitarity_residual(u) <= DEFAULT_TOL.unitary))
-
-
-def is_hermitian(h):
-    return bool(np.all(hermiticity_residual(h) <= DEFAULT_TOL.projector))
-
-
-def is_projector(p):
-    return bool(np.all(projector_residual(p) <= DEFAULT_TOL.projector))
 
 
 def polar_project(a):

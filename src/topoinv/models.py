@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingParameter, ParseError, SchemaError, UnknownModel
+from .errors import MissingParameter, ParseError, SchemaError, UnknownModel, UnknownParameter
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -220,13 +220,17 @@ _DEFAULTS = {
 def builtin_model(name, params=None):
     """One of the standard models: haldane, kane_mele, bhz, flat_two_band.
 
-    Missing parameters fall back to the model defaults; unknown names raise
-    UnknownModel. The returned spec always satisfies the Hermitian pairing
+    Missing parameters fall back to the model defaults; an unknown model
+    raises UnknownModel and a parameter the model does not have raises
+    UnknownParameter. The returned spec always satisfies the Hermitian pairing
     invariant; kane_mele and bhz are time-reversal symmetric.
     """
     if name not in _DEFAULTS:
         raise UnknownModel(f"unknown model {name!r}; known: {sorted(_DEFAULTS)}")
     p = dict(_DEFAULTS[name])
+    for key in params or {}:
+        if key not in p:
+            raise UnknownParameter(name, key, sorted(p))
     p.update(params or {})
     if name == "haldane":
         t1, t2, phi, m = _require(p, ["t1", "t2", "phi", "m"], name)

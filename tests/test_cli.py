@@ -154,9 +154,47 @@ def test_sweep_deterministic_and_records_failures(capsys, tmp_path):
     assert lines[0].startswith("model,lambda_so,lambda_v,")
     sidecar = json.loads((tmp_path / "a.csv.json").read_text())
     assert sidecar["grid"] == 32
+    assert sidecar["invariants"] == ["delta"]
     # phase boundary sits inside the swept range: both values must appear
     deltas = [line.split(",")[4] for line in lines[1:]]
     assert "1" in deltas and "0" in deltas
+
+
+def test_sweep_records_default_invariants(capsys, tmp_path):
+    """Without --invariants a sweep computes chern, delta and kappa, and its
+    sidecar says so."""
+    out = tmp_path / "a.csv"
+    assert run_cli(capsys, "sweep", "--model", "kane_mele", "--sweep", "lambda_v", "0.4", "0.4", "1",
+                   "--grid", "32", "--loop-grid", "64", "--workers", "1", "--out", str(out))[0] == 0
+    header, row = out.read_text().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert (values["chern"], values["delta"], values["kappa"]) == ("0", "1", "-1")
+    sidecar = json.loads((tmp_path / "a.csv.json").read_text())
+    assert sidecar["invariants"] == ["chern", "delta", "kappa"]
+
+
+def test_unknown_parameter_exit_code(capsys, tmp_path):
+    """A misspelled parameter is bad input (exit 4) naming it and the valid
+    names; a sweep refuses it before any row runs."""
+    out = tmp_path / "a.csv"
+    cases = (
+        ("lamda_v", ["fkm", "--model", "kane_mele", "--param", "lamda_v=2.0"]),
+        ("lambda_v", ["chern", "--model", "haldane", "--param", "lambda_v=0.1", "--grid", "32"]),
+        ("lamda_v", ["sweep", "--model", "kane_mele", "--param", "lamda_v=2.0",
+                     "--sweep", "lambda_so", "0.2", "0.3", "2", "--workers", "1",
+                     "--out", str(out)]),
+        ("lamda_v", ["sweep", "--model", "kane_mele", "--sweep", "lamda_v", "0.0", "2.4", "3",
+                     "--workers", "1", "--out", str(out)]),
+    )
+    for bad, argv in cases:
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 4, argv
+        payload = json.loads(err.splitlines()[-1])
+        assert payload["error"] == "UnknownParameter"
+        assert repr(bad) in payload["message"]
+        assert "valid: [" in payload["message"]
+        assert stdout == ""
+    assert not out.exists()
 
 
 def test_sweep_requires_range(capsys):

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from topoinv import (berry, builtin_model, check_trs, lattice, make_projector_family,
+from topoinv import (berry, builtin_model, check_trs, cli, lattice, make_projector_family,
                      symplectic_basis, transport)
 from topoinv.errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
+from topoinv.grids import loop_axis
 from topoinv.models import BlochHamiltonianSpec
 from topoinv import linalg
 
@@ -161,10 +164,8 @@ def test_analytic_derivative_matches_finite_differences_with_rashba():
     assert np.max(np.abs(d_line - fd)) < 1e-10
 
 
-def test_each_point_set_is_diagonalized_once(monkeypatch, haldane_topo, km_topo, theta4):
-    """P and dP come from one eigh per point: the curvature and transport
-    paths diagonalize each Hamiltonian once, and the lattice boundary line
-    samples P only where its Kramers reflection does not overwrite it."""
+def _count_eigh(monkeypatch):
+    """Patch numpy's eigh to count the matrices it diagonalizes."""
     original = np.linalg.eigh
     count = [0]
 
@@ -173,13 +174,89 @@ def test_each_point_set_is_diagonalized_once(monkeypatch, haldane_topo, km_topo,
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    return count
+
+
+def test_each_point_set_is_diagonalized_once(monkeypatch, haldane_topo, km_topo, theta4):
+    """P and dP come from one eigh per point: the curvature and transport
+    paths diagonalize each Hamiltonian once, and the lattice boundary line
+    diagonalizes P only where its Kramers reflection does not overwrite it.
+    Each case runs on a copy of its family, which keeps no eigensystem."""
+    haldane, km = replace(haldane_topo), replace(km_topo)
+    row = km.sample(np.stack([np.zeros(32), loop_axis(32).points], axis=-1))
+    count = _count_eigh(monkeypatch)
     cases = (
-        (lambda: berry.berry_curvature(haldane_topo, n_grid=16), 256),
-        (lambda: berry.berry_curvature_ebz(km_topo, n1=8, n2=16), 144),
-        (lambda: transport._segment_transport(km_topo.loop(0, 0.0), 0.0, np.pi, 32, 4), 257),
-        (lambda: lattice._trs_boundary_line(km_topo, theta4, 0.0, 32), 32),
+        (lambda: berry.berry_curvature(haldane, n_grid=16), 256),
+        (lambda: berry.berry_curvature_ebz(km, n1=8, n2=16), 144),
+        (lambda: transport._segment_transport(km.loop(0, 0.0), 0.0, np.pi, 32, 4), 257),
+        (lambda: lattice._trs_boundary_line(row, theta4), 15),
     )
     for run, matrices in cases:
         count[0] = 0
         run()
         assert count[0] == matrices, (count[0], matrices)
+
+
+def test_family_keeps_the_last_eigensystem(monkeypatch, km_topo):
+    """Sampling the last point set again diagonalizes nothing, any other set
+    replaces it, and a new family starts with its gap probe's grid."""
+    ax = loop_axis(64)
+    probe = np.stack(np.meshgrid(ax.points, ax.points, indexing="ij"), axis=-1)
+    fam = make_projector_family(km_topo.spec, 0.0)
+    ks = np.stack(np.meshgrid(ax.points[:8], ax.points[:4], indexing="ij"), axis=-1)
+    count = _count_eigh(monkeypatch)
+    fam.sample(probe)
+    assert count[0] == 0
+    fam.sample(ks)
+    fam.derivative(ks, (0, 1))
+    assert count[0] == 32
+    assert np.array_equal(fam.sample(ks + 0.1), replace(fam).sample(ks + 0.1))
+    assert count[0] == 32 + 2 * 32
+    fam.sample(probe)
+    assert count[0] == 32 + 2 * 32 + 64 * 64
+
+
+def test_kept_eigensystem_changes_no_output(haldane_topo, km_topo, theta4):
+    """The oracles read the grid the curvature just diagonalized and give
+    exactly what a family that keeps nothing gives; writing into a returned
+    P changes no later sample; loop families keep their own eigensystem."""
+    fam = replace(haldane_topo)
+    berry.berry_curvature(fam, n_grid=32)
+    kept, fresh = lattice.plaquette_chern(fam, 32), lattice.plaquette_chern(replace(fam), 32)
+    assert (kept.raw, kept.meta) == (fresh.raw, fresh.meta)
+    fam = replace(km_topo)
+    berry.berry_curvature_ebz(fam, n1=16, n2=32)
+    kept = lattice.lattice_z2(fam, theta4, n1=16, n2=32)
+    fresh = lattice.lattice_z2(replace(fam), theta4, n1=16, n2=32)
+    assert (kept.raw, kept.meta) == (fresh.raw, fresh.meta)
+
+    ks = np.stack(np.meshgrid(loop_axis(8).points, loop_axis(8).points,
+                              indexing="ij"), axis=-1)
+    reference = replace(fam).sample(ks)
+    fam.sample(ks)[...] = 0.0
+    fam.derivative(ks, 0)[0][...] = 0.0
+    assert np.array_equal(fam.sample(ks), reference)
+
+    s = loop_axis(16).points
+    at_zero, at_pi = fam.loop(0, 0.0), fam.loop(0, np.pi)
+    assert len({id(f._last) for f in (fam, at_zero, at_pi)}) == 3
+    at_zero.sample(s)
+    assert np.array_equal(at_pi.sample(s), replace(at_pi).sample(s))
+    assert not np.allclose(at_pi.sample(s), at_zero.sample(s))
+
+
+@pytest.mark.parametrize("argv,matrices", [
+    (["chern", "--model", "haldane", "--param", "m=0.6"], 36_864),
+    (["fkm", "--model", "kane_mele", "--param", "lambda_so=0.3",
+      "--param", "lambda_v=1.44"], 23_172),
+])
+def test_request_eigh_counts(monkeypatch, capsys, argv, matrices):
+    """Matrices diagonalized by one request at the default grids: a chern
+    request diagonalizes its 64^2 probe and 128^2 curvature grids once each
+    (plus the plaquette oracle's own eigh of P), an fkm request its probe
+    grid once and its half-zone grid once for the curvature and the lattice
+    oracle (plus its transports and the oracle's eigh of P)."""
+    count = _count_eigh(monkeypatch)
+    assert cli.main(argv + ["--json"]) == 0
+    capsys.readouterr()
+    assert count[0] == matrices

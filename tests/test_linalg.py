@@ -12,15 +12,16 @@ def random_unitary(n, seed):
     return q
 
 
-def test_predicates():
+def test_residuals():
     u = random_unitary(4, 0)
-    assert linalg.is_unitary(u)
-    assert not linalg.is_unitary(1.01 * u)
+    assert linalg.unitarity_residual(u) < 1e-14
+    assert linalg.unitarity_residual(1.01 * u) > 1e-2
     h = u + linalg.dagger(u)
-    assert linalg.is_hermitian(h)
+    assert linalg.hermiticity_residual(h) < 1e-14
+    assert linalg.hermiticity_residual(u) > 1e-2
     p = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    assert linalg.is_projector(p)
-    assert not linalg.is_projector(1.1 * p)
+    assert linalg.projector_residual(p) == 0.0
+    assert linalg.projector_residual(1.1 * p) > 1e-2
 
 
 def test_polar_project_recovers_unitary():

@@ -5,7 +5,8 @@ import pytest
 
 from topoinv import builtin_model, load_model, make_projector_family, save_model
 from topoinv.core import TRSOperator, check_trs
-from topoinv.errors import MissingParameter, ParseError, SchemaError, UnknownModel
+from topoinv.errors import (MissingParameter, ParseError, SchemaError, UnknownModel,
+                            UnknownParameter)
 from topoinv.models import save_results
 
 
@@ -23,6 +24,18 @@ def test_unknown_model_and_missing_parameter():
     from topoinv import models
     with pytest.raises(MissingParameter):
         models._require({"t1": 1.0}, ["t1", "t2"], "haldane")
+
+
+@pytest.mark.parametrize("name,bad", [("kane_mele", "lamda_v"), ("haldane", "lambda_v"),
+                                      ("flat_two_band", "m")])
+def test_unknown_parameter_is_refused(name, bad):
+    """A name the model does not have is an error naming it and the valid
+    ones, never a silently ignored setting."""
+    with pytest.raises(UnknownParameter) as err:
+        builtin_model(name, {bad: 2.0})
+    assert err.value.name == bad
+    assert err.value.valid == sorted(builtin_model(name).parameters)
+    assert repr(bad) in str(err.value)
 
 
 @pytest.mark.parametrize("name,params", [
