@@ -14,19 +14,18 @@ import numpy as np
 
 from topoinv import (berry_connection, berry_phase, build_frame, builtin_model,
                      make_projector_family, overlap_berry_phase,
-                     parallel_transport, periodize, wilson_holonomy,
+                     parallel_transport, wilson_holonomy,
                      wz_amplitude_phi)
 
 family = make_projector_family(builtin_model("flat_two_band"), fermi_level=0.0)
 loop = family.loop(1, 0.0)   # fix k2, walk the k1 circle
 
-print("transporting the lower band around the loop ...")
-tr = periodize(parallel_transport(loop, n_grid=256, substeps=4))
+print("transporting the lower band around the loop, with its periodic trivialization W ...")
+tr = parallel_transport(loop, n_grid=256, substeps=4)
 print(f"  intertwining residual : {tr.intertwine_residual:.2e}")
 print(f"  W periodicity residual: {tr.w_periodicity:.2e}")
 
-w, v = np.linalg.eigh(tr.p_samples[0])
-frame = build_frame(tr, v[:, w > 0.5])
+frame = build_frame(tr)   # e_a(k) = W(k) e_a(k0), e_a(k0) the eigenbasis of P(k0)
 conn = berry_connection(frame)
 phase = berry_phase(conn)
 print(f"\n1. frame connection:   loop integral of A = {conn.loop_integral:+.12f}"

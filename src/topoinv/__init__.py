@@ -12,7 +12,7 @@ from .core import (ProjectorFamily, TRSOperator, check_trs,
                    make_projector_family, symplectic_basis)
 from .models import BlochHamiltonianSpec, builtin_model, load_model, save_model, save_results
 from .transport import (BlochFrame, TransportResult, build_frame, build_trs_frame,
-                        parallel_transport, periodize, wilson_holonomy)
+                        parallel_transport, wilson_holonomy)
 from .berry import (berry_connection, berry_curvature, berry_curvature_ebz,
                     berry_phase, berry_phase_sqrt, chern_number, delta_invariant,
                     gauge_transform, random_gauge, random_trs_gauge)
@@ -33,7 +33,7 @@ __all__ = [
     "build_frame", "build_trs_frame", "builtin_model", "check_trs",
     "chern_number", "delta_invariant", "gauge_transform", "kappa_invariant",
     "lattice_z2", "load_model", "make_projector_family", "normal_form_field",
-    "overlap_berry_phase", "parallel_transport", "periodize", "plaquette_chern",
+    "overlap_berry_phase", "parallel_transport", "plaquette_chern",
     "pw_functional", "random_gauge", "random_trs_gauge", "save_model",
     "save_results", "symplectic_basis", "up_extension", "wilson_holonomy",
     "winding", "winding_pair", "wz_action_extension", "wz_amplitude_phi",

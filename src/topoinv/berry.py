@@ -22,8 +22,8 @@ from .grids import (Axis, ebz_axis, integrate_grid, loop_axis, reflect_index,
                     spectral_derivative)
 from .results import snap_integer, snap_unit
 # build_trs_frame stays bound here: perfbench/selfcheck.py checks this binding
-from .transport import (BlochFrame, _segment_transport, build_trs_frame,  # noqa: F401
-                        smooth_ramp, smooth_ramp_derivative)
+from .transport import (BlochFrame, _occupied_basis, _segment_transport,  # noqa: F401
+                        build_trs_frame, smooth_ramp, smooth_ramp_derivative)
 
 TWO_PI = 2.0 * np.pi
 
@@ -302,7 +302,7 @@ def random_trs_gauge(n_points, m, seed, scale=0.4, winding=None):
     if winding is None:
         winding = int(rng.integers(-2, 3))
     jm = linalg.symplectic_blocks(m)
-    s0 = scipy.linalg.expm(_sp_algebra_element(rng, m, scale))
+    s0 = linalg.expi_hermitian(-1j * _sp_algebra_element(rng, m, scale))
     big_s = _sp_algebra_element(rng, m, scale)
     h1 = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     h1 = scale * 0.5 * (h1 + h1.conj().T)
@@ -314,10 +314,9 @@ def random_trs_gauge(n_points, m, seed, scale=0.4, winding=None):
     k = np.append(ks[half:], np.pi)             # [0, pi]
     x = k / np.pi
     col = lambda a: a[:, None, None]
-    f1 = scipy.linalg.expm(col(smooth_ramp(x)) * big_s)
-    f2 = scipy.linalg.expm(col(_bump(x) * 1j) * h1)
-    prof3 = _bump(x) * np.sin(2 * np.pi * x)
-    f3 = scipy.linalg.expm(col(prof3 * 1j) * h2)
+    f1 = linalg.expi_hermitian(-1j * big_s, smooth_ramp(x))
+    f2 = linalg.expi_hermitian(h1, _bump(x))
+    f3 = linalg.expi_hermitian(h2, _bump(x) * np.sin(2 * np.pi * x))
     wind = np.tile(np.eye(m, dtype=complex), (half + 1, 1, 1))
     wind[:, 0, 0] = wind[:, 1, 1] = np.exp(1j * winding * k)
     rest = s0 @ f1 @ f2 @ f3
@@ -361,9 +360,7 @@ def holonomy_flux_check(family: ProjectorFamily, corner, widths, n_edge=256):
         edge = family.restrict(start, stop - start, f"{family.name}[edge {i}]")
         _, t, _, _, _, _ = _segment_transport(edge, 0.0, 1.0, n_edge)
         t_loop = t[-1] @ t_loop
-    p0 = family(corners[0])
-    w, v = np.linalg.eigh(p0)
-    b = v[:, w > 0.5]
+    b = _occupied_basis(family(corners[0]))
     hol = linalg.dagger(b) @ t_loop @ b
     boundary_phase = float(np.angle(np.linalg.det(hol)))
     ax1 = Axis("k1", a1, w1, n_edge, periodic=False)

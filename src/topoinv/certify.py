@@ -80,6 +80,15 @@ def criterion_1_wz_chern(scale=1.0):
                            passed, 1e-5, worst, time.time() - t0, details)
 
 
+def _amplitude_vs_berry(loop, n, substeps=4):
+    """|WZ amplitude of phi (beta route) - Berry phase of the transport frame|."""
+    amp = wz.wz_amplitude_phi(loop, n_grid=n, method="beta").amplitude
+    frame = transport.build_frame(transport.parallel_transport(loop, n_grid=n,
+                                                               substeps=substeps))
+    bp = berry.berry_phase(berry.berry_connection(frame, method="spectral"))
+    return abs(amp - bp.raw)
+
+
 def criterion_2_amplitude_equals_berry(scale=1.0):
     """WZ amplitude of phi equals the Berry phase on both boundary loops for
     haldane, kane_mele, flat_two_band at loop grid 256."""
@@ -92,13 +101,7 @@ def criterion_2_amplitude_equals_berry(scale=1.0):
     details = {}
     for label, fam in cases:
         for loop_label, k1 in (("T0", 0.0), ("Tpi", np.pi)):
-            loop = fam.loop(0, k1)
-            amp = wz.wz_amplitude_phi(loop, n_grid=n, method="beta").amplitude
-            trp = transport.periodize(transport.parallel_transport(loop, n_grid=n))
-            w, v = np.linalg.eigh(trp.p_samples[0])
-            frame = transport.build_frame(trp, v[:, w > 0.5])
-            bp = berry.berry_phase(berry.berry_connection(frame, method="spectral"))
-            diff = abs(amp - bp.raw)
+            diff = _amplitude_vs_berry(fam.loop(0, k1), n)
             details[f"{label}/{loop_label}"] = diff
             worst = max(worst, diff)
     return CriterionResult(2, "WZ amplitude of phi equals the Berry phase",
@@ -354,17 +357,9 @@ def criterion_11_convergence(scale=1.0):
 
     probes["chern"] = (chern_resid(8), chern_resid(16))
 
-    def amp_diff(n):
-        loop = fam_km.loop(0, 0.0)
-        amp = wz.wz_amplitude_phi(loop, n_grid=n, method="beta").amplitude
-        trp = transport.periodize(transport.parallel_transport(loop, n_grid=n,
-                                                               substeps=2))
-        w, v = np.linalg.eigh(trp.p_samples[0])
-        frame = transport.build_frame(trp, v[:, w > 0.5])
-        bp = berry.berry_phase(berry.berry_connection(frame, method="spectral"))
-        return abs(amp - bp.raw)
-
-    probes["amplitude_vs_berry"] = (amp_diff(16), amp_diff(32))
+    loop_km = fam_km.loop(0, 0.0)
+    probes["amplitude_vs_berry"] = tuple(_amplitude_vs_berry(loop_km, n, substeps=2)
+                                         for n in (16, 32))
 
     def up_diff(n):
         c = berry.chern_number(berry.berry_curvature(fam_h, n_grid=32)).require_snapped()

@@ -58,6 +58,12 @@ class RunConfig:
                          ("--loop-grid", self.loop_grid)):
             if n < 16 or n > 1024 or (n & (n - 1)) != 0:
                 raise ValueError(f"{label} must be a power of two in [16, 1024], got {n}")
+        unknown = [x for x in self.invariants if x not in INVARIANTS]
+        if unknown:
+            raise ValueError(f"unknown --invariants {unknown}; choose among "
+                             f"{', '.join(INVARIANTS)}")
+        if self.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {self.workers}")
         if self.command == "certify":
             return
         if self.model and self.model_file:

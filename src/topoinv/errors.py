@@ -91,10 +91,6 @@ class UnknownModel(TopoinvError):
     pass
 
 
-class MissingParameter(TopoinvError):
-    pass
-
-
 class UnknownParameter(TopoinvError):
     """A parameter name the model does not have; lists the valid ones."""
 

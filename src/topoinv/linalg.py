@@ -42,10 +42,14 @@ def polar_project(a):
     return u @ vh
 
 
-def expi_hermitian(h):
-    """exp(i*H) for Hermitian H, via eigendecomposition (exactly unitary)."""
+def expi_hermitian(h, s=1.0):
+    """exp(i*s*H) for Hermitian H from one eigendecomposition (exactly unitary).
+
+    Either a batch of H at one ray parameter s, or one H along an array of
+    s, which then leads the result: (len(s), N, N).
+    """
     w, v = np.linalg.eigh(h)
-    phase = np.exp(1j * w)
+    phase = np.exp(1j * np.multiply.outer(s, w))
     return (v * phase[..., None, :]) @ dagger(v)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingParameter, ParseError, SchemaError, UnknownModel, UnknownParameter
+from .errors import ParseError, SchemaError, UnknownModel, UnknownParameter
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -94,13 +94,6 @@ def _validate_hermitian_pairing(terms, where="terms"):
         if np.max(np.abs(partner - m.conj().T)) > 1e-12:
             raise SchemaError(f"{where}[({v0},{v1})]",
                               "partner term is not the conjugate transpose")
-
-
-def _require(params, names, model):
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise MissingParameter(f"{model} needs parameters {missing}")
-    return [float(params[n]) for n in names]
 
 
 def _haldane_terms(t1, t2, phi, m):
@@ -233,13 +226,14 @@ def builtin_model(name, params=None):
             raise UnknownParameter(name, key, sorted(p))
     p.update(params or {})
     if name == "haldane":
-        t1, t2, phi, m = _require(p, ["t1", "t2", "phi", "m"], name)
+        t1, t2, phi, m = (float(p[n]) for n in ("t1", "t2", "phi", "m"))
         terms, dim = _haldane_terms(t1, t2, phi, m), 2
     elif name == "kane_mele":
-        t, lso, lv, lr = _require(p, ["t", "lambda_so", "lambda_v", "lambda_r"], name)
+        t, lso, lv, lr = (float(p[n])
+                          for n in ("t", "lambda_so", "lambda_v", "lambda_r"))
         terms, dim = _kane_mele_terms(t, lso, lv, lr), 4
     elif name == "bhz":
-        a, b, d, m = _require(p, ["a", "b", "d", "m"], name)
+        a, b, d, m = (float(p[n]) for n in ("a", "b", "d", "m"))
         terms, dim = _bhz_terms(a, b, d, m), 4
     else:
         terms, dim = _flat_two_band_terms(), 2

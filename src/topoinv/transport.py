@@ -1,15 +1,16 @@
-"""Parallel transport along momentum loops, periodic trivializations W(k),
-and smooth periodic Bloch frames, optionally time-reversal symmetric.
+"""Parallel transport along momentum loops with its periodic trivialization
+W(k), and smooth periodic Bloch frames, optionally time-reversal symmetric.
 
 Transport solves i dT/dk = G(k) T with G = i[dP/dk, P] by classical RK4 with
-per-step polar reprojection onto the unitary group. The periodization
-W(k) = T(k) exp(-i (k-k0) M), with exp(2 pi i M) = T(k0 + 2 pi), is smooth,
-periodic, and intertwines P(k) with P(k0). Time-reversal symmetric frames are
-built by transporting a Kramers-paired basis over half the loop, absorbing
-the fixed-point mismatch with a smooth gauge ramp, and reflecting.
+per-step polar reprojection onto the unitary group, and returns in the same
+step the trivialization W(k) = T(k) exp(-i (k-k0) M), with
+exp(2 pi i M) = T(k0 + 2 pi): smooth, periodic, and intertwining P(k) with
+P(k0). Time-reversal symmetric frames are built by transporting a
+Kramers-paired basis over half the loop, absorbing the fixed-point mismatch
+with a smooth gauge ramp, and reflecting.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -46,31 +47,25 @@ def smooth_ramp_derivative(x):
 
 @dataclass(frozen=True)
 class TransportResult:
-    """Parallel transport along a loop, optionally periodized.
+    """Parallel transport around a loop with its periodic trivialization.
 
-    T is stored at the n+1 points k0 + j*(2 pi/n), j = 0..n (the last point
-    closes the loop: T[n] = T(k0 + 2 pi) is the holonomy, not equal to T[0]).
-    After periodize(), W carries the same layout with W[n] == W[0] == 1.
+    T and W are stored at the n+1 points k0 + j*(2 pi/n), j = 0..n. The last
+    point closes the loop: T[n] = T(k0 + 2 pi) is the holonomy, not equal to
+    T[0], while W[n] equals W[0] = 1 up to w_periodicity.
     """
 
     ks: np.ndarray                 # (n+1,) sample points including the closure
     t_samples: np.ndarray          # (n+1, N, N)
     p_samples: np.ndarray          # (n+1, N, N) projectors at the sample points
-    g_samples: np.ndarray          # (n+1, N, N) generators i[dP, P]
     family: ProjectorFamily
-    n_steps: int
     drift_max: float
     reprojection_max: float
     intertwine_residual: float
-    m_generator: Optional[np.ndarray] = None     # Hermitian, eigenvalues in [0,1)
-    m_eigenvalues: Optional[np.ndarray] = None
-    w_samples: Optional[np.ndarray] = None       # (n+1, N, N)
-    w_derivatives: Optional[np.ndarray] = None   # (n+1, N, N), analytic dW/dk
-    w_periodicity: Optional[float] = None
-
-    @property
-    def k0(self):
-        return float(self.ks[0])
+    m_generator: np.ndarray        # Hermitian, eigenvalues in [0,1)
+    m_eigenvalues: np.ndarray
+    w_samples: np.ndarray          # (n+1, N, N)
+    w_derivatives: np.ndarray      # (n+1, N, N), analytic dW/dk
+    w_periodicity: float
 
     @property
     def holonomy(self):
@@ -123,7 +118,8 @@ def _segment_transport(family, k_start, k_end, n_grid_points, substeps=4):
 
 
 def parallel_transport(family: ProjectorFamily, n_grid=N_LOOP, substeps=4):
-    """Parallel-transport unitaries T(k) around the loop, base point k0 = -pi.
+    """Parallel-transport unitaries T(k) around the loop, base point k0 = -pi,
+    and the periodic trivialization W(k) = T(k) exp(-i (k-k0) M).
 
     Parameters
     ----------
@@ -132,7 +128,11 @@ def parallel_transport(family: ProjectorFamily, n_grid=N_LOOP, substeps=4):
     substeps : RK4 steps per grid interval; total steps = n_grid * substeps
 
     The intertwining residual max_k ||P(k) - T(k) P(k0) T(k)*|| converges at
-    fourth order in the step size.
+    fourth order in the step size. M is Hermitian with eigenvalues in [0, 1),
+    obtained from the eigenphases of the holonomy taken in [0, 2 pi); an
+    eigenvalue just below the cut raises BranchAmbiguity. W(k0) = 1 exactly
+    and W closes the loop. The analytic derivative dW/dk is recorded
+    alongside (no finite differences of W anywhere downstream).
     """
     if family.domain != "loop":
         raise ValueError("parallel_transport needs a loop family")
@@ -143,37 +143,24 @@ def parallel_transport(family: ProjectorFamily, n_grid=N_LOOP, substeps=4):
     ks, t, p, g, drift, reproj = _segment_transport(
         family, k0, k0 + 2 * np.pi, n_grid, substeps)
     inter = float(np.max(linalg.frob(p - t @ p[0] @ linalg.dagger(t))))
-    return TransportResult(ks=ks, t_samples=t, p_samples=p, g_samples=g,
-                           family=family, n_steps=n_grid * substeps,
-                           drift_max=drift, reprojection_max=reproj,
-                           intertwine_residual=inter)
-
-
-def periodize(tr: TransportResult):
-    """Attach the periodic trivialization W(k) = T(k) exp(-i (k-k0) M).
-
-    M is Hermitian with eigenvalues in [0, 1), obtained from the eigenphases
-    of the holonomy T(k0 + 2 pi) taken in [0, 2 pi); an eigenvalue just below
-    the cut raises BranchAmbiguity. W(k0) = 1 exactly and W closes the loop.
-    The analytic derivative dW/dk is recorded alongside (no finite
-    differences of W anywhere downstream).
-    """
-    m, lam = linalg.unitary_log_generator(tr.holonomy)
-    w_eigvals, w_eigvecs = np.linalg.eigh(m)
-    dk = tr.ks - tr.ks[0]
-    phase = np.exp(-1j * np.outer(dk, w_eigvals))           # (n+1, N)
-    expm = (w_eigvecs[None, :, :] * phase[:, None, :]) @ linalg.dagger(w_eigvecs)[None]
-    w = tr.t_samples @ expm
+    m, lam = linalg.unitary_log_generator(t[-1])
+    expm = linalg.expi_hermitian(m, -(ks - ks[0]))
+    w = t @ expm
     w[0] = np.eye(w.shape[-1])          # exact normalization at the base point
-    w_per = float(linalg.frob(w[-1] - w[0]))
     # W^-1 dW = e^{i dk M} (-i T^-1 G T) e^{-i dk M} - i M, then dW = W (...)
-    expp = linalg.dagger(expm)
-    tinv = linalg.dagger(tr.t_samples)
-    core = -1j * (tinv @ tr.g_samples @ tr.t_samples)
-    logd = expp @ core @ expm - 1j * m[None]
-    dw = w @ logd
-    return replace(tr, m_generator=m, m_eigenvalues=lam, w_samples=w,
-                   w_derivatives=dw, w_periodicity=w_per)
+    core = -1j * (linalg.dagger(t) @ g @ t)
+    dw = w @ (linalg.dagger(expm) @ core @ expm - 1j * m[None])
+    return TransportResult(ks=ks, t_samples=t, p_samples=p, family=family,
+                           drift_max=drift, reprojection_max=reproj,
+                           intertwine_residual=inter, m_generator=m,
+                           m_eigenvalues=lam, w_samples=w, w_derivatives=dw,
+                           w_periodicity=float(linalg.frob(w[-1] - w[0])))
+
+
+def _occupied_basis(p):
+    """Orthonormal eigenbasis of Ran P for a projector P, as columns."""
+    w, v = np.linalg.eigh(p)
+    return v[:, w > 0.5]
 
 
 @dataclass(frozen=True)
@@ -226,25 +213,26 @@ class BlochFrame:
         return float(np.max(linalg.frob(self.e_samples[reflect_index(self.n)] - refl)))
 
 
-def build_frame(tr: TransportResult, base_basis):
-    """Frame e_a(k) = W(k) e_a(k0) from a periodized transport.
+def build_frame(tr: TransportResult, base_basis=None):
+    """Frame e_a(k) = W(k) e_a(k0) from a transport.
 
-    base_basis: (N, m) orthonormal columns spanning Ran P(k0); BadBaseBasis
-    if orthonormality or span fails. The connection of this frame is exactly
-    constant, A = -tr(P(k0) M), recorded as the analytic channel.
+    base_basis: (N, m) orthonormal columns spanning Ran P(k0), by default
+    the eigenbasis of P(k0); BadBaseBasis if orthonormality or span fails.
+    The connection of this frame is exactly constant, A = -tr(P(k0) M),
+    recorded as the analytic channel.
     """
-    if tr.w_samples is None:
-        raise ValueError("periodize the transport before building frames")
-    b = np.asarray(base_basis, dtype=complex)
+    p0 = tr.p_samples[0]
+    b = _occupied_basis(p0) if base_basis is None else base_basis
+    b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != tr.family.ambient_dim:
         raise BadBaseBasis(f"base basis shape {b.shape} does not match ambient dimension")
     ortho = float(linalg.frob(linalg.dagger(b) @ b - np.eye(b.shape[1])))
-    span = float(linalg.frob(tr.p_samples[0] @ b - b))
+    span = float(linalg.frob(p0 @ b - b))
     if ortho > DEFAULT_TOL.frame_orthonormal or span > DEFAULT_TOL.frame_span:
         raise BadBaseBasis(f"orthonormality residual {ortho:.2e}, span residual {span:.2e}")
     e = tr.w_samples[:-1] @ b
     seam = float(linalg.frob(tr.w_samples[-1] @ b - e[0]))
-    a_const = -float(np.real(np.trace(tr.p_samples[0] @ tr.m_generator)))
+    a_const = -float(np.real(np.trace(p0 @ tr.m_generator)))
     n = len(tr.ks) - 1
     return BlochFrame(ks=tr.ks[:-1], e_samples=e, trs_flag=False, family=tr.family,
                       seam_residual=seam,
@@ -257,21 +245,11 @@ def wilson_holonomy(tr: TransportResult, base_basis=None):
     """The loop holonomy restricted to Ran P(k0), as an m x m matrix.
 
     Its determinant equals the Berry phase of the loop. With no basis given,
-    an orthonormal basis of Ran P(k0) is built from the projector.
+    the eigenbasis of P(k0) is used.
     """
-    p0 = tr.p_samples[0]
-    if base_basis is None:
-        w, v = np.linalg.eigh(p0)
-        base_basis = v[:, w > 0.5]
-    b = np.asarray(base_basis, dtype=complex)
+    b = _occupied_basis(tr.p_samples[0]) if base_basis is None else base_basis
+    b = np.asarray(b, dtype=complex)
     return linalg.dagger(b) @ tr.holonomy @ b
-
-
-def _expm_ramp(log_u, ramp_values):
-    """exp(s * L) for anti-Hermitian L at many ramp values s."""
-    w, q = np.linalg.eigh(-1j * log_u)  # L = i * (q w q*)
-    phases = np.exp(1j * np.outer(ramp_values, w))
-    return (q[None, :, :] * phases[:, None, :]) @ linalg.dagger(q)[None]
 
 
 def _trs_mismatch_gauge(e_pi, theta, rng=None):
@@ -333,7 +311,8 @@ def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid=N_LOOP,
             except ValueError:
                 failure = SymmetrizationFailure(np.angle(np.linalg.eigvals(u_pi)))
                 continue
-            return e_sharp @ _expm_ramp(log_u, ramp), float(np.sum(phases)), base
+            return (e_sharp @ linalg.expi_hermitian(-1j * log_u, ramp),
+                    float(np.sum(phases)), base)
         raise failure
 
     def whole_loop(e_plus):

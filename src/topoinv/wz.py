@@ -37,7 +37,7 @@ from .grids import (ebz_axis, integrate_grid, interval_axis, loop_axis,
                     grid_derivative, reflect_index, spectral_derivative,
                     unit_circle_axis)
 from .results import snap_integer, snap_sign
-from .transport import BlochFrame, build_trs_frame, parallel_transport, periodize
+from .transport import BlochFrame, build_trs_frame, parallel_transport
 
 TWO_PI = 2.0 * np.pi
 
@@ -451,12 +451,6 @@ def tube_extension(base: FieldGrid, z_samples, n_s=32, name=""):
                      name=name or f"tube({base.name})")
 
 
-def exp_field(axes, h_samples, name="exp_field"):
-    """g = exp(iH) for a Hermitian field H, with the tube-ready generator."""
-    g = linalg.expi_hermitian(h_samples)
-    return FieldGrid(axes=tuple(axes), samples=g, name=name), 1j * h_samples
-
-
 def random_hermitian_field(axes, dim, seed, bandwidth=2, scale=0.35):
     """Smooth random Hermitian field from a few Fourier modes per axis."""
     rng = np.random.default_rng(seed)
@@ -479,9 +473,9 @@ def random_unwindable_field(n_grid, dim, seed, bandwidth=2):
     """Random smooth zero-winding torus field with its tube extension."""
     ax = loop_axis(n_grid)
     h = random_hermitian_field((ax, ax), dim, seed, bandwidth)
-    g, z = exp_field((ax, ax), h, name=f"rand{seed}")
     base = constant_field((ax, ax), np.eye(dim, dtype=complex))
-    return g, tube_extension(base, np.broadcast_to(z, g.samples.shape))
+    ext = tube_extension(base, 1j * h)
+    return FieldGrid(axes=(ax, ax), samples=ext.samples[-1], name=f"rand{seed}"), ext
 
 
 def random_equivariant_field(n_grid, theta: TRSOperator, seed, bandwidth=2,
@@ -624,7 +618,7 @@ def wz_amplitude_phi(loop, n_grid=N_LOOP, method="reduced"):
     """Wess-Zumino amplitude of phi(t,k) = exp(2 pi i t P(k)), and its square
     root for a time-reversal symmetric frame.
 
-    `loop` is either a loop ProjectorFamily, trivialized here by periodized
+    `loop` is either a loop ProjectorFamily, trivialized here by the W of its
     parallel transport on n_grid points (base point -pi), or a time-reversal
     symmetric BlochFrame built with W (build_trs_frame, base point 0). For a
     frame the action is defined mod 4 pi and carries the root.
@@ -648,7 +642,7 @@ def wz_amplitude_phi(loop, n_grid=N_LOOP, method="reduced"):
         modulus = 4.0 * np.pi
         meta = {"frame_loop_integral": loop.analytic_loop_integral}
     else:
-        trp = periodize(parallel_transport(loop, n_grid=n_grid))
+        trp = parallel_transport(loop, n_grid=n_grid)
         w, dw = trp.w_samples[:-1], trp.w_derivatives[:-1]
         p0 = trp.p_samples[0]
         modulus = TWO_PI

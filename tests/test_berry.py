@@ -1,24 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topoinv import (berry_connection, berry_curvature, berry_curvature_ebz,
                      berry_phase, berry_phase_sqrt, build_frame, build_trs_frame,
                      chern_number, delta_invariant, gauge_transform,
-                     parallel_transport, periodize, plaquette_chern,
-                     random_gauge, random_trs_gauge, z2_ingredients)
+                     parallel_transport, plaquette_chern,
+                     random_gauge, random_trs_gauge, winding, z2_ingredients)
 from topoinv.berry import holonomy_flux_check
 from topoinv.errors import DimensionMismatch, NotTRSFrame, UnsnappedError
+from topoinv.grids import loop_axis
+from topoinv.wz import FieldGrid
 
 
 def w_frame(family, k1=0.0, n=256, axis=0):
     loop = family.loop(axis, k1)
-    trp = periodize(parallel_transport(loop, n_grid=n, substeps=4))
-    w, v = np.linalg.eigh(trp.p_samples[0])
-    return build_frame(trp, v[:, w > 0.5])
+    return build_frame(parallel_transport(loop, n_grid=n, substeps=4))
 
 
 def test_constant_frame_zero_connection(constant_loop):
-    trp = periodize(parallel_transport(constant_loop, n_grid=64, substeps=2))
+    trp = parallel_transport(constant_loop, n_grid=64, substeps=2)
     frame = build_frame(trp, np.array([[0.0], [1.0]], dtype=complex))
     conn = berry_connection(frame, method="spectral")
     assert np.max(np.abs(conn.a_values)) < 1e-12
@@ -78,6 +79,34 @@ def test_sqrt_gauge_invariance_under_trs_gauges(km_topo, theta4):
         val = berry_phase_sqrt(berry_connection(transformed)).raw
         worst = max(worst, abs(val - reference))
     assert worst < 1e-6
+
+
+@pytest.fixture(scope="module")
+def km_loop_frames(km_topo, theta4):
+    """The time-reversal symmetric frame and the transport frame of one
+    kane_mele loop, 256 points."""
+    return build_trs_frame(km_topo.loop(0, 0.0), theta4, n_grid=256), w_frame(km_topo, 0.0)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_random_gauges_keep_their_symmetry_and_the_berry_phase(km_loop_frames, seed):
+    """A random symmetric gauge is unitary, time-reversal symmetric, has even
+    det winding and keeps the square-root Berry phase; a random gauge keeps
+    the full Berry phase."""
+    trs_frame, frame = km_loop_frames
+    gauge = random_trs_gauge(trs_frame.n, trs_frame.rank, seed=seed)
+    assert gauge.validate()["ok"]
+    det_winding = winding(FieldGrid(axes=(loop_axis(trs_frame.n),), samples=gauge.u_samples),
+                          snap_tol=1e-3)
+    assert det_winding.snapped is not None and det_winding.snapped % 2 == 0
+    sq = berry_phase_sqrt(berry_connection(trs_frame)).raw
+    sq_g = berry_phase_sqrt(berry_connection(gauge_transform(trs_frame, gauge))).raw
+    assert abs(sq_g - sq) < 1e-8
+    full = berry_phase(berry_connection(frame)).raw
+    full_g = berry_phase(berry_connection(
+        gauge_transform(frame, random_gauge(frame.n, frame.rank, seed=seed)))).raw
+    assert abs(full_g - full) < 1e-8
 
 
 def test_sqrt_needs_trs_frame(km_topo):

@@ -203,6 +203,24 @@ def test_sweep_requires_range(capsys):
     assert json.loads(err.splitlines()[-1])["error"] == "BadConfig"
 
 
+@pytest.mark.parametrize("flag,value", [("--invariants", "chrn"), ("--invariants", "chern,Delta"),
+                                        ("--workers", "0"), ("--workers", "-3")])
+def test_sweep_rejects_unknown_invariant_and_worker_count(capsys, tmp_path, flag, value):
+    """A misspelled invariant would compute nothing and a worker count below
+    one would silently run serially; both are bad input that names the value."""
+    out = tmp_path / "a.csv"
+    code, stdout, err = run_cli(capsys, "sweep", "--model", "kane_mele",
+                                "--sweep", "lambda_v", "0.4", "0.4", "1", "--grid", "32",
+                                "--loop-grid", "64", flag, value, "--out", str(out))
+    assert code == 4
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["error"] == "BadConfig"
+    assert value.split(",")[-1] in payload["message"]
+    if flag == "--invariants":
+        assert "chern, delta, kappa" in payload["message"]
+    assert stdout == "" and not out.exists()
+
+
 def test_sweep_rejects_model_file(capsys, tmp_path):
     """A model file fixes its matrices, so a sweep over its parameters would
     repeat one model on every row; it is refused as bad input."""

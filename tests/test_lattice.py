@@ -1,7 +1,7 @@
 import numpy as np
 
 from topoinv import (berry_curvature, chern_number, delta_invariant, lattice_z2,
-                     overlap_berry_phase, parallel_transport, periodize,
+                     overlap_berry_phase, parallel_transport,
                      plaquette_chern, wilson_holonomy, z2_ingredients)
 from topoinv import builtin_model, make_projector_family
 from topoinv.models import BlochHamiltonianSpec
@@ -47,7 +47,7 @@ def test_spin_chern_parity_oracle(theta4):
 def test_overlap_berry_phase_matches_wilson(km_topo):
     loop = km_topo.loop(0, 0.0)
     oracle = overlap_berry_phase(loop, n_grid=2048)
-    trp = periodize(parallel_transport(loop, n_grid=256, substeps=4))
+    trp = parallel_transport(loop, n_grid=256, substeps=4)
     det = np.linalg.det(wilson_holonomy(trp))
     assert abs(oracle - det) < 1e-6
 

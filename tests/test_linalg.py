@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from topoinv import linalg
 from topoinv.errors import BranchAmbiguity, OddRank
@@ -30,6 +31,26 @@ def test_polar_project_recovers_unitary():
     proj = linalg.polar_project(noisy)
     assert linalg.unitarity_residual(proj) < 1e-13
     assert linalg.frob(proj - u) < 5e-3
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_expi_hermitian_along_a_ray_and_in_a_batch(n):
+    """One H along an array of s, or a batch of H at s = 1: exp(i s H)
+    as scipy's Pade exponential gives it, and exactly unitary."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    h = 0.5 * (a + linalg.dagger(a))
+    s = np.linspace(-2.0, 3.0, 11)
+    ray = linalg.expi_hermitian(h[0], s)
+    assert ray.shape == (len(s), n, n)
+    for sj, uj in zip(s, ray):
+        assert np.max(np.abs(uj - scipy.linalg.expm(1j * sj * h[0]))) < 1e-13
+    batch = linalg.expi_hermitian(h)
+    w, v = np.linalg.eigh(h)
+    assert np.array_equal(batch, (v * np.exp(1j * w)[..., None, :]) @ linalg.dagger(v))
+    for hj, uj in zip(h, batch):
+        assert np.max(np.abs(uj - scipy.linalg.expm(1j * hj))) < 1e-13
+    assert np.max(linalg.unitarity_residual(np.concatenate([ray, batch]))) < 1e-14
 
 
 def test_unitary_log_generator_identity():

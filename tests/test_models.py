@@ -5,8 +5,7 @@ import pytest
 
 from topoinv import builtin_model, load_model, make_projector_family, save_model
 from topoinv.core import TRSOperator, check_trs
-from topoinv.errors import (MissingParameter, ParseError, SchemaError, UnknownModel,
-                            UnknownParameter)
+from topoinv.errors import ParseError, SchemaError, UnknownModel, UnknownParameter
 from topoinv.models import save_results
 
 
@@ -19,11 +18,6 @@ def test_builtin_hermitian_at_random_k(name):
 def test_unknown_model_and_missing_parameter():
     with pytest.raises(UnknownModel):
         builtin_model("nonsense")
-    # builtins fall back to complete defaults; the requirement check itself
-    # must still flag a gap
-    from topoinv import models
-    with pytest.raises(MissingParameter):
-        models._require({"t1": 1.0}, ["t1", "t2"], "haldane")
 
 
 @pytest.mark.parametrize("name,bad", [("kane_mele", "lamda_v"), ("haldane", "lambda_v"),
@@ -52,11 +46,9 @@ def test_trs_at_projector_level(name, params):
 def test_flat_two_band_closed_form_berry_phase(flat_band):
     """Loop holonomy of the winding unit-vector family: frozen value -1
     from the closed-form connection integral A = 1/2, loop integral pi."""
-    from topoinv import parallel_transport, periodize, build_frame, berry_connection, berry_phase
+    from topoinv import parallel_transport, build_frame, berry_connection, berry_phase
     loop = flat_band.loop(1, 0.0)
-    trp = periodize(parallel_transport(loop, n_grid=128))
-    w, v = np.linalg.eigh(trp.p_samples[0])
-    frame = build_frame(trp, v[:, w > 0.5])
+    frame = build_frame(parallel_transport(loop, n_grid=128))
     conn = berry_connection(frame)
     # loop integral of A equals pi mod 2 pi
     assert abs(abs(conn.loop_integral) - np.pi) < 1e-8

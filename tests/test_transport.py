@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topoinv import (berry_connection, berry_phase, build_frame, build_trs_frame,
-                     parallel_transport, periodize, wilson_holonomy)
+                     parallel_transport, wilson_holonomy)
 from topoinv import linalg, make_projector_family, wz
 from topoinv.errors import BadBaseBasis, NotTRS, StepFailure
 from topoinv.grids import loop_axis, reflect_index
@@ -14,9 +14,8 @@ from topoinv.models import BlochHamiltonianSpec
 def test_constant_family_trivial_transport(constant_loop):
     tr = parallel_transport(constant_loop, n_grid=64, substeps=2)
     assert np.max(np.abs(tr.t_samples - np.eye(2))) == 0.0
-    trp = periodize(tr)
-    assert np.max(np.abs(trp.m_generator)) == 0.0
-    assert np.max(np.abs(trp.w_samples - tr.t_samples)) == 0.0
+    assert np.max(np.abs(tr.m_generator)) == 0.0
+    assert np.max(np.abs(tr.w_samples - tr.t_samples)) == 0.0
 
 
 def test_flat_band_holonomy(flat_band):
@@ -47,7 +46,7 @@ def test_step_failure_on_underresolved_loop():
 
 def test_periodized_w_properties(km_topo):
     loop = km_topo.loop(0, np.pi)
-    trp = periodize(parallel_transport(loop, n_grid=128, substeps=4))
+    trp = parallel_transport(loop, n_grid=128, substeps=4)
     w = trp.w_samples
     assert trp.w_periodicity < 1e-8
     assert np.max(np.abs(w[0] - np.eye(4))) == 0.0
@@ -63,11 +62,14 @@ def test_periodized_w_properties(km_topo):
 
 def test_build_frame_and_bad_basis(km_topo):
     loop = km_topo.loop(0, 0.0)
-    trp = periodize(parallel_transport(loop, n_grid=128, substeps=4))
+    trp = parallel_transport(loop, n_grid=128, substeps=4)
     w, v = np.linalg.eigh(trp.p_samples[0])
     frame = build_frame(trp, v[:, w > 0.5])
     report = frame.validate()
     assert report["ok"], report
+    default = build_frame(trp)          # the eigenbasis of P(k0) by default
+    assert np.array_equal(default.e_samples, frame.e_samples)
+    assert np.array_equal(default.analytic_a, frame.analytic_a)
     with pytest.raises(BadBaseBasis):
         build_frame(trp, v[:, :2])          # wrong span
     with pytest.raises(BadBaseBasis):
@@ -169,10 +171,8 @@ def test_conjugation_identity_phi_w_psi(km_topo, theta4):
 
 def test_wilson_determinant_matches_berry_phase(km_topo):
     loop = km_topo.loop(0, 0.0)
-    trp = periodize(parallel_transport(loop, n_grid=256, substeps=4))
-    w, v = np.linalg.eigh(trp.p_samples[0])
-    basis = v[:, w > 0.5]
-    det = np.linalg.det(wilson_holonomy(trp, basis))
-    frame = build_frame(trp, basis)
+    trp = parallel_transport(loop, n_grid=256, substeps=4)
+    det = np.linalg.det(wilson_holonomy(trp))
+    frame = build_frame(trp)
     bp = berry_phase(berry_connection(frame, method="spectral"))
     assert abs(det - bp.raw) < 1e-6

@@ -5,7 +5,7 @@ import pytest
 
 from topoinv import (berry_connection, berry_phase, berry_phase_sqrt,
                      build_trs_frame, delta_invariant, kappa_invariant,
-                     normal_form_field, parallel_transport, periodize,
+                     normal_form_field, parallel_transport,
                      up_extension, winding, winding_pair, wz_action_extension,
                      wz_amplitude_phi, wz_derivative, z2_ingredients)
 from topoinv import (build_frame, chern_number, berry_curvature, gauge_transform,
@@ -244,6 +244,18 @@ def test_up_extension_action_holds_no_full_grid_array(km_topo):
     finally:
         tracemalloc.stop()
     assert peak < full / 2
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_unwindable_field_is_the_exponential_of_its_generator(dim):
+    """The field is the s = 1 slice of its tube, equal to exp(iH) taken
+    directly."""
+    from topoinv import linalg
+    g, ext = random_unwindable_field(16, dim, seed=5)
+    ax = loop_axis(16)
+    h = random_hermitian_field((ax, ax), dim, seed=5)
+    assert np.max(np.abs(g.samples - linalg.expi_hermitian(h))) < 1e-13
+    assert np.array_equal(g.samples, ext.samples[-1])
 
 
 def test_not_an_extension():
@@ -573,9 +585,8 @@ def test_amplitude_flat_band_matches_berry(flat_band):
     loop = flat_band.loop(1, 0.0)
     val = wz_amplitude_phi(loop, n_grid=256)
     assert abs(val.amplitude - (-1.0)) < 1e-7
-    trp = periodize(parallel_transport(loop, n_grid=256, substeps=4))
-    w, v = np.linalg.eigh(trp.p_samples[0])
-    bp = berry_phase(berry_connection(build_frame(trp, v[:, w > 0.5])))
+    trp = parallel_transport(loop, n_grid=256, substeps=4)
+    bp = berry_phase(berry_connection(build_frame(trp)))
     assert abs(val.amplitude - bp.raw) < 1e-7
 
 
@@ -592,12 +603,11 @@ def test_sqrt_amplitude_matches_sqrt_berry(km_topo, theta4):
 
 def test_amplitude_of_frame_needs_trs_frame_with_w(km_topo, theta4):
     loop = km_topo.loop(0, 0.0)
-    trp = periodize(parallel_transport(loop, n_grid=64))
-    w, v = np.linalg.eigh(trp.p_samples[0])
+    trp = parallel_transport(loop, n_grid=64)
     regauged = gauge_transform(build_trs_frame(loop, theta4, n_grid=64),
                                random_trs_gauge(64, 2, seed=5))
     assert regauged.trs_flag and regauged.w_samples is None
-    for frame in (build_frame(trp, v[:, w > 0.5]), regauged):
+    for frame in (build_frame(trp), regauged):
         with pytest.raises(NotTRSFrame):
             wz_amplitude_phi(frame)
 
