@@ -38,7 +38,7 @@ print(f"2. holonomy det      = {det:+.12f}")
 oracle = overlap_berry_phase(loop, n_grid=2048)
 print(f"3. overlap product   = {oracle:+.12f}")
 
-amp = wz_amplitude_phi(loop, n_grid=256)
+amp = wz_amplitude_phi(tr)   # phi = W psi W^-1 through the same trivialization
 print(f"4. WZ amplitude      = {amp.amplitude:+.12f}"
       f"   (action representative {amp.raw_action:+.6f})")
 

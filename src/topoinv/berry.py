@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .config import DEFAULT_TOL, N_2D
@@ -139,10 +138,13 @@ class CurvatureField:
 
 
 def _omega_on(family: ProjectorFamily, ks):
+    """-i Tr{ P [d1 P, d2 P] } at the points ks, on the planes under the
+    family's (..., N, N) views of P and its derivatives."""
     p, (d1, d2) = family.derivative(ks, (0, 1))
-    comm = d1 @ d2 - d2 @ d1
-    tr = np.trace(p @ comm, axis1=-2, axis2=-1)
-    omega = -1j * tr
+    p, d1, d2 = (linalg.entries_first(x) for x in (p, d1, d2))
+    comm = linalg.plane_product(d1, d2)
+    comm -= linalg.plane_product(d2, d1)
+    omega = -1j * linalg.trace_product(p, comm)
     return omega.real, float(np.max(np.abs(omega.imag)))
 
 
@@ -251,7 +253,8 @@ def gauge_transform(frame: BlochFrame, gauge: GaugeField):
 
 def random_gauge(n_points, m, seed):
     """Random smooth periodic gauge u = exp(iH(k)) with exact log-derivative;
-    H has Fourier modes up to 3 with amplitudes 0.25 / (1 + p)."""
+    H has Fourier modes up to 3 with amplitudes 0.25 / (1 + p). The whole
+    loop takes one batched eigendecomposition of H."""
     bandwidth, scale = 3, 0.25
     rng = np.random.default_rng(seed)
     ks = loop_axis(n_points).points
@@ -259,19 +262,15 @@ def random_gauge(n_points, m, seed):
     for p in range(0, bandwidth + 1):
         cp = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) * (scale / (1 + p))
         c.append(cp)
-    u = np.empty((n_points, m, m), dtype=complex)
-    logd = np.empty_like(u)
-    for j, k in enumerate(ks):
-        h = c[0] + c[0].conj().T
-        hp = np.zeros((m, m), dtype=complex)
-        for p in range(1, bandwidth + 1):
-            ph = np.exp(1j * p * k)
-            h = h + ph * c[p] + np.conjugate(ph) * c[p].conj().T
-            hp = hp + 1j * p * (ph * c[p] - np.conjugate(ph) * c[p].conj().T)
-        uj, du = scipy.linalg.expm_frechet(1j * h, 1j * hp)
-        u[j] = uj
-        logd[j] = np.linalg.solve(uj, du)
-    return GaugeField(ks=ks, u_samples=u, trs_flag=False, log_derivative=logd)
+    h = np.broadcast_to(c[0] + c[0].conj().T, (n_points, m, m))
+    hp = np.zeros((n_points, m, m), dtype=complex)
+    for p in range(1, bandwidth + 1):
+        ph = np.exp(1j * p * ks)[:, None, None]
+        h = h + ph * c[p] + np.conjugate(ph) * c[p].conj().T
+        hp = hp + 1j * p * (ph * c[p] - np.conjugate(ph) * c[p].conj().T)
+    u, du = linalg.expi_hermitian_frechet(h, hp)
+    return GaugeField(ks=ks, u_samples=u, trs_flag=False,
+                      log_derivative=linalg.dagger(u) @ du)
 
 
 def _sp_algebra_element(rng, m, scale):

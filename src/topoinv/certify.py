@@ -82,9 +82,9 @@ def criterion_1_wz_chern(scale=1.0):
 
 def _amplitude_vs_berry(loop, n, substeps=4):
     """|WZ amplitude of phi (beta route) - Berry phase of the transport frame|."""
-    amp = wz.wz_amplitude_phi(loop, n_grid=n, method="beta").amplitude
-    frame = transport.build_frame(transport.parallel_transport(loop, n_grid=n,
-                                                               substeps=substeps))
+    trp = transport.parallel_transport(loop, n_grid=n, substeps=substeps)
+    amp = wz.wz_amplitude_phi(trp, method="beta").amplitude
+    frame = transport.build_frame(trp)
     bp = berry.berry_phase(berry.berry_connection(frame, method="spectral"))
     return abs(amp - bp.raw)
 

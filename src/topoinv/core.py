@@ -4,11 +4,14 @@ time-reversal structure acting on them.
 A ProjectorFamily is the occupied-band projector P(k) of a Bloch
 Hamiltonian H(k), on the torus or on a line through it. One eigensystem of H
 per set of points gives P and, through `derivative`, its derivatives exactly
-from dH by perturbation theory. The family remembers the eigensystem of the
-last point set it diagonalized (its gap probe, to begin with), so consumers
-that read the same grid one after another, such as the curvature and the
-lattice oracle of one request, diagonalize H on that grid once. The
-TRSOperator is the antiunitary theta = J K
+from dH by perturbation theory. The eigensystem is held in the plane layout
+of `linalg` (eigenvalues band-first, eigenvectors entries-first), so P, the
+band-basis dH and dP are plane products over the whole point set; P and dP
+are handed out as (..., N, N) views of their planes. The family remembers
+the eigensystem of the last point set it diagonalized (its gap probe, to
+begin with), so consumers that read the same grid one after another, such
+as the curvature and the lattice oracle of one request, diagonalize H on
+that grid once. The TRSOperator is the antiunitary theta = J K
 (K = complex conjugation) with theta^2 = -1 in the working basis.
 """
 
@@ -21,6 +24,7 @@ from . import linalg
 from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
 from .grids import loop_axis, reflect_index
+from .linalg import entries_first, inverse_planes, matrices_last, plane_product
 from .models import BlochHamiltonianSpec
 
 
@@ -58,10 +62,12 @@ class ProjectorFamily:
     from the empty ones by more than DEFAULT_TOL.gap_threshold. With `line` =
     (origin, direction) the family is the loop s -> P(origin + s direction).
 
-    The eigensystem (w, v, occ) of the last point set is kept, keyed by the
-    bytes of the points, so sampling the same points again diagonalizes
-    nothing; P itself is formed afresh on every call and never kept. A
-    restricted family starts with nothing kept.
+    The eigensystem (w, v) of the last point set is kept in plane layout,
+    keyed by the bytes of the points, so sampling the same points again
+    diagonalizes nothing; P itself is formed afresh on every call and never
+    kept. A restricted family starts with nothing kept. Eigenvalues come
+    ascending and every point set is checked to have `rank` of them below
+    the Fermi level, so the occupied bands are the first `rank` columns.
     """
 
     spec: BlochHamiltonianSpec
@@ -83,8 +89,8 @@ class ProjectorFamily:
         return self.sample(k)
 
     def _eigensystem(self, ks):
-        """The torus points of ks and the eigensystem (w, v, occ) there,
-        diagonalized only when ks differs from the last point set."""
+        """The torus points of ks and the eigensystem (w, v) there, in plane
+        layout, diagonalized only when ks differs from the last point set."""
         ks = np.asarray(ks, dtype=float)
         k = ks
         if self.line is not None:
@@ -101,35 +107,42 @@ class ProjectorFamily:
     def sample(self, ks):
         """Evaluate P on an array of k-points: (..., 2) on the torus and (...)
         on a line -> (..., N, N)."""
-        _, _, v, occ = self._eigensystem(ks)
-        return _occupied_projector(v, occ)
+        _, _, v = self._eigensystem(ks)
+        occupied = v[:, :self.rank]
+        return matrices_last(plane_product(occupied, inverse_planes(occupied)))
 
     def derivative(self, ks, axis=0):
         """(P, dP/dk_axis) on an array of k-points (along the line for a
         loop), both from one eigensystem of H; P equals `sample(ks)` exactly.
 
-        First-order perturbation theory on that eigensystem:
-        dP = V (X + X^+) V^+ with X_ij = (V^+ dH V)_ij / (e_i - e_j) for
-        occupied i and empty j, and 0 elsewhere. Only occupied-empty pairs
-        are divided, so degenerate occupied levels never are, and the gap
-        check bounds every denominator below by the gap threshold. A tuple of
-        torus axes gives (P, (dP, ...)), one dP per axis.
+        First-order perturbation theory on that eigensystem, with
+        V = (V_o, V_e) split into occupied and empty columns:
+        dP = V (X + X^+) V^+, where X vanishes outside its occupied-empty
+        block X_oe = (V_o^+ dH V_e)_ij / (e_i - e_j), so dP = Y + Y^+ with
+        Y = V_o X_oe V_e^+. Only occupied-empty pairs are divided, so
+        degenerate occupied levels never are, and the gap check bounds every
+        denominator below by the gap threshold. A tuple of torus axes gives
+        (P, (dP, ...)), one dP per axis.
         """
         if isinstance(axis, tuple) and self.line is not None:
             raise ValueError("a tuple of axes needs a torus family")
-        k, w, v, occ = self._eigensystem(ks)
-        p = _occupied_projector(v, occ)
-        pairs = occ[..., :, None] & ~occ[..., None, :]
-        gaps = np.where(pairs, w[..., :, None] - w[..., None, :], 1.0)
+        k, w, v = self._eigensystem(ks)
+        v_occ, v_emp = v[:, :self.rank], v[:, self.rank:]
+        v_occ_dag, v_emp_dag = inverse_planes(v_occ), inverse_planes(v_emp)
+        gaps = w[:self.rank, None] - w[None, self.rank:]
+        p = plane_product(v_occ, v_occ_dag)
 
         def along(direction):
-            dh = self.spec.bloch_derivative(k, direction)
-            x = np.where(pairs, linalg.dagger(v) @ dh @ v / gaps, 0.0)
-            return v @ (x + linalg.dagger(x)) @ linalg.dagger(v)
+            dh = entries_first(self.spec.bloch_derivative(k, direction))
+            x = plane_product(v_occ_dag, plane_product(dh, v_emp))
+            x /= gaps
+            dp = plane_product(plane_product(v_occ, x), v_emp_dag)
+            dp += inverse_planes(dp)
+            return matrices_last(dp)
 
         if isinstance(axis, tuple):
-            return p, tuple(along(a) for a in axis)
-        return p, along(axis if self.line is None else self.line[1])
+            return matrices_last(p), tuple(along(a) for a in axis)
+        return matrices_last(p), along(axis if self.line is None else self.line[1])
 
     def restrict(self, origin, direction, name):
         """The loop s -> P(origin + s direction) of a torus family."""
@@ -171,25 +184,21 @@ class ProjectorFamily:
                        and per <= DEFAULT_TOL.periodicity)}
 
 
-def _occupied_projector(v, occ):
-    """P = V_occ V_occ^+ from eigenvectors v and the occupied mask occ."""
-    vocc = np.where(occ[..., None, :], v, 0.0)
-    return vocc @ linalg.dagger(vocc)
-
-
 def _gap_checked_eigh(spec, ks, fermi_level, rank=None):
-    """Batched eigensystem (w, v, occ) of spec.bloch(ks) on torus points ks,
-    with occ marking the eigenvalues below fermi_level.
+    """Batched eigensystem of spec.bloch(ks) on torus points ks in plane
+    layout: eigenvalues w band-first (N, ...), ascending, and eigenvectors
+    v entries-first (N, N, ...), column i belonging to w[i].
 
-    Raises GapClosure, carrying the momentum (k1, k2), where the occupied
-    rank differs from `rank` (by default that of the first point), where no
-    band or every band is occupied, or where the gap at the Fermi level
-    is at most DEFAULT_TOL.gap_threshold.
+    Raises GapClosure, carrying the momentum (k1, k2), where the number of
+    eigenvalues below fermi_level differs from `rank` (by default that of
+    the first point), where no band or every band is occupied, or where the
+    gap at the Fermi level is at most DEFAULT_TOL.gap_threshold.
     """
     threshold = DEFAULT_TOL.gap_threshold
     w, v = np.linalg.eigh(spec.bloch(ks))
-    occ = w < fermi_level
-    ranks = occ.sum(axis=-1).reshape(-1)
+    w = np.ascontiguousarray(np.moveaxis(w, -1, 0))
+    v = entries_first(v)
+    ranks = np.count_nonzero(w < fermi_level, axis=0).reshape(-1)
     momentum = lambda j: tuple(float(x) for x in np.reshape(ks, (-1, 2))[j])
     r0 = int(ranks[0]) if rank is None else rank
     if r0 == 0 or r0 == spec.dim:
@@ -197,14 +206,12 @@ def _gap_checked_eigh(spec, ks, fermi_level, rank=None):
     changed = np.flatnonzero(ranks != r0)
     if changed.size:
         raise GapClosure(k=momentum(changed[0]), gap=0.0, threshold=threshold)
-    below = np.max(np.where(occ, w, -np.inf), axis=-1)
-    above = np.min(np.where(~occ, w, np.inf), axis=-1)
-    gaps = (above - below).reshape(-1)
+    gaps = (w[r0] - w[r0 - 1]).reshape(-1)
     worst = int(np.argmin(gaps))
     min_gap = float(gaps[worst])
     if min_gap <= threshold:
         raise GapClosure(k=momentum(worst), gap=min_gap, threshold=threshold)
-    return w, v, occ
+    return w, v
 
 
 def make_projector_family(spec, fermi_level=0.0):
@@ -229,8 +236,8 @@ def make_projector_family(spec, fermi_level=0.0):
     k1, k2 = np.meshgrid(ax.points, ax.points, indexing="ij")
     ks = np.stack([k1, k2], axis=-1)
     eigensystem = _gap_checked_eigh(spec, ks, fermi_level)
-    family = ProjectorFamily(spec=spec, rank=int(eigensystem[2][0, 0].sum()),
-                             fermi_level=fermi_level, name=spec.name)
+    rank = int(np.count_nonzero(eigensystem[0][:, 0, 0] < fermi_level))
+    family = ProjectorFamily(spec=spec, rank=rank, fermi_level=fermi_level, name=spec.name)
     family._last[(ks.shape, ks.tobytes())] = eigensystem
     return family
 

@@ -12,8 +12,10 @@ Polyakov-Wiegmann values of winding fields computable.
 
 Matrix products of fields (products, inverses, adjoint products, tube
 extensions and the 3-form and product-functional densities) run one torus
-slice at a time in the entries-first layout (N, N, n1, n2), as N^3
-multiply-adds over whole planes instead of one small product per grid point.
+slice at a time in the entries-first layout (N, N, n1, n2) of `linalg`, as
+N^3 multiply-adds over whole planes instead of one small product per grid
+point; the projector family forms P and dP with the same plane-product
+kernel.
 
 The projector extensions exp(i w(t) P(k)) = 1 + (e^{i w(t)} - 1) P(k) of
 U_P and Phi are rank-one in t, so they are ProjectorExtensions: P and its
@@ -36,8 +38,10 @@ from .errors import BadDims, NotAnExtension, NotTRSFrame
 from .grids import (ebz_axis, integrate_grid, interval_axis, loop_axis,
                     grid_derivative, reflect_index, spectral_derivative,
                     unit_circle_axis)
+from .linalg import (entries_first, inverse_planes, matrices_last, plane_product,
+                     trace_product)
 from .results import snap_integer, snap_sign
-from .transport import BlochFrame, build_trs_frame, parallel_transport
+from .transport import BlochFrame, TransportResult, build_trs_frame
 
 TWO_PI = 2.0 * np.pi
 
@@ -129,8 +133,8 @@ class ProjectorExtension:
         value = self.f[j] * self.p
         for a in range(self.dim):
             value[a, a] += 1.0
-        return _matrices_last(value), {i: _matrices_last(t[j] * x)
-                                       for i, (t, x) in enumerate(self._channels())}
+        return matrices_last(value), {i: matrices_last(t[j] * x)
+                                      for i, (t, x) in enumerate(self._channels())}
 
     def triple_density(self):
         """3 Tr{A0 [A1, A2]} on the whole grid, with g^-1 read as
@@ -140,14 +144,14 @@ class ProjectorExtension:
         T_n = sum_{a+b+c=n} Tr{U_a [V_b, W_c]}, U = (P, P^+P),
         V = (d1P, P^+d1P), W = (d2P, P^+d2P). No projector identity is
         used, so it equals the slice-wise density up to rounding."""
-        p_dag = _inverse_planes(self.p)
-        u, v, w = ((x, _plane_product(p_dag, x)) for x in (self.p,) + self.dp)
-        comm = {(b, c): _plane_product(v[b], w[c]) - _plane_product(w[c], v[b])
+        p_dag = inverse_planes(self.p)
+        u, v, w = ((x, plane_product(p_dag, x)) for x in (self.p,) + self.dp)
+        comm = {(b, c): plane_product(v[b], w[c]) - plane_product(w[c], v[b])
                 for b in (0, 1) for c in (0, 1)}
         t = np.zeros((4,) + self.p.shape[2:], dtype=complex)
         for a in (0, 1):
             for (b, c), x in comm.items():
-                t[a + b + c] += _trace_product(u[a], x)
+                t[a + b + c] += trace_product(u[a], x)
         fbar_powers = np.conjugate(self.f)[:, None] ** np.arange(4)
         dens = np.tensordot(fbar_powers, t, axes=1)    # sum_n conj(f)^n T_n
         dens *= 3.0 * (self.df * self.f ** 2)[:, None, None]
@@ -156,11 +160,11 @@ class ProjectorExtension:
     @property
     def samples(self):
         return (np.eye(self.dim, dtype=complex)
-                + np.multiply.outer(self.f, _matrices_last(self.p)))
+                + np.multiply.outer(self.f, matrices_last(self.p)))
 
     def derivative(self, i):
         t, x = self._channels()[i]
-        return np.multiply.outer(t, _matrices_last(x))
+        return np.multiply.outer(t, matrices_last(x))
 
 
 def constant_field(axes, matrix, name="constant"):
@@ -201,16 +205,16 @@ def _product_rule(x, y):
     """(value, {axis: derivative}) of the product of two such entries-first
     slices, by the Leibniz rule."""
     (xv, dx), (yv, dy) = x, y
-    return (_plane_product(xv, yv),
-            {i: _plane_product(dx[i], yv) + _plane_product(xv, dy[i]) for i in dx})
+    return (plane_product(xv, yv),
+            {i: plane_product(dx[i], yv) + plane_product(xv, dy[i]) for i in dx})
 
 
 def _inverse_rule(x):
     """(value, {axis: derivative}) of the inverse of an entries-first unitary
     slice: g^-1 = g^+ and d(g^-1) = -g^-1 dg g^-1."""
     xv, dx = x
-    xi = _inverse_planes(xv)
-    return xi, {i: -_plane_product(_plane_product(xi, d), xi) for i, d in dx.items()}
+    xi = inverse_planes(xv)
+    return xi, {i: -plane_product(plane_product(xi, d), xi) for i, d in dx.items()}
 
 
 def _slicewise(rule, axes, *fields):
@@ -222,12 +226,12 @@ def _slicewise(rule, axes, *fields):
     samples = np.empty(shape, dtype=complex)
     derivs = {i: np.empty(shape, dtype=complex) for i in axes}
     for j in _slices(fields[0]):
-        value, dvalue = rule(*[(_entries_first(f.samples[j]),
-                                {i: _entries_first(f.derivs[i][j]) for i in axes})
-                               for f in fields])
-        samples[j] = _matrices_last(value)
+        value, dvalue = rule(*[(entries_first(f.samples[j]),
+                               {i: entries_first(f.derivs[i][j]) for i in axes})
+                              for f in fields])
+        samples[j] = matrices_last(value)
         for i in axes:
-            derivs[i][j] = _matrices_last(dvalue[i])
+            derivs[i][j] = matrices_last(dvalue[i])
     return samples, derivs
 
 
@@ -345,54 +349,19 @@ def _triple_density(slab, derivs, axes):
     """3 Tr{A0 [A1, A2]} on one slice of the leading axis, from its samples
     and derivative channels; torus axes without a channel differentiate the
     slice. Its temporaries are freed before the next slice is produced."""
-    slab = _entries_first(slab)
-    ginv = _inverse_planes(slab)
-    a1, a2 = (_plane_product(ginv, _entries_first(derivs[i]) if i in derivs
-                             else grid_derivative(slab, i + 1, axes[i])) for i in (1, 2))
-    comm = _plane_product(a1, a2)
-    comm -= _plane_product(a2, a1)
-    return 3.0 * _trace_product(_plane_product(ginv, _entries_first(derivs[0])), comm)
+    slab = entries_first(slab)
+    ginv = inverse_planes(slab)
+    a1, a2 = (plane_product(ginv, entries_first(derivs[i]) if i in derivs
+                            else grid_derivative(slab, i + 1, axes[i])) for i in (1, 2))
+    comm = plane_product(a1, a2)
+    comm -= plane_product(a2, a1)
+    return 3.0 * trace_product(plane_product(ginv, entries_first(derivs[0])), comm)
 
 
 def _slices(g: FieldGrid):
     """Indices of the torus slices of a field, its last two grid axes; a loop
     or torus field is a single slice."""
     return np.ndindex(g.samples.shape[:max(g.n_axes - 2, 0)])
-
-
-def _entries_first(samples):
-    """(..., N, N) matrices as a contiguous (N, N, ...) stack of planes."""
-    nd = samples.ndim
-    return np.ascontiguousarray(samples.transpose(nd - 2, nd - 1, *range(nd - 2)))
-
-
-def _matrices_last(planes):
-    """View of an entries-first (N, N, ...) stack as (..., N, N) matrices."""
-    return planes.transpose(*range(2, planes.ndim), 0, 1)
-
-
-def _inverse_planes(planes):
-    """g^-1 = g^+ of an entries-first unitary slice: its conjugate-transposed
-    planes."""
-    return np.conjugate(planes).swapaxes(0, 1)
-
-
-def _trace_product(x, y):
-    """Tr(xy) at every point of two entries-first (N, N, ...) arrays."""
-    return np.einsum("ab...,ba...->...", x, y)
-
-
-def _plane_product(x, y):
-    """Matrix product of two entries-first (N, N, ...) arrays, plane by plane."""
-    n = x.shape[0]
-    out = np.empty(y.shape, dtype=np.result_type(x, y))
-    term = np.empty_like(out[0, 0])
-    for a in range(n):
-        for b in range(n):
-            entry = np.multiply(x[a, 0], y[0, b], out=out[a, b])
-            for c in range(1, n):
-                entry += np.multiply(x[a, c], y[c, b], out=term)
-    return out
 
 
 def wz_action_extension(ext: FieldGrid):
@@ -437,15 +406,15 @@ def tube_extension(base: FieldGrid, z_samples, n_s=32, name=""):
     z_samples = np.broadcast_to(z_samples, base.samples.shape)
     w, v = np.linalg.eigh(-1j * z_samples)
     w = np.moveaxis(w, -1, 0)
-    v = _entries_first(v)
-    vi = _inverse_planes(v)
-    b, z = _entries_first(base.samples), _entries_first(z_samples)
+    v = entries_first(v)
+    vi = inverse_planes(v)
+    b, z = entries_first(base.samples), entries_first(z_samples)
     samples = np.empty((n_s + 1,) + base.samples.shape, dtype=complex)
     ds = np.empty_like(samples)
     for j, s in enumerate(s_ax.points):
-        slab = _plane_product(b, _plane_product(v * np.exp(1j * s * w), vi))
-        samples[j] = _matrices_last(slab)
-        ds[j] = _matrices_last(_plane_product(slab, z))
+        slab = plane_product(b, plane_product(v * np.exp(1j * s * w), vi))
+        samples[j] = matrices_last(slab)
+        ds[j] = matrices_last(plane_product(slab, z))
     return FieldGrid(axes=(s_ax,) + base.axes, samples=samples, derivs={0: ds},
                      abelian_diagonal=base.abelian_diagonal,
                      name=name or f"tube({base.name})")
@@ -515,11 +484,11 @@ def alpha_integral(g: FieldGrid, h: FieldGrid):
     dh = h.derivative(0), h.derivative(1)
     dens = np.empty(g.samples.shape[:-2], dtype=complex)
     for j in _slices(g):
-        gi = _inverse_planes(_entries_first(g.samples[j]))
-        hi = _inverse_planes(_entries_first(h.samples[j]))
-        g1, g2 = (_plane_product(gi, _entries_first(d[j])) for d in dg)
-        h1, h2 = (_plane_product(_entries_first(d[j]), hi) for d in dh)
-        dens[j] = -(_trace_product(g1, h2) - _trace_product(g2, h1))
+        gi = inverse_planes(entries_first(g.samples[j]))
+        hi = inverse_planes(entries_first(h.samples[j]))
+        g1, g2 = (plane_product(gi, entries_first(d[j])) for d in dg)
+        h1, h2 = (plane_product(entries_first(d[j]), hi) for d in dh)
+        dens[j] = -(trace_product(g1, h2) - trace_product(g2, h1))
     total = integrate_grid(dens, list(g.axes))
     return float(np.real(total)), float(abs(np.imag(total)))
 
@@ -532,15 +501,15 @@ def beta_integral(g: FieldGrid, h: FieldGrid):
     dh = h.derivative(0), h.derivative(1)
     dens = np.empty(g.samples.shape[:-2], dtype=complex)
     for j in _slices(g):
-        gi = _inverse_planes(_entries_first(g.samples[j]))
-        hs = _entries_first(h.samples[j])
-        hi = _inverse_planes(hs)
-        g1, g2 = (_plane_product(gi, _entries_first(d[j])) for d in dg)
-        dh1, dh2 = (_entries_first(d[j]) for d in dh)
-        de1, de2 = (_plane_product(hi, d) + _plane_product(d, hi) for d in (dh1, dh2))
-        hg1, hg2 = (_plane_product(_plane_product(hs, a), hi) for a in (g1, g2))
-        term1 = _trace_product(hg1, g2) - _trace_product(hg2, g1)
-        term2 = _trace_product(g1, de2) - _trace_product(g2, de1)
+        gi = inverse_planes(entries_first(g.samples[j]))
+        hs = entries_first(h.samples[j])
+        hi = inverse_planes(hs)
+        g1, g2 = (plane_product(gi, entries_first(d[j])) for d in dg)
+        dh1, dh2 = (entries_first(d[j]) for d in dh)
+        de1, de2 = (plane_product(hi, d) + plane_product(d, hi) for d in (dh1, dh2))
+        hg1, hg2 = (plane_product(plane_product(hs, a), hi) for a in (g1, g2))
+        term1 = trace_product(hg1, g2) - trace_product(hg2, g1)
+        term2 = trace_product(g1, de2) - trace_product(g2, de1)
         dens[j] = -(term1 + term2)
     total = integrate_grid(dens, list(g.axes))
     return float(np.real(total)), float(abs(np.imag(total)))
@@ -589,10 +558,10 @@ def wz_derivative(g: FieldGrid, g_dot):
     dg = g.derivative(0), g.derivative(1)
     dens = np.empty(g.samples.shape[:-2], dtype=complex)
     for j in _slices(g):
-        gi = _inverse_planes(_entries_first(g.samples[j]))
-        g1, g2 = (_plane_product(gi, _entries_first(d[j])) for d in dg)
-        comm = _plane_product(g1, g2) - _plane_product(g2, g1)
-        dens[j] = _trace_product(_plane_product(gi, _entries_first(dot[j])), comm)
+        gi = inverse_planes(entries_first(g.samples[j]))
+        g1, g2 = (plane_product(gi, entries_first(d[j])) for d in dg)
+        comm = plane_product(g1, g2) - plane_product(g2, g1)
+        dens[j] = trace_product(plane_product(gi, entries_first(dot[j])), comm)
     total = integrate_grid(dens, list(g.axes))
     return float(np.real(total)) / (4.0 * np.pi)
 
@@ -614,12 +583,12 @@ def psi_field_from(p0, n_k):
     return FieldGrid(axes=(t_ax, k_ax), samples=samples, derivs={0: dt}, name="psi")
 
 
-def wz_amplitude_phi(loop, n_grid=N_LOOP, method="reduced"):
+def wz_amplitude_phi(loop, method="reduced"):
     """Wess-Zumino amplitude of phi(t,k) = exp(2 pi i t P(k)), and its square
     root for a time-reversal symmetric frame.
 
-    `loop` is either a loop ProjectorFamily, trivialized here by the W of its
-    parallel transport on n_grid points (base point -pi), or a time-reversal
+    `loop` is a trivialized loop: either the TransportResult of a loop
+    family, whose W trivializes it (base point -pi), or a time-reversal
     symmetric BlochFrame built with W (build_trs_frame, base point 0). For a
     frame the action is defined mod 4 pi and carries the root.
 
@@ -641,12 +610,13 @@ def wz_amplitude_phi(loop, n_grid=N_LOOP, method="reduced"):
         p0 = e0 @ linalg.dagger(e0)
         modulus = 4.0 * np.pi
         meta = {"frame_loop_integral": loop.analytic_loop_integral}
-    else:
-        trp = parallel_transport(loop, n_grid=n_grid)
-        w, dw = trp.w_samples[:-1], trp.w_derivatives[:-1]
-        p0 = trp.p_samples[0]
+    elif isinstance(loop, TransportResult):
+        w, dw = loop.w_samples[:-1], loop.w_derivatives[:-1]
+        p0 = loop.p_samples[0]
         modulus = TWO_PI
-        meta = {"m_eigenvalues": trp.m_eigenvalues}
+        meta = {"m_eigenvalues": loop.m_eigenvalues}
+    else:
+        raise TypeError("the amplitude needs a TransportResult or a TRS BlochFrame")
     n = len(w)
     if method == "reduced":
         logd = linalg.dagger(w) @ dw
@@ -677,7 +647,7 @@ def up_extension(family: ProjectorFamily, n_t=64, n1=64, n2=64, path="forward"):
     k_ax = loop_axis(n1)
     k2_ax = loop_axis(n2)
     k1, k2 = np.meshgrid(k_ax.points, k2_ax.points, indexing="ij")
-    p = _entries_first(family.sample(np.stack([k1, k2], axis=-1)))
+    p = entries_first(family.sample(np.stack([k1, k2], axis=-1)))
     t = t_ax.points
     omega = {"forward": np.pi * t, "reverse": -np.pi * t,
              "reparam": np.pi * t * (2.0 - t)}[path]
@@ -699,7 +669,7 @@ def phi_ebz_extension(family: ProjectorFamily, n_t=16, n1=64, n2=64):
     k1_ax = ebz_axis(n1)
     k2_ax = loop_axis(n2)
     k1, k2 = np.meshgrid(k1_ax.points, k2_ax.points, indexing="ij")
-    p, dp1 = map(_entries_first, family.derivative(np.stack([k1, k2], axis=-1), 0))
+    p, dp1 = map(entries_first, family.derivative(np.stack([k1, k2], axis=-1), 0))
     tphase = np.exp(TWO_PI * 1j * t_ax.points)
     return ProjectorExtension(axes=(t_ax, k1_ax, k2_ax), p=p,
                               dp=(dp1, spectral_derivative(p, 3, k2_ax)),

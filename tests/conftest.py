@@ -66,3 +66,39 @@ def constant_loop():
     spec = BlochHamiltonianSpec(dim=2, terms=((onsite, np.zeros(2, dtype=int)),),
                                 name="constant")
     return make_projector_family(spec, 0.0).loop(0, 0.0)
+
+
+def _dagger(a):
+    return np.conjugate(np.swapaxes(a, -1, -2))
+
+
+def _matmul_projector_derivative(family, ks, axis=0):
+    """Reference (P, dP) by batched (..., N, N) matmuls on a fresh eigh of
+    H: P = V_occ V_occ^+ and dP = V (X + X^+) V^+ with
+    X_ij = (V^+ dH V)_ij / (e_i - e_j) on occupied-empty pairs, the occupied
+    bands masked by e < fermi level. A tuple of axes gives (P, (dP, ...))."""
+    ks = np.asarray(ks, dtype=float)
+    k = ks
+    if family.line is not None:
+        origin, direction = np.asarray(family.line)
+        k = origin + ks[..., None] * direction
+    w, v = np.linalg.eigh(family.spec.bloch(k))
+    occ = w < family.fermi_level
+    vocc = np.where(occ[..., None, :], v, 0.0)
+    p = vocc @ _dagger(vocc)
+    pairs = occ[..., :, None] & ~occ[..., None, :]
+    gaps = np.where(pairs, w[..., :, None] - w[..., None, :], 1.0)
+
+    def along(direction):
+        dh = family.spec.bloch_derivative(k, direction)
+        x = np.where(pairs, _dagger(v) @ dh @ v / gaps, 0.0)
+        return v @ (x + _dagger(x)) @ _dagger(v)
+
+    if isinstance(axis, tuple):
+        return p, tuple(along(a) for a in axis)
+    return p, along(axis if family.line is None else family.line[1])
+
+
+@pytest.fixture(scope="session")
+def matmul_projector_derivative():
+    return _matmul_projector_derivative

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from topoinv import (berry_connection, berry_curvature, berry_curvature_ebz,
@@ -144,6 +147,43 @@ def test_gauge_dimension_mismatch(km_topo):
     gauge = random_gauge(128, frame.rank + 1, seed=0)
     with pytest.raises(DimensionMismatch):
         gauge_transform(frame, gauge)
+
+
+@pytest.mark.parametrize("name", ("haldane_topo", "km_topo", "bhz_topo"))
+def test_curvature_on_planes_matches_matmul_formula(name, request,
+                                                     matmul_projector_derivative):
+    """The plane-product curvature on the full and the half zone equals
+    -i Tr{ P [d1 P, d2 P] } formed by (..., N, N) matmuls, within 1e-13."""
+    fam = replace(request.getfixturevalue(name))
+    for field in (berry_curvature(fam, n_grid=16), berry_curvature_ebz(fam, n1=8, n2=16)):
+        ax1, ax2 = field.axes
+        ks = np.stack(np.meshgrid(ax1.points, ax2.points, indexing="ij"), axis=-1)
+        p, (d1, d2) = matmul_projector_derivative(fam, ks, (0, 1))
+        omega = -1j * np.trace(p @ (d1 @ d2 - d2 @ d1), axis1=-2, axis2=-1)
+        assert field.omega.shape == omega.shape
+        assert np.max(np.abs(field.omega - omega.real)) <= 1e-13
+        assert abs(field.imag_max - np.max(np.abs(omega.imag))) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_random_gauge_matches_expm_frechet(m):
+    """The batched gauge equals exp(iH) and u^-1 du from scipy's expm_frechet
+    at every grid point, within 1e-12."""
+    for seed in (0, 7):
+        gauge = random_gauge(64, m, seed)
+        rng = np.random.default_rng(seed)
+        c = [(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) * (0.25 / (1 + p))
+             for p in range(4)]
+        for j, k in enumerate(gauge.ks):
+            h = c[0] + c[0].conj().T
+            hp = np.zeros((m, m), dtype=complex)
+            for p in range(1, 4):
+                ph = np.exp(1j * p * k)
+                h = h + ph * c[p] + np.conjugate(ph) * c[p].conj().T
+                hp = hp + 1j * p * (ph * c[p] - np.conjugate(ph) * c[p].conj().T)
+            u, du = scipy.linalg.expm_frechet(1j * h, 1j * hp)
+            assert np.max(np.abs(gauge.u_samples[j] - u)) <= 1e-12
+            assert np.max(np.abs(gauge.log_derivative[j] - np.linalg.solve(u, du))) <= 1e-12
 
 
 def test_curvature_odd_under_trs(km_topo):

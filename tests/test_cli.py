@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topoinv
 from topoinv import berry, certify, transport, wz
 from topoinv.cli import main
 from topoinv.models import BlochHamiltonianSpec, builtin_model, save_model
@@ -22,6 +27,23 @@ def test_chern_report(capsys):
     assert report["chern"]["snapped"] == report["plaquette_oracle"]["snapped"]
     assert abs(report["chern"]["snapped"]) == 1
     assert report["wz_check"]["pass"]
+
+
+def test_python_dash_m_runs_the_command():
+    """`python -m topoinv` is the `topoinv` command: its exit code and its
+    JSON report on stdout, and an error object on stderr with exit code 4."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(topoinv.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH")])))
+    run = lambda *argv: subprocess.run([sys.executable, "-m", "topoinv", *argv],
+                                       capture_output=True, text=True, env=env, timeout=300)
+    done = run("chern", "--model", "haldane", "--grid", "16", "--grid-t", "16", "--json")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["command"] == "chern" and report["chern"]["snapped"] == -1
+    failed = run("chern", "--model", "no_such_model", "--json")
+    assert failed.returncode == 4
+    assert json.loads(failed.stderr)["error"] == "UnknownModel"
 
 
 def test_fkm_report(capsys):

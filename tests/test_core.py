@@ -164,6 +164,35 @@ def test_analytic_derivative_matches_finite_differences_with_rashba():
     assert np.max(np.abs(d_line - fd)) < 1e-10
 
 
+_PLANE_FAMILIES = ("haldane_topo", "km_topo", "bhz_topo")
+
+
+@pytest.mark.parametrize("name", _PLANE_FAMILIES)
+def test_plane_path_matches_matmul_formulas(name, request, matmul_projector_derivative):
+    """sample and derivative, formed by plane products on the entries-first
+    eigensystem, equal the (..., N, N) matmul formulas within 1e-13 for an
+    int axis, both axes, a loop's line direction and single points."""
+    fam = replace(request.getfixturevalue(name))
+    ax1, ax2 = loop_axis(12), loop_axis(10)
+    grid = np.stack(np.meshgrid(ax1.points, ax2.points + 0.1, indexing="ij"), axis=-1)
+    line = fam.restrict((0.2, -0.5), (1.0, 2.0), "diagonal")
+    s = loop_axis(16).points
+    cases = [(fam, grid, 0), (fam, grid, 1), (fam, grid, (0, 1)),
+             (fam, np.array([0.37, -1.21]), 1), (fam, np.array([np.pi, 0.0]), (0, 1)),
+             (line, s, 0), (line, np.float64(0.4), 0)]
+    for family, ks, axis in cases:
+        p_ref, d_ref = matmul_projector_derivative(family, ks, axis)
+        p, d = family.derivative(ks, axis)
+        sample = family.sample(ks)
+        assert p.shape == sample.shape == p_ref.shape
+        assert np.max(np.abs(sample - p_ref)) <= 1e-13
+        assert np.array_equal(p, sample)
+        for got, ref in zip(d if isinstance(axis, tuple) else (d,),
+                            d_ref if isinstance(axis, tuple) else (d_ref,)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13, (ks.shape, axis)
+
+
 def _count_eigh(monkeypatch):
     """Patch numpy's eigh to count the matrices it diagonalizes."""
     original = np.linalg.eigh

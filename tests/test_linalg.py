@@ -53,6 +53,40 @@ def test_expi_hermitian_along_a_ray_and_in_a_batch(n):
     assert np.max(linalg.unitarity_residual(np.concatenate([ray, batch]))) < 1e-14
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_expi_hermitian_frechet_matches_expm_frechet(m):
+    """exp(iH) and its derivative along dH equal scipy's expm_frechet within
+    1e-12, for generic H, H with a degenerate pair, and H = c * 1."""
+    rng = np.random.default_rng(m)
+    u = random_unitary(m, m)
+    spectra = [rng.standard_normal(m), np.array([0.7, 0.7, -0.2])[:m], np.full(m, 0.3)]
+    h = np.stack([(u * w) @ linalg.dagger(u) for w in spectra])
+    dh = rng.standard_normal((3, m, m)) + 1j * rng.standard_normal((3, m, m))
+    dh = dh + linalg.dagger(dh)
+    got, dgot = linalg.expi_hermitian_frechet(h, dh)
+    for j in range(3):
+        ref, dref = scipy.linalg.expm_frechet(1j * h[j], 1j * dh[j])
+        assert np.max(np.abs(got[j] - ref)) <= 1e-12
+        assert np.max(np.abs(dgot[j] - dref)) <= 1e-12
+
+
+def test_plane_product_matches_matmul():
+    """Entries-first products equal @ on rectangular batches and on a single
+    point, where every plane is a 0-d array; trace_product is Tr(xy)."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((5, 7, 3, 2)) + 1j * rng.standard_normal((5, 7, 3, 2))
+    y = rng.standard_normal((5, 7, 2, 4)) + 1j * rng.standard_normal((5, 7, 2, 4))
+    planes = linalg.plane_product(linalg.entries_first(x), linalg.entries_first(y))
+    assert planes.shape == (3, 4, 5, 7)
+    assert np.max(np.abs(linalg.matrices_last(planes) - x @ y)) <= 1e-14
+    assert np.array_equal(linalg.entries_first(linalg.matrices_last(planes)), planes)
+    assert np.shares_memory(linalg.entries_first(linalg.matrices_last(planes)), planes)
+    single = linalg.plane_product(x[0, 0], y[0, 0])
+    assert np.max(np.abs(single - x[0, 0] @ y[0, 0])) <= 1e-14
+    tr = linalg.trace_product(linalg.entries_first(x), linalg.entries_first(linalg.dagger(x)))
+    assert np.max(np.abs(tr - np.trace(x @ linalg.dagger(x), axis1=-2, axis2=-1))) <= 1e-13
+
+
 def test_unitary_log_generator_identity():
     m, lam = linalg.unitary_log_generator(np.eye(3, dtype=complex))
     assert np.max(np.abs(m)) == 0.0

@@ -161,13 +161,13 @@ def test_projector_extension_density_work_is_independent_of_n_t(km_topo, monkeyp
     """The U_P density makes the same number of N x N plane products at
     n_t = 8 and n_t = 32: its products run on the 2D grid only."""
     calls = []
-    plane_product = wz._plane_product
+    plane_product = wz.plane_product
 
     def counted(x, y):
         calls.append(1)
         return plane_product(x, y)
 
-    monkeypatch.setattr(wz, "_plane_product", counted)
+    monkeypatch.setattr(wz, "plane_product", counted)
     counts = []
     for n_t in (8, 32):
         g = up_extension(km_topo, n_t=n_t, n1=16, n2=16)
@@ -577,15 +577,15 @@ def test_tube_and_product_build_no_full_grid_temporary():
 # ------------------------------------------- phi amplitudes and kappa
 
 def test_amplitude_constant_family(constant_loop):
-    val = wz_amplitude_phi(constant_loop, n_grid=64)
+    val = wz_amplitude_phi(parallel_transport(constant_loop, n_grid=64))
     assert abs(val.amplitude - 1.0) < 1e-12
 
 
 def test_amplitude_flat_band_matches_berry(flat_band):
     loop = flat_band.loop(1, 0.0)
-    val = wz_amplitude_phi(loop, n_grid=256)
-    assert abs(val.amplitude - (-1.0)) < 1e-7
     trp = parallel_transport(loop, n_grid=256, substeps=4)
+    val = wz_amplitude_phi(trp)
+    assert abs(val.amplitude - (-1.0)) < 1e-7
     bp = berry_phase(berry_connection(build_frame(trp)))
     assert abs(val.amplitude - bp.raw) < 1e-7
 
@@ -610,6 +610,8 @@ def test_amplitude_of_frame_needs_trs_frame_with_w(km_topo, theta4):
     for frame in (build_frame(trp), regauged):
         with pytest.raises(NotTRSFrame):
             wz_amplitude_phi(frame)
+    with pytest.raises(TypeError):
+        wz_amplitude_phi(loop)          # a family is not trivialized
 
 
 def test_kappa_atomic_limit(atomic_limit, theta4):
