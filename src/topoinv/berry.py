@@ -15,14 +15,14 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT_TOL, N_2D
-from .core import ProjectorFamily
+from .core import ProjectorFamily, TRSOperator
 from .errors import DimensionMismatch, NotTRSFrame
-from .grids import (Axis, ebz_axis, integrate_grid, loop_axis, reflect_index,
-                    spectral_derivative)
+from .grids import (Axis, ebz_axis, integrate_grid, loop_axis, reflect,
+                    spectral_derivative, torus_points)
 from .results import snap_integer, snap_unit
 # build_trs_frame stays bound here: perfbench/selfcheck.py checks this binding
 from .transport import (BlochFrame, _occupied_basis, _segment_transport,  # noqa: F401
-                        build_trs_frame, smooth_ramp, smooth_ramp_derivative)
+                        build_trs_frame)
 
 TWO_PI = 2.0 * np.pi
 
@@ -133,8 +133,7 @@ class CurvatureField:
         ax1, ax2 = self.axes
         if not (ax1.periodic and ax2.periodic):
             raise ValueError("odd-symmetry check needs the full torus grid")
-        flipped = self.omega[reflect_index(ax1.n)][:, reflect_index(ax2.n)]
-        return float(np.max(np.abs(self.omega + flipped)))
+        return float(np.max(np.abs(self.omega + reflect(self.omega, 2))))
 
 
 def _omega_on(family: ProjectorFamily, ks):
@@ -151,8 +150,7 @@ def _omega_on(family: ProjectorFamily, ks):
 def berry_curvature(family: ProjectorFamily, n_grid=N_2D):
     """Omega(k) = -i Tr{ P [d1 P, d2 P] } on the full torus grid."""
     ax = loop_axis(n_grid)
-    k1, k2 = np.meshgrid(ax.points, ax.points, indexing="ij")
-    omega, imag_max = _omega_on(family, np.stack([k1, k2], axis=-1))
+    omega, imag_max = _omega_on(family, torus_points(ax, ax))
     return CurvatureField(axes=(ax, ax), omega=omega, imag_max=imag_max, family=family)
 
 
@@ -160,8 +158,7 @@ def berry_curvature_ebz(family: ProjectorFamily, n1=N_2D // 2, n2=N_2D):
     """Curvature on the half zone [0, pi] x T (k1 inclusive of both ends)."""
     ax1 = ebz_axis(n1)
     ax2 = loop_axis(n2)
-    k1, k2 = np.meshgrid(ax1.points, ax2.points, indexing="ij")
-    omega, imag_max = _omega_on(family, np.stack([k1, k2], axis=-1))
+    omega, imag_max = _omega_on(family, torus_points(ax1, ax2))
     return CurvatureField(axes=(ax1, ax2), omega=omega, imag_max=imag_max, family=family)
 
 
@@ -197,8 +194,8 @@ def delta_invariant(z2):
 @dataclass(frozen=True)
 class GaugeField:
     """m x m unitary gauge on a loop grid, optionally time-reversal symmetric
-    (u(-k) = J^-1 conj(u(k)) J). When built by the generators here, the exact
-    logarithmic derivative u^-1 du/dk is carried along."""
+    (u(-k) = Theta(u(k)) on C^m). When built by the generators here, the
+    exact logarithmic derivative u^-1 du/dk is carried along."""
 
     ks: np.ndarray
     u_samples: np.ndarray                      # (n, m, m)
@@ -217,10 +214,7 @@ class GaugeField:
         uni = float(np.max(linalg.unitarity_residual(self.u_samples)))
         report = {"unitarity": uni, "ok": uni <= 1e-10}
         if self.trs_flag:
-            m = self.rank
-            jm = linalg.symplectic_blocks(m)
-            refl = jm.T @ np.conjugate(self.u_samples) @ jm
-            trs = float(np.max(linalg.frob(self.u_samples[reflect_index(self.n)] - refl)))
+            trs = TRSOperator.standard(self.rank).residual(self.u_samples, 1)
             report["trs"] = trs
             report["ok"] = report["ok"] and trs <= DEFAULT_TOL.trs
         return report
@@ -251,95 +245,53 @@ def gauge_transform(frame: BlochFrame, gauge: GaugeField):
                       theta=frame.theta)
 
 
+def _fourier_hermitian(rng, ks, m, scale):
+    """Random Hermitian field H(k) on the loop points ks and its exact
+    derivative dH/dk: Fourier modes up to 3 with amplitudes scale / (1 + p)."""
+    c = [(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) * (scale / (1 + p))
+         for p in range(4)]
+    h = np.broadcast_to(c[0] + c[0].conj().T, (len(ks), m, m))
+    hp = np.zeros((len(ks), m, m), dtype=complex)
+    for p in range(1, 4):
+        ph = np.exp(1j * p * ks)[:, None, None]
+        h = h + ph * c[p] + np.conjugate(ph) * c[p].conj().T
+        hp = hp + 1j * p * (ph * c[p] - np.conjugate(ph) * c[p].conj().T)
+    return h, hp
+
+
 def random_gauge(n_points, m, seed):
     """Random smooth periodic gauge u = exp(iH(k)) with exact log-derivative;
     H has Fourier modes up to 3 with amplitudes 0.25 / (1 + p). The whole
     loop takes one batched eigendecomposition of H."""
-    bandwidth, scale = 3, 0.25
-    rng = np.random.default_rng(seed)
     ks = loop_axis(n_points).points
-    c = []
-    for p in range(0, bandwidth + 1):
-        cp = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) * (scale / (1 + p))
-        c.append(cp)
-    h = np.broadcast_to(c[0] + c[0].conj().T, (n_points, m, m))
-    hp = np.zeros((n_points, m, m), dtype=complex)
-    for p in range(1, bandwidth + 1):
-        ph = np.exp(1j * p * ks)[:, None, None]
-        h = h + ph * c[p] + np.conjugate(ph) * c[p].conj().T
-        hp = hp + 1j * p * (ph * c[p] - np.conjugate(ph) * c[p].conj().T)
+    h, hp = _fourier_hermitian(np.random.default_rng(seed), ks, m, 0.25)
     u, du = linalg.expi_hermitian_frechet(h, hp)
     return GaugeField(ks=ks, u_samples=u, trs_flag=False,
                       log_derivative=linalg.dagger(u) @ du)
 
 
-def _sp_algebra_element(rng, m, scale):
-    """Random element of the fixed-subgroup algebra: anti-Hermitian Y with
-    J^-1 conj(Y) J = Y (so exp(Y) is a symplectic unitary, det 1)."""
-    jm = linalg.symplectic_blocks(m)
-    x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    x = scale * 0.5 * (x - x.conj().T)
-    return 0.5 * (x + jm.T @ np.conjugate(x) @ jm)
-
-
-def _bump(x):
-    """C-infinity bump on [0,1], flat-zero at both ends, peak 1 in the middle."""
-    return smooth_ramp(2 * x) * smooth_ramp(2 * (1 - x))
-
-
 def random_trs_gauge(n_points, m, seed, scale=0.4, winding=None):
     """Random smooth time-reversal symmetric gauge with even det winding.
 
-    Built on [0, pi] from single-generator exponentials with flat-ended
-    profiles and endpoints in the fixed subgroup (symplectic unitaries), then
-    reflected by u(-k) = J^-1 conj(u(k)) J; an optional winding factor
-    diag(e^{iwk}, e^{iwk}, 1, ...) adds det winding 2w. Rank m must be even.
+    u = diag(e^{iwk}, e^{iwk}, 1, ...) exp(Z(k)): Z is random_gauge's iH
+    (amplitudes scale / (1 + p)) symmetrized to Z(-k) = Theta(Z(k)), and the
+    symmetric winding factor adds det winding 2w (w drawn from -2..2 unless
+    given). One batched eigendecomposition of -iZ gives exp(Z) and its exact
+    derivative along d(-iZ)/dk = the symmetrized dH/dk. Rank m must be even.
     """
-    if m % 2 != 0:
-        raise DimensionMismatch("time-reversal symmetric gauges need even rank")
+    theta = TRSOperator.standard(m)
     rng = np.random.default_rng(seed)
+    ks = loop_axis(n_points).points
+    h, hp = _fourier_hermitian(rng, ks, m, scale)
     if winding is None:
         winding = int(rng.integers(-2, 3))
-    jm = linalg.symplectic_blocks(m)
-    s0 = linalg.expi_hermitian(-1j * _sp_algebra_element(rng, m, scale))
-    big_s = _sp_algebra_element(rng, m, scale)
-    h1 = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    h1 = scale * 0.5 * (h1 + h1.conj().T)
-    h2 = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    h2 = scale * 0.5 * (h2 + h2.conj().T)
-
-    ks = loop_axis(n_points).points
-    half = n_points // 2
-    k = np.append(ks[half:], np.pi)             # [0, pi]
-    x = k / np.pi
-    col = lambda a: a[:, None, None]
-    f1 = linalg.expi_hermitian(-1j * big_s, smooth_ramp(x))
-    f2 = linalg.expi_hermitian(h1, _bump(x))
-    f3 = linalg.expi_hermitian(h2, _bump(x) * np.sin(2 * np.pi * x))
-    wind = np.tile(np.eye(m, dtype=complex), (half + 1, 1, 1))
-    wind[:, 0, 0] = wind[:, 1, 1] = np.exp(1j * winding * k)
-    rest = s0 @ f1 @ f2 @ f3
-    uj = wind @ rest
-    # single-generator factors commute with their own derivatives;
-    # dk = (dx/pi) d/dx throughout
-    d1 = col(smooth_ramp_derivative(x) / np.pi) * big_s
-    d2 = col((_bump_derivative(x) / np.pi) * 1j) * h1
-    d3 = col(((_bump_derivative(x) * np.sin(2 * np.pi * x)
-               + _bump(x) * 2 * np.pi * np.cos(2 * np.pi * x)) / np.pi) * 1j) * h2
-    wind_diag = np.zeros((m, m), dtype=complex)
-    wind_diag[0, 0] = wind_diag[1, 1] = 1j * winding
-    f23 = f2 @ f3
-    ld = (linalg.dagger(f23) @ d1 @ f23 + linalg.dagger(f3) @ d2 @ f3 + d3
-          + linalg.dagger(rest) @ wind_diag @ rest)
-    # grid index of k = j*h is half + j; k = -pi carries the reflection of pi
-    u = np.concatenate([jm.T @ np.conjugate(uj[half:0:-1]) @ jm, uj[:half]])
-    logd = np.concatenate([-(jm.T @ np.conjugate(ld[half:0:-1]) @ jm), ld[:half]])
-    return GaugeField(ks=ks, u_samples=u, trs_flag=True, log_derivative=logd)
-
-
-def _bump_derivative(x):
-    return (2 * smooth_ramp_derivative(2 * x) * smooth_ramp(2 * (1 - x))
-            - 2 * smooth_ramp(2 * x) * smooth_ramp_derivative(2 * (1 - x)))
+    u, du = linalg.expi_hermitian_frechet(-1j * theta.symmetrize(1j * h, 1),
+                                          theta.symmetrize(hp, 1))
+    pair = np.arange(m) < 2
+    # (D u)^-1 d(D u) = u^-1 (du + D^-1 dD u) with D^-1 dD = i w diag(1, 1, 0, ...)
+    logd = linalg.dagger(u) @ (du + 1j * winding * pair[:, None] * u)
+    d = np.exp(1j * winding * np.multiply.outer(ks, pair))
+    return GaugeField(ks=ks, u_samples=d[..., None] * u, trs_flag=True, log_derivative=logd)
 
 
 def holonomy_flux_check(family: ProjectorFamily, corner, widths, n_edge=256):
@@ -364,8 +316,7 @@ def holonomy_flux_check(family: ProjectorFamily, corner, widths, n_edge=256):
     boundary_phase = float(np.angle(np.linalg.det(hol)))
     ax1 = Axis("k1", a1, w1, n_edge, periodic=False)
     ax2 = Axis("k2", a2, w2, n_edge, periodic=False)
-    k1, k2 = np.meshgrid(ax1.points, ax2.points, indexing="ij")
-    omega, _ = _omega_on(family, np.stack([k1, k2], axis=-1))
+    omega, _ = _omega_on(family, torus_points(ax1, ax2))
     flux = float(integrate_grid(omega, [ax1, ax2]))
     diff = (boundary_phase + flux + np.pi) % TWO_PI - np.pi
     return boundary_phase, flux, float(abs(diff))

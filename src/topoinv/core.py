@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
-from .grids import loop_axis, reflect_index
+from .grids import loop_axis, reflect, torus_points
 from .linalg import entries_first, inverse_planes, matrices_last, plane_product
 from .models import BlochHamiltonianSpec
 
@@ -31,8 +31,12 @@ from .models import BlochHamiltonianSpec
 @dataclass(frozen=True)
 class TRSOperator:
     """Odd time reversal theta = J K on C^(2M), with J the block symplectic
-    matrix. theta^2 = -1 exactly; the adjoint action on operators is
-    Theta(A) = J conj(A) J^T."""
+    matrix, theta^2 = -1; the one owner of time reversal outside the
+    independent oracles of `lattice`. On vectors theta(x) = J conj(x); on
+    operators Theta(A) = J conj(A) J^T; on an N x m frame E, theta(E) J_m
+    with J_m the symplectic matrix of rank m. A field on a loop or torus
+    grid is symmetric when X(-k) = Theta(X(k)) (E(-k) = theta(E(k)) J_m for
+    frames), -k read off by `grids.reflect`."""
 
     dim: int
     j: np.ndarray = field(repr=False)
@@ -50,6 +54,18 @@ class TRSOperator:
     def adjoint(self, operator):
         """Theta(A) = theta A theta^-1 = J conj(A) J^T (antilinear in A)."""
         return self.j @ np.conjugate(operator) @ self.j.T
+
+    def frame(self, e):
+        """theta(E) J_m for frames E (..., N, m), J_m of the frame's rank m."""
+        return self.apply(e) @ linalg.symplectic_blocks(e.shape[-1])
+
+    def residual(self, x, n_axes):
+        """max_k ||X(-k) - Theta(X(k))|| on a loop (1) or torus (2) grid."""
+        return float(np.max(linalg.frob(reflect(x, n_axes) - self.adjoint(x))))
+
+    def symmetrize(self, x, n_axes):
+        """(X(k) + Theta(X(-k))) / 2 on a loop (1) or torus (2) grid."""
+        return 0.5 * (x + self.adjoint(reflect(x, n_axes)))
 
 
 @dataclass(frozen=True)
@@ -162,15 +178,14 @@ class ProjectorFamily:
 
         Returns a dict of residuals; raises nothing (callers decide).
         """
+        ax = loop_axis(n_grid)
         if self.domain == "loop":
-            ks = loop_axis(n_grid).points
+            ks = ax.points
             p = self.sample(ks)
             shifted = self.sample(ks + 2 * np.pi)
             per = float(np.max(linalg.frob(p - shifted)))
         else:
-            ax = loop_axis(n_grid)
-            k1, k2 = np.meshgrid(ax.points, ax.points, indexing="ij")
-            ks = np.stack([k1, k2], axis=-1)
+            ks = torus_points(ax, ax)
             p = self.sample(ks)
             per = 0.0
             for axis in range(2):
@@ -233,8 +248,7 @@ def make_projector_family(spec, fermi_level=0.0):
     next diagonalizes nothing.
     """
     ax = loop_axis(64)
-    k1, k2 = np.meshgrid(ax.points, ax.points, indexing="ij")
-    ks = np.stack([k1, k2], axis=-1)
+    ks = torus_points(ax, ax)
     eigensystem = _gap_checked_eigh(spec, ks, fermi_level)
     rank = int(np.count_nonzero(eigensystem[0][:, 0, 0] < fermi_level))
     family = ProjectorFamily(spec=spec, rank=rank, fermi_level=fermi_level, name=spec.name)
@@ -252,15 +266,9 @@ def check_trs(family: ProjectorFamily, theta: TRSOperator, n_grid=64):
         raise DimensionMismatch(
             f"family dimension {family.ambient_dim} != theta dimension {theta.dim}")
     ax = loop_axis(n_grid)
-    idx = reflect_index(n_grid)
-    if family.domain == "loop":
-        p = family.sample(ax.points)
-        refl = p[idx]
-    else:
-        k1, k2 = np.meshgrid(ax.points, ax.points, indexing="ij")
-        p = family.sample(np.stack([k1, k2], axis=-1))
-        refl = p[np.ix_(idx, idx)]
-    violation = float(np.max(linalg.frob(refl - theta.adjoint(p))))
+    loop = family.domain == "loop"
+    ks = ax.points if loop else torus_points(ax, ax)
+    violation = theta.residual(family.sample(ks), 1 if loop else 2)
     return violation <= DEFAULT_TOL.trs, violation
 
 

@@ -56,10 +56,19 @@ def ebz_axis(n, name="k1"):
     return interval_axis(n, 0.0, np.pi, name=name)
 
 
-def reflect_index(n):
-    """Index map k -> -k on the n points of a loop_axis grid
-    (k_j = -pi + 2pi j/n): entry j is the grid index of -k_j."""
-    return (-np.arange(n)) % n
+def torus_points(ax1, ax2):
+    """The (n1, n2, 2) array of points (k1, k2) on the product grid of two
+    axes, k1 varying along the first index."""
+    return np.stack(np.meshgrid(ax1.points, ax2.points, indexing="ij"), axis=-1)
+
+
+def reflect(samples, n_axes):
+    """Samples at -k from samples at k_j = -pi + 2 pi j / n on the n_axes
+    leading loop_axis grid axes: -k_j sits at index -j mod n."""
+    for axis in range(n_axes):
+        n = samples.shape[axis]
+        samples = np.take(samples, (-np.arange(n)) % n, axis=axis)
+    return samples
 
 
 def quad_weights(axis: Axis):

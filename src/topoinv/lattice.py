@@ -11,7 +11,7 @@ boundary link sums are exactly integer multiples of 2 pi by construction.
 import numpy as np
 
 from .core import ProjectorFamily, TRSOperator
-from .grids import ebz_axis, loop_axis
+from .grids import ebz_axis, loop_axis, torus_points
 from .results import snap_integer
 
 TWO_PI = 2.0 * np.pi
@@ -39,8 +39,7 @@ def plaquette_chern(family: ProjectorFamily, n_grid=64):
     within (-pi, pi); the snap residual reports the distance anyway.
     """
     ax = loop_axis(n_grid)
-    k1, k2 = np.meshgrid(ax.points, ax.points, indexing="ij")
-    frames = _frames(family.sample(np.stack([k1, k2], axis=-1)))
+    frames = _frames(family.sample(torus_points(ax, ax)))
     right = np.roll(frames, -1, axis=0)
     up = np.roll(frames, -1, axis=1)
     diag = np.roll(right, -1, axis=1)
@@ -107,8 +106,7 @@ def lattice_z2(family: ProjectorFamily, theta: TRSOperator, n1=32, n2=64):
     invariant. P is sampled once on the half-zone grid, the grid of
     berry.berry_curvature_ebz.
     """
-    k1, k2 = np.meshgrid(ebz_axis(n1).points, loop_axis(n2).points, indexing="ij")
-    p = family.sample(np.stack([k1, k2], axis=-1))
+    p = family.sample(torus_points(ebz_axis(n1), loop_axis(n2)))
     dim, m = family.ambient_dim, family.rank
     frames = np.empty((n1 + 1, n2, dim, m), dtype=complex)
     frames[0] = _trs_boundary_line(p[0], theta)

@@ -63,9 +63,10 @@ class BlochHamiltonianSpec:
 def _merge_terms(raw_terms):
     """Collect (matrix, vector) contributions, summing duplicates."""
     acc = {}
-    for mat, vec in raw_terms:
-        key = (int(vec[0]), int(vec[1]))
-        acc[key] = acc.get(key, 0) + np.asarray(mat, dtype=complex)
+    with np.errstate(over="ignore"):   # an overflowing sum is refused as non-finite
+        for mat, vec in raw_terms:
+            key = (int(vec[0]), int(vec[1]))
+            acc[key] = acc.get(key, 0) + np.asarray(mat, dtype=complex)
     return tuple((m, np.array(v, dtype=int)) for v, m in sorted(acc.items()))
 
 
@@ -81,7 +82,15 @@ def _with_conjugates(raw_terms):
 
 
 def _validate_hermitian_pairing(terms, where="terms"):
+    """Every merged term is finite, so is the bound 2 sum_v ||T_v|| on the
+    spread of the spectrum, and each term has its conjugate-transpose
+    partner at the opposite vector."""
     index = {(int(v[0]), int(v[1])): m for m, v in terms}
+    for (v0, v1), m in index.items():
+        if not np.all(np.isfinite(m)):
+            raise SchemaError(f"{where}[({v0},{v1})]", "merged matrix entries must be finite")
+    if not np.isfinite(2.0 * sum(float(np.linalg.norm(m, 2)) for m in index.values())):
+        raise SchemaError(where, "the spectral bound 2 sum_v ||T_v|| overflows a float")
     for (v0, v1), m in index.items():
         if (v0, v1) == (0, 0):
             if np.max(np.abs(m - m.conj().T)) > 1e-12:

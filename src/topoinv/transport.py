@@ -19,7 +19,7 @@ from . import linalg
 from .config import DEFAULT_TOL, N_LOOP
 from .core import ProjectorFamily, TRSOperator, check_trs, symplectic_basis
 from .errors import (BadBaseBasis, NotTRS, StepFailure, SymmetrizationFailure)
-from .grids import loop_axis, reflect_index
+from .grids import loop_axis, reflect
 
 
 def smooth_ramp(x):
@@ -209,8 +209,8 @@ class BlochFrame:
         """max_k of || E(-k) - theta(E(k)) J || over the grid."""
         if not self.trs_flag or self.theta is None:
             raise ValueError("not a time-reversal symmetric frame")
-        refl = self.theta.apply(self.e_samples) @ linalg.symplectic_blocks(self.rank)
-        return float(np.max(linalg.frob(self.e_samples[reflect_index(self.n)] - refl)))
+        e = self.e_samples
+        return float(np.max(linalg.frob(reflect(e, 1) - self.theta.frame(e))))
 
 
 def build_frame(tr: TransportResult, base_basis=None):
@@ -319,19 +319,17 @@ def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid=N_LOOP,
         """The loop-grid frame from its half on [0, pi]: grid index of
         k = j*h is half + j, k = -pi is k = pi, and (-pi, 0) carries the
         Kramers reflection E(-k) = theta(E(k)) J."""
-        jm = linalg.symplectic_blocks(e_plus.shape[-1])
         e = np.empty((n_grid,) + e_plus.shape[1:], dtype=complex)
         e[half:] = e_plus[:half]
         e[0] = e_plus[half]
-        e[1:half] = theta.apply(e_plus[half - 1:0:-1]) @ jm
+        e[1:half] = theta.frame(e_plus[half - 1:0:-1])
         return e
 
     e_plus, phase_sum, e0 = symmetrized_half(p_half[0])
     ec_plus, _, e0c = symmetrized_half(np.eye(family.ambient_dim) - p_half[0])
     e = whole_loop(e_plus)
     w = e @ linalg.dagger(e0) + whole_loop(ec_plus) @ linalg.dagger(e0c)
-    jm = linalg.symplectic_blocks(e.shape[-1])
-    seam = float(linalg.frob(e[0] - theta.apply(e[0]) @ jm))
+    seam = float(linalg.frob(e[0] - theta.frame(e[0])))
 
     ks = loop_axis(n_grid).points
     a_samples = (smooth_ramp_derivative(np.abs(ks) / np.pi) / np.pi) * phase_sum

@@ -36,7 +36,7 @@ from .config import DEFAULT_TOL, N_2D, N_LOOP
 from .core import ProjectorFamily, TRSOperator
 from .errors import BadDims, NotAnExtension, NotTRSFrame
 from .grids import (ebz_axis, integrate_grid, interval_axis, loop_axis,
-                    grid_derivative, reflect_index, spectral_derivative,
+                    grid_derivative, spectral_derivative, torus_points,
                     unit_circle_axis)
 from .linalg import (entries_first, inverse_planes, matrices_last, plane_product,
                      trace_product)
@@ -458,10 +458,7 @@ def random_equivariant_field(n_grid, theta: TRSOperator, seed, bandwidth=2,
     dim = theta.dim
     ax = loop_axis(n_grid)
     h = random_hermitian_field((ax, ax), dim, seed, bandwidth)
-    z = 1j * h
-    # equivariant symmetrization: Z(k) <- (Z(k) + Theta(Z(-k))) / 2
-    idx = reflect_index(n_grid)
-    z = 0.5 * (z + theta.adjoint(z[np.ix_(idx, idx)]))
+    z = theta.symmetrize(1j * h, 2)
     n, m = windings
     base = normal_form_field(n, m, dim, equivariant=True, n_grid=n_grid)
     ext = tube_extension(base, z)
@@ -470,9 +467,7 @@ def random_equivariant_field(n_grid, theta: TRSOperator, seed, bandwidth=2,
 
 def equivariance_residual(g: FieldGrid, theta: TRSOperator):
     """max_k || g(-k) - Theta(g(k)) || on the grid (loop or torus fields)."""
-    idx = [reflect_index(ax.n) for ax in g.axes]
-    refl = g.samples[np.ix_(*idx)] if g.n_axes == 2 else g.samples[idx[0]]
-    return float(np.max(linalg.frob(refl - theta.adjoint(g.samples))))
+    return theta.residual(g.samples, g.n_axes)
 
 
 # ------------------------------------------- Polyakov-Wiegmann functionals
@@ -646,8 +641,7 @@ def up_extension(family: ProjectorFamily, n_t=64, n1=64, n2=64, path="forward"):
     t_ax = interval_axis(n_t, 0.0, 1.0, name="t")
     k_ax = loop_axis(n1)
     k2_ax = loop_axis(n2)
-    k1, k2 = np.meshgrid(k_ax.points, k2_ax.points, indexing="ij")
-    p = entries_first(family.sample(np.stack([k1, k2], axis=-1)))
+    p = entries_first(family.sample(torus_points(k_ax, k2_ax)))
     t = t_ax.points
     omega = {"forward": np.pi * t, "reverse": -np.pi * t,
              "reparam": np.pi * t * (2.0 - t)}[path]
@@ -668,8 +662,7 @@ def phi_ebz_extension(family: ProjectorFamily, n_t=16, n1=64, n2=64):
     t_ax = unit_circle_axis(n_t)
     k1_ax = ebz_axis(n1)
     k2_ax = loop_axis(n2)
-    k1, k2 = np.meshgrid(k1_ax.points, k2_ax.points, indexing="ij")
-    p, dp1 = map(entries_first, family.derivative(np.stack([k1, k2], axis=-1), 0))
+    p, dp1 = map(entries_first, family.derivative(torus_points(k1_ax, k2_ax), 0))
     tphase = np.exp(TWO_PI * 1j * t_ax.points)
     return ProjectorExtension(axes=(t_ax, k1_ax, k2_ax), p=p,
                               dp=(dp1, spectral_derivative(p, 3, k2_ax)),

@@ -71,3 +71,5 @@ def test_criterion_11_grid_convergence():
     result = run_and_report(CRITERIA["criterion_11_convergence"])
     for name, row in result.details.items():
         assert row["at_floor"] or row["ratio"] >= 10.0, (name, row)
+    # a probe at the floor measures nothing about convergence
+    assert not result.details["amplitude_vs_berry"]["at_floor"]

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from topoinv import linalg
 from topoinv import (berry_connection, berry_curvature, berry_curvature_ebz,
                      berry_phase, berry_phase_sqrt, build_frame, build_trs_frame,
                      chern_number, delta_invariant, gauge_transform,
@@ -12,7 +13,7 @@ from topoinv import (berry_connection, berry_curvature, berry_curvature_ebz,
                      random_gauge, random_trs_gauge, winding, z2_ingredients)
 from topoinv.berry import holonomy_flux_check
 from topoinv.errors import DimensionMismatch, NotTRSFrame, UnsnappedError
-from topoinv.grids import loop_axis
+from topoinv.grids import loop_axis, spectral_derivative
 from topoinv.wz import FieldGrid
 
 
@@ -95,8 +96,9 @@ def km_loop_frames(km_topo, theta4):
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_random_gauges_keep_their_symmetry_and_the_berry_phase(km_loop_frames, seed):
     """A random symmetric gauge is unitary, time-reversal symmetric, has even
-    det winding and keeps the square-root Berry phase; a random gauge keeps
-    the full Berry phase."""
+    det winding, keeps the square-root Berry phase and carries the exact
+    log-derivative (the spectral u^-1 du within 1e-12 on 512 points, ranks 2
+    and 4); a random gauge keeps the full Berry phase."""
     trs_frame, frame = km_loop_frames
     gauge = random_trs_gauge(trs_frame.n, trs_frame.rank, seed=seed)
     assert gauge.validate()["ok"]
@@ -110,6 +112,10 @@ def test_random_gauges_keep_their_symmetry_and_the_berry_phase(km_loop_frames, s
     full_g = berry_phase(berry_connection(
         gauge_transform(frame, random_gauge(frame.n, frame.rank, seed=seed)))).raw
     assert abs(full_g - full) < 1e-8
+    for m in (2, 4):
+        u = random_trs_gauge(512, m, seed=seed)
+        du = spectral_derivative(u.u_samples, 0, loop_axis(512))
+        assert np.max(np.abs(u.log_derivative - linalg.dagger(u.u_samples) @ du)) <= 1e-12
 
 
 def test_sqrt_needs_trs_frame(km_topo):

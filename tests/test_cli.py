@@ -106,20 +106,26 @@ def test_gap_closure_exit_code(capsys, tmp_path):
 
 
 def test_non_finite_model_entry_is_a_schema_error(capsys, tmp_path):
-    """A NaN or infinite matrix entry is refused when the file is loaded,
-    with the term that holds it, before any eigensolver sees it."""
-    for bad in (np.nan, np.inf):
-        onsite = np.diag([bad, -1.0, 1.0, -1.0]).astype(complex)
+    """A NaN or infinite matrix entry, two on-site terms whose sum overflows,
+    and terms whose spectral bound 2 sum_v ||T_v|| overflows are refused
+    when the file is loaded, with the term that holds them, before any
+    eigensolver sees them; stderr holds exactly the one JSON payload."""
+    onsite = lambda *diag: (np.diag(diag).astype(complex), np.array([0, 0]))
+    cases = (((onsite(np.nan, -1.0, 1.0, -1.0),), "terms[0].matrix:"),
+             ((onsite(np.inf, -1.0, 1.0, -1.0),), "terms[0].matrix:"),
+             ((onsite(1e308, -1.0, 1.0, -1.0),) * 2, "terms[(0,0)]:"),
+             ((onsite(1e308, -1e308, 1.0, -1.0),), "terms:"))
+    for terms, location in cases:
         path = tmp_path / "bad.json"
-        save_model(path, BlochHamiltonianSpec(dim=4, terms=((onsite, np.array([0, 0])),),
-                                              name="bad"))
+        save_model(path, BlochHamiltonianSpec(dim=4, terms=terms, name="bad"))
         for command in ("chern", "fkm"):
             code, _, err = run_cli(capsys, command, "--model-file", str(path),
                                    "--grid", "32")
-            assert code == 4, (bad, command)
-            payload = json.loads(err.splitlines()[-1])
+            assert code == 4, (location, command)
+            [line] = err.splitlines()
+            payload = json.loads(line)
             assert payload["error"] == "SchemaError"
-            assert payload["message"].startswith("terms[0].matrix:")
+            assert payload["message"].startswith(location)
 
 
 def test_param_must_be_a_finite_number(capsys):
@@ -130,6 +136,11 @@ def test_param_must_be_a_finite_number(capsys):
         payload = json.loads(err.splitlines()[-1])
         assert payload["error"] == "BadConfig"
         assert "lambda_v" in payload["message"]
+    # finite, but the model's spectral bound overflows
+    code, _, err = run_cli(capsys, "chern", "--model", "haldane", "--param", "m=1e308")
+    assert code == 4
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "SchemaError"
 
 
 def test_unknown_model_exit_code(capsys):

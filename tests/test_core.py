@@ -6,7 +6,8 @@ import pytest
 from topoinv import (berry, builtin_model, check_trs, cli, lattice, make_projector_family,
                      symplectic_basis, transport)
 from topoinv.errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
-from topoinv.grids import loop_axis
+from topoinv.core import TRSOperator
+from topoinv.grids import loop_axis, reflect
 from topoinv.models import BlochHamiltonianSpec
 from topoinv import linalg
 
@@ -54,6 +55,28 @@ def test_trs_operator_structure(theta4):
     assert linalg.frob(theta4.adjoint(g @ h)
                        - theta4.adjoint(g) @ theta4.adjoint(h)) < 1e-12
     assert linalg.frob(theta4.adjoint(theta4.adjoint(g)) - g) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_time_reversal_methods_match_the_inline_formulas(dim):
+    """grids.reflect and TRSOperator.frame, residual and symmetrize equal
+    the index map k -> -k, theta(E) J_m and J conj(X) J^T written out, exactly,
+    on loop and torus grids; a symmetrized field is symmetric to 1e-15."""
+    theta = TRSOperator.standard(dim)
+    j, jm = linalg.symplectic_blocks(dim), linalg.symplectic_blocks(2)
+    rng = np.random.default_rng(dim)
+    draw = lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flip = lambda n: (-np.arange(n)) % n
+    for grid in ((8,), (8, 6)):
+        flipped = lambda a: a[flip(8)] if len(grid) == 1 else a[np.ix_(flip(8), flip(6))]
+        x, e = draw(grid + (dim, dim)), draw(grid + (dim, 2))
+        assert np.array_equal(reflect(x, len(grid)), flipped(x))
+        assert np.array_equal(theta.frame(e), j @ np.conjugate(e) @ jm)
+        assert theta.residual(x, len(grid)) == float(np.max(linalg.frob(
+            flipped(x) - j @ np.conjugate(x) @ j.T)))
+        symmetric = theta.symmetrize(x, len(grid))
+        assert np.array_equal(symmetric, 0.5 * (x + j @ np.conjugate(flipped(x)) @ j.T))
+        assert theta.residual(symmetric, len(grid)) <= 1e-15
 
 
 def test_check_trs_constant_invariant(atomic_limit, theta4):
