@@ -19,6 +19,7 @@ from .core import ProjectorFamily, TRSOperator
 from .errors import DimensionMismatch, NotTRSFrame
 from .grids import (Axis, ebz_axis, integrate_grid, loop_axis, reflect,
                     spectral_derivative, torus_points)
+from .models import fourier_planes
 from .results import snap_integer, snap_unit
 # build_trs_frame stays bound here: perfbench/selfcheck.py checks this binding
 from .transport import (BlochFrame, _occupied_basis, _segment_transport,  # noqa: F401
@@ -248,15 +249,12 @@ def gauge_transform(frame: BlochFrame, gauge: GaugeField):
 def _fourier_hermitian(rng, ks, m, scale):
     """Random Hermitian field H(k) on the loop points ks and its exact
     derivative dH/dk: Fourier modes up to 3 with amplitudes scale / (1 + p)."""
-    c = [(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) * (scale / (1 + p))
-         for p in range(4)]
-    h = np.broadcast_to(c[0] + c[0].conj().T, (len(ks), m, m))
-    hp = np.zeros((len(ks), m, m), dtype=complex)
-    for p in range(1, 4):
-        ph = np.exp(1j * p * ks)[:, None, None]
-        h = h + ph * c[p] + np.conjugate(ph) * c[p].conj().T
-        hp = hp + 1j * p * (ph * c[p] - np.conjugate(ph) * c[p].conj().T)
-    return h, hp
+    terms = []
+    for p in range(4):
+        c = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) * (scale / (1 + p))
+        terms += [(c, (p, 0)), (c.conj().T, (-p, 0))]
+    points = np.stack([ks, np.zeros_like(ks)], axis=-1)
+    return tuple(linalg.matrices_last(fourier_planes(terms, points, d)) for d in (None, 0))
 
 
 def random_gauge(n_points, m, seed):

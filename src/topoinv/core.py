@@ -4,15 +4,16 @@ time-reversal structure acting on them.
 A ProjectorFamily is the occupied-band projector P(k) of a Bloch
 Hamiltonian H(k), on the torus or on a line through it. One eigensystem of H
 per set of points gives P and, through `derivative`, its derivatives exactly
-from dH by perturbation theory. The eigensystem is held in the plane layout
-of `linalg` (eigenvalues band-first, eigenvectors entries-first), so P, the
-band-basis dH and dP are plane products over the whole point set; P and dP
-are handed out as (..., N, N) views of their planes. The family remembers
-the eigensystem of the last point set it diagonalized (its gap probe, to
-begin with), so consumers that read the same grid one after another, such
-as the curvature and the lattice oracle of one request, diagonalize H on
-that grid once. The TRSOperator is the antiunitary theta = J K
-(K = complex conjugation) with theta^2 = -1 in the working basis.
+from the planes of dH (`models.fourier_planes`) by perturbation theory. The
+eigensystem is held in the plane layout of `linalg` (eigenvalues band-first,
+eigenvectors entries-first), so P, the band-basis dH and dP are plane
+products over the whole point set; P and dP are handed out as (..., N, N)
+views of their planes. The family remembers the eigensystem of the last
+point set it diagonalized (its gap probe, to begin with), so consumers that
+read the same grid one after another, such as the curvature and the lattice
+oracle of one request, diagonalize H on that grid once. The TRSOperator is
+the antiunitary theta = J K (K = complex conjugation) with theta^2 = -1 in
+the working basis.
 """
 
 from dataclasses import dataclass, field, replace
@@ -25,7 +26,7 @@ from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
 from .grids import loop_axis, reflect, torus_points
 from .linalg import entries_first, inverse_planes, matrices_last, plane_product
-from .models import BlochHamiltonianSpec
+from .models import BlochHamiltonianSpec, fourier_planes
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ class ProjectorFamily:
         p = plane_product(v_occ, v_occ_dag)
 
         def along(direction):
-            dh = entries_first(self.spec.bloch_derivative(k, direction))
+            dh = fourier_planes(self.spec.terms, k, direction)
             x = plane_product(v_occ_dag, plane_product(dh, v_emp))
             x /= gaps
             dp = plane_product(plane_product(v_occ, x), v_emp_dag)

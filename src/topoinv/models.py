@@ -3,7 +3,8 @@
 Bloch Hamiltonians are trigonometric polynomials
 H(k) = sum_v T_v exp(i k.v) over integer lattice vectors v, so smoothness
 and 2*pi-periodicity are automatic; Hermiticity is enforced by requiring the
-conjugate-transpose partner term at -v.
+conjugate-transpose partner term at -v. `fourier_planes` evaluates all such
+sums (H, dH, random Hermitian fields) as one contraction onto planes.
 """
 
 import csv
@@ -14,11 +15,28 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, SchemaError, UnknownModel, UnknownParameter
+from .linalg import matrices_last
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 S0 = np.eye(2, dtype=complex)
+
+
+def fourier_planes(terms, ks, direction=None):
+    """sum_v T_v exp(i k.v) over (matrix T_v, vector v) terms at k-points
+    (..., 2), as entries-first planes (N, N, ...): one contraction of the
+    stacked matrices with the (T, ...) table of phases. A torus axis or a
+    direction d in `direction` gives the exact derivative along d instead,
+    each matrix weighted by i (v.d)."""
+    mats = np.stack([m for m, _ in terms], axis=-1)
+    vecs = np.array([v for _, v in terms], dtype=float)
+    if direction is not None:
+        d = np.eye(2)[direction] if np.ndim(direction) == 0 else np.asarray(direction, dtype=float)
+        mats = mats * (1j * (vecs @ d))
+    phase = 1j * np.tensordot(vecs, np.asarray(ks, dtype=float), axes=(1, -1))
+    np.exp(phase, out=phase)
+    return np.tensordot(mats, phase, axes=1)
 
 
 @dataclass(frozen=True)
@@ -32,24 +50,7 @@ class BlochHamiltonianSpec:
 
     def bloch(self, ks):
         """Evaluate H on an array of k-points, (..., 2) -> (..., N, N)."""
-        ks = np.asarray(ks, dtype=float)
-        out = np.zeros(ks.shape[:-1] + (self.dim, self.dim), dtype=complex)
-        for mat, vec in self.terms:
-            phase = np.exp(1j * (ks[..., 0] * vec[0] + ks[..., 1] * vec[1]))
-            out += phase[..., None, None] * mat
-        return out
-
-    def bloch_derivative(self, ks, axis):
-        """Analytic dH/dk_axis (the trig-polynomial form differentiates
-        freely); a direction (d1, d2) in place of the axis gives the
-        derivative d1 dH/dk1 + d2 dH/dk2 along it."""
-        ks = np.asarray(ks, dtype=float)
-        d = np.eye(2)[axis] if np.ndim(axis) == 0 else np.asarray(axis, dtype=float)
-        out = np.zeros(ks.shape[:-1] + (self.dim, self.dim), dtype=complex)
-        for mat, vec in self.terms:
-            phase = np.exp(1j * (ks[..., 0] * vec[0] + ks[..., 1] * vec[1]))
-            out += (1j * (vec[0] * d[0] + vec[1] * d[1])) * phase[..., None, None] * mat
-        return out
+        return matrices_last(fourier_planes(self.terms, ks))
 
     def hermiticity_residual(self, n_samples=1000):
         """max ||H(k) - H(k)*|| over n_samples seeded random k (should be
@@ -82,15 +83,16 @@ def _with_conjugates(raw_terms):
 
 
 def _validate_hermitian_pairing(terms, where="terms"):
-    """Every merged term is finite, so is the bound 2 sum_v ||T_v|| on the
-    spread of the spectrum, and each term has its conjugate-transpose
-    partner at the opposite vector."""
+    """Every merged term is finite, so is the bound 2 sum_v (1 + |v|) ||T_v||
+    on the spread of the spectrum of H and of every unit-direction dH, and
+    each term has its conjugate-transpose partner at the opposite vector."""
     index = {(int(v[0]), int(v[1])): m for m, v in terms}
     for (v0, v1), m in index.items():
         if not np.all(np.isfinite(m)):
             raise SchemaError(f"{where}[({v0},{v1})]", "merged matrix entries must be finite")
-    if not np.isfinite(2.0 * sum(float(np.linalg.norm(m, 2)) for m in index.values())):
-        raise SchemaError(where, "the spectral bound 2 sum_v ||T_v|| overflows a float")
+    if not np.isfinite(2.0 * sum((1.0 + float(np.hypot(*v))) * float(np.linalg.norm(m, 2))
+                                 for v, m in index.items())):
+        raise SchemaError(where, "the spectral bound 2 sum_v (1 + |v|) ||T_v|| overflows a float")
     for (v0, v1), m in index.items():
         if (v0, v1) == (0, 0):
             if np.max(np.abs(m - m.conj().T)) > 1e-12:

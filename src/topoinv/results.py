@@ -36,15 +36,15 @@ class InvariantResult:
 def snap_integer(kind, raw, snap_tol=DEFAULT_TOL.snap, meta=None, modulus=None):
     """Snap a (possibly complex) raw value to the nearest integer.
 
-    With `modulus` given, the snapped integer is reduced mod it (the raw
-    value is kept untouched for diagnostics).
+    With `modulus` given, the snapped integer is reduced mod it. The raw
+    value is kept untouched; a NaN or infinite one never snaps.
     """
     raw_c = complex(raw)
-    nearest = int(np.rint(raw_c.real))
+    nearest = float(np.rint(raw_c.real))
     residual = abs(raw_c - nearest)
     snapped = None
     if residual < snap_tol:
-        snapped = nearest % modulus if modulus else nearest
+        snapped = int(nearest) % modulus if modulus else int(nearest)
     return InvariantResult(kind=kind, raw=raw_c.real if raw_c.imag == 0 else raw_c,
                            snapped=snapped, residual=float(residual),
                            snap_tol=snap_tol, meta=meta or {})

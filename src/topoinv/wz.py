@@ -40,6 +40,7 @@ from .grids import (ebz_axis, integrate_grid, interval_axis, loop_axis,
                     unit_circle_axis)
 from .linalg import (entries_first, inverse_planes, matrices_last, plane_product,
                      trace_product)
+from .models import fourier_planes
 from .results import snap_integer, snap_sign
 from .transport import BlochFrame, TransportResult, build_trs_frame
 
@@ -423,19 +424,16 @@ def tube_extension(base: FieldGrid, z_samples, n_s=32, name=""):
 def random_hermitian_field(axes, dim, seed, bandwidth=2, scale=0.35):
     """Smooth random Hermitian field from a few Fourier modes per axis."""
     rng = np.random.default_rng(seed)
-    mesh = np.meshgrid(*[ax.points for ax in axes], indexing="ij")
-    shape = mesh[0].shape
-    h = np.zeros(shape + (dim, dim), dtype=complex)
+    terms = []
     for p in range(-bandwidth, bandwidth + 1):
         for q in range(-bandwidth, bandwidth + 1):
             if (p, q) < (0, 0):
                 continue  # partner added via Hermitian conjugation
             c = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
             c *= scale / (1.0 + p * p + q * q)
-            phase = np.exp(1j * (p * mesh[0] + q * mesh[1]))
-            h += phase[..., None, None] * c
-            h += np.conjugate(phase)[..., None, None] * linalg.dagger(c)
-    return 0.5 * (h + linalg.dagger(h))
+            terms += [(c, (p, q)), (linalg.dagger(c), (-p, -q))]
+    h = fourier_planes(terms, torus_points(*axes))
+    return matrices_last(0.5 * (h + inverse_planes(h)))
 
 
 def random_unwindable_field(n_grid, dim, seed, bandwidth=2):

@@ -72,17 +72,39 @@ def _dagger(a):
     return np.conjugate(np.swapaxes(a, -1, -2))
 
 
+def _per_term_fourier_sum(terms, k, direction=None):
+    """Reference H(k) = sum_v T_v exp(i k.v), one (..., N, N) term at a time;
+    a torus axis or a direction d gives dH along d, each term times i (v.d)."""
+    k = np.asarray(k, dtype=float)
+    d = direction
+    if d is not None and np.ndim(d) == 0:
+        d = np.eye(2)[d]
+    out = np.zeros(k.shape[:-1] + terms[0][0].shape, dtype=complex)
+    for mat, (v1, v2) in terms:
+        phase = np.exp(1j * (k[..., 0] * v1 + k[..., 1] * v2))
+        if d is not None:
+            phase = 1j * (v1 * d[0] + v2 * d[1]) * phase
+        out += phase[..., None, None] * mat
+    return out
+
+
+@pytest.fixture(scope="session")
+def per_term_fourier_sum():
+    return _per_term_fourier_sum
+
+
 def _matmul_projector_derivative(family, ks, axis=0):
     """Reference (P, dP) by batched (..., N, N) matmuls on a fresh eigh of
-    H: P = V_occ V_occ^+ and dP = V (X + X^+) V^+ with
-    X_ij = (V^+ dH V)_ij / (e_i - e_j) on occupied-empty pairs, the occupied
-    bands masked by e < fermi level. A tuple of axes gives (P, (dP, ...))."""
+    H, with H and dH summed term by term: P = V_occ V_occ^+ and
+    dP = V (X + X^+) V^+ with X_ij = (V^+ dH V)_ij / (e_i - e_j) on
+    occupied-empty pairs, the occupied bands masked by e < fermi level. A
+    tuple of axes gives (P, (dP, ...))."""
     ks = np.asarray(ks, dtype=float)
     k = ks
     if family.line is not None:
         origin, direction = np.asarray(family.line)
         k = origin + ks[..., None] * direction
-    w, v = np.linalg.eigh(family.spec.bloch(k))
+    w, v = np.linalg.eigh(_per_term_fourier_sum(family.spec.terms, k))
     occ = w < family.fermi_level
     vocc = np.where(occ[..., None, :], v, 0.0)
     p = vocc @ _dagger(vocc)
@@ -90,7 +112,7 @@ def _matmul_projector_derivative(family, ks, axis=0):
     gaps = np.where(pairs, w[..., :, None] - w[..., None, :], 1.0)
 
     def along(direction):
-        dh = family.spec.bloch_derivative(k, direction)
+        dh = _per_term_fourier_sum(family.spec.terms, k, direction)
         x = np.where(pairs, _dagger(v) @ dh @ v / gaps, 0.0)
         return v @ (x + _dagger(x)) @ _dagger(v)
 

@@ -214,11 +214,20 @@ def test_chern_vanishes_for_trs(km_topo):
 
 
 def test_unsnapped_is_first_class():
+    """A raw value off the integers, and a NaN or infinite one (an
+    overflowed quadrature), stays unsnapped; the non-finite ones carry a NaN
+    residual."""
     from topoinv.results import snap_integer
     res = snap_integer("Chern", 0.4)
     assert res.unsnapped
     with pytest.raises(UnsnappedError):
         res.require_snapped()
+    for raw in (np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(np.inf, 0.0)):
+        for modulus in (None, 2):
+            res = snap_integer("Chern", raw, modulus=modulus)
+            assert res.unsnapped and np.isnan(res.residual)
+            with pytest.raises(UnsnappedError):
+                res.require_snapped()
 
 
 def test_stokes_on_subrectangles(haldane_topo):

@@ -10,7 +10,7 @@ import pytest
 import topoinv
 from topoinv import berry, certify, transport, wz
 from topoinv.cli import main
-from topoinv.models import BlochHamiltonianSpec, builtin_model, save_model
+from topoinv.models import SX, SY, SZ, BlochHamiltonianSpec, builtin_model, save_model
 
 
 def run_cli(capsys, *argv):
@@ -29,19 +29,24 @@ def test_chern_report(capsys):
     assert report["wz_check"]["pass"]
 
 
-def test_python_dash_m_runs_the_command():
-    """`python -m topoinv` is the `topoinv` command: its exit code and its
-    JSON report on stdout, and an error object on stderr with exit code 4."""
+def run_module(*argv):
+    """`python -m topoinv ARGV` in a fresh interpreter, outside pytest's
+    warnings filter."""
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [str(Path(topoinv.__file__).parents[1]),
                                                         os.environ.get("PYTHONPATH")])))
-    run = lambda *argv: subprocess.run([sys.executable, "-m", "topoinv", *argv],
-                                       capture_output=True, text=True, env=env, timeout=300)
-    done = run("chern", "--model", "haldane", "--grid", "16", "--grid-t", "16", "--json")
+    return subprocess.run([sys.executable, "-m", "topoinv", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_python_dash_m_runs_the_command():
+    """`python -m topoinv` is the `topoinv` command: its exit code and its
+    JSON report on stdout, and an error object on stderr with exit code 4."""
+    done = run_module("chern", "--model", "haldane", "--grid", "16", "--grid-t", "16", "--json")
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["command"] == "chern" and report["chern"]["snapped"] == -1
-    failed = run("chern", "--model", "no_such_model", "--json")
+    failed = run_module("chern", "--model", "no_such_model", "--json")
     assert failed.returncode == 4
     assert json.loads(failed.stderr)["error"] == "UnknownModel"
 
@@ -107,17 +112,20 @@ def test_gap_closure_exit_code(capsys, tmp_path):
 
 def test_non_finite_model_entry_is_a_schema_error(capsys, tmp_path):
     """A NaN or infinite matrix entry, two on-site terms whose sum overflows,
-    and terms whose spectral bound 2 sum_v ||T_v|| overflows are refused
-    when the file is loaded, with the term that holds them, before any
-    eigensolver sees them; stderr holds exactly the one JSON payload."""
+    and terms whose spectral bound 2 sum_v (1 + |v|) ||T_v|| on H and dH
+    overflows are refused when the file is loaded, with the term that holds
+    them, before any eigensolver sees them; stderr holds exactly the one
+    JSON payload. The last case's H bound 2 sum_v ||T_v|| is finite."""
     onsite = lambda *diag: (np.diag(diag).astype(complex), np.array([0, 0]))
+    far = lambda v: (1e306 * SX, np.array([0, v]))
     cases = (((onsite(np.nan, -1.0, 1.0, -1.0),), "terms[0].matrix:"),
              ((onsite(np.inf, -1.0, 1.0, -1.0),), "terms[0].matrix:"),
              ((onsite(1e308, -1.0, 1.0, -1.0),) * 2, "terms[(0,0)]:"),
-             ((onsite(1e308, -1e308, 1.0, -1.0),), "terms:"))
+             ((onsite(1e308, -1e308, 1.0, -1.0),), "terms:"),
+             ((onsite(1.0, -1.0), far(500), far(-500)), "terms:"))
     for terms, location in cases:
         path = tmp_path / "bad.json"
-        save_model(path, BlochHamiltonianSpec(dim=4, terms=terms, name="bad"))
+        save_model(path, BlochHamiltonianSpec(dim=len(terms[0][0]), terms=terms, name="bad"))
         for command in ("chern", "fkm"):
             code, _, err = run_cli(capsys, command, "--model-file", str(path),
                                    "--grid", "32")
@@ -126,6 +134,22 @@ def test_non_finite_model_entry_is_a_schema_error(capsys, tmp_path):
             payload = json.loads(line)
             assert payload["error"] == "SchemaError"
             assert payload["message"].startswith(location)
+
+
+def test_overflowing_curvature_is_unsnapped(tmp_path):
+    """1e304 (sin k1 sx + sin k2 sy) + 0.01 sz passes the spectral bound, but
+    its curvature overflows: chern reports a null raw value and exits 3. It
+    runs in a subprocess because the overflow warns."""
+    hop = 1e304 / 2j
+    terms = ((0.01 * SZ, np.array([0, 0])), (hop * SX, np.array([1, 0])),
+             (-hop * SX, np.array([-1, 0])), (hop * SY, np.array([0, 1])),
+             (-hop * SY, np.array([0, -1])))
+    path = tmp_path / "huge.json"
+    save_model(path, BlochHamiltonianSpec(dim=2, terms=terms, name="huge"))
+    done = run_module("chern", "--model-file", str(path), "--grid", "16", "--json")
+    assert done.returncode == 3, done.stderr
+    chern = json.loads(done.stdout)["chern"]
+    assert chern["raw"] is None and chern["snapped"] is None and chern["unsnapped"]
 
 
 def test_param_must_be_a_finite_number(capsys):

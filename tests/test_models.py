@@ -6,13 +6,50 @@ import pytest
 from topoinv import builtin_model, load_model, make_projector_family, save_model
 from topoinv.core import TRSOperator, check_trs
 from topoinv.errors import ParseError, SchemaError, UnknownModel, UnknownParameter
-from topoinv.models import save_results
+from topoinv.grids import loop_axis, torus_points
+from topoinv.linalg import matrices_last
+from topoinv.models import BlochHamiltonianSpec, fourier_planes, save_results
 
 
 @pytest.mark.parametrize("name", ["haldane", "kane_mele", "bhz", "flat_two_band"])
 def test_builtin_hermitian_at_random_k(name):
     spec = builtin_model(name)
     assert spec.hermiticity_residual(n_samples=1000) < 1e-14
+
+
+def _random_paired_spec(seed, dim=3):
+    """A Hermitian on-site term and random hoppings out to |v| = 3, each with
+    its conjugate-transpose partner at -v."""
+    rng = np.random.default_rng(seed)
+    draw = lambda: rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    onsite = draw()
+    terms = [(onsite + onsite.conj().T, np.array([0, 0]))]
+    for vec in ((1, 0), (0, 1), (1, -2), (3, 1)):
+        hop = draw()
+        terms += [(hop, np.array(vec)), (hop.conj().T, -np.array(vec))]
+    return BlochHamiltonianSpec(dim=dim, terms=tuple(terms), name="random")
+
+
+@pytest.mark.parametrize("name", ["haldane", "kane_mele", "bhz", "flat_two_band", "random"])
+def test_fourier_planes_match_per_term_sum(name, per_term_fourier_sum):
+    """H from `bloch` and dH from the one contraction equal a term-by-term
+    sum within 1e-14 relative: on torus points along both axes, on loop
+    points along the line's direction vector, and at a single k."""
+    spec = _random_paired_spec(5) if name == "random" else builtin_model(name)
+    direction = np.array([1.0, 2.0])
+    line = np.array([0.2, -0.5]) + loop_axis(16).points[:, None] * direction
+    for ks, directions in ((torus_points(loop_axis(12), loop_axis(10)), (0, 1)),
+                           (line, (direction,)),
+                           (np.array([0.3, -1.1]), (0, 1, direction))):
+        ref = per_term_fourier_sum(spec.terms, ks)
+        got = spec.bloch(ks)
+        assert got.shape == ref.shape == ks.shape[:-1] + (spec.dim, spec.dim)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for d in directions:
+            ref = per_term_fourier_sum(spec.terms, ks, d)
+            got = matrices_last(fourier_planes(spec.terms, ks, d))
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_unknown_model_and_missing_parameter():
