@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
+from . import lattice, linalg
 from .config import DEFAULT_TOL, N_2D
 from .core import ProjectorFamily, TRSOperator
 from .errors import DimensionMismatch, NotTRSFrame
@@ -44,25 +44,6 @@ class ConnectionSamples:
         return len(self.ks)
 
 
-def _overlap_product_phase(e_samples):
-    """Total phase of the loop product of frame-overlap determinants.
-
-    Gauge invariant; the link sum converges to the loop integral of A at
-    second order, so Richardson over grid halving upgrades it to fourth.
-    """
-    nxt = np.roll(e_samples, -1, axis=0)
-    links = np.linalg.det(linalg.dagger(e_samples) @ nxt)
-    return float(np.sum(np.angle(links)))
-
-
-def overlap_loop_integral(frame: BlochFrame):
-    """Loop integral of A by the link-variable method, Richardson improved."""
-    full = _overlap_product_phase(frame.e_samples)
-    halved = _overlap_product_phase(frame.e_samples[::2])
-    halved += TWO_PI * round((full - halved) / TWO_PI)
-    return (4.0 * full - halved) / 3.0
-
-
 def berry_connection(frame: BlochFrame, method="auto"):
     """Connection samples A(k) = -i sum_a <e_a, d e_a> along the frame's loop.
 
@@ -91,12 +72,13 @@ def berry_connection(frame: BlochFrame, method="auto"):
 def berry_phase(conn: ConnectionSamples):
     """The loop exponential exp(-i loop-integral of A).
 
-    The gauge-invariant link-variable value is computed from the same frame
-    and the discrepancy recorded in meta ("oracle_discrepancy"); a mismatch
-    flags frame problems.
+    The gauge-invariant link-variable value of the lattice oracle
+    (`lattice.overlap_loop_integral`) is computed from the same frame and the
+    discrepancy recorded in meta ("oracle_discrepancy"); a mismatch flags
+    frame problems.
     """
     raw = np.exp(-1j * conn.loop_integral)
-    oracle = np.exp(-1j * overlap_loop_integral(conn.frame))
+    oracle = np.exp(-1j * lattice.overlap_loop_integral(conn.frame.e_samples))
     return snap_unit("BerryPhase", raw,
                      meta={"loop_integral": conn.loop_integral, "method": conn.method,
                            "imag_max": conn.imag_max,

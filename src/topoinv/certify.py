@@ -390,7 +390,6 @@ def criterion_11_convergence(scale=1.0):
         ok = ok and good
         if not at_floor:
             worst_ratio = min(worst_ratio, ratio)
-    worst = 0.0 if worst_ratio == np.inf else 10.0 / worst_ratio
     return CriterionResult(11, "grid doubling reduces residuals >= 10x to the floor",
                            ok, 10.0, float(worst_ratio if np.isfinite(worst_ratio) else 0.0),
                            time.time() - t0, details)

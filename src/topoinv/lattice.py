@@ -1,5 +1,6 @@
 """Independent lattice oracles: plaquette-flux Chern number, the
-boundary-constrained lattice Z2, and the link-variable Berry phase.
+boundary-constrained lattice Z2, and the link-variable Berry phase, whose
+loop integral `berry.berry_phase` also checks every frame against.
 
 These use only eigenframe overlaps on discrete grids (no transport, no
 connection quadrature), so they cross-check the differential-geometry
@@ -103,8 +104,8 @@ def lattice_z2(family: ProjectorFamily, theta: TRSOperator, n1=32, n2=64):
     (Kramers pairs at the fixed momenta, reflection elsewhere); interior
     frames are free. The directed boundary link sums minus the plaquette
     fluxes are an exact multiple of 2 pi; half of that, mod 2, is the
-    invariant. P is sampled once on the half-zone grid, the grid of
-    berry.berry_curvature_ebz.
+    invariant, and the raw value is reported in (-1, 1]. P is sampled once
+    on the half-zone grid, the grid of berry.berry_curvature_ebz.
     """
     p = family.sample(torus_points(ebz_axis(n1), loop_axis(n2)))
     dim, m = family.ambient_dim, family.rank
@@ -121,28 +122,31 @@ def lattice_z2(family: ProjectorFamily, theta: TRSOperator, n1=32, n2=64):
     flux = (flux + np.pi) % TWO_PI - np.pi
     boundary = float(np.sum(link2[-1]) - np.sum(link2[0]))
     raw = (boundary - float(np.sum(flux))) / TWO_PI
+    # whole turns follow the eigenvector gauge; only raw mod 2 is meaningful
+    raw -= 2.0 * np.ceil((raw - 1.0) / 2.0)
     return snap_integer("Delta", raw, modulus=2,
                         meta={"method": "lattice", "grid": (n1, n2),
                               "max_flux": float(np.max(np.abs(flux)))})
 
 
-def overlap_berry_phase(loop_family: ProjectorFamily, n_grid=1024):
-    """Berry phase by the loop product of overlap determinants, Richardson
-    extrapolated over grid halving (second-order base rule).
+def overlap_loop_integral(frames):
+    """Loop integral of the Berry connection from frames on a loop grid: the
+    link-phase sum, Richardson extrapolated over grid halving (second-order
+    base rule, frames[::2] the coarse grid).
 
     Link-phase sums are gauge invariant only mod 2 pi (arbitrary eigenvector
     phases shift them by whole turns), so the coarse value is moved onto the
     fine value's branch before extrapolating; the surviving whole-turn
     offset cancels in the exponential.
     """
-    def total_phase(n):
-        ks = loop_axis(n).points
-        frames = _frames(loop_family.sample(ks))
-        nxt = np.roll(frames, -1, axis=0)
-        return float(np.sum(_link_phase(frames, nxt)))
-
-    coarse = total_phase(n_grid // 2)
-    fine = total_phase(n_grid)
+    fine, coarse = (float(np.sum(_link_phase(f, np.roll(f, -1, axis=0))))
+                    for f in (frames, frames[::2]))
     coarse += TWO_PI * round((fine - coarse) / TWO_PI)
-    loop_integral = (4.0 * fine - coarse) / 3.0
-    return complex(np.exp(-1j * loop_integral))
+    return (4.0 * fine - coarse) / 3.0
+
+
+def overlap_berry_phase(loop_family: ProjectorFamily, n_grid=1024):
+    """Berry phase exp(-i loop-integral of A) from the frames of P on one
+    n_grid loop grid."""
+    frames = _frames(loop_family.sample(loop_axis(n_grid).points))
+    return complex(np.exp(-1j * overlap_loop_integral(frames)))

@@ -84,9 +84,10 @@ def plane_product(x, y):
 
 
 def polar_project(a):
-    """Nearest unitary to `a` (polar factor), batched over leading axes."""
-    u, _, vh = np.linalg.svd(a)
-    return u @ vh
+    """Nearest unitary to `a` (polar factor) and the singular values s of `a`,
+    batched; ||a^+a - 1|| = sqrt(sum (s^2-1)^2), ||a - polar|| = sqrt(sum (s-1)^2)."""
+    u, s, vh = np.linalg.svd(a)
+    return u @ vh, s
 
 
 def expi_hermitian(h, s=1.0):

@@ -11,11 +11,11 @@ unwinding convention: their action is zero mod 2 pi, which is what makes
 Polyakov-Wiegmann values of winding fields computable.
 
 Matrix products of fields (products, inverses, adjoint products, tube
-extensions and the 3-form and product-functional densities) run one torus
-slice at a time in the entries-first layout (N, N, n1, n2) of `linalg`, as
-N^3 multiply-adds over whole planes instead of one small product per grid
-point; the projector family forms P and dP with the same plane-product
-kernel.
+extensions and the 3-form density) run one torus slice at a time, and the
+product-functional densities on the whole field, in the entries-first layout
+(N, N, n1, n2) of `linalg`, as N^3 multiply-adds over whole planes instead
+of one small product per grid point; the projector family forms P and dP
+with the same plane-product kernel.
 
 The projector extensions exp(i w(t) P(k)) = 1 + (e^{i w(t)} - 1) P(k) of
 U_P and Phi are rank-one in t, so they are ProjectorExtensions: P and its
@@ -324,6 +324,13 @@ class WZValue:
         return complex(np.exp(0.5j * self.raw_action))
 
 
+def _integral(dens, axes):
+    """(real part, size of the imaginary part) of the grid integral of a
+    density; for a unitary field the imaginary part is quadrature noise."""
+    total = integrate_grid(dens, list(axes))
+    return float(np.real(total)), float(abs(np.imag(total)))
+
+
 def chi_triple_integral(g: FieldGrid):
     """Integral of Tr{(g^-1 dg)^3} over a 3-axis grid (no normalization).
 
@@ -342,8 +349,7 @@ def chi_triple_integral(g: FieldGrid):
     """
     if g.n_axes != 3:
         raise BadDims("triple integral needs a 3-axis field")
-    total = integrate_grid(g.triple_density(), list(g.axes))
-    return float(np.real(total)), float(abs(np.imag(total)))
+    return _integral(g.triple_density(), g.axes)
 
 
 def _triple_density(slab, derivs, axes):
@@ -473,47 +479,35 @@ def equivariance_residual(g: FieldGrid, theta: TRSOperator):
 def alpha_integral(g: FieldGrid, h: FieldGrid):
     """Integral over the torus of (g x h)*alpha = -Tr(g^-1 dg wedge dh h^-1)."""
     _check_same_axes(g, h)
-    dg = g.derivative(0), g.derivative(1)
-    dh = h.derivative(0), h.derivative(1)
-    dens = np.empty(g.samples.shape[:-2], dtype=complex)
-    for j in _slices(g):
-        gi = inverse_planes(entries_first(g.samples[j]))
-        hi = inverse_planes(entries_first(h.samples[j]))
-        g1, g2 = (plane_product(gi, entries_first(d[j])) for d in dg)
-        h1, h2 = (plane_product(entries_first(d[j]), hi) for d in dh)
-        dens[j] = -(trace_product(g1, h2) - trace_product(g2, h1))
-    total = integrate_grid(dens, list(g.axes))
-    return float(np.real(total)), float(abs(np.imag(total)))
+    gi = inverse_planes(entries_first(g.samples))
+    hi = inverse_planes(entries_first(h.samples))
+    g1, g2 = (plane_product(gi, entries_first(g.derivative(i))) for i in (0, 1))
+    h1, h2 = (plane_product(entries_first(h.derivative(i)), hi) for i in (0, 1))
+    return _integral(-(trace_product(g1, h2) - trace_product(g2, h1)), g.axes)
 
 
 def beta_integral(g: FieldGrid, h: FieldGrid):
     """Integral over the torus of (g x h)*beta, the adjoint-product defect
     2-form: -Tr{ h(g^-1 dg)h^-1 (g^-1 dg) + g^-1 dg (h^-1 dh + dh h^-1) }."""
     _check_same_axes(g, h)
-    dg = g.derivative(0), g.derivative(1)
-    dh = h.derivative(0), h.derivative(1)
-    dens = np.empty(g.samples.shape[:-2], dtype=complex)
-    for j in _slices(g):
-        gi = inverse_planes(entries_first(g.samples[j]))
-        hs = entries_first(h.samples[j])
-        hi = inverse_planes(hs)
-        g1, g2 = (plane_product(gi, entries_first(d[j])) for d in dg)
-        dh1, dh2 = (entries_first(d[j]) for d in dh)
-        de1, de2 = (plane_product(hi, d) + plane_product(d, hi) for d in (dh1, dh2))
-        hg1, hg2 = (plane_product(plane_product(hs, a), hi) for a in (g1, g2))
-        term1 = trace_product(hg1, g2) - trace_product(hg2, g1)
-        term2 = trace_product(g1, de2) - trace_product(g2, de1)
-        dens[j] = -(term1 + term2)
-    total = integrate_grid(dens, list(g.axes))
-    return float(np.real(total)), float(abs(np.imag(total)))
+    gi = inverse_planes(entries_first(g.samples))
+    hs = entries_first(h.samples)
+    hi = inverse_planes(hs)
+    g1, g2 = (plane_product(gi, entries_first(g.derivative(i))) for i in (0, 1))
+    de1, de2 = (plane_product(hi, d) + plane_product(d, hi)
+                for d in (entries_first(h.derivative(i)) for i in (0, 1)))
+    hg1, hg2 = (plane_product(plane_product(hs, a), hi) for a in (g1, g2))
+    term1 = trace_product(hg1, g2) - trace_product(hg2, g1)
+    term2 = trace_product(g1, de2) - trace_product(g2, de1)
+    return _integral(-(term1 + term2), g.axes)
 
 
-def _action_of(fld: FieldGrid, ext: Optional[FieldGrid], label):
+def _action_of(ext: Optional[FieldGrid], abelian_diagonal, label):
     if ext is not None:
         return wz_action_extension(ext).raw_action
-    if fld.abelian_diagonal:
+    if abelian_diagonal:
         return 0.0
-    raise NotAnExtension(f"field {label} ({fld.name}) needs an explicit extension "
+    raise NotAnExtension(f"field {label} needs an explicit extension "
                          "unless it is a marked diagonal normal form")
 
 
@@ -523,9 +517,10 @@ def pw_functional(g: FieldGrid, h: FieldGrid, ext_g=None, ext_h=None, ext_gh=Non
     Vanishes mod 2 pi for simply connected groups; for U(N) on the torus the
     normal-form value is -pi (n_g m_h - m_g n_h), an anomaly when odd.
     """
-    s_g = _action_of(g, ext_g, "g")
-    s_h = _action_of(h, ext_h, "h")
-    s_gh = _action_of(product_field(g, h), ext_gh, "gh")
+    s_g = _action_of(ext_g, g.abelian_diagonal, f"g ({g.name})")
+    s_h = _action_of(ext_h, h.abelian_diagonal, f"h ({h.name})")
+    s_gh = _action_of(ext_gh, g.abelian_diagonal and h.abelian_diagonal,  # product_field's flag
+                      f"gh ({g.name}*{h.name})")
     a_int, _ = alpha_integral(g, h)
     return s_gh - s_g - s_h - a_int / (4.0 * np.pi)
 
@@ -537,8 +532,9 @@ def apw_functional(g: FieldGrid, h: FieldGrid, ext_ghg=None, ext_h=None):
     4 pi Z when both fields are equivariant; normal forms give
     -2 pi (n_g m_h - m_g n_h) (doubled in the equivariant case).
     """
-    s_h = _action_of(h, ext_h, "h")
-    s_ghg = _action_of(conjugated_field(g, h), ext_ghg, "g h g^-1")
+    s_h = _action_of(ext_h, h.abelian_diagonal, f"h ({h.name})")
+    ghg = conjugated_field(g, h)  # only its flag is read; perfbench times this span
+    s_ghg = _action_of(ext_ghg, ghg.abelian_diagonal, f"g h g^-1 ({ghg.name})")
     b_int, _ = beta_integral(g, h)
     return s_ghg - s_h - b_int / (4.0 * np.pi)
 
@@ -547,16 +543,11 @@ def wz_derivative(g: FieldGrid, g_dot):
     """Rate of change of the action along a deformation with velocity g_dot:
     (1/4 pi) int Tr{ g^-1 g_dot (g^-1 dg)^2 }."""
     dot = g_dot.samples if isinstance(g_dot, FieldGrid) else g_dot
-    dot = np.broadcast_to(dot, g.samples.shape)
-    dg = g.derivative(0), g.derivative(1)
-    dens = np.empty(g.samples.shape[:-2], dtype=complex)
-    for j in _slices(g):
-        gi = inverse_planes(entries_first(g.samples[j]))
-        g1, g2 = (plane_product(gi, entries_first(d[j])) for d in dg)
-        comm = plane_product(g1, g2) - plane_product(g2, g1)
-        dens[j] = trace_product(plane_product(gi, entries_first(dot[j])), comm)
-    total = integrate_grid(dens, list(g.axes))
-    return float(np.real(total)) / (4.0 * np.pi)
+    dot = entries_first(np.broadcast_to(dot, g.samples.shape))
+    gi = inverse_planes(entries_first(g.samples))
+    g1, g2 = (plane_product(gi, entries_first(g.derivative(i))) for i in (0, 1))
+    comm = plane_product(g1, g2) - plane_product(g2, g1)
+    return _integral(trace_product(plane_product(gi, dot), comm), g.axes)[0] / (4.0 * np.pi)
 
 
 # --------------------------------------------------- amplitudes of phi fields

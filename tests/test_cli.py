@@ -10,6 +10,7 @@ import pytest
 import topoinv
 from topoinv import berry, certify, transport, wz
 from topoinv.cli import main
+from topoinv.errors import BranchAmbiguity
 from topoinv.models import SX, SY, SZ, BlochHamiltonianSpec, builtin_model, save_model
 
 
@@ -150,6 +151,45 @@ def test_overflowing_curvature_is_unsnapped(tmp_path):
     assert done.returncode == 3, done.stderr
     chern = json.loads(done.stdout)["chern"]
     assert chern["raw"] is None and chern["snapped"] is None and chern["unsnapped"]
+
+
+def test_step_failure_is_one_json_line(capsys, tmp_path):
+    """A time-reversal symmetric file too steep along k2 for the loop grid:
+    up block sin(12 k2) sx + sin k1 sy + (1 - cos k1 - cos 12 k2) sz, down
+    block its time-reversed copy, in the basis order of bhz. At --loop-grid
+    16 a transport step drifts past the bound; that is bad input, exit 4,
+    reported as one JSON line with the step's k and drift."""
+    def spin_blocks(up):
+        out = np.zeros((4, 4), dtype=complex)
+        out[0::2, 0::2] = up
+        out[1::2, 1::2] = np.conjugate(up)
+        return out
+
+    up = {(0, 0): SZ, (1, 0): -0.5 * SZ - 0.5j * SY, (-1, 0): -0.5 * SZ + 0.5j * SY,
+          (0, 12): -0.5 * SZ - 0.5j * SX, (0, -12): -0.5 * SZ + 0.5j * SX}
+    terms = tuple((spin_blocks(m), np.array(v)) for v, m in up.items())
+    path = tmp_path / "steep.json"
+    save_model(path, BlochHamiltonianSpec(dim=4, terms=terms, name="steep"))
+    code, out, err = run_cli(capsys, "fkm", "--model-file", str(path),
+                             "--loop-grid", "16", "--grid", "32", "--json")
+    assert code == 4 and out == ""
+    [line] = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "StepFailure"
+    assert payload["drift"] > 1e-4 and isinstance(payload["k"], float)
+
+
+def test_other_library_error_is_one_json_line(capsys, monkeypatch):
+    """A library error with no exit code of its own exits 3 with one JSON
+    line naming it, not a traceback."""
+    def refuse(*args, **kwargs):
+        raise BranchAmbiguity(-1e-12)
+
+    monkeypatch.setattr(wz, "up_extension", refuse)
+    code, out, err = run_cli(capsys, "chern", "--model", "haldane", "--grid", "16")
+    assert code == 3 and out == ""
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "BranchAmbiguity"
 
 
 def test_param_must_be_a_finite_number(capsys):

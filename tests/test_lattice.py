@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from topoinv import (berry_curvature, chern_number, delta_invariant, lattice_z2,
                      overlap_berry_phase, parallel_transport,
@@ -56,3 +57,36 @@ def test_plaquette_matches_curvature_integral(haldane_topo):
     cp = plaquette_chern(haldane_topo, n_grid=64).require_snapped()
     cc = chern_number(berry_curvature(haldane_topo, n_grid=64)).require_snapped()
     assert cp == cc
+
+
+@pytest.mark.parametrize("name, params, expected", [
+    ("kane_mele", {"lambda_so": 0.3, "lambda_v": 1.44}, 1),
+    ("kane_mele", {"lambda_so": 0.3, "lambda_v": 1.68}, 0),
+    ("kane_mele", {"lambda_so": 0.3, "lambda_v": 2.2589}, 0),
+    ("bhz", {}, 1)])
+def test_lattice_z2_raw_is_reported_mod_2(theta4, name, params, expected):
+    """The whole turns of the boundary link sums follow the eigenvector
+    gauge, so the raw value is reduced into (-1, 1]; it stays within
+    rounding of a representative of the snapped class."""
+    fam = make_projector_family(builtin_model(name, params), 0.0)
+    z2 = lattice_z2(fam, theta4)
+    assert -1.0 < z2.raw <= 1.0
+    assert z2.snapped == expected and z2.residual < 1e-12
+    assert round(z2.raw) % 2 == expected
+
+
+def test_overlap_berry_phase_diagonalizes_one_grid(monkeypatch):
+    """n_grid = 1024 diagonalizes 1,024 Hamiltonians for P and 1,024
+    projectors for their frames; the Richardson coarse grid is the even
+    points of the same frames."""
+    eigh = np.linalg.eigh
+    batches = []
+
+    def counted(a):
+        batches.append(int(np.prod(a.shape[:-2])))
+        return eigh(a)
+
+    loop = make_projector_family(builtin_model("kane_mele", {"lambda_v": 0.4}), 0.0).loop(0, 0.0)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    overlap_berry_phase(loop, n_grid=1024)
+    assert batches == [1024, 1024]

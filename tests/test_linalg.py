@@ -28,9 +28,13 @@ def test_residuals():
 def test_polar_project_recovers_unitary():
     u = random_unitary(5, 1)
     noisy = u + 1e-3 * np.ones((5, 5))
-    proj = linalg.polar_project(noisy)
+    proj, sigma = linalg.polar_project(noisy)
     assert linalg.unitarity_residual(proj) < 1e-13
     assert linalg.frob(proj - u) < 5e-3
+    # both defects of `noisy` from its singular values, as transport reads them
+    drift = np.sqrt(np.sum((sigma ** 2 - 1.0) ** 2))
+    assert abs(drift - linalg.unitarity_residual(noisy)) < 1e-14
+    assert abs(np.sqrt(np.sum((sigma - 1.0) ** 2)) - linalg.frob(noisy - proj)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -44,6 +44,27 @@ def test_step_failure_on_underresolved_loop():
         parallel_transport(fast, n_grid=16, substeps=1)
 
 
+def test_transport_step_makes_one_svd(km_topo, monkeypatch):
+    """Each RK4 step projects once, and reads its drift and reprojection
+    distance off that projection's singular values: no separate residual."""
+    calls = {"polar_project": 0, "unitarity_residual": 0}
+
+    def counted(name):
+        original = getattr(linalg, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counted(name))
+    tr = parallel_transport(km_topo.loop(0, 0.0), n_grid=32, substeps=2)
+    assert calls == {"polar_project": 64, "unitarity_residual": 0}
+    # near 1, sigma^2 - 1 is about 2 (sigma - 1): the drift is twice the reprojection
+    assert 0.0 < tr.reprojection_max < tr.drift_max < 1e-4
+
+
 def test_periodized_w_properties(km_topo):
     loop = km_topo.loop(0, np.pi)
     trp = parallel_transport(loop, n_grid=128, substeps=4)

@@ -308,6 +308,22 @@ def test_pw_normal_form_values():
     assert abs(pw_functional(g20, h01) - (-2 * np.pi)) < 1e-5
 
 
+def test_pw_of_normal_forms_builds_no_product(monkeypatch):
+    """PW reads the marked-normal-form flag of gh from its factors, so two
+    normal forms need no g*h field."""
+    calls = []
+    product = wz.product_field
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(wz, "product_field", counted)
+    value = pw_functional(normal_form_field(1, 0, 2, n_grid=16),
+                          normal_form_field(0, 1, 2, n_grid=16))
+    assert calls == [] and abs(value - (-np.pi)) < 1e-5
+
+
 def test_apw_normal_form_values():
     g10 = normal_form_field(1, 0, 2)
     h01 = normal_form_field(0, 1, 2)
