@@ -236,7 +236,7 @@ def _fourier_hermitian(rng, ks, m, scale):
         c = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) * (scale / (1 + p))
         terms += [(c, (p, 0)), (c.conj().T, (-p, 0))]
     points = np.stack([ks, np.zeros_like(ks)], axis=-1)
-    return tuple(linalg.matrices_last(fourier_planes(terms, points, d)) for d in (None, 0))
+    return tuple(linalg.matrices_last(x) for x in fourier_planes(terms, points, (None, 0)))
 
 
 def random_gauge(n_points, m, seed):
@@ -289,7 +289,7 @@ def holonomy_flux_check(family: ProjectorFamily, corner, widths, n_edge=256):
     for i in range(4):
         start, stop = corners[i], corners[(i + 1) % 4]
         edge = family.restrict(start, stop - start, f"{family.name}[edge {i}]")
-        _, t, _, _, _, _ = _segment_transport(edge, 0.0, 1.0, n_edge)
+        _, t, _, _, _ = _segment_transport(edge, 0.0, 1.0, n_edge)
         t_loop = t[-1] @ t_loop
     b = _occupied_basis(family(corners[0]))
     hol = linalg.dagger(b) @ t_loop @ b

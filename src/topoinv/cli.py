@@ -5,8 +5,9 @@ Each subcommand accepts only the options it reads. Exit codes: 0 success,
 1 a certification criterion failed (certify only), 2 precondition violated
 (no time-reversal symmetry / gap closure), 3 a result refused to snap or
 another library error stopped it, 4 bad input (usage errors, such as an
-option the subcommand does not read, non-finite numbers, and a loop grid too
-coarse for the transport step, StepFailure, included) or I/O. Every error is
+option the subcommand does not read, non-finite numbers, a loop grid too
+coarse for the transport step, StepFailure, and a fixed-point basis that will
+not form Kramers pairs, PairingFailure, included) or I/O. Every error is
 one JSON object on stderr so sweeps stay scriptable. Outputs written with
 --out contain no wall-clock data, so runs of identical configurations are
 byte-identical; the certify report is the one exception (it reports
@@ -26,8 +27,9 @@ import numpy as np
 from . import berry, certify, lattice, wz
 from .config import N_2D, N_LOOP
 from .core import TRSOperator, check_trs, make_projector_family
-from .errors import (GapClosure, NotTRS, ParseError, SchemaError, StepFailure,
-                     TopoinvError, UnknownModel, UnknownParameter, UnsnappedError)
+from .errors import (GapClosure, NotTRS, PairingFailure, ParseError, SchemaError,
+                     StepFailure, TopoinvError, UnknownModel, UnknownParameter,
+                     UnsnappedError)
 from .models import SweepJob, builtin_model, load_model, save_results
 
 EXIT_OK = 0
@@ -369,7 +371,11 @@ def main(argv=None):
     except (UnknownModel, UnknownParameter, ParseError, SchemaError) as exc:
         return _fail(EXIT_IO, type(exc).__name__, str(exc))
     except StepFailure as exc:
-        return _fail(EXIT_IO, "StepFailure", str(exc), k=exc.k, drift=exc.drift)
+        return _fail(EXIT_IO, "StepFailure", str(exc), k=exc.k, drift=exc.drift,
+                     step_norm=exc.step_norm)
+    except PairingFailure as exc:
+        return _fail(EXIT_IO, "PairingFailure", str(exc), residual=exc.residual,
+                     bound=exc.bound)
     except TopoinvError as exc:
         return _fail(EXIT_UNSNAPPED, type(exc).__name__, str(exc))
     except ValueError as exc:

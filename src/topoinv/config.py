@@ -20,7 +20,7 @@ class Tolerances:
     gap_threshold: float = 1e-6     # minimal spectral gap at the Fermi level
     branch_cut: float = 1e-10       # distance to the log branch cut that errors out
     branch_snap: float = 1e-13      # below this, a phase is roundoff and snaps to 0
-    drift: float = 1e-4             # unitarity drift per transport step
+    drift: float = 1e-4             # local error estimate per transport step
     snap: float = 1e-3              # residual below which invariants snap
     extension_end: float = 1e-8     # end slice of an extension must be constant
 

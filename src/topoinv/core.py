@@ -149,8 +149,7 @@ class ProjectorFamily:
         gaps = w[:self.rank, None] - w[None, self.rank:]
         p = plane_product(v_occ, v_occ_dag)
 
-        def along(direction):
-            dh = fourier_planes(self.spec.terms, k, direction)
+        def along(dh):
             x = plane_product(v_occ_dag, plane_product(dh, v_emp))
             x /= gaps
             dp = plane_product(plane_product(v_occ, x), v_emp_dag)
@@ -158,8 +157,11 @@ class ProjectorFamily:
             return matrices_last(dp)
 
         if isinstance(axis, tuple):
-            return matrices_last(p), tuple(along(a) for a in axis)
-        return matrices_last(p), along(axis if self.line is None else self.line[1])
+            dh = fourier_planes(self.spec.terms, k, axis)
+            # popped, so each dH is freed once its dP is formed
+            return matrices_last(p), tuple(along(dh.pop(0)) for _ in axis)
+        dh, = fourier_planes(self.spec.terms, k, (axis if self.line is None else self.line[1],))
+        return matrices_last(p), along(dh)
 
     def restrict(self, origin, direction, name):
         """The loop s -> P(origin + s direction) of a torus family."""

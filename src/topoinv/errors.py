@@ -4,6 +4,8 @@ Every error that reflects a numerical precondition carries the measured
 residual so callers can log it instead of re-deriving it.
 """
 
+import math
+
 
 class TopoinvError(Exception):
     """Base class for all library errors."""
@@ -52,13 +54,27 @@ class BadDims(TopoinvError):
 
 
 class StepFailure(TopoinvError):
-    """Unitarity drift in one transport step exceeded the safety bound."""
+    """A transport step is under-resolved: its local error estimate `drift`
+    exceeds the bound, or its Magnus exponent norm `step_norm` reaches pi,
+    outside the series' convergence radius. `k` is the step's start."""
 
-    def __init__(self, k, drift, bound):
+    def __init__(self, k, drift, bound, step_norm):
         self.k = float(k)
         self.drift = float(drift)
-        super().__init__(f"unitarity drift {drift:.3e} at k={k:.4f} exceeds {bound:.1e}; "
-                         "increase the number of steps")
+        self.step_norm = float(step_norm)
+        cause = (f"step norm {step_norm:.3f} reaches pi" if step_norm >= math.pi
+                 else f"local error estimate {drift:.3e} exceeds {bound:.1e}")
+        super().__init__(f"{cause} at k={k:.4f}; increase the number of steps")
+
+
+class PairingFailure(TopoinvError):
+    """A Kramers basis whose measured pairing residual max_j ||e_2j - tau e_2j-1||
+    exceeds the bound: the antiunitary is not norm-preserving with tau^2 = -1."""
+
+    def __init__(self, residual, bound):
+        self.residual = float(residual)
+        self.bound = float(bound)
+        super().__init__(f"Kramers pairing residual {residual:.3e} > {bound:.1e}")
 
 
 class BranchAmbiguity(TopoinvError):

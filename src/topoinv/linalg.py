@@ -18,7 +18,7 @@ turns planes back into a (..., N, M) view without copying, and
 import numpy as np
 import scipy.linalg
 
-from .errors import BranchAmbiguity, OddRank
+from .errors import BranchAmbiguity, OddRank, PairingFailure
 from .config import DEFAULT_TOL
 
 
@@ -176,6 +176,8 @@ def kramers_basis(apply_antiunitary, projector, rng=None):
 
     With `rng` given, seed vectors are drawn at random (used to probe
     construction independence); otherwise the choice is deterministic.
+    A measured pairing residual above DEFAULT_TOL.pairing raises
+    PairingFailure with that residual.
     """
     p = projector
     n = p.shape[0]
@@ -210,7 +212,7 @@ def kramers_basis(apply_antiunitary, projector, rng=None):
         worst = max(worst, float(np.linalg.norm(
             basis[:, 2 * j + 1] - apply_antiunitary(basis[:, 2 * j]))))
     if worst > DEFAULT_TOL.pairing:
-        raise ValueError(f"Kramers pairing residual {worst:.3e} > {DEFAULT_TOL.pairing:.1e}")
+        raise PairingFailure(worst, DEFAULT_TOL.pairing)
     return basis
 
 

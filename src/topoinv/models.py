@@ -23,20 +23,25 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 S0 = np.eye(2, dtype=complex)
 
 
-def fourier_planes(terms, ks, direction=None):
+def fourier_planes(terms, ks, directions=(None,)):
     """sum_v T_v exp(i k.v) over (matrix T_v, vector v) terms at k-points
-    (..., 2), as entries-first planes (N, N, ...): one contraction of the
-    stacked matrices with the (T, ...) table of phases. A torus axis or a
-    direction d in `direction` gives the exact derivative along d instead,
-    each matrix weighted by i (v.d)."""
+    (..., 2), as entries-first planes (N, N, ...), in a list with one array
+    per entry of `directions`: None gives H itself, a torus axis or a
+    direction d the exact derivative along d, each matrix weighted by
+    i (v.d). Every entry is one contraction of its weighted stack of
+    matrices with the same (T, ...) table of phases, built once per call."""
     mats = np.stack([m for m, _ in terms], axis=-1)
     vecs = np.array([v for _, v in terms], dtype=float)
-    if direction is not None:
-        d = np.eye(2)[direction] if np.ndim(direction) == 0 else np.asarray(direction, dtype=float)
-        mats = mats * (1j * (vecs @ d))
     phase = 1j * np.tensordot(vecs, np.asarray(ks, dtype=float), axes=(1, -1))
     np.exp(phase, out=phase)
-    return np.tensordot(mats, phase, axes=1)
+    planes = []
+    for d in directions:
+        weighted = mats
+        if d is not None:
+            d = np.eye(2)[d] if np.ndim(d) == 0 else np.asarray(d, dtype=float)
+            weighted = mats * (1j * (vecs @ d))
+        planes.append(np.tensordot(weighted, phase, axes=1))
+    return planes
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,8 @@ class BlochHamiltonianSpec:
 
     def bloch(self, ks):
         """Evaluate H on an array of k-points, (..., 2) -> (..., N, N)."""
-        return matrices_last(fourier_planes(self.terms, ks))
+        h, = fourier_planes(self.terms, ks)
+        return matrices_last(h)
 
     def hermiticity_residual(self, n_samples=1000):
         """max ||H(k) - H(k)*|| over n_samples seeded random k (should be

@@ -1,8 +1,11 @@
 """Parallel transport along momentum loops with its periodic trivialization
 W(k), and smooth periodic Bloch frames, optionally time-reversal symmetric.
 
-Transport solves i dT/dk = G(k) T with G = i[dP/dk, P] by classical RK4 with
-per-step polar reprojection onto the unitary group, and returns in the same
+Transport solves i dT/dk = G(k) T with G = i[dP/dk, P] by fourth-order
+Magnus steps on Simpson nodes (Iserles and Norsett, Phil. Trans. R. Soc. A
+357, 983 (1999); Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151 (2009)),
+all exponentiated in one call, so every step is exactly unitary; each step
+carries a local error estimate that bounds it. It returns in the same
 step the trivialization W(k) = T(k) exp(-i (k-k0) M), with
 exp(2 pi i M) = T(k0 + 2 pi): smooth, periodic, and intertwining P(k) with
 P(k0). Time-reversal symmetric frames are built by transporting a
@@ -58,8 +61,9 @@ class TransportResult:
     t_samples: np.ndarray          # (n+1, N, N)
     p_samples: np.ndarray          # (n+1, N, N) projectors at the sample points
     family: ProjectorFamily
-    drift_max: float
+    drift_max: float               # unitarity of the computed T, before its projection
     reprojection_max: float
+    step_error_max: float          # largest local error estimate of a Magnus step
     intertwine_residual: float
     m_generator: np.ndarray        # Hermitian, eigenvalues in [0,1)
     m_eigenvalues: np.ndarray
@@ -72,48 +76,65 @@ class TransportResult:
         return self.t_samples[-1]
 
 
-def _rk4_transport(p_fine, dp_fine, h):
-    """March T through the fine grid (samples at spacing h/2), reprojecting
-    to the unitary group after every step. Returns T at every full step, and
-    the largest unitarity drift and reprojection distance of a step, read off
-    its singular values; a drift above DEFAULT_TOL.drift raises StepFailure."""
+def _magnus_transport(p_fine, dp_fine, h, k_start):
+    """March T through the fine grid (samples at spacing h/2, from k_start)
+    by fourth-order Magnus steps on the Simpson nodes of each step,
+    Omega_s = (h/6)(A0 + 4 A1 + A2) + (h^2/12)[A2, A0] with A = [dP, P],
+    all exponentiated in one call; every step is unitary.
+
+    Returns T at every full step, a product of step exponentials unitary to
+    rounding, and the largest local error estimate of a step: the Simpson
+    remainder (|h|/180) ||D4 A|| with D4 the fourth difference of the
+    half-step samples in a 5-point window about the step, clipped at the
+    segment ends.
+    The first step whose estimate exceeds DEFAULT_TOL.drift, or whose
+    ||Omega_s|| reaches pi (the edge of the Magnus series' convergence),
+    raises StepFailure at its start k_start + s h."""
     n_steps = (p_fine.shape[0] - 1) // 2
-    dim = p_fine.shape[-1]
-    t = np.eye(dim, dtype=complex)
-    out = np.empty((n_steps + 1, dim, dim), dtype=complex)
-    out[0] = t
-    sigma = np.empty((n_steps, dim))
-    rhs = dp_fine @ p_fine - p_fine @ dp_fine   # -iG = [dP, P]
-    for s in range(n_steps):
-        a0, a1, a2 = rhs[2 * s], rhs[2 * s + 1], rhs[2 * s + 2]
-        k1 = a0 @ t
-        k2 = a1 @ (t + 0.5 * h * k1)
-        k3 = a1 @ (t + 0.5 * h * k2)
-        k4 = a2 @ (t + h * k3)
-        t, sigma[s] = linalg.polar_project(t + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-        out[s + 1] = t
-    drift = np.sqrt(np.sum((sigma ** 2 - 1.0) ** 2, axis=1))
-    failed = np.flatnonzero(drift > DEFAULT_TOL.drift)
+    a = dp_fine @ p_fine - p_fine @ dp_fine   # -iG = [dP, P]
+    a0, a1, a2 = a[0:-1:2], a[1::2], a[2::2]
+    omega = (h / 6.0) * (a0 + 4.0 * a1 + a2) + (h * h / 12.0) * (a2 @ a0 - a0 @ a2)
+    d4 = a[:-4] - 4.0 * a[1:-3] + 6.0 * a[2:-2] - 4.0 * a[3:-1] + a[4:]
+    window = np.clip(2 * np.arange(n_steps) - 1, 0, len(d4) - 1)
+    error = (abs(h) / 180.0) * linalg.frob(d4)[window]
+    norm = linalg.frob(omega)
+    failed = np.flatnonzero((error > DEFAULT_TOL.drift) | (norm >= np.pi))
     if failed.size:
-        raise StepFailure(k=failed[0] * h, drift=drift[failed[0]], bound=DEFAULT_TOL.drift)
-    reproj = np.sqrt(np.sum((sigma - 1.0) ** 2, axis=1))
-    return out, float(np.max(drift)), float(np.max(reproj))
+        s = failed[0]
+        raise StepFailure(k=k_start + s * h, drift=error[s], bound=DEFAULT_TOL.drift,
+                          step_norm=norm[s])
+    out = np.empty((n_steps + 1,) + a.shape[1:], dtype=complex)
+    out[0] = np.eye(a.shape[-1])
+    out[1:] = linalg.expi_hermitian(-1j * omega)
+    span = 1
+    while span <= n_steps:              # log-depth scan to out[j] = U_{j-1} ... U_0
+        out[span:] = out[span:] @ out[:-span]
+        span *= 2
+    return out, float(np.max(error))
 
 
 def _segment_transport(family, k_start, k_end, n_grid_points, substeps=4):
     """Transport from k_start to k_end, returning T, P, G at the n_grid_points+1
-    evenly spaced sample points."""
+    evenly spaced sample points and the march's residuals (a dict of
+    TransportResult fields). The kept T are polar-projected in one call,
+    whose singular values give their unitarity drift and reprojection
+    distance."""
     n_steps = n_grid_points * substeps
     fine = np.linspace(k_start, k_end, 2 * n_steps + 1)
     p_fine, dp_fine = family.derivative(fine)
     h = (k_end - k_start) / n_steps
-    t_all, drift, reproj = _rk4_transport(p_fine, dp_fine, h)
+    t_all, step_error = _magnus_transport(p_fine, dp_fine, h, k_start)
     sel = np.arange(0, n_steps + 1, substeps)
     t = t_all[sel]
+    t[1:], sigma = linalg.polar_project(t[1:])
+    drift = np.sqrt(np.sum((sigma ** 2 - 1.0) ** 2, axis=1))
+    reproj = np.sqrt(np.sum((sigma - 1.0) ** 2, axis=1))
+    residuals = {"drift_max": float(np.max(drift)), "reprojection_max": float(np.max(reproj)),
+                 "step_error_max": step_error}
     p = p_fine[2 * sel]
     dp = dp_fine[2 * sel]
     g = 1j * (dp @ p - p @ dp)
-    return fine[2 * sel], t, p, g, drift, reproj
+    return fine[2 * sel], t, p, g, residuals
 
 
 def parallel_transport(family: ProjectorFamily, n_grid=N_LOOP, substeps=4):
@@ -124,12 +145,15 @@ def parallel_transport(family: ProjectorFamily, n_grid=N_LOOP, substeps=4):
     ----------
     family : loop-domain ProjectorFamily
     n_grid : grid points stored per loop (T also sampled at the closure)
-    substeps : RK4 steps per grid interval; total steps = n_grid * substeps
+    substeps : Magnus steps per grid interval; total steps = n_grid * substeps
 
-    The intertwining residual max_k ||P(k) - T(k) P(k0) T(k)*|| converges at
-    fourth order in the step size. M is Hermitian with eigenvalues in [0, 1),
-    obtained from the eigenphases of the holonomy taken in [0, 2 pi); an
-    eigenvalue just below the cut raises BranchAmbiguity. W(k0) = 1 exactly
+    A step whose local error estimate exceeds DEFAULT_TOL.drift, or which
+    lies outside the Magnus series' convergence radius, raises StepFailure
+    at its momentum. The intertwining residual
+    max_k ||P(k) - T(k) P(k0) T(k)*|| converges at fourth order in the step
+    size. M is Hermitian with eigenvalues in [0, 1), obtained from the
+    eigenphases of the holonomy taken in [0, 2 pi); an eigenvalue just
+    below the cut raises BranchAmbiguity. W(k0) = 1 exactly
     and W closes the loop. The analytic derivative dW/dk is recorded
     alongside (no finite differences of W anywhere downstream).
     """
@@ -139,7 +163,7 @@ def parallel_transport(family: ProjectorFamily, n_grid=N_LOOP, substeps=4):
         raise ValueError("need at least 16 transport steps")
     ax = loop_axis(n_grid)
     k0 = ax.start
-    ks, t, p, g, drift, reproj = _segment_transport(
+    ks, t, p, g, residuals = _segment_transport(
         family, k0, k0 + 2 * np.pi, n_grid, substeps)
     inter = float(np.max(linalg.frob(p - t @ p[0] @ linalg.dagger(t))))
     m, lam = linalg.unitary_log_generator(t[-1])
@@ -150,8 +174,7 @@ def parallel_transport(family: ProjectorFamily, n_grid=N_LOOP, substeps=4):
     core = -1j * (linalg.dagger(t) @ g @ t)
     dw = w @ (linalg.dagger(expm) @ core @ expm - 1j * m[None])
     return TransportResult(ks=ks, t_samples=t, p_samples=p, family=family,
-                           drift_max=drift, reprojection_max=reproj,
-                           intertwine_residual=inter, m_generator=m,
+                           **residuals, intertwine_residual=inter, m_generator=m,
                            m_eigenvalues=lam, w_samples=w, w_derivatives=dw,
                            w_periodicity=float(linalg.frob(w[-1] - w[0])))
 
@@ -286,7 +309,7 @@ def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid=N_LOOP,
         raise ValueError("symmetric loops need an even grid")
     half = n_grid // 2
 
-    ks_half, t_half, p_half, _, _, _ = _segment_transport(family, 0.0, np.pi, half)
+    ks_half, t_half, p_half, _, _ = _segment_transport(family, 0.0, np.pi, half)
     ramp = smooth_ramp(ks_half / np.pi)
 
     def symmetrized_half(projector):

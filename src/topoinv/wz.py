@@ -438,7 +438,7 @@ def random_hermitian_field(axes, dim, seed, bandwidth=2, scale=0.35):
             c = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
             c *= scale / (1.0 + p * p + q * q)
             terms += [(c, (p, q)), (linalg.dagger(c), (-p, -q))]
-    h = fourier_planes(terms, torus_points(*axes))
+    h, = fourier_planes(terms, torus_points(*axes))
     return matrices_last(0.5 * (h + inverse_planes(h)))
 
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import topoinv
-from topoinv import berry, certify, transport, wz
+from topoinv import berry, certify, linalg, transport, wz
 from topoinv.cli import main
-from topoinv.errors import BranchAmbiguity
+from topoinv.errors import BranchAmbiguity, PairingFailure
 from topoinv.models import SX, SY, SZ, BlochHamiltonianSpec, builtin_model, save_model
 
 
@@ -177,6 +177,29 @@ def test_step_failure_is_one_json_line(capsys, tmp_path):
     payload = json.loads(line)
     assert payload["error"] == "StepFailure"
     assert payload["drift"] > 1e-4 and isinstance(payload["k"], float)
+
+
+def test_pairing_failure_is_one_json_line(capsys, monkeypatch):
+    """A fixed-point basis that will not form Kramers pairs is bad input:
+    exit 4 with one JSON line carrying the measured residual and the bound;
+    the certification run reports it as an errored criterion."""
+    kramers_basis = linalg.kramers_basis
+    monkeypatch.setattr(linalg, "kramers_basis", lambda tau, p, rng=None: kramers_basis(
+        lambda x: (1 + 1e-6) * tau(x), p, rng=rng))
+    code, out, err = run_cli(capsys, "fkm", "--model", "kane_mele",
+                             "--grid", "16", "--loop-grid", "32", "--json")
+    assert code == 4 and out == ""
+    [line] = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "PairingFailure"
+    assert payload["residual"] > payload["bound"] == 1e-10
+
+    def unpaired(scale):
+        raise PairingFailure(1e-6, 1e-10)
+
+    monkeypatch.setattr(certify, "ALL_CRITERIA", [unpaired])
+    [res] = certify.run_all(verbose=False)
+    assert not res.passed and res.details["error"].startswith("PairingFailure")
 
 
 def test_other_library_error_is_one_json_line(capsys, monkeypatch):

@@ -233,20 +233,29 @@ def test_each_point_set_is_diagonalized_once(monkeypatch, haldane_topo, km_topo,
     """P and dP come from one eigh per point: the curvature and transport
     paths diagonalize each Hamiltonian once, and the lattice boundary line
     diagonalizes P only where its Kramers reflection does not overwrite it.
-    Each case runs on a copy of its family, which keeps no eigensystem."""
+    The transport's step exponentials (one eigh per Magnus step) are counted
+    apart. Each case runs on a copy of its family, which keeps no eigensystem."""
     haldane, km = replace(haldane_topo), replace(km_topo)
     row = km.sample(np.stack([np.zeros(32), loop_axis(32).points], axis=-1))
     count = _count_eigh(monkeypatch)
+    exponentials = [0]
+    expi_hermitian = linalg.expi_hermitian
+
+    def counted(h, *args):
+        exponentials[0] += int(np.prod(np.shape(h)[:-2]))
+        return expi_hermitian(h, *args)
+
+    monkeypatch.setattr(linalg, "expi_hermitian", counted)
     cases = (
-        (lambda: berry.berry_curvature(haldane, n_grid=16), 256),
-        (lambda: berry.berry_curvature_ebz(km, n1=8, n2=16), 144),
-        (lambda: transport._segment_transport(km.loop(0, 0.0), 0.0, np.pi, 32, 4), 257),
-        (lambda: lattice._trs_boundary_line(row, theta4), 15),
+        (lambda: berry.berry_curvature(haldane, n_grid=16), 256, 0),
+        (lambda: berry.berry_curvature_ebz(km, n1=8, n2=16), 144, 0),
+        (lambda: transport._segment_transport(km.loop(0, 0.0), 0.0, np.pi, 32, 4), 257, 128),
+        (lambda: lattice._trs_boundary_line(row, theta4), 15, 0),
     )
-    for run, matrices in cases:
-        count[0] = 0
+    for run, matrices, steps in cases:
+        count[0] = exponentials[0] = 0
         run()
-        assert count[0] == matrices, (count[0], matrices)
+        assert (count[0] - exponentials[0], exponentials[0]) == (matrices, steps)
 
 
 def test_family_keeps_the_last_eigensystem(monkeypatch, km_topo):
@@ -300,14 +309,15 @@ def test_kept_eigensystem_changes_no_output(haldane_topo, km_topo, theta4):
 @pytest.mark.parametrize("argv,matrices", [
     (["chern", "--model", "haldane", "--param", "m=0.6"], 36_864),
     (["fkm", "--model", "kane_mele", "--param", "lambda_so=0.3",
-      "--param", "lambda_v=1.44"], 23_172),
+      "--param", "lambda_v=1.44"], 24_196),
 ])
 def test_request_eigh_counts(monkeypatch, capsys, argv, matrices):
     """Matrices diagonalized by one request at the default grids: a chern
     request diagonalizes its 64^2 probe and 128^2 curvature grids once each
     (plus the plaquette oracle's own eigh of P), an fkm request its probe
     grid once and its half-zone grid once for the curvature and the lattice
-    oracle (plus its transports and the oracle's eigh of P)."""
+    oracle (plus its transports, whose 2 x 512 Magnus steps take one eigh
+    each for their exponentials, and the oracle's eigh of P)."""
     count = _count_eigh(monkeypatch)
     assert cli.main(argv + ["--json"]) == 0
     capsys.readouterr()

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from topoinv import linalg
-from topoinv.errors import BranchAmbiguity, OddRank
+from topoinv.errors import BranchAmbiguity, OddRank, PairingFailure, TopoinvError
 
 
 def random_unitary(n, seed):
@@ -128,6 +128,18 @@ def test_kramers_basis_odd_rank():
     with pytest.raises(OddRank):
         linalg.kramers_basis(lambda x: j @ np.conjugate(x),
                              np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex))
+
+
+def test_kramers_basis_pairing_failure_is_typed():
+    """An antiunitary that stretches by 1e-6 cannot pair to 1e-10: the error
+    is typed and carries the measured residual and the bound."""
+    j = linalg.symplectic_blocks(4)
+    with pytest.raises(PairingFailure) as info:
+        linalg.kramers_basis(lambda x: (1 + 1e-6) * (j @ np.conjugate(x)),
+                             np.eye(4, dtype=complex))
+    assert info.value.residual == pytest.approx(1e-6, rel=1e-6)
+    assert info.value.bound == 1e-10
+    assert isinstance(info.value, TopoinvError)
 
 
 def test_principal_log_branch_degeneracy():

@@ -5,7 +5,7 @@ import pytest
 
 from topoinv import (berry_connection, berry_phase, build_frame, build_trs_frame,
                      parallel_transport, wilson_holonomy)
-from topoinv import linalg, make_projector_family, wz
+from topoinv import linalg, make_projector_family, transport, wz
 from topoinv.errors import BadBaseBasis, NotTRS, StepFailure
 from topoinv.grids import loop_axis
 from topoinv.models import BlochHamiltonianSpec
@@ -44,10 +44,40 @@ def test_step_failure_on_underresolved_loop():
         parallel_transport(fast, n_grid=16, substeps=1)
 
 
-def test_transport_step_makes_one_svd(km_topo, monkeypatch):
-    """Each RK4 step projects once, and reads its drift and reprojection
-    distance off that projection's singular values: no separate residual."""
-    calls = {"polar_project": 0, "unitarity_residual": 0}
+def _fast_winding_loop():
+    """sigma+ e^{20 i k2} + h.c.: P winds 20 times around the equator at a
+    constant rate, so the transport generator is constant along the loop."""
+    sigma_plus = np.array([[0, 1], [0, 0]], dtype=complex)
+    spec = BlochHamiltonianSpec(dim=2, terms=((sigma_plus, np.array([0, 20])),
+                                              (sigma_plus.T, np.array([0, -20]))),
+                                name="fast_winding")
+    return make_projector_family(spec, 0.0).loop(0, 0.0)
+
+
+def test_step_failure_reports_the_momentum_of_the_step():
+    """Every step of the fast-winding loop at 16 steps lies past the Magnus
+    radius, so the first one fails, at the loop's base point -pi."""
+    with pytest.raises(StepFailure) as info:
+        parallel_transport(_fast_winding_loop(), n_grid=16, substeps=1)
+    assert info.value.k == -np.pi
+    assert info.value.step_norm >= np.pi
+    assert "reaches pi" in str(info.value)
+
+
+def test_magnus_is_exact_for_a_constant_generator():
+    """With a constant generator each Magnus step is the exact propagator,
+    so 64 steps of the fast-winding loop intertwine to rounding."""
+    tr = parallel_transport(_fast_winding_loop(), n_grid=64, substeps=1)
+    assert tr.intertwine_residual < 1e-12
+    assert tr.step_error_max < 1e-12
+
+
+def test_transport_segment_makes_one_exponential_and_one_projection(km_topo,
+                                                                     monkeypatch):
+    """All Magnus steps of a segment are exponentiated in one call and the
+    kept products polar-projected in one call, whose singular values give the
+    drift and reprojection distance: no separate unitarity residual."""
+    calls = {"expi_hermitian": 0, "polar_project": 0, "unitarity_residual": 0}
 
     def counted(name):
         original = getattr(linalg, name)
@@ -59,10 +89,12 @@ def test_transport_step_makes_one_svd(km_topo, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(linalg, name, counted(name))
-    tr = parallel_transport(km_topo.loop(0, 0.0), n_grid=32, substeps=2)
-    assert calls == {"polar_project": 64, "unitarity_residual": 0}
+    tr = transport._segment_transport(km_topo.loop(0, 0.0), 0.0, np.pi, 32, 2)
+    assert calls == {"expi_hermitian": 1, "polar_project": 1, "unitarity_residual": 0}
+    residuals = tr[-1]
     # near 1, sigma^2 - 1 is about 2 (sigma - 1): the drift is twice the reprojection
-    assert 0.0 < tr.reprojection_max < tr.drift_max < 1e-4
+    assert 0.0 <= residuals["reprojection_max"] <= residuals["drift_max"] < 1e-12
+    assert 0.0 < residuals["step_error_max"] < 1e-4
 
 
 def test_periodized_w_properties(km_topo):
