@@ -17,7 +17,7 @@ from topoinv import (berry_connection, berry_phase, build_frame, builtin_model,
                      parallel_transport, wilson_holonomy,
                      wz_amplitude_phi)
 
-family = make_projector_family(builtin_model("flat_two_band"), fermi_level=0.0)
+family = make_projector_family(builtin_model("flat_two_band"))
 loop = family.loop(1, 0.0)   # fix k2, walk the k1 circle
 
 print("transporting the lower band around the loop, with its periodic trivialization W ...")

@@ -23,7 +23,7 @@ print("-" * 62)
 for m in [-1.2, -0.4, -0.2, 0.2, 0.4, 1.2]:
     spec = builtin_model("haldane", {"t2": T2, "phi": PHI, "m": m})
     try:
-        fam = make_projector_family(spec, fermi_level=0.0)
+        fam = make_projector_family(spec)
     except GapClosure as err:
         print(f"{m:6.2f} | gap closed: {err}")
         continue

@@ -28,7 +28,7 @@ print("-" * 80)
 
 for lv in [0.0, 0.5, 1.0, 1.4, 1.8, 2.2, 2.8]:
     spec = builtin_model("kane_mele", {"lambda_so": LAMBDA_SO, "lambda_v": lv})
-    fam = make_projector_family(spec, fermi_level=0.0)
+    fam = make_projector_family(spec)
     ingredients = z2_ingredients(fam, theta, n_loop=128, n1=48, n2=64)
     d = delta_invariant(ingredients)
     kap = kappa_invariant(ingredients)
@@ -44,7 +44,7 @@ for lv in [0.0, 0.5, 1.0, 1.4, 1.8, 2.2, 2.8]:
 print("\nwith Rashba coupling the spin blocks mix; the machinery is unchanged:")
 spec = builtin_model("kane_mele", {"lambda_so": LAMBDA_SO, "lambda_v": 1.0,
                                    "lambda_r": 0.4})
-fam = make_projector_family(spec, fermi_level=0.0)
+fam = make_projector_family(spec)
 ingredients = z2_ingredients(fam, theta, n_loop=128, n1=48, n2=64)
 d = delta_invariant(ingredients)
 kap = kappa_invariant(ingredients)

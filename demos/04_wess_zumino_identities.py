@@ -44,7 +44,7 @@ print("reversal the square root is well defined and tracks the Z2 index:")
 theta = TRSOperator.standard(4)
 for lv, label in [(0.4, "topological"), (2.5, "trivial")]:
     spec = builtin_model("kane_mele", {"lambda_so": 0.3, "lambda_v": lv})
-    fam = make_projector_family(spec, fermi_level=0.0)
+    fam = make_projector_family(spec)
     parts = {}
     for name, k1 in (("T0", 0.0), ("Tpi", np.pi)):
         parts[name] = wz_amplitude_phi(build_trs_frame(fam.loop(0, k1), theta,

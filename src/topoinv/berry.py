@@ -1,15 +1,14 @@
 """Berry connection, phase (and its time-reversal square root), curvature,
 Chern number, and the boundary-minus-bulk Z2 obstruction invariant.
 
-Connections come from Bloch frames either through the exact channels the
-frame constructions record or by spectral differentiation of the frame
-samples; both paths are kept and cross-checked. Quadratures are periodic
-trapezoid (spectrally accurate on smooth periodic data) with composite
-Simpson along the half-zone direction.
+Connections come from Bloch frames either through the exact channel every
+frame construction and gauge transform records or by spectral
+differentiation of the frame samples; both paths are kept and
+cross-checked. Quadratures are periodic trapezoid (spectrally accurate on
+smooth periodic data) with composite Simpson along the half-zone direction.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,23 +38,14 @@ class ConnectionSamples:
     frame: BlochFrame
     method: str
 
-    @property
-    def n(self):
-        return len(self.ks)
 
-
-def berry_connection(frame: BlochFrame, method="auto"):
+def berry_connection(frame: BlochFrame, method="analytic"):
     """Connection samples A(k) = -i sum_a <e_a, d e_a> along the frame's loop.
 
     method: "analytic" uses the exact channel the frame construction
-    recorded; "spectral" differentiates the frame samples by FFT; "auto"
-    prefers analytic when present.
+    recorded; "spectral" differentiates the frame samples by FFT.
     """
-    if method == "auto":
-        method = "analytic" if frame.analytic_a is not None else "spectral"
     if method == "analytic":
-        if frame.analytic_a is None:
-            raise ValueError("frame carries no analytic connection channel")
         return ConnectionSamples(ks=frame.ks, a_values=np.asarray(frame.analytic_a),
                                  loop_integral=float(frame.analytic_loop_integral),
                                  imag_max=0.0, frame=frame, method="analytic")
@@ -121,12 +111,15 @@ class CurvatureField:
 
 def _omega_on(family: ProjectorFamily, ks):
     """-i Tr{ P [d1 P, d2 P] } at the points ks, on the planes under the
-    family's (..., N, N) views of P and its derivatives."""
+    family's (..., N, N) views of P and its derivatives. A model whose dP
+    products overflow gets a non-finite Omega, which never snaps, so the
+    overflow is not also warned about."""
     p, (d1, d2) = family.derivative(ks, (0, 1))
     p, d1, d2 = (linalg.entries_first(x) for x in (p, d1, d2))
-    comm = linalg.plane_product(d1, d2)
-    comm -= linalg.plane_product(d2, d1)
-    omega = -1j * linalg.trace_product(p, comm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm = linalg.plane_product(d1, d2)
+        comm -= linalg.plane_product(d2, d1)
+        omega = -1j * linalg.trace_product(p, comm)
     return omega.real, float(np.max(np.abs(omega.imag)))
 
 
@@ -176,14 +169,14 @@ def delta_invariant(z2):
 
 @dataclass(frozen=True)
 class GaugeField:
-    """m x m unitary gauge on a loop grid, optionally time-reversal symmetric
-    (u(-k) = Theta(u(k)) on C^m). When built by the generators here, the
-    exact logarithmic derivative u^-1 du/dk is carried along."""
+    """m x m unitary gauge on a loop grid with its exact logarithmic
+    derivative u^-1 du/dk, optionally time-reversal symmetric
+    (u(-k) = Theta(u(k)) on C^m)."""
 
     ks: np.ndarray
-    u_samples: np.ndarray                      # (n, m, m)
-    trs_flag: bool = False
-    log_derivative: Optional[np.ndarray] = None  # (n, m, m)
+    u_samples: np.ndarray         # (n, m, m)
+    trs_flag: bool
+    log_derivative: np.ndarray    # (n, m, m)
 
     @property
     def n(self):
@@ -206,21 +199,16 @@ class GaugeField:
 def gauge_transform(frame: BlochFrame, gauge: GaugeField):
     """Change of Bloch frame e'_b = sum_a e_a u_ab.
 
-    The exact connection channel transforms as A' = A - i tr(u^-1 du) when
-    the gauge carries its logarithmic derivative; otherwise the transformed
-    frame only supports the spectral path.
+    The exact connection channel transforms as A' = A - i tr(u^-1 du), from
+    the gauge's logarithmic derivative.
     """
     if gauge.rank != frame.rank or gauge.n != frame.n:
         raise DimensionMismatch(
             f"gauge ({gauge.n},{gauge.rank}) does not match frame ({frame.n},{frame.rank})")
     e = frame.e_samples @ gauge.u_samples
-    analytic_a = None
-    analytic_int = None
-    if frame.analytic_a is not None and gauge.log_derivative is not None:
-        tr_log = np.trace(gauge.log_derivative, axis1=-2, axis2=-1)
-        a = frame.analytic_a - 1j * tr_log
-        analytic_a = a.real
-        analytic_int = float(np.sum(analytic_a) * (TWO_PI / frame.n))
+    tr_log = np.trace(gauge.log_derivative, axis1=-2, axis2=-1)
+    analytic_a = (frame.analytic_a - 1j * tr_log).real
+    analytic_int = float(np.sum(analytic_a) * (TWO_PI / frame.n))
     trs = bool(frame.trs_flag and gauge.trs_flag)
     return BlochFrame(ks=frame.ks, e_samples=e, trs_flag=trs, family=frame.family,
                       seam_residual=frame.seam_residual, analytic_a=analytic_a,
@@ -274,14 +262,16 @@ def random_trs_gauge(n_points, m, seed, scale=0.4, winding=None):
     return GaugeField(ks=ks, u_samples=d[..., None] * u, trs_flag=True, log_derivative=logd)
 
 
-def holonomy_flux_check(family: ProjectorFamily, corner, widths, n_edge=256):
+def holonomy_flux_check(family: ProjectorFamily, corner, widths):
     """Stokes check on a subrectangle: the phase of the boundary holonomy
     determinant equals the curvature integral over the rectangle (mod 2 pi).
 
     Returns (boundary_phase, flux_integral, discrepancy mod 2 pi). Uses
-    parallel transport along the four edges; gauge invariant, no frame
-    needed.
+    parallel transport along the four edges, 256 grid intervals each, and
+    the curvature on the 256 x 256 grid of the rectangle; gauge invariant,
+    no frame needed.
     """
+    n_edge = 256
     (a1, a2), (w1, w2) = corner, widths
     corners = [np.array([a1, a2]), np.array([a1 + w1, a2]),
                np.array([a1 + w1, a2 + w2]), np.array([a1, a2 + w2])]
@@ -291,7 +281,7 @@ def holonomy_flux_check(family: ProjectorFamily, corner, widths, n_edge=256):
         edge = family.restrict(start, stop - start, f"{family.name}[edge {i}]")
         _, t, _, _, _ = _segment_transport(edge, 0.0, 1.0, n_edge)
         t_loop = t[-1] @ t_loop
-    b = _occupied_basis(family(corners[0]))
+    b = _occupied_basis(family.sample(corners[0]))
     hol = linalg.dagger(b) @ t_loop @ b
     boundary_phase = float(np.angle(np.linalg.det(hol)))
     ax1 = Axis("k1", a1, w1, n_edge, periodic=False)

@@ -48,7 +48,7 @@ def _even(n):
 
 
 def _fam(name, **params):
-    return make_projector_family(builtin_model(name, params), 0.0)
+    return make_projector_family(builtin_model(name, params))
 
 
 def _km(lv, lr=0.0):
@@ -153,35 +153,23 @@ def criterion_4_fkm(scale=1.0):
     worst = 0.0
     rows = []
     all_ok = True
-
-    def invariants(fam):
-        ingredients = wz.z2_ingredients(fam, theta, n_loop=n_loop, n1=n1, n2=n2)
-        return berry.delta_invariant(ingredients), wz.kappa_invariant(ingredients)
-
-    for ratio in kane_mele_sweep_points():
-        fam = _km(ratio * KM_SO)
-        d, kap = invariants(fam)
-        z2 = lattice.lattice_z2(fam, theta, n1=max(16, n1), n2=max(32, n2))
-        expected = 1 if ratio < KM_BOUNDARY else 0
-        ok = (d.snapped is not None and kap.snapped is not None
-              and kap.snapped == (-1) ** d.snapped
-              and z2.snapped == d.snapped and d.snapped == expected)
-        worst = max(worst, d.residual, kap.residual)
-        all_ok = all_ok and ok
-        rows.append({"ratio": ratio, "delta": d.snapped, "kappa": kap.snapped,
-                     "lattice_z2": z2.snapped, "expected": expected,
-                     "delta_residual": d.residual, "kappa_residual": kap.residual})
-    for lv, lr in ((0.4, 0.2), (1.0, 0.4)):
+    # ((lambda_v, lambda_r), row label, closed-form delta or None with Rashba)
+    cases = [((ratio * KM_SO, 0.0), {"ratio": ratio}, 1 if ratio < KM_BOUNDARY else 0)
+             for ratio in kane_mele_sweep_points()]
+    cases += [((lv, lr), {"lambda_v": lv, "lambda_r": lr}, None)
+              for lv, lr in ((0.4, 0.2), (1.0, 0.4))]
+    for (lv, lr), label, expected in cases:
         fam = _km(lv, lr)
-        d, kap = invariants(fam)
+        ingredients = wz.z2_ingredients(fam, theta, n_loop=n_loop, n1=n1, n2=n2)
+        d, kap = berry.delta_invariant(ingredients), wz.kappa_invariant(ingredients)
         z2 = lattice.lattice_z2(fam, theta, n1=max(16, n1), n2=max(32, n2))
         ok = (d.snapped is not None and kap.snapped == (-1) ** d.snapped
-              and z2.snapped == d.snapped)
+              and z2.snapped == d.snapped and (expected is None or d.snapped == expected))
         worst = max(worst, d.residual, kap.residual)
         all_ok = all_ok and ok
-        rows.append({"lambda_v": lv, "lambda_r": lr, "delta": d.snapped,
-                     "kappa": kap.snapped, "lattice_z2": z2.snapped,
-                     "delta_residual": d.residual})
+        rows.append({**label, "delta": d.snapped, "kappa": kap.snapped,
+                     "lattice_z2": z2.snapped, "expected": expected,
+                     "delta_residual": d.residual, "kappa_residual": kap.residual})
     return CriterionResult(4, "K = (-1)^delta across the phase diagram, oracle-checked",
                            all_ok and worst < 1e-3, 1e-3, worst,
                            time.time() - t0, {"points": rows})
@@ -312,7 +300,7 @@ def criterion_9_equivariant_winding(scale=1.0):
     for i in range(n_fields):
         gauge = berry.random_trs_gauge(n, 4, seed=5000 + i)
         fld = FieldGrid(axes=(ax,), samples=gauge.u_samples)
-        w = wz.winding(fld, snap_tol=1e-3)
+        w = wz.winding(fld)
         worst = max(worst, w.residual)
         if w.snapped is None or w.snapped % 2 != 0:
             all_even = False

@@ -115,7 +115,7 @@ def _load_spec(cfg: RunConfig):
 
 def _family(cfg: RunConfig):
     spec = _load_spec(cfg)
-    return spec, make_projector_family(spec, fermi_level=0.0)
+    return spec, make_projector_family(spec)
 
 
 def _invariant_payload(res):
@@ -151,38 +151,32 @@ def cmd_chern(cfg: RunConfig):
 
 
 def _z2_evaluation(fam, cfg: RunConfig):
-    """The time-reversal check, then delta, kappa and the boundary Berry
-    phases from one set of Z2 ingredients; shared by fkm and sweep.
+    """The time-reversal check, then the Z2 ingredients that delta, kappa
+    and the boundary Berry phases are read from; shared by fkm and sweep.
 
-    Returns (violation, z2, results). violation is None for an odd ambient
-    dimension; z2 and results are None unless the family is time-reversal
-    symmetric. results maps report keys to delta, kappa and the phases.
+    Returns (violation, z2). violation is None for an odd ambient
+    dimension; z2 is None unless the family is time-reversal symmetric.
     """
     if fam.ambient_dim % 2 != 0:
-        return None, None, None
+        return None, None
     theta = TRSOperator.standard(fam.ambient_dim)
     ok, violation = check_trs(fam, theta)
     if not ok:
-        return violation, None, None
-    z2 = wz.z2_ingredients(fam, theta, n_loop=cfg.loop_grid,
-                           n1=max(16, cfg.grid // 2), n2=cfg.grid)
-    results = {"delta": berry.delta_invariant(z2), "kappa": wz.kappa_invariant(z2)}
-    for label, value in z2.wz.items():
-        results[f"berry_phase_{label}"] = value.amplitude
-        results[f"sqrt_berry_phase_{label}"] = value.sqrt_amplitude
-    return violation, z2, results
+        return violation, None
+    return violation, wz.z2_ingredients(fam, theta, n_loop=cfg.loop_grid,
+                                        n1=max(16, cfg.grid // 2), n2=cfg.grid)
 
 
 def cmd_fkm(cfg: RunConfig):
     spec, fam = _family(cfg)
-    violation, z2, results = _z2_evaluation(fam, cfg)
+    violation, z2 = _z2_evaluation(fam, cfg)
     if violation is None:
         return _fail(EXIT_PRECONDITION, "NotTRS",
                      f"odd ambient dimension {fam.ambient_dim}")
     if z2 is None:
         return _fail(EXIT_PRECONDITION, "NotTRS",
                      "family is not time-reversal symmetric", violation=violation)
-    d, kap = results.pop("delta"), results.pop("kappa")
+    d, kap = berry.delta_invariant(z2), wz.kappa_invariant(z2)
     _, n1, n2 = z2.grid
     oracle = lattice.lattice_z2(fam, z2.theta, n1=n1, n2=n2)
     agree = (d.snapped is not None and kap.snapped is not None
@@ -196,7 +190,8 @@ def cmd_fkm(cfg: RunConfig):
         "lattice_oracle": _invariant_payload(oracle),
         "oracle_agrees": oracle.snapped == d.snapped,
         "kappa_equals_minus_one_to_delta": agree,
-        **results,
+        **{f"berry_phase_{label}": v.amplitude for label, v in z2.wz.items()},
+        **{f"sqrt_berry_phase_{label}": v.sqrt_amplitude for label, v in z2.wz.items()},
         "residual_max": max(d.residual, kap.residual, oracle.residual),
     }
     _emit(report, cfg)
@@ -212,7 +207,7 @@ def _sweep_point(args):
     row = dict(params)
     row["model"] = cfg.model
     try:
-        fam = make_projector_family(builtin_model(cfg.model, params), fermi_level=0.0)
+        fam = make_projector_family(builtin_model(cfg.model, params))
         wants = cfg.invariants or INVARIANTS
         residuals = []
         if "chern" in wants:
@@ -220,14 +215,16 @@ def _sweep_point(args):
             row["chern"] = c.snapped
             residuals.append(c.residual)
         if {"delta", "kappa"} & set(wants):
-            violation, z2, results = _z2_evaluation(fam, cfg)
+            violation, z2 = _z2_evaluation(fam, cfg)
             if z2 is not None:
-                for key in ("delta", "kappa"):
+                for key, invariant in (("delta", berry.delta_invariant),
+                                       ("kappa", wz.kappa_invariant)):
                     if key in wants:
-                        row[key] = results[key].snapped
-                        residuals.append(results[key].residual)
-                for key in ("berry_phase_T0", "berry_phase_Tpi"):
-                    row[key] = results[key]
+                        res = invariant(z2)
+                        row[key] = res.snapped
+                        residuals.append(res.residual)
+                for label, value in z2.wz.items():
+                    row[f"berry_phase_{label}"] = value.amplitude
             elif violation is not None:
                 row["error"] = f"NotTRS(violation={violation:.3e})"
         row["residual_max"] = max(residuals) if residuals else None

@@ -22,6 +22,7 @@ class Tolerances:
     branch_snap: float = 1e-13      # below this, a phase is roundoff and snaps to 0
     drift: float = 1e-4             # local error estimate per transport step
     snap: float = 1e-3              # residual below which invariants snap
+    winding: float = 1e-6           # residual below which a winding number snaps
     extension_end: float = 1e-8     # end slice of an extension must be constant
 
 

@@ -74,22 +74,22 @@ class ProjectorFamily:
     """Occupied-band projectors P(k) of one Bloch Hamiltonian, on the 2-torus
     or restricted to a line.
 
-    P(k) projects onto the eigenvectors of spec.bloch(k) below `fermi_level`;
-    every evaluation checks that the `rank` occupied bands stay separated
-    from the empty ones by more than DEFAULT_TOL.gap_threshold. With `line` =
-    (origin, direction) the family is the loop s -> P(origin + s direction).
+    P(k) projects onto the eigenvectors of spec.bloch(k) below the Fermi
+    level 0; every evaluation checks that the `rank` occupied bands stay
+    separated from the empty ones by more than DEFAULT_TOL.gap_threshold.
+    With `line` = (origin, direction) the family is the loop
+    s -> P(origin + s direction).
 
     The eigensystem (w, v) of the last point set is kept in plane layout,
     keyed by the bytes of the points, so sampling the same points again
     diagonalizes nothing; P itself is formed afresh on every call and never
     kept. A restricted family starts with nothing kept. Eigenvalues come
     ascending and every point set is checked to have `rank` of them below
-    the Fermi level, so the occupied bands are the first `rank` columns.
+    0, so the occupied bands are the first `rank` columns.
     """
 
     spec: BlochHamiltonianSpec
     rank: int
-    fermi_level: float = 0.0
     line: Optional[tuple] = None  # ((o1, o2), (d1, d2))
     name: str = ""
     _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -102,9 +102,6 @@ class ProjectorFamily:
     def domain(self):
         return "torus" if self.line is None else "loop"
 
-    def __call__(self, k):
-        return self.sample(k)
-
     def _eigensystem(self, ks):
         """The torus points of ks and the eigensystem (w, v) there, in plane
         layout, diagonalized only when ks differs from the last point set."""
@@ -116,7 +113,7 @@ class ProjectorFamily:
         key = (ks.shape, ks.tobytes())
         eigensystem = self._last.get(key)
         if eigensystem is None:
-            eigensystem = _gap_checked_eigh(self.spec, k, self.fermi_level, rank=self.rank)
+            eigensystem = _gap_checked_eigh(self.spec, k, rank=self.rank)
             self._last.clear()
             self._last[key] = eigensystem
         return (k,) + eigensystem
@@ -176,12 +173,13 @@ class ProjectorFamily:
         origin[axis], direction[1 - axis] = value, 1.0
         return self.restrict(origin, direction, f"{self.name}[k{axis + 1}={float(value):.4f}]")
 
-    def validate(self, n_grid=64):
-        """Projector, rank-constancy, and periodicity residuals on a probe grid.
+    def validate(self):
+        """Projector, rank-constancy, and periodicity residuals on the 64 x 64
+        probe grid.
 
         Returns a dict of residuals; raises nothing (callers decide).
         """
-        ax = loop_axis(n_grid)
+        ax = loop_axis(64)
         if self.domain == "loop":
             ks = ax.points
             p = self.sample(ks)
@@ -202,21 +200,22 @@ class ProjectorFamily:
                        and per <= DEFAULT_TOL.periodicity)}
 
 
-def _gap_checked_eigh(spec, ks, fermi_level, rank=None):
+def _gap_checked_eigh(spec, ks, rank=None):
     """Batched eigensystem of spec.bloch(ks) on torus points ks in plane
     layout: eigenvalues w band-first (N, ...), ascending, and eigenvectors
     v entries-first (N, N, ...), column i belonging to w[i].
 
     Raises GapClosure, carrying the momentum (k1, k2), where the number of
-    eigenvalues below fermi_level differs from `rank` (by default that of
-    the first point), where no band or every band is occupied, or where the
-    gap at the Fermi level is at most DEFAULT_TOL.gap_threshold.
+    negative eigenvalues (the occupied bands, below the Fermi level 0)
+    differs from `rank` (by default that of the first point), where no band
+    or every band is occupied, or where the gap at 0 is at most
+    DEFAULT_TOL.gap_threshold.
     """
     threshold = DEFAULT_TOL.gap_threshold
     w, v = np.linalg.eigh(spec.bloch(ks))
     w = np.ascontiguousarray(np.moveaxis(w, -1, 0))
     v = entries_first(v)
-    ranks = np.count_nonzero(w < fermi_level, axis=0).reshape(-1)
+    ranks = np.count_nonzero(w < 0.0, axis=0).reshape(-1)
     momentum = lambda j: tuple(float(x) for x in np.reshape(ks, (-1, 2))[j])
     r0 = int(ranks[0]) if rank is None else rank
     if r0 == 0 or r0 == spec.dim:
@@ -232,15 +231,15 @@ def _gap_checked_eigh(spec, ks, fermi_level, rank=None):
     return w, v
 
 
-def make_projector_family(spec, fermi_level=0.0):
-    """Occupied-band projector family of a Bloch Hamiltonian below a Fermi level.
+def make_projector_family(spec):
+    """Projector family onto the bands of a Bloch Hamiltonian below the
+    Fermi level 0.
 
     Parameters
     ----------
     spec : models.BlochHamiltonianSpec
-        Trigonometric-polynomial Bloch Hamiltonian.
-    fermi_level : float
-        Must sit in a spectral gap over the whole torus: a gap of at most
+        Trigonometric-polynomial Bloch Hamiltonian. Energy 0 must sit in a
+        spectral gap over the whole torus: a gap of at most
         DEFAULT_TOL.gap_threshold anywhere on the 64 x 64 probe grid (and on
         every later sampling) raises GapClosure.
 
@@ -252,9 +251,9 @@ def make_projector_family(spec, fermi_level=0.0):
     """
     ax = loop_axis(64)
     ks = torus_points(ax, ax)
-    eigensystem = _gap_checked_eigh(spec, ks, fermi_level)
-    rank = int(np.count_nonzero(eigensystem[0][:, 0, 0] < fermi_level))
-    family = ProjectorFamily(spec=spec, rank=rank, fermi_level=fermi_level, name=spec.name)
+    eigensystem = _gap_checked_eigh(spec, ks)
+    rank = int(np.count_nonzero(eigensystem[0][:, 0, 0] < 0.0))
+    family = ProjectorFamily(spec=spec, rank=rank, name=spec.name)
     family._last[(ks.shape, ks.tobytes())] = eigensystem
     return family
 

@@ -45,10 +45,6 @@ class OddRank(TopoinvError):
     pass
 
 
-class BadBaseBasis(TopoinvError):
-    pass
-
-
 class BadDims(TopoinvError):
     pass
 

@@ -32,16 +32,16 @@ class Axis:
         return self.length / self.n
 
 
-def loop_axis(n, name="k"):
+def loop_axis(n):
     """The momentum loop [-pi, pi) with the symmetric points 0, +-pi on grid."""
     if n % 2 != 0:
         raise ValueError("loop grids must have an even number of points")
-    return Axis(name, -np.pi, 2 * np.pi, n, periodic=True)
+    return Axis("k", -np.pi, 2 * np.pi, n, periodic=True)
 
 
-def unit_circle_axis(n, name="t"):
+def unit_circle_axis(n):
     """The unit-period circle R/Z."""
-    return Axis(name, 0.0, 1.0, n, periodic=True)
+    return Axis("t", 0.0, 1.0, n, periodic=True)
 
 
 def interval_axis(n, start, stop, name="s"):
@@ -51,9 +51,9 @@ def interval_axis(n, start, stop, name="s"):
     return Axis(name, start, stop - start, n, periodic=False)
 
 
-def ebz_axis(n, name="k1"):
+def ebz_axis(n):
     """The half-zone direction k1 in [0, pi], inclusive."""
-    return interval_axis(n, 0.0, np.pi, name=name)
+    return interval_axis(n, 0.0, np.pi, name="k1")
 
 
 def torus_points(ax1, ax2):

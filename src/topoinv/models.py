@@ -58,11 +58,11 @@ class BlochHamiltonianSpec:
         h, = fourier_planes(self.terms, ks)
         return matrices_last(h)
 
-    def hermiticity_residual(self, n_samples=1000):
-        """max ||H(k) - H(k)*|| over n_samples seeded random k (should be
-        ~1e-15 by construction)."""
+    def hermiticity_residual(self):
+        """max ||H(k) - H(k)*|| over 1000 seeded random k (should be ~1e-15
+        by construction)."""
         rng = np.random.default_rng(7)
-        ks = rng.uniform(-np.pi, np.pi, size=(n_samples, 2))
+        ks = rng.uniform(-np.pi, np.pi, size=(1000, 2))
         h = self.bloch(ks)
         return float(np.max(np.abs(h - np.conjugate(np.swapaxes(h, -1, -2)))))
 
@@ -88,28 +88,28 @@ def _with_conjugates(raw_terms):
     return out
 
 
-def _validate_hermitian_pairing(terms, where="terms"):
+def _validate_hermitian_pairing(terms):
     """Every merged term is finite, so is the bound 2 sum_v (1 + |v|) ||T_v||
     on the spread of the spectrum of H and of every unit-direction dH, and
     each term has its conjugate-transpose partner at the opposite vector."""
     index = {(int(v[0]), int(v[1])): m for m, v in terms}
     for (v0, v1), m in index.items():
         if not np.all(np.isfinite(m)):
-            raise SchemaError(f"{where}[({v0},{v1})]", "merged matrix entries must be finite")
+            raise SchemaError(f"terms[({v0},{v1})]", "merged matrix entries must be finite")
     if not np.isfinite(2.0 * sum((1.0 + float(np.hypot(*v))) * float(np.linalg.norm(m, 2))
                                  for v, m in index.items())):
-        raise SchemaError(where, "the spectral bound 2 sum_v (1 + |v|) ||T_v|| overflows a float")
+        raise SchemaError("terms", "the spectral bound 2 sum_v (1 + |v|) ||T_v|| overflows a float")
     for (v0, v1), m in index.items():
         if (v0, v1) == (0, 0):
             if np.max(np.abs(m - m.conj().T)) > 1e-12:
-                raise SchemaError(f"{where}[(0,0)]", "on-site matrix is not Hermitian")
+                raise SchemaError("terms[(0,0)]", "on-site matrix is not Hermitian")
             continue
         partner = index.get((-v0, -v1))
         if partner is None:
-            raise SchemaError(f"{where}[({v0},{v1})]",
+            raise SchemaError(f"terms[({v0},{v1})]",
                               "missing conjugate-transpose partner term at the opposite vector")
         if np.max(np.abs(partner - m.conj().T)) > 1e-12:
-            raise SchemaError(f"{where}[({v0},{v1})]",
+            raise SchemaError(f"terms[({v0},{v1})]",
                               "partner term is not the conjugate transpose")
 
 
@@ -348,7 +348,7 @@ RESULT_COLUMNS = ["model", "chern", "delta", "kappa", "berry_phase_T0",
                   "berry_phase_Tpi", "residual_max"]
 
 
-def save_results(path, rows, config=None):
+def save_results(path, rows, config):
     """Write sweep results as CSV plus a JSON sidecar with the configuration.
 
     Rows are dicts; parameter columns (anything not in RESULT_COLUMNS) are
@@ -374,7 +374,6 @@ def save_results(path, rows, config=None):
         writer.writerow(header)
         for r in rows:
             writer.writerow([fmt(r.get(col)) for col in header])
-    if config is not None:
-        sidecar = path.with_suffix(path.suffix + ".json")
-        sidecar.write_text(json.dumps(config, indent=1, sort_keys=True), encoding="utf-8")
+    sidecar = path.with_suffix(path.suffix + ".json")
+    sidecar.write_text(json.dumps(config, indent=1, sort_keys=True), encoding="utf-8")
     return path

@@ -23,10 +23,6 @@ class InvariantResult:
     snap_tol: float
     meta: dict = field(default_factory=dict)
 
-    @property
-    def unsnapped(self):
-        return self.snapped is None
-
     def require_snapped(self):
         if self.snapped is None:
             raise UnsnappedError(self)

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT_TOL, N_LOOP
 from .core import ProjectorFamily, TRSOperator, check_trs, symplectic_basis
-from .errors import (BadBaseBasis, NotTRS, StepFailure, SymmetrizationFailure)
+from .errors import NotTRS, StepFailure, SymmetrizationFailure
 from .grids import loop_axis, reflect
 
 
@@ -189,9 +189,10 @@ def _occupied_basis(p):
 class BlochFrame:
     """Orthonormal frame of Ran P(k) on a loop grid.
 
-    e_samples[j] has the m frame vectors as columns. Frames built from a
-    trivialization or the time-reversal construction carry exact connection
-    samples (analytic_a) so downstream quadratures avoid differencing noise.
+    e_samples[j] has the m frame vectors as columns. Every construction (a
+    trivialization, the time-reversal construction, a gauge transform)
+    records the exact connection samples (analytic_a) so downstream
+    quadratures avoid differencing noise.
     """
 
     ks: np.ndarray                # (n,) loop grid (one period, no closure)
@@ -199,8 +200,8 @@ class BlochFrame:
     trs_flag: bool
     family: ProjectorFamily
     seam_residual: float
-    analytic_a: Optional[np.ndarray] = None       # (n,) exact connection samples
-    analytic_loop_integral: Optional[float] = None
+    analytic_a: np.ndarray                        # (n,) exact connection samples
+    analytic_loop_integral: float
     w_samples: Optional[np.ndarray] = None        # (n, N, N) trivialization on grid
     theta: Optional[TRSOperator] = None
 
@@ -235,23 +236,13 @@ class BlochFrame:
         return float(np.max(linalg.frob(reflect(e, 1) - self.theta.frame(e))))
 
 
-def build_frame(tr: TransportResult, base_basis=None):
-    """Frame e_a(k) = W(k) e_a(k0) from a transport.
-
-    base_basis: (N, m) orthonormal columns spanning Ran P(k0), by default
-    the eigenbasis of P(k0); BadBaseBasis if orthonormality or span fails.
-    The connection of this frame is exactly constant, A = -tr(P(k0) M),
-    recorded as the analytic channel.
+def build_frame(tr: TransportResult):
+    """Frame e_a(k) = W(k) e_a(k0) from a transport, with e_a(k0) the
+    eigenbasis of P(k0). The connection of this frame is exactly constant,
+    A = -tr(P(k0) M), recorded as the analytic channel.
     """
     p0 = tr.p_samples[0]
-    b = _occupied_basis(p0) if base_basis is None else base_basis
-    b = np.asarray(b, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != tr.family.ambient_dim:
-        raise BadBaseBasis(f"base basis shape {b.shape} does not match ambient dimension")
-    ortho = float(linalg.frob(linalg.dagger(b) @ b - np.eye(b.shape[1])))
-    span = float(linalg.frob(p0 @ b - b))
-    if ortho > DEFAULT_TOL.frame_orthonormal or span > DEFAULT_TOL.frame_span:
-        raise BadBaseBasis(f"orthonormality residual {ortho:.2e}, span residual {span:.2e}")
+    b = _occupied_basis(p0)
     e = tr.w_samples[:-1] @ b
     seam = float(linalg.frob(tr.w_samples[-1] @ b - e[0]))
     a_const = -float(np.real(np.trace(p0 @ tr.m_generator)))
@@ -263,14 +254,11 @@ def build_frame(tr: TransportResult, base_basis=None):
                       w_samples=tr.w_samples[:-1])
 
 
-def wilson_holonomy(tr: TransportResult, base_basis=None):
-    """The loop holonomy restricted to Ran P(k0), as an m x m matrix.
-
-    Its determinant equals the Berry phase of the loop. With no basis given,
-    the eigenbasis of P(k0) is used.
+def wilson_holonomy(tr: TransportResult):
+    """The loop holonomy restricted to Ran P(k0), as an m x m matrix in the
+    eigenbasis of P(k0). Its determinant equals the Berry phase of the loop.
     """
-    b = _occupied_basis(tr.p_samples[0]) if base_basis is None else base_basis
-    b = np.asarray(b, dtype=complex)
+    b = _occupied_basis(tr.p_samples[0])
     return linalg.dagger(b) @ tr.holonomy @ b
 
 

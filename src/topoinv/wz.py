@@ -168,13 +168,13 @@ class ProjectorExtension:
         return np.multiply.outer(t, matrices_last(x))
 
 
-def constant_field(axes, matrix, name="constant"):
+def constant_field(axes, matrix):
     shape = tuple(ax.n if ax.periodic else ax.n + 1 for ax in axes)
     samples = np.broadcast_to(matrix, shape + matrix.shape).copy()
-    return FieldGrid(axes=tuple(axes), samples=samples, name=name)
+    return FieldGrid(axes=tuple(axes), samples=samples, name="constant")
 
 
-def product_field(g: FieldGrid, h: FieldGrid, name=""):
+def product_field(g: FieldGrid, h: FieldGrid):
     """Pointwise product gh; exact derivatives propagate by the Leibniz rule
     along axes where both factors carry them."""
     _check_same_axes(g, h)
@@ -182,10 +182,10 @@ def product_field(g: FieldGrid, h: FieldGrid, name=""):
                                  g, h)
     return FieldGrid(axes=g.axes, samples=samples, derivs=derivs,
                      abelian_diagonal=g.abelian_diagonal and h.abelian_diagonal,
-                     name=name or f"{g.name}*{h.name}")
+                     name=f"{g.name}*{h.name}")
 
 
-def conjugated_field(g: FieldGrid, h: FieldGrid, name=""):
+def conjugated_field(g: FieldGrid, h: FieldGrid):
     """The pointwise adjoint product g h g^-1."""
     _check_same_axes(g, h)
     samples, derivs = _slicewise(
@@ -193,13 +193,13 @@ def conjugated_field(g: FieldGrid, h: FieldGrid, name=""):
         sorted(set(g.derivs) & set(h.derivs)), g, h)
     return FieldGrid(axes=g.axes, samples=samples, derivs=derivs,
                      abelian_diagonal=g.abelian_diagonal and h.abelian_diagonal,
-                     name=name or f"{g.name}.{h.name}.inv")
+                     name=f"{g.name}.{h.name}.inv")
 
 
-def inverse_field(g: FieldGrid, name=""):
+def inverse_field(g: FieldGrid):
     samples, derivs = _slicewise(_inverse_rule, sorted(g.derivs), g)
     return FieldGrid(axes=g.axes, samples=samples, derivs=derivs,
-                     abelian_diagonal=g.abelian_diagonal, name=name or f"{g.name}^-1")
+                     abelian_diagonal=g.abelian_diagonal, name=f"{g.name}^-1")
 
 
 def _product_rule(x, y):
@@ -245,13 +245,14 @@ def _check_same_axes(g, h):
 
 # ----------------------------------------------------------------- winding
 
-def winding(f: FieldGrid, snap_tol=1e-6):
-    """deg(det f) = (1/2 pi i) loop-integral of Tr{f^-1 df} for a loop field."""
+def winding(f: FieldGrid):
+    """deg(det f) = (1/2 pi i) loop-integral of Tr{f^-1 df} for a loop field,
+    snapped within DEFAULT_TOL.winding."""
     if f.n_axes != 1:
         raise BadDims("winding needs a loop field")
     integrand = np.einsum("...ab,...ab->...", np.conjugate(f.samples), f.derivative(0))
     total = integrate_grid(integrand, list(f.axes)) / (2j * np.pi)
-    return snap_integer("Winding", total, snap_tol=snap_tol,
+    return snap_integer("Winding", total, snap_tol=DEFAULT_TOL.winding,
                         meta={"imag_raw": float(np.imag(total))})
 
 
@@ -400,7 +401,7 @@ def wz_action_extension(ext: FieldGrid):
                    meta={"end0_constant_residual": const_resid, "name": ext.name})
 
 
-def tube_extension(base: FieldGrid, z_samples, n_s=32, name=""):
+def tube_extension(base: FieldGrid, z_samples, n_s=32):
     """Extension along the homotopy s -> base * exp(s Z) for anti-Hermitian Z.
 
     The s=1 slice is the field of interest; the s=0 slice is `base`, which
@@ -424,7 +425,7 @@ def tube_extension(base: FieldGrid, z_samples, n_s=32, name=""):
         ds[j] = matrices_last(plane_product(slab, z))
     return FieldGrid(axes=(s_ax,) + base.axes, samples=samples, derivs={0: ds},
                      abelian_diagonal=base.abelian_diagonal,
-                     name=name or f"tube({base.name})")
+                     name=f"tube({base.name})")
 
 
 def random_hermitian_field(axes, dim, seed, bandwidth=2, scale=0.35):
@@ -540,10 +541,9 @@ def apw_functional(g: FieldGrid, h: FieldGrid, ext_ghg=None, ext_h=None):
 
 
 def wz_derivative(g: FieldGrid, g_dot):
-    """Rate of change of the action along a deformation with velocity g_dot:
-    (1/4 pi) int Tr{ g^-1 g_dot (g^-1 dg)^2 }."""
-    dot = g_dot.samples if isinstance(g_dot, FieldGrid) else g_dot
-    dot = entries_first(np.broadcast_to(dot, g.samples.shape))
+    """Rate of change of the action along a deformation with velocity g_dot,
+    an array of g's sample shape: (1/4 pi) int Tr{ g^-1 g_dot (g^-1 dg)^2 }."""
+    dot = entries_first(np.broadcast_to(g_dot, g.samples.shape))
     gi = inverse_planes(entries_first(g.samples))
     g1, g2 = (plane_product(gi, entries_first(g.derivative(i))) for i in (0, 1))
     comm = plane_product(g1, g2) - plane_product(g2, g1)

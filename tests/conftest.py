@@ -18,35 +18,35 @@ def theta2():
 
 @pytest.fixture(scope="session")
 def haldane_topo():
-    return make_projector_family(builtin_model("haldane", {"m": 0.2}), 0.0)
+    return make_projector_family(builtin_model("haldane", {"m": 0.2}))
 
 
 @pytest.fixture(scope="session")
 def haldane_trivial():
-    return make_projector_family(builtin_model("haldane", {"m": 1.5}), 0.0)
+    return make_projector_family(builtin_model("haldane", {"m": 1.5}))
 
 
 @pytest.fixture(scope="session")
 def km_topo():
     spec = builtin_model("kane_mele", {"lambda_so": 0.3, "lambda_v": 0.4,
                                        "lambda_r": 0.2})
-    return make_projector_family(spec, 0.0)
+    return make_projector_family(spec)
 
 
 @pytest.fixture(scope="session")
 def km_trivial():
     spec = builtin_model("kane_mele", {"lambda_so": 0.3, "lambda_v": 2.5})
-    return make_projector_family(spec, 0.0)
+    return make_projector_family(spec)
 
 
 @pytest.fixture(scope="session")
 def flat_band():
-    return make_projector_family(builtin_model("flat_two_band"), 0.0)
+    return make_projector_family(builtin_model("flat_two_band"))
 
 
 @pytest.fixture(scope="session")
 def bhz_topo():
-    return make_projector_family(builtin_model("bhz"), 0.0)
+    return make_projector_family(builtin_model("bhz"))
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +55,7 @@ def atomic_limit():
     onsite = np.diag([-1.0, -1.0, 1.0, 1.0]).astype(complex)
     spec = BlochHamiltonianSpec(dim=4, terms=((onsite, np.zeros(2, dtype=int)),),
                                 name="atomic_limit")
-    return make_projector_family(spec, 0.0)
+    return make_projector_family(spec)
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +65,7 @@ def constant_loop():
     onsite = np.diag([1.0, -1.0]).astype(complex)
     spec = BlochHamiltonianSpec(dim=2, terms=((onsite, np.zeros(2, dtype=int)),),
                                 name="constant")
-    return make_projector_family(spec, 0.0).loop(0, 0.0)
+    return make_projector_family(spec).loop(0, 0.0)
 
 
 def _dagger(a):
@@ -97,7 +97,7 @@ def _matmul_projector_derivative(family, ks, axis=0):
     """Reference (P, dP) by batched (..., N, N) matmuls on a fresh eigh of
     H, with H and dH summed term by term: P = V_occ V_occ^+ and
     dP = V (X + X^+) V^+ with X_ij = (V^+ dH V)_ij / (e_i - e_j) on
-    occupied-empty pairs, the occupied bands masked by e < fermi level. A
+    occupied-empty pairs, the occupied bands masked by e < 0. A
     tuple of axes gives (P, (dP, ...))."""
     ks = np.asarray(ks, dtype=float)
     k = ks
@@ -105,7 +105,7 @@ def _matmul_projector_derivative(family, ks, axis=0):
         origin, direction = np.asarray(family.line)
         k = origin + ks[..., None] * direction
     w, v = np.linalg.eigh(_per_term_fourier_sum(family.spec.terms, k))
-    occ = w < family.fermi_level
+    occ = w < 0.0
     vocc = np.where(occ[..., None, :], v, 0.0)
     p = vocc @ _dagger(vocc)
     pairs = occ[..., :, None] & ~occ[..., None, :]

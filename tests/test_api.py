@@ -1,3 +1,5 @@
+import inspect
+
 import topoinv
 
 
@@ -6,3 +8,20 @@ def test_every_public_name_resolves():
     linger in the public list."""
     assert [name for name in topoinv.__all__ if not hasattr(topoinv, name)] == []
     assert len(set(topoinv.__all__)) == len(topoinv.__all__)
+
+
+def test_no_public_function_takes_a_tolerance():
+    """Thresholds are read from DEFAULT_TOL: no function in topoinv.__all__,
+    and no public method of a class there, has a parameter named like a
+    tolerance."""
+    functions = []
+    for name in topoinv.__all__:
+        obj = getattr(topoinv, name)
+        if inspect.isfunction(obj):
+            functions.append((name, obj))
+        elif inspect.isclass(obj):
+            functions += [(f"{name}.{attr}", member) for attr, member in vars(obj).items()
+                          if inspect.isfunction(member) and not attr.startswith("_")]
+    offenders = [(name, param) for name, fn in functions
+                 for param in inspect.signature(fn).parameters if "tol" in param]
+    assert offenders == []

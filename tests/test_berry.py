@@ -24,7 +24,7 @@ def w_frame(family, k1=0.0, n=256, axis=0):
 
 def test_constant_frame_zero_connection(constant_loop):
     trp = parallel_transport(constant_loop, n_grid=64, substeps=2)
-    frame = build_frame(trp, np.array([[0.0], [1.0]], dtype=complex))
+    frame = build_frame(trp)
     conn = berry_connection(frame, method="spectral")
     assert np.max(np.abs(conn.a_values)) < 1e-12
     assert conn.imag_max < 1e-10
@@ -102,8 +102,7 @@ def test_random_gauges_keep_their_symmetry_and_the_berry_phase(km_loop_frames, s
     trs_frame, frame = km_loop_frames
     gauge = random_trs_gauge(trs_frame.n, trs_frame.rank, seed=seed)
     assert gauge.validate()["ok"]
-    det_winding = winding(FieldGrid(axes=(loop_axis(trs_frame.n),), samples=gauge.u_samples),
-                          snap_tol=1e-3)
+    det_winding = winding(FieldGrid(axes=(loop_axis(trs_frame.n),), samples=gauge.u_samples))
     assert det_winding.snapped is not None and det_winding.snapped % 2 == 0
     sq = berry_phase_sqrt(berry_connection(trs_frame)).raw
     sq_g = berry_phase_sqrt(berry_connection(gauge_transform(trs_frame, gauge))).raw
@@ -142,7 +141,7 @@ def test_constant_diagonal_gauge_preserves_integral(km_topo):
     u = np.broadcast_to(np.diag(np.exp(1j * np.arange(1, m + 1))),
                         (frame.n, m, m)).copy()
     from topoinv.berry import GaugeField
-    gauge = GaugeField(ks=frame.ks, u_samples=u,
+    gauge = GaugeField(ks=frame.ks, u_samples=u, trs_flag=False,
                        log_derivative=np.zeros_like(u))
     shifted = berry_connection(gauge_transform(frame, gauge))
     assert abs(shifted.loop_integral - conn.loop_integral) < 1e-10
@@ -219,13 +218,13 @@ def test_unsnapped_is_first_class():
     residual."""
     from topoinv.results import snap_integer
     res = snap_integer("Chern", 0.4)
-    assert res.unsnapped
+    assert res.snapped is None
     with pytest.raises(UnsnappedError):
         res.require_snapped()
     for raw in (np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(np.inf, 0.0)):
         for modulus in (None, 2):
             res = snap_integer("Chern", raw, modulus=modulus)
-            assert res.unsnapped and np.isnan(res.residual)
+            assert res.snapped is None and np.isnan(res.residual)
             with pytest.raises(UnsnappedError):
                 res.require_snapped()
 
@@ -235,7 +234,7 @@ def test_stokes_on_subrectangles(haldane_topo):
     for _ in range(3):
         corner = rng.uniform(-np.pi, 0.5, size=2)
         widths = rng.uniform(0.4, 0.9, size=2)
-        _, _, diff = holonomy_flux_check(haldane_topo, corner, widths, n_edge=64)
+        _, _, diff = holonomy_flux_check(haldane_topo, corner, widths)
         assert diff < 1e-5
 
 

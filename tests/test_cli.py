@@ -139,8 +139,9 @@ def test_non_finite_model_entry_is_a_schema_error(capsys, tmp_path):
 
 def test_overflowing_curvature_is_unsnapped(tmp_path):
     """1e304 (sin k1 sx + sin k2 sy) + 0.01 sz passes the spectral bound, but
-    its curvature overflows: chern reports a null raw value and exits 3. It
-    runs in a subprocess because the overflow warns."""
+    its curvature overflows: chern reports a null raw value, exits 3 and
+    writes nothing to stderr. It runs in a subprocess so that a numpy
+    warning shows on stderr instead of failing the test run."""
     hop = 1e304 / 2j
     terms = ((0.01 * SZ, np.array([0, 0])), (hop * SX, np.array([1, 0])),
              (-hop * SX, np.array([-1, 0])), (hop * SY, np.array([0, 1])),
@@ -149,6 +150,7 @@ def test_overflowing_curvature_is_unsnapped(tmp_path):
     save_model(path, BlochHamiltonianSpec(dim=2, terms=terms, name="huge"))
     done = run_module("chern", "--model-file", str(path), "--grid", "16", "--json")
     assert done.returncode == 3, done.stderr
+    assert done.stderr == ""
     chern = json.loads(done.stdout)["chern"]
     assert chern["raw"] is None and chern["snapped"] is None and chern["unsnapped"]
 

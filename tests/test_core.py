@@ -16,10 +16,10 @@ def test_constant_sigma_z_projector():
     sz = np.diag([1.0, -1.0]).astype(complex)
     spec = BlochHamiltonianSpec(dim=2, terms=((sz, np.zeros(2, dtype=int)),),
                                 name="sigma_z")
-    fam = make_projector_family(spec, fermi_level=0.0)
+    fam = make_projector_family(spec)
     assert fam.rank == 1
     k = np.array([0.3, -1.1])
-    assert np.allclose(fam(k), np.diag([0.0, 1.0]), atol=1e-14)
+    assert np.allclose(fam.sample(k), np.diag([0.0, 1.0]), atol=1e-14)
 
 
 def test_gap_closure_on_crossing_band():
@@ -29,11 +29,11 @@ def test_gap_closure_on_crossing_band():
              (np.diag([1.0, 0.0]).astype(complex), np.array([-1, 0])))
     spec = BlochHamiltonianSpec(dim=2, terms=terms, name="crossing")
     with pytest.raises(GapClosure):
-        make_projector_family(spec, fermi_level=0.0)
+        make_projector_family(spec)
 
 
 def test_family_invariants_on_grid(km_topo):
-    report = km_topo.validate(n_grid=32)
+    report = km_topo.validate()
     assert report["projector"] <= 1e-10
     assert report["trace"] <= 1e-8
     assert report["periodicity"] <= 1e-10
@@ -138,7 +138,7 @@ def test_loop_restriction_matches_torus(km_topo):
     loop = km_topo.loop(0, np.pi)
     ks = np.linspace(-np.pi, np.pi, 7)
     for k in ks:
-        assert np.allclose(loop(k), km_topo(np.array([np.pi, k])), atol=1e-14)
+        assert np.allclose(loop.sample(k), km_topo.sample(np.array([np.pi, k])), atol=1e-14)
 
 
 def test_projector_derivative_accuracy(flat_band):
@@ -162,7 +162,7 @@ def _richardson(sample, ks, e, h=1e-3):
 def test_analytic_derivative_matches_finite_differences_with_rashba():
     spec = builtin_model("kane_mele", {"lambda_so": 0.3, "lambda_v": 0.4,
                                        "lambda_r": 0.2})
-    fam = make_projector_family(spec, 0.0)
+    fam = make_projector_family(spec)
     assert fam.ambient_dim == 4 and fam.rank == 2
     # the four TRIMs (Kramers-degenerate occupied pair) and a generic point
     ks = np.array([[0.0, 0.0], [np.pi, 0.0], [0.0, np.pi], [np.pi, np.pi],
@@ -263,7 +263,7 @@ def test_family_keeps_the_last_eigensystem(monkeypatch, km_topo):
     replaces it, and a new family starts with its gap probe's grid."""
     ax = loop_axis(64)
     probe = np.stack(np.meshgrid(ax.points, ax.points, indexing="ij"), axis=-1)
-    fam = make_projector_family(km_topo.spec, 0.0)
+    fam = make_projector_family(km_topo.spec)
     ks = np.stack(np.meshgrid(ax.points[:8], ax.points[:4], indexing="ij"), axis=-1)
     count = _count_eigh(monkeypatch)
     fam.sample(probe)

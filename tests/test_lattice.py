@@ -17,7 +17,7 @@ def test_plaquette_chern_is_exactly_integer(haldane_topo):
 def test_lattice_z2_matches_delta_with_rashba(theta4):
     spec = builtin_model("kane_mele", {"lambda_so": 0.3, "lambda_v": 1.0,
                                        "lambda_r": 0.4})
-    fam = make_projector_family(spec, 0.0)
+    fam = make_projector_family(spec)
     z2 = lattice_z2(fam, theta4, n1=24, n2=48)
     d = delta_invariant(z2_ingredients(fam, theta4, n_loop=128, n1=32, n2=64))
     assert z2.residual < 1e-12
@@ -26,7 +26,7 @@ def test_lattice_z2_matches_delta_with_rashba(theta4):
 
 def test_lattice_z2_bhz_phases(theta4):
     for m, expected in ((1.0, 1), (-1.0, 0), (3.0, 1)):
-        fam = make_projector_family(builtin_model("bhz", {"m": m}), 0.0)
+        fam = make_projector_family(builtin_model("bhz", {"m": m}))
         assert lattice_z2(fam, theta4, n1=24, n2=48).snapped == expected
 
 
@@ -37,10 +37,9 @@ def test_spin_chern_parity_oracle(theta4):
                                        "lambda_r": 0.0})
     up = [0, 2]   # (A up, B up) rows/columns of the spin-conserving model
     terms = tuple((mat[np.ix_(up, up)], vec) for mat, vec in spec.terms)
-    fam_up = make_projector_family(BlochHamiltonianSpec(dim=2, terms=terms, name="km_up"),
-                                   0.0)
+    fam_up = make_projector_family(BlochHamiltonianSpec(dim=2, terms=terms, name="km_up"))
     c_up = plaquette_chern(fam_up, n_grid=48).require_snapped()
-    fam = make_projector_family(spec, 0.0)
+    fam = make_projector_family(spec)
     z2 = lattice_z2(fam, theta4, n1=24, n2=48).require_snapped()
     assert abs(c_up) % 2 == z2
 
@@ -68,7 +67,7 @@ def test_lattice_z2_raw_is_reported_mod_2(theta4, name, params, expected):
     """The whole turns of the boundary link sums follow the eigenvector
     gauge, so the raw value is reduced into (-1, 1]; it stays within
     rounding of a representative of the snapped class."""
-    fam = make_projector_family(builtin_model(name, params), 0.0)
+    fam = make_projector_family(builtin_model(name, params))
     z2 = lattice_z2(fam, theta4)
     assert -1.0 < z2.raw <= 1.0
     assert z2.snapped == expected and z2.residual < 1e-12
@@ -86,7 +85,7 @@ def test_overlap_berry_phase_diagonalizes_one_grid(monkeypatch):
         batches.append(int(np.prod(a.shape[:-2])))
         return eigh(a)
 
-    loop = make_projector_family(builtin_model("kane_mele", {"lambda_v": 0.4}), 0.0).loop(0, 0.0)
+    loop = make_projector_family(builtin_model("kane_mele", {"lambda_v": 0.4})).loop(0, 0.0)
     monkeypatch.setattr(np.linalg, "eigh", counted)
     overlap_berry_phase(loop, n_grid=1024)
     assert batches == [1024, 1024]

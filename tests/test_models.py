@@ -14,7 +14,7 @@ from topoinv.models import BlochHamiltonianSpec, fourier_planes, save_results
 @pytest.mark.parametrize("name", ["haldane", "kane_mele", "bhz", "flat_two_band"])
 def test_builtin_hermitian_at_random_k(name):
     spec = builtin_model(name)
-    assert spec.hermiticity_residual(n_samples=1000) < 1e-14
+    assert spec.hermiticity_residual() < 1e-14
 
 
 def _random_paired_spec(seed, dim=3):
@@ -79,7 +79,7 @@ def test_unknown_parameter_is_refused(name, bad):
     ("bhz", {"m": 1.0}),
 ])
 def test_trs_at_projector_level(name, params):
-    fam = make_projector_family(builtin_model(name, params), 0.0)
+    fam = make_projector_family(builtin_model(name, params))
     theta = TRSOperator.standard(4)
     ok, violation = check_trs(fam, theta, n_grid=32)
     assert ok and violation < 1e-10
@@ -123,7 +123,7 @@ def test_minimal_valid_model(tmp_path):
     path.write_text(json.dumps(doc))
     spec = load_model(path)
     assert spec.dim == 2
-    assert spec.hermiticity_residual(100) < 1e-15
+    assert spec.hermiticity_residual() < 1e-15
 
 
 def test_missing_conjugate_term_is_schema_error(tmp_path):

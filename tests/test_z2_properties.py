@@ -42,7 +42,7 @@ def test_z2_votes_agree_on_perturbed_kane_mele(ratio, lambda_r, entries):
                                        "lambda_r": lambda_r})
     spec = BlochHamiltonianSpec(dim=4, terms=base.terms + tuple(_symmetric_terms(entries)),
                                 name="kane_mele_perturbed")
-    family = make_projector_family(spec, 0.0)
+    family = make_projector_family(spec)
     assert check_trs(family, THETA)[0]
     z2 = z2_ingredients(family, THETA, n_loop=64, n1=16, n2=32)
     delta, kappa = delta_invariant(z2), kappa_invariant(z2)
