@@ -188,7 +188,7 @@ class GaugeField:
 
     def validate(self):
         uni = float(np.max(linalg.unitarity_residual(self.u_samples)))
-        report = {"unitarity": uni, "ok": uni <= 1e-10}
+        report = {"unitarity": uni, "ok": uni <= DEFAULT_TOL.unitarity}
         if self.trs_flag:
             trs = TRSOperator.standard(self.rank).residual(self.u_samples, 1)
             report["trs"] = trs

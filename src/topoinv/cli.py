@@ -25,12 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import berry, certify, lattice, wz
-from .config import N_2D, N_LOOP
+from .config import DEFAULT_TOL, N_2D, N_LOOP
 from .core import TRSOperator, check_trs, make_projector_family
 from .errors import (GapClosure, NotTRS, PairingFailure, ParseError, SchemaError,
                      StepFailure, TopoinvError, UnknownModel, UnknownParameter,
                      UnsnappedError)
-from .models import SweepJob, builtin_model, load_model, save_results
+from .models import builtin_model, load_model, save_results, sweep_points
 
 EXIT_OK = 0
 EXIT_CRITERION_FAILED = 1
@@ -141,7 +141,7 @@ def cmd_chern(cfg: RunConfig):
         "plaquette_oracle": _invariant_payload(oracle),
         "wz_check": {"action": action.raw_action, "amplitude": action.amplitude,
                      "amp_vs_sign_of_chern": wz_diff,
-                     "pass": wz_diff is not None and wz_diff < 1e-4},
+                     "pass": wz_diff is not None and wz_diff < DEFAULT_TOL.wz_sign},
         "residual_max": max(c.residual, oracle.residual),
     }
     _emit(report, cfg)
@@ -236,7 +236,7 @@ def _sweep_point(args):
 def cmd_sweep(cfg: RunConfig):
     if not cfg.sweeps:
         return _fail(EXIT_IO, "BadConfig", "at least one --sweep NAME START STOP COUNT is required")
-    points = SweepJob(ranges=cfg.sweeps, base_params=cfg.params).points()
+    points = sweep_points(cfg.sweeps, cfg.params)
     # every row sets the same parameter names: check them before any row runs
     builtin_model(cfg.model, points[0])
     cfg_dict = asdict(cfg)

@@ -24,6 +24,11 @@ class Tolerances:
     snap: float = 1e-3              # residual below which invariants snap
     winding: float = 1e-6           # residual below which a winding number snaps
     extension_end: float = 1e-8     # end slice of an extension must be constant
+    unitarity: float = 1e-10        # ||U* U - 1|| of a gauge field
+    hermitian: float = 1e-12        # model terms: on-site Hermiticity, partner = T_v*
+    log_branch: float = 1e-7        # eigenphase distance to -1 of a principal logarithm
+    empty_subspace: float = 1e-12   # norm below which a residual subspace is empty
+    wz_sign: float = 1e-4           # |WZ amplitude of U_P - (-1)^Chern| in `chern`
 
 
 DEFAULT_TOL = Tolerances()

@@ -22,7 +22,7 @@ class GapClosure(TopoinvError):
 
 
 class DimensionMismatch(TopoinvError):
-    pass
+    """Shapes do not fit: matrix dimensions, grids or field axes disagree."""
 
 
 class NotInvariant(TopoinvError):
@@ -42,10 +42,6 @@ class NotTRS(TopoinvError):
 
 
 class OddRank(TopoinvError):
-    pass
-
-
-class BadDims(TopoinvError):
     pass
 
 

@@ -156,12 +156,12 @@ def unitary_log_generator(u):
 def principal_log_unitary(u):
     """Anti-Hermitian L = log(u) with eigenphases in (-pi, pi].
 
-    Returns (L, phases). Raises ValueError if an eigenphase is within 1e-7
-    of -1 = exp(+-i*pi), where the principal branch is ambiguous; callers
-    translate this into their own error type.
+    Returns (L, phases). Raises ValueError if an eigenphase is within
+    DEFAULT_TOL.log_branch of -1 = exp(+-i*pi), where the principal branch
+    is ambiguous; callers translate this into their own error type.
     """
     phases, q = unitary_eig(u)
-    if np.any(np.pi - np.abs(phases) < 1e-7):
+    if np.any(np.pi - np.abs(phases) < DEFAULT_TOL.log_branch):
         raise ValueError("eigenvalue at -1")
     l = (q * (1j * phases)[None, :]) @ dagger(q)
     return 0.5 * (l - dagger(l)), phases
@@ -194,7 +194,7 @@ def kramers_basis(apply_antiunitary, projector, rng=None):
             seed = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v = resid @ seed
         nv = np.linalg.norm(v)
-        if nv < 1e-12:
+        if nv < DEFAULT_TOL.empty_subspace:
             raise ValueError("failed to find a vector in the residual subspace")
         e = v / nv
         f = apply_antiunitary(e)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import DEFAULT_TOL
 from .errors import ParseError, SchemaError, UnknownModel, UnknownParameter
 from .linalg import matrices_last
 
@@ -101,14 +102,14 @@ def _validate_hermitian_pairing(terms):
         raise SchemaError("terms", "the spectral bound 2 sum_v (1 + |v|) ||T_v|| overflows a float")
     for (v0, v1), m in index.items():
         if (v0, v1) == (0, 0):
-            if np.max(np.abs(m - m.conj().T)) > 1e-12:
+            if np.max(np.abs(m - m.conj().T)) > DEFAULT_TOL.hermitian:
                 raise SchemaError("terms[(0,0)]", "on-site matrix is not Hermitian")
             continue
         partner = index.get((-v0, -v1))
         if partner is None:
             raise SchemaError(f"terms[({v0},{v1})]",
                               "missing conjugate-transpose partner term at the opposite vector")
-        if np.max(np.abs(partner - m.conj().T)) > 1e-12:
+        if np.max(np.abs(partner - m.conj().T)) > DEFAULT_TOL.hermitian:
             raise SchemaError(f"terms[({v0},{v1})]",
                               "partner term is not the conjugate transpose")
 
@@ -320,28 +321,19 @@ def load_model(path):
                                 parameters=params)
 
 
-@dataclass(frozen=True)
-class SweepJob:
-    """A parameter sweep: ranges are (name, start, stop, count) tuples whose
-    cartesian product defines the rows."""
-
-    ranges: tuple
-    base_params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, start, stop, count in self.ranges:
-            if count < 1:
-                raise ValueError(f"sweep over {name} needs count >= 1")
-            if not (np.isfinite(start) and np.isfinite(stop)):
-                raise ValueError(f"sweep over {name} has a non-finite endpoint")
-
-    def points(self):
-        """Parameter dicts, one per row, in deterministic order."""
-        tasks = [dict(self.base_params)]
-        for name, start, stop, count in self.ranges:
-            axis = [(name, float(v)) for v in np.linspace(start, stop, count)]
-            tasks = [dict(t, **{n: v}) for t in tasks for (n, v) in axis]
-        return tasks
+def sweep_points(ranges, base_params):
+    """Parameter dicts, one per row of a sweep, in deterministic order: the
+    cartesian product of the (name, start, stop, count) ranges over
+    base_params."""
+    tasks = [dict(base_params)]
+    for name, start, stop, count in ranges:
+        if count < 1:
+            raise ValueError(f"sweep over {name} needs count >= 1")
+        if not (np.isfinite(start) and np.isfinite(stop)):
+            raise ValueError(f"sweep over {name} has a non-finite endpoint")
+        axis = [(name, float(v)) for v in np.linspace(start, stop, count)]
+        tasks = [dict(t, **{n: v}) for t in tasks for (n, v) in axis]
+    return tasks
 
 
 RESULT_COLUMNS = ["model", "chern", "delta", "kappa", "berry_phase_T0",

@@ -34,7 +34,7 @@ from . import linalg
 from .berry import berry_curvature_ebz
 from .config import DEFAULT_TOL, N_2D, N_LOOP
 from .core import ProjectorFamily, TRSOperator
-from .errors import BadDims, NotAnExtension, NotTRSFrame
+from .errors import DimensionMismatch, NotAnExtension, NotTRSFrame
 from .grids import (ebz_axis, integrate_grid, interval_axis, loop_axis,
                     grid_derivative, spectral_derivative, torus_points,
                     unit_circle_axis)
@@ -45,6 +45,8 @@ from .results import snap_integer, snap_sign
 from .transport import BlochFrame, TransportResult, build_trs_frame
 
 TWO_PI = 2.0 * np.pi
+# the two time-reversal invariant loops k1 = 0 and k1 = pi, by label
+BOUNDARY_LOOPS = (("T0", 0.0), ("Tpi", np.pi))
 
 
 @dataclass(frozen=True)
@@ -238,9 +240,9 @@ def _slicewise(rule, axes, *fields):
 
 def _check_same_axes(g, h):
     if g.axes != h.axes:
-        raise BadDims("fields live on different grids")
+        raise DimensionMismatch("fields live on different grids")
     if g.dim != h.dim:
-        raise BadDims(f"field dimensions differ: {g.dim} vs {h.dim}")
+        raise DimensionMismatch(f"field dimensions differ: {g.dim} vs {h.dim}")
 
 
 # ----------------------------------------------------------------- winding
@@ -249,7 +251,7 @@ def winding(f: FieldGrid):
     """deg(det f) = (1/2 pi i) loop-integral of Tr{f^-1 df} for a loop field,
     snapped within DEFAULT_TOL.winding."""
     if f.n_axes != 1:
-        raise BadDims("winding needs a loop field")
+        raise DimensionMismatch("winding needs a loop field")
     integrand = np.einsum("...ab,...ab->...", np.conjugate(f.samples), f.derivative(0))
     total = integrate_grid(integrand, list(f.axes)) / (2j * np.pi)
     return snap_integer("Winding", total, snap_tol=DEFAULT_TOL.winding,
@@ -273,7 +275,7 @@ def normal_form_field(n, m, dim, equivariant=False, n_grid=64):
     convention flag (WZ action 0).
     """
     if dim < 1 or (equivariant and (dim < 2 or dim % 2)):
-        raise BadDims(f"bad dimension {dim} for normal form (equivariant={equivariant})")
+        raise DimensionMismatch(f"bad dimension {dim} for normal form (equivariant={equivariant})")
     ax = loop_axis(n_grid)
     k1, k2 = np.meshgrid(ax.points, ax.points, indexing="ij")
     phase = np.exp(1j * (n * k1 + m * k2))
@@ -349,7 +351,7 @@ def chi_triple_integral(g: FieldGrid):
     the 2D grid, with 11 plane products whatever the number of t slices.
     """
     if g.n_axes != 3:
-        raise BadDims("triple integral needs a 3-axis field")
+        raise DimensionMismatch("triple integral needs a 3-axis field")
     return _integral(g.triple_density(), g.axes)
 
 
@@ -409,7 +411,7 @@ def tube_extension(base: FieldGrid, z_samples, n_s=32):
     exact: d/ds [base e^{sZ}] = (base e^{sZ}) Z.
     """
     if base.n_axes != 2:
-        raise BadDims("tube base must live on a 2-axis grid")
+        raise DimensionMismatch("tube base must live on a 2-axis grid")
     s_ax = interval_axis(n_s, 0.0, 1.0, name="s")
     z_samples = np.broadcast_to(z_samples, base.samples.shape)
     w, v = np.linalg.eigh(-1j * z_samples)
@@ -679,7 +681,7 @@ def z2_ingredients(family: ProjectorFamily, theta: TRSOperator, n_loop=N_LOOP,
     """Build the boundary frames, their WZ values and the half-zone curvature
     shared by delta_invariant and kappa_invariant."""
     frames, values = {}, {}
-    for label, k1 in (("T0", 0.0), ("Tpi", np.pi)):
+    for label, k1 in BOUNDARY_LOOPS:
         frames[label] = build_trs_frame(family.loop(0, k1), theta, n_grid=n_loop)
         values[label] = wz_amplitude_phi(frames[label])
     ebz = berry_curvature_ebz(family, n1=n1, n2=n2).integral()

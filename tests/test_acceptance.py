@@ -1,75 +1,83 @@
-"""Acceptance gate: every certification criterion at its stated tolerance.
+"""Acceptance gate: every registered certification criterion at its tolerance.
 
-Each test prints the one-line pass/fail verdict with the measured worst
-residual; run with `pytest -s tests/test_acceptance.py` to see all lines, or
-`topoinv certify` for the standalone report.
+Each test gates one criterion of `certify.ALL_CRITERIA` and prints its
+one-line pass/fail verdict with the measured worst residual; run with
+`pytest -s tests/test_acceptance.py` to see all lines, or `topoinv certify`
+for the standalone report. A registered criterion without a gate test here
+fails `test_every_registered_criterion_is_gated`.
 """
-
-import pytest
 
 from topoinv import certify
 
-CRITERIA = {fn.__name__: fn for fn in certify.ALL_CRITERIA}
 
-
-def run_and_report(fn):
-    result = fn(scale=1.0)
+def gate(index):
+    """Run criterion `index` at full scale, assert it passed, return its details."""
+    [criterion] = [c for c in certify.ALL_CRITERIA if c.index == index]
+    result = criterion(scale=1.0)
     print(result.line())
     assert result.passed, (f"criterion {result.index} failed: worst "
                            f"{result.worst:.3e} vs tolerance {result.tolerance:.1e}; "
                            f"details: {result.details}")
-    return result
+    return result.details
+
+
+def test_criteria_are_registered_once_in_index_order():
+    assert [c.index for c in certify.ALL_CRITERIA] == list(range(1, 12))
+
+
+def test_every_registered_criterion_is_gated():
+    gated = {int(name.split("_")[2]) for name in globals()
+             if name.startswith("test_criterion_")}
+    assert gated == {c.index for c in certify.ALL_CRITERIA}
 
 
 def test_criterion_01_wz_amplitude_equals_chern_sign():
-    result = run_and_report(CRITERIA["criterion_1_wz_chern"])
-    for label, row in result.details.items():
+    for label, row in gate(1).items():
         assert row["runtime_s"] < 60.0, f"{label} exceeded the runtime budget"
 
 
 def test_criterion_02_wz_amplitude_equals_berry_phase():
-    run_and_report(CRITERIA["criterion_2_amplitude_equals_berry"])
+    gate(2)
 
 
 def test_criterion_03_square_root_channel():
-    run_and_report(CRITERIA["criterion_3_sqrt_channel"])
+    gate(3)
 
 
 def test_criterion_04_kappa_equals_sign_of_delta():
-    result = run_and_report(CRITERIA["criterion_4_fkm"])
-    points = result.details["points"]
+    points = gate(4)["points"]
     assert len(points) >= 20
     phases = {row["delta"] for row in points}
     assert phases == {0, 1}, "sweep must span both phases"
 
 
 def test_criterion_05_triple_integral_reduction():
-    run_and_report(CRITERIA["criterion_5_phi_reduction"])
+    gate(5)
 
 
 def test_criterion_06_apw_normal_forms():
-    run_and_report(CRITERIA["criterion_6_apw_normal_forms"])
+    gate(6)
 
 
 def test_criterion_07_pw_anomaly():
-    run_and_report(CRITERIA["criterion_7_pw_anomaly"])
+    gate(7)
 
 
 def test_criterion_08_homotopy_invariance():
-    run_and_report(CRITERIA["criterion_8_homotopy_invariance"])
+    gate(8)
 
 
 def test_criterion_09_equivariant_winding_evenness():
-    run_and_report(CRITERIA["criterion_9_equivariant_winding"])
+    gate(9)
 
 
 def test_criterion_10_extension_independence():
-    run_and_report(CRITERIA["criterion_10_extension_independence"])
+    gate(10)
 
 
 def test_criterion_11_grid_convergence():
-    result = run_and_report(CRITERIA["criterion_11_convergence"])
-    for name, row in result.details.items():
+    details = gate(11)
+    for name, row in details.items():
         assert row["at_floor"] or row["ratio"] >= 10.0, (name, row)
     # a probe at the floor measures nothing about convergence
-    assert not result.details["amplitude_vs_berry"]["at_floor"]
+    assert not details["amplitude_vs_berry"]["at_floor"]

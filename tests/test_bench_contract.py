@@ -1,7 +1,8 @@
 """The benchmark's contract with the program: every layer function that
 perfbench/ traces still resolves, and one request of each kind from each
 workload's reference cycles runs correctly under the tracer and records every
-span its workload requires.
+span its workload requires, and criterion 8's homotopy trial is the trial the
+wz_functionals workload runs.
 
 perfbench/ is only read: its directory is put on sys.path to import its
 `layers` and `workloads` modules.
@@ -60,3 +61,13 @@ def test_reference_requests_pass_traced(bench, workload):
         ok, _, reason = workloads.check(req, output)
         assert ok, (req, reason)
     layers.summarize(recorder.spans, len(requests), workload)   # raises MissingSpan
+
+
+def test_homotopy_trial_is_the_benchmark_trial(bench):
+    """Criterion 8's trial and the wz_functionals trial give the same values,
+    bit for bit, on the workload's reference trial."""
+    from topoinv import certify
+    _, workloads = bench
+    [req] = [r for r in next(workloads.cycles("wz_functionals", 0)) if r.kind == "trial"]
+    assert req.params == (-2, -2, 1, 0, 3000, 4000)
+    assert certify.homotopy_trial(req.params[:4], *req.params[4:]) == workloads.run(req)

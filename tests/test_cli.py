@@ -196,12 +196,16 @@ def test_pairing_failure_is_one_json_line(capsys, monkeypatch):
     assert payload["error"] == "PairingFailure"
     assert payload["residual"] > payload["bound"] == 1e-10
 
-    def unpaired(scale):
+    monkeypatch.setattr(certify, "ALL_CRITERIA", [])
+
+    @certify._criterion(4, "unpaired Kramers basis", 1e-3)
+    def unpaired(scale, tol):
         raise PairingFailure(1e-6, 1e-10)
 
-    monkeypatch.setattr(certify, "ALL_CRITERIA", [unpaired])
     [res] = certify.run_all(verbose=False)
     assert not res.passed and res.details["error"].startswith("PairingFailure")
+    assert (res.index, res.name, res.tolerance) == (4, "unpaired Kramers basis", 1e-3)
+    assert np.isnan(res.worst)
 
 
 def test_other_library_error_is_one_json_line(capsys, monkeypatch):

@@ -11,7 +11,7 @@ from topoinv import (berry_connection, berry_phase, berry_phase_sqrt,
 from topoinv import (build_frame, chern_number, berry_curvature, gauge_transform,
                      random_trs_gauge)
 from topoinv import wz
-from topoinv.errors import BadDims, NotAnExtension, NotTRSFrame
+from topoinv.errors import DimensionMismatch, NotAnExtension, NotTRSFrame
 from topoinv.grids import (integrate_grid, interval_axis, loop_axis,
                            spectral_derivative, unit_circle_axis)
 from topoinv.wz import (FieldGrid, alpha_integral, apw_functional, beta_integral,
@@ -54,7 +54,7 @@ def test_normal_form_windings():
 
 
 def test_normal_form_bad_dims():
-    with pytest.raises(BadDims):
+    with pytest.raises(DimensionMismatch):
         normal_form_field(1, 0, 3, equivariant=True)
 
 
