@@ -18,8 +18,8 @@ from .berry import (berry_connection, berry_curvature, berry_curvature_ebz,
                     gauge_transform, random_gauge, random_trs_gauge)
 from .wz import (FieldGrid, WZValue, Z2Ingredients, apw_functional,
                  kappa_invariant, normal_form_field, pw_functional, up_extension,
-                 wz_action_extension, wz_amplitude_phi, wz_derivative, winding,
-                 winding_pair, z2_ingredients)
+                 wz_action_extension, wz_amplitude_phi, winding, winding_pair,
+                 z2_ingredients)
 from .lattice import lattice_z2, overlap_berry_phase, plaquette_chern
 from .results import InvariantResult
 
@@ -37,5 +37,5 @@ __all__ = [
     "pw_functional", "random_gauge", "random_trs_gauge", "save_model",
     "save_results", "symplectic_basis", "up_extension", "wilson_holonomy",
     "winding", "winding_pair", "wz_action_extension", "wz_amplitude_phi",
-    "wz_derivative", "z2_ingredients",
+    "z2_ingredients",
 ]

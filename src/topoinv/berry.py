@@ -13,16 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice, linalg
-from .config import DEFAULT_TOL, N_2D
+from .config import N_2D
 from .core import ProjectorFamily, TRSOperator
 from .errors import DimensionMismatch, NotTRSFrame
-from .grids import (Axis, ebz_axis, integrate_grid, loop_axis, reflect,
-                    spectral_derivative, torus_points)
+from .grids import ebz_axis, integrate_grid, loop_axis, spectral_derivative, torus_points
 from .models import fourier_planes
 from .results import snap_integer, snap_unit
 # build_trs_frame stays bound here: perfbench/selfcheck.py checks this binding
-from .transport import (BlochFrame, _occupied_basis, _segment_transport,  # noqa: F401
-                        build_trs_frame)
+from .transport import BlochFrame, build_trs_frame  # noqa: F401
 
 TWO_PI = 2.0 * np.pi
 
@@ -99,14 +97,6 @@ class CurvatureField:
 
     def integral(self):
         return float(integrate_grid(self.omega, list(self.axes)))
-
-    def odd_symmetry_residual(self):
-        """max |Omega(k) + Omega(-k)|; zero for time-reversal symmetric
-        families. Needs the full-torus (periodic x periodic) grid."""
-        ax1, ax2 = self.axes
-        if not (ax1.periodic and ax2.periodic):
-            raise ValueError("odd-symmetry check needs the full torus grid")
-        return float(np.max(np.abs(self.omega + reflect(self.omega, 2))))
 
 
 def _omega_on(family: ProjectorFamily, ks):
@@ -186,15 +176,6 @@ class GaugeField:
     def rank(self):
         return self.u_samples.shape[-1]
 
-    def validate(self):
-        uni = float(np.max(linalg.unitarity_residual(self.u_samples)))
-        report = {"unitarity": uni, "ok": uni <= DEFAULT_TOL.unitarity}
-        if self.trs_flag:
-            trs = TRSOperator.standard(self.rank).residual(self.u_samples, 1)
-            report["trs"] = trs
-            report["ok"] = report["ok"] and trs <= DEFAULT_TOL.trs
-        return report
-
 
 def gauge_transform(frame: BlochFrame, gauge: GaugeField):
     """Change of Bloch frame e'_b = sum_a e_a u_ab.
@@ -260,33 +241,3 @@ def random_trs_gauge(n_points, m, seed, scale=0.4, winding=None):
     logd = linalg.dagger(u) @ (du + 1j * winding * pair[:, None] * u)
     d = np.exp(1j * winding * np.multiply.outer(ks, pair))
     return GaugeField(ks=ks, u_samples=d[..., None] * u, trs_flag=True, log_derivative=logd)
-
-
-def holonomy_flux_check(family: ProjectorFamily, corner, widths):
-    """Stokes check on a subrectangle: the phase of the boundary holonomy
-    determinant equals the curvature integral over the rectangle (mod 2 pi).
-
-    Returns (boundary_phase, flux_integral, discrepancy mod 2 pi). Uses
-    parallel transport along the four edges, 256 grid intervals each, and
-    the curvature on the 256 x 256 grid of the rectangle; gauge invariant,
-    no frame needed.
-    """
-    n_edge = 256
-    (a1, a2), (w1, w2) = corner, widths
-    corners = [np.array([a1, a2]), np.array([a1 + w1, a2]),
-               np.array([a1 + w1, a2 + w2]), np.array([a1, a2 + w2])]
-    t_loop = np.eye(family.ambient_dim, dtype=complex)
-    for i in range(4):
-        start, stop = corners[i], corners[(i + 1) % 4]
-        edge = family.restrict(start, stop - start, f"{family.name}[edge {i}]")
-        _, t, _, _, _ = _segment_transport(edge, 0.0, 1.0, n_edge)
-        t_loop = t[-1] @ t_loop
-    b = _occupied_basis(family.sample(corners[0]))
-    hol = linalg.dagger(b) @ t_loop @ b
-    boundary_phase = float(np.angle(np.linalg.det(hol)))
-    ax1 = Axis("k1", a1, w1, n_edge, periodic=False)
-    ax2 = Axis("k2", a2, w2, n_edge, periodic=False)
-    omega, _ = _omega_on(family, torus_points(ax1, ax2))
-    flux = float(integrate_grid(omega, [ax1, ax2]))
-    diff = (boundary_phase + flux + np.pi) % TWO_PI - np.pi
-    return boundary_phase, flux, float(abs(diff))

@@ -1,6 +1,12 @@
 """Command-line driver: compute invariants for builtin or file-loaded
 models, run parameter sweeps, and run the certification suite.
 
+chern and fkm each run one evaluation: the invariants and their cross-checks
+(the U_P WZ sign and the plaquette oracle for the Chern number; the lattice
+oracle and kappa = (-1)^delta for delta). A sweep row reads its columns from
+the same evaluations, and its error column names any snapped cross-check
+that contradicts a value it reports.
+
 Each subcommand accepts only the options it reads. Exit codes: 0 success,
 1 a certification criterion failed (certify only), 2 precondition violated
 (no time-reversal symmetry / gap closure), 3 a result refused to snap or
@@ -28,9 +34,9 @@ from . import berry, certify, lattice, wz
 from .config import DEFAULT_TOL, N_2D, N_LOOP
 from .core import TRSOperator, check_trs, make_projector_family
 from .errors import (GapClosure, NotTRS, PairingFailure, ParseError, SchemaError,
-                     StepFailure, TopoinvError, UnknownModel, UnknownParameter,
-                     UnsnappedError)
+                     StepFailure, TopoinvError, UnknownModel, UnknownParameter)
 from .models import builtin_model, load_model, save_results, sweep_points
+from .results import InvariantResult
 
 EXIT_OK = 0
 EXIT_CRITERION_FAILED = 1
@@ -101,133 +107,132 @@ def _emit(report, cfg: RunConfig):
 
 
 def _fail(code, kind, message, **extra):
-    payload = {"error": kind, "message": message}
-    payload.update(_jsonify(extra))
+    payload = {"error": kind, "message": message, **_jsonify(extra)}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return code
 
 
-def _load_spec(cfg: RunConfig):
-    if cfg.model_file:
-        return load_model(cfg.model_file)
-    return builtin_model(cfg.model, cfg.params)
-
-
 def _family(cfg: RunConfig):
-    spec = _load_spec(cfg)
+    spec = load_model(cfg.model_file) if cfg.model_file else builtin_model(cfg.model, cfg.params)
     return spec, make_projector_family(spec)
 
 
-def _invariant_payload(res):
-    return {"raw": res.raw, "snapped": res.snapped, "residual": res.residual,
-            "unsnapped": res.snapped is None}
+class _NoTimeReversal(Exception):
+    """fkm's precondition failed; `violation` is check_trs's measure, infinite
+    for an odd dimension, where no odd time reversal exists."""
+
+    def __init__(self, message, violation):
+        super().__init__(message)
+        self.violation = violation
 
 
-def cmd_chern(cfg: RunConfig):
-    spec, fam = _family(cfg)
-    # each grid is read by consecutive consumers, so the family diagonalizes
-    # it once: the gap probe's 64^2 grid by U_P, the curvature's by the oracle
-    ext = wz.up_extension(fam, n_t=cfg.grid_t, n1=min(cfg.grid, 64),
-                          n2=min(cfg.grid, 64))
-    action = wz.wz_action_extension(ext)
+def _chern_evaluation(fam, cfg: RunConfig):
+    """The Chern number with its cross-checks: the U_P WZ amplitude against
+    (-1)^C, and the plaquette oracle. U_P reads the gap probe's 64^2 grid and
+    the oracle the curvature's, each right after the family diagonalized it.
+
+    Returns (fields, contradictions), as every evaluation does: the report
+    values, each invariant and cross-check an InvariantResult, and a message
+    per snapped cross-check that contradicts a snapped invariant."""
+    probe = min(cfg.grid, 64)
+    action = wz.wz_action_extension(wz.up_extension(fam, n_t=cfg.grid_t, n1=probe, n2=probe))
     c = berry.chern_number(berry.berry_curvature(fam, n_grid=cfg.grid))
     oracle = lattice.plaquette_chern(fam, n_grid=cfg.grid)
-    target = (-1.0) ** c.snapped if c.snapped is not None else None
-    wz_diff = abs(action.amplitude - target) if target is not None else None
-    report = {
-        "command": "chern", "model": spec.name, "parameters": spec.parameters,
-        "grid": cfg.grid, "grid_t": cfg.grid_t,
-        "chern": _invariant_payload(c),
-        "plaquette_oracle": _invariant_payload(oracle),
-        "wz_check": {"action": action.raw_action, "amplitude": action.amplitude,
-                     "amp_vs_sign_of_chern": wz_diff,
-                     "pass": wz_diff is not None and wz_diff < DEFAULT_TOL.wz_sign},
-        "residual_max": max(c.residual, oracle.residual),
-    }
-    _emit(report, cfg)
-    if c.snapped is None:
-        return EXIT_UNSNAPPED
-    return EXIT_OK
+    wz_diff = abs(action.amplitude - (-1.0) ** c.snapped) if c.snapped is not None else None
+    wz_pass = wz_diff is not None and wz_diff < DEFAULT_TOL.wz_sign
+    contradictions = []
+    if c.snapped is not None and oracle.snapped not in (None, c.snapped):
+        contradictions.append(f"plaquette_oracle {oracle.snapped} != chern {c.snapped}")
+    if c.snapped is not None and not wz_pass:
+        contradictions.append(f"wz_check |amplitude - (-1)^chern| = {wz_diff:.3e}")
+    return {"chern": c, "plaquette_oracle": oracle,
+            "wz_check": {"action": action.raw_action, "amplitude": action.amplitude,
+                         "amp_vs_sign_of_chern": wz_diff, "pass": wz_pass}}, contradictions
 
 
-def _z2_evaluation(fam, cfg: RunConfig):
-    """The time-reversal check, then the Z2 ingredients that delta, kappa
-    and the boundary Berry phases are read from; shared by fkm and sweep.
-
-    Returns (violation, z2). violation is None for an odd ambient
-    dimension; z2 is None unless the family is time-reversal symmetric.
-    """
+def _fkm_evaluation(fam, cfg: RunConfig):
+    """delta from the Berry connection and curvature and kappa from the WZ
+    amplitudes, with their cross-checks: the lattice oracle against delta,
+    and kappa against (-1)^delta. check_trs reads the gap probe's grid, and
+    lattice_z2 the half-zone grid right after z2_ingredients' curvature.
+    Raises _NoTimeReversal unless the family is time-reversal symmetric."""
     if fam.ambient_dim % 2 != 0:
-        return None, None
+        raise _NoTimeReversal(f"odd ambient dimension {fam.ambient_dim}", math.inf)
     theta = TRSOperator.standard(fam.ambient_dim)
     ok, violation = check_trs(fam, theta)
     if not ok:
-        return violation, None
-    return violation, wz.z2_ingredients(fam, theta, n_loop=cfg.loop_grid,
-                                        n1=max(16, cfg.grid // 2), n2=cfg.grid)
+        raise _NoTimeReversal("family is not time-reversal symmetric", violation)
+    n1 = max(16, cfg.grid // 2)
+    z2 = wz.z2_ingredients(fam, theta, n_loop=cfg.loop_grid, n1=n1, n2=cfg.grid)
+    d, kap = berry.delta_invariant(z2), wz.kappa_invariant(z2)
+    oracle = lattice.lattice_z2(fam, theta, n1=n1, n2=cfg.grid)
+    agree = (d.snapped is not None and kap.snapped is not None
+             and kap.snapped == (-1) ** d.snapped)
+    contradictions = []
+    if d.snapped is not None and oracle.snapped not in (None, d.snapped):
+        contradictions.append(f"lattice_oracle {oracle.snapped} != delta {d.snapped}")
+    if d.snapped is not None and kap.snapped is not None and not agree:
+        contradictions.append(f"kappa {kap.snapped} != (-1)^delta {(-1) ** d.snapped}")
+    return {"trs_violation": violation, "delta": d, "kappa": kap,
+            "lattice_oracle": oracle, "oracle_agrees": oracle.snapped == d.snapped,
+            "kappa_equals_minus_one_to_delta": agree,
+            **{f"berry_phase_{label}": v.amplitude for label, v in z2.wz.items()},
+            **{f"sqrt_berry_phase_{label}": v.sqrt_amplitude for label, v in z2.wz.items()},
+            }, contradictions
+
+
+def _report(cfg: RunConfig, evaluate, **settings):
+    """Emit one command's evaluation, with residual_max over its invariants
+    and cross-checks; exit 3 when an invariant refused to snap."""
+    spec, fam = _family(cfg)
+    fields, _ = evaluate(fam, cfg)
+    results = {k: v for k, v in fields.items() if isinstance(v, InvariantResult)}
+    payloads = {k: {"raw": v.raw, "snapped": v.snapped, "residual": v.residual,
+                    "unsnapped": v.snapped is None} for k, v in results.items()}
+    _emit({"command": cfg.command, "model": spec.name, "parameters": spec.parameters,
+           "grid": cfg.grid, **settings, **fields, **payloads,
+           "residual_max": max(v.residual for v in results.values())}, cfg)
+    unsnapped = any(v.snapped is None for k, v in results.items() if k in INVARIANTS)
+    return EXIT_UNSNAPPED if unsnapped else EXIT_OK
+
+
+def cmd_chern(cfg: RunConfig):
+    return _report(cfg, _chern_evaluation, grid_t=cfg.grid_t)
 
 
 def cmd_fkm(cfg: RunConfig):
-    spec, fam = _family(cfg)
-    violation, z2 = _z2_evaluation(fam, cfg)
-    if violation is None:
-        return _fail(EXIT_PRECONDITION, "NotTRS",
-                     f"odd ambient dimension {fam.ambient_dim}")
-    if z2 is None:
-        return _fail(EXIT_PRECONDITION, "NotTRS",
-                     "family is not time-reversal symmetric", violation=violation)
-    d, kap = berry.delta_invariant(z2), wz.kappa_invariant(z2)
-    _, n1, n2 = z2.grid
-    oracle = lattice.lattice_z2(fam, z2.theta, n1=n1, n2=n2)
-    agree = (d.snapped is not None and kap.snapped is not None
-             and kap.snapped == (-1) ** d.snapped)
-    report = {
-        "command": "fkm", "model": spec.name, "parameters": spec.parameters,
-        "grid": cfg.grid, "loop_grid": cfg.loop_grid,
-        "trs_violation": violation,
-        "delta": _invariant_payload(d),
-        "kappa": _invariant_payload(kap),
-        "lattice_oracle": _invariant_payload(oracle),
-        "oracle_agrees": oracle.snapped == d.snapped,
-        "kappa_equals_minus_one_to_delta": agree,
-        **{f"berry_phase_{label}": v.amplitude for label, v in z2.wz.items()},
-        **{f"sqrt_berry_phase_{label}": v.sqrt_amplitude for label, v in z2.wz.items()},
-        "residual_max": max(d.residual, kap.residual, oracle.residual),
-    }
-    _emit(report, cfg)
-    if d.snapped is None or kap.snapped is None:
-        return EXIT_UNSNAPPED
-    return EXIT_OK
+    return _report(cfg, _fkm_evaluation, loop_grid=cfg.loop_grid)
 
 
 def _sweep_point(args):
-    """One sweep row; runs in a worker process, never raises."""
+    """One sweep row, read from the evaluations of the commands that compute
+    its invariants; runs in a worker process, never raises. residual_max is
+    the largest residual of the invariants the row reports; `error` names a
+    failure, or each contradiction that those evaluations found."""
     cfg_dict, params = args
     cfg = RunConfig(**cfg_dict)
-    row = dict(params)
-    row["model"] = cfg.model
+    wants = cfg.invariants or INVARIANTS
+    row = dict(params, model=cfg.model)
     try:
         fam = make_projector_family(builtin_model(cfg.model, params))
-        wants = cfg.invariants or INVARIANTS
-        residuals = []
-        if "chern" in wants:
-            c = berry.chern_number(berry.berry_curvature(fam, n_grid=cfg.grid))
-            row["chern"] = c.snapped
-            residuals.append(c.residual)
-        if {"delta", "kappa"} & set(wants):
-            violation, z2 = _z2_evaluation(fam, cfg)
-            if z2 is not None:
-                for key, invariant in (("delta", berry.delta_invariant),
-                                       ("kappa", wz.kappa_invariant)):
-                    if key in wants:
-                        res = invariant(z2)
-                        row[key] = res.snapped
-                        residuals.append(res.residual)
-                for label, value in z2.wz.items():
-                    row[f"berry_phase_{label}"] = value.amplitude
-            elif violation is not None:
-                row["error"] = f"NotTRS(violation={violation:.3e})"
+        residuals, contradictions = [], []
+        for evaluate, names in ((_chern_evaluation, ("chern",)),
+                                (_fkm_evaluation, ("delta", "kappa"))):
+            if not set(names) & set(wants):
+                continue
+            try:
+                fields, found = evaluate(fam, cfg)
+            except _NoTimeReversal as exc:
+                row["error"] = f"NotTRS(violation={exc.violation:.3e})"
+                continue
+            for key in (k for k in names if k in wants):
+                row[key] = fields[key].snapped
+                residuals.append(fields[key].residual)
+            row.update({k: v for k, v in fields.items() if k.startswith("berry_phase_")})
+            contradictions += found
         row["residual_max"] = max(residuals) if residuals else None
+        if contradictions:
+            row["error"] = "; ".join(filter(None, [row.get("error"), *contradictions]))
     except (TopoinvError, ValueError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -239,10 +244,10 @@ def cmd_sweep(cfg: RunConfig):
     points = sweep_points(cfg.sweeps, cfg.params)
     # every row sets the same parameter names: check them before any row runs
     builtin_model(cfg.model, points[0])
-    cfg_dict = asdict(cfg)
-    args = [(cfg_dict, t) for t in points]
-    if cfg.workers > 1:
-        with multiprocessing.Pool(cfg.workers) as pool:
+    args = [(asdict(cfg), t) for t in points]
+    workers = min(cfg.workers, len(args))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             rows = pool.map(_sweep_point, args)
     else:
         rows = [_sweep_point(a) for a in args]
@@ -261,14 +266,10 @@ def cmd_sweep(cfg: RunConfig):
 def cmd_certify(cfg: RunConfig):
     scale = cfg.grid / N_2D
     results = certify.run_all(scale=scale, verbose=not cfg.as_json)
-    report = {
-        "command": "certify", "scale": scale,
-        "criteria": [{"index": r.index, "name": r.name, "passed": r.passed,
-                      "tolerance": r.tolerance, "worst": r.worst,
-                      "runtime_s": r.runtime, "details": r.details}
-                     for r in results],
-        "all_passed": all(r.passed for r in results),
-    }
+    criteria = [{"index": r.index, "name": r.name, "passed": r.passed, "tolerance": r.tolerance,
+                 "worst": r.worst, "runtime_s": r.runtime, "details": r.details} for r in results]
+    report = {"command": "certify", "scale": scale, "criteria": criteria,
+              "all_passed": all(r.passed for r in results)}
     if cfg.as_json or cfg.out:
         _emit(report, cfg)
     return EXIT_OK if report["all_passed"] else EXIT_CRITERION_FAILED
@@ -361,10 +362,8 @@ def main(argv=None):
         return fn(cfg)
     except GapClosure as exc:
         return _fail(EXIT_PRECONDITION, "GapClosure", str(exc), gap=exc.gap, k=exc.k)
-    except NotTRS as exc:
-        return _fail(EXIT_PRECONDITION, "NotTRS", str(exc))
-    except UnsnappedError as exc:
-        return _fail(EXIT_UNSNAPPED, "Unsnapped", str(exc))
+    except (NotTRS, _NoTimeReversal) as exc:
+        return _fail(EXIT_PRECONDITION, "NotTRS", str(exc), violation=exc.violation)
     except (UnknownModel, UnknownParameter, ParseError, SchemaError) as exc:
         return _fail(EXIT_IO, type(exc).__name__, str(exc))
     except StepFailure as exc:

@@ -173,32 +173,6 @@ class ProjectorFamily:
         origin[axis], direction[1 - axis] = value, 1.0
         return self.restrict(origin, direction, f"{self.name}[k{axis + 1}={float(value):.4f}]")
 
-    def validate(self):
-        """Projector, rank-constancy, and periodicity residuals on the 64 x 64
-        probe grid.
-
-        Returns a dict of residuals; raises nothing (callers decide).
-        """
-        ax = loop_axis(64)
-        if self.domain == "loop":
-            ks = ax.points
-            p = self.sample(ks)
-            shifted = self.sample(ks + 2 * np.pi)
-            per = float(np.max(linalg.frob(p - shifted)))
-        else:
-            ks = torus_points(ax, ax)
-            p = self.sample(ks)
-            per = 0.0
-            for axis in range(2):
-                e = np.zeros(2)
-                e[axis] = 2 * np.pi
-                per = max(per, float(np.max(linalg.frob(p - self.sample(ks + e)))))
-        proj = float(np.max(linalg.projector_residual(p)))
-        tr = float(np.max(np.abs(np.trace(p, axis1=-2, axis2=-1).real - self.rank)))
-        return {"projector": proj, "trace": tr, "periodicity": per,
-                "ok": (proj <= DEFAULT_TOL.projector and tr <= DEFAULT_TOL.trace
-                       and per <= DEFAULT_TOL.periodicity)}
-
 
 def _gap_checked_eigh(spec, ks, rank=None):
     """Batched eigensystem of spec.bloch(ks) on torus points ks in plane

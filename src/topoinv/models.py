@@ -59,14 +59,6 @@ class BlochHamiltonianSpec:
         h, = fourier_planes(self.terms, ks)
         return matrices_last(h)
 
-    def hermiticity_residual(self):
-        """max ||H(k) - H(k)*|| over 1000 seeded random k (should be ~1e-15
-        by construction)."""
-        rng = np.random.default_rng(7)
-        ks = rng.uniform(-np.pi, np.pi, size=(1000, 2))
-        h = self.bloch(ks)
-        return float(np.max(np.abs(h - np.conjugate(np.swapaxes(h, -1, -2)))))
-
 
 def _merge_terms(raw_terms):
     """Collect (matrix, vector) contributions, summing duplicates."""
@@ -288,6 +280,11 @@ def save_model(path, spec: BlochHamiltonianSpec):
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
 
 
+def _is_int(x):
+    """A JSON integer; JSON's true and false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_model(path):
     """Load a model JSON file; ParseError/SchemaError carry the location."""
     text = Path(path).read_text(encoding="utf-8")
@@ -295,19 +292,28 @@ def load_model(path):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.colno, exc.msg) from None
+    if not isinstance(doc, dict):
+        raise SchemaError("model", f"must be a JSON object, got {type(doc).__name__}")
     for key in ("name", "dim", "terms"):
         if key not in doc:
             raise SchemaError(key, "missing required key")
-    if not isinstance(doc["dim"], int) or doc["dim"] < 1:
+    if not _is_int(doc["dim"]) or doc["dim"] < 1:
         raise SchemaError("dim", f"must be a positive integer, got {doc['dim']!r}")
+    if not isinstance(doc["terms"], list):
+        raise SchemaError("terms", f"must be a list, got {type(doc['terms']).__name__}")
+    params = doc.get("parameters", {})
+    if not isinstance(params, dict):
+        raise SchemaError("parameters", f"must be an object, got {type(params).__name__}")
+    for name, value in params.items():
+        if not (_is_int(value) or isinstance(value, float)):
+            raise SchemaError(f"parameters.{name}", f"must be a number, got {value!r}")
     raw = []
     for i, term in enumerate(doc["terms"]):
         where = f"terms[{i}]"
-        if "vector" not in term or "matrix" not in term:
+        if not isinstance(term, dict) or "vector" not in term or "matrix" not in term:
             raise SchemaError(where, "term needs 'vector' and 'matrix'")
         vec = term["vector"]
-        if (not isinstance(vec, list) or len(vec) != 2
-                or not all(isinstance(x, int) for x in vec)):
+        if not isinstance(vec, list) or len(vec) != 2 or not all(map(_is_int, vec)):
             raise SchemaError(f"{where}.vector", "must be a pair of integers")
         mat = _matrix_from_json(term["matrix"], f"{where}.matrix")
         if mat.shape[0] != doc["dim"]:
@@ -316,9 +322,8 @@ def load_model(path):
         raw.append((mat, np.array(vec, dtype=int)))
     terms = _merge_terms(raw)
     _validate_hermitian_pairing(terms)
-    params = {k: float(v) for k, v in doc.get("parameters", {}).items()}
     return BlochHamiltonianSpec(dim=doc["dim"], terms=terms, name=doc["name"],
-                                parameters=params)
+                                parameters={k: float(v) for k, v in params.items()})
 
 
 def sweep_points(ranges, base_params):

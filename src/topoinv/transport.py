@@ -22,7 +22,7 @@ from . import linalg
 from .config import DEFAULT_TOL, N_LOOP
 from .core import ProjectorFamily, TRSOperator, check_trs, symplectic_basis
 from .errors import NotTRS, StepFailure, SymmetrizationFailure
-from .grids import loop_axis, reflect
+from .grids import loop_axis
 
 
 def smooth_ramp(x):
@@ -212,28 +212,6 @@ class BlochFrame:
     @property
     def rank(self):
         return self.e_samples.shape[-1]
-
-    def validate(self):
-        tol = DEFAULT_TOL
-        e = self.e_samples
-        eye = np.eye(self.rank)
-        ortho = float(np.max(linalg.frob(linalg.dagger(e) @ e - eye)))
-        p = self.family.sample(self.ks)
-        span = float(np.max(linalg.frob(p - e @ linalg.dagger(e))))
-        report = {"orthonormality": ortho, "span": span, "seam": self.seam_residual,
-                  "ok": ortho <= tol.frame_orthonormal and span <= tol.frame_span
-                        and self.seam_residual <= tol.frame_span}
-        if self.trs_flag:
-            report["kramers"] = float(self.kramers_residual())
-            report["ok"] = report["ok"] and report["kramers"] <= tol.trs
-        return report
-
-    def kramers_residual(self):
-        """max_k of || E(-k) - theta(E(k)) J || over the grid."""
-        if not self.trs_flag or self.theta is None:
-            raise ValueError("not a time-reversal symmetric frame")
-        e = self.e_samples
-        return float(np.max(linalg.frob(reflect(e, 1) - self.theta.frame(e))))
 
 
 def build_frame(tr: TransportResult):

@@ -454,29 +454,6 @@ def random_unwindable_field(n_grid, dim, seed, bandwidth=2):
     return FieldGrid(axes=(ax, ax), samples=ext.samples[-1], name=f"rand{seed}"), ext
 
 
-def random_equivariant_field(n_grid, theta: TRSOperator, seed, bandwidth=2,
-                             windings=(0, 0)):
-    """Random equivariant torus field Theta(g(k)) = g(-k), with windings.
-
-    Built as (equivariant normal form) * exp(Z) with Z an equivariantly
-    symmetrized anti-Hermitian field; returns (field, tube extension), where
-    the tube is an equivariant homotopy from the normal form.
-    """
-    dim = theta.dim
-    ax = loop_axis(n_grid)
-    h = random_hermitian_field((ax, ax), dim, seed, bandwidth)
-    z = theta.symmetrize(1j * h, 2)
-    n, m = windings
-    base = normal_form_field(n, m, dim, equivariant=True, n_grid=n_grid)
-    ext = tube_extension(base, z)
-    return FieldGrid(axes=(ax, ax), samples=ext.samples[-1], name=f"eq{seed}"), ext
-
-
-def equivariance_residual(g: FieldGrid, theta: TRSOperator):
-    """max_k || g(-k) - Theta(g(k)) || on the grid (loop or torus fields)."""
-    return theta.residual(g.samples, g.n_axes)
-
-
 # ------------------------------------------- Polyakov-Wiegmann functionals
 
 def alpha_integral(g: FieldGrid, h: FieldGrid):
@@ -540,16 +517,6 @@ def apw_functional(g: FieldGrid, h: FieldGrid, ext_ghg=None, ext_h=None):
     s_ghg = _action_of(ext_ghg, ghg.abelian_diagonal, f"g h g^-1 ({ghg.name})")
     b_int, _ = beta_integral(g, h)
     return s_ghg - s_h - b_int / (4.0 * np.pi)
-
-
-def wz_derivative(g: FieldGrid, g_dot):
-    """Rate of change of the action along a deformation with velocity g_dot,
-    an array of g's sample shape: (1/4 pi) int Tr{ g^-1 g_dot (g^-1 dg)^2 }."""
-    dot = entries_first(np.broadcast_to(g_dot, g.samples.shape))
-    gi = inverse_planes(entries_first(g.samples))
-    g1, g2 = (plane_product(gi, entries_first(g.derivative(i))) for i in (0, 1))
-    comm = plane_product(g1, g2) - plane_product(g2, g1)
-    return _integral(trace_product(plane_product(gi, dot), comm), g.axes)[0] / (4.0 * np.pi)
 
 
 # --------------------------------------------------- amplitudes of phi fields

@@ -1,0 +1,157 @@
+"""Checks and fields that only the tests use: residual reports of families,
+frames and gauges, the Stokes check of the curvature, random equivariant
+fields, and the rate of change of the WZ action along a deformation.
+
+Each reads the program's public objects and returns numbers; none of them
+is on a request path, so they live here and not in `topoinv`.
+"""
+
+import numpy as np
+
+from topoinv import linalg
+from topoinv.berry import _omega_on
+from topoinv.config import DEFAULT_TOL
+from topoinv.core import TRSOperator
+from topoinv.grids import Axis, integrate_grid, loop_axis, reflect, torus_points
+from topoinv.linalg import entries_first, inverse_planes, plane_product, trace_product
+from topoinv.transport import _occupied_basis, _segment_transport
+from topoinv.wz import (FieldGrid, _integral, normal_form_field, random_hermitian_field,
+                        tube_extension)
+
+
+def validate_family(family):
+    """Projector, rank-constancy and periodicity residuals of a projector
+    family on the 64 x 64 probe grid (64 points for a loop), with "ok" when
+    each is within its DEFAULT_TOL bound."""
+    ax = loop_axis(64)
+    if family.domain == "loop":
+        ks = ax.points
+        p = family.sample(ks)
+        per = float(np.max(linalg.frob(p - family.sample(ks + 2 * np.pi))))
+    else:
+        ks = torus_points(ax, ax)
+        p = family.sample(ks)
+        per = 0.0
+        for axis in range(2):
+            e = np.zeros(2)
+            e[axis] = 2 * np.pi
+            per = max(per, float(np.max(linalg.frob(p - family.sample(ks + e)))))
+    proj = float(np.max(linalg.projector_residual(p)))
+    tr = float(np.max(np.abs(np.trace(p, axis1=-2, axis2=-1).real - family.rank)))
+    return {"projector": proj, "trace": tr, "periodicity": per,
+            "ok": (proj <= DEFAULT_TOL.projector and tr <= DEFAULT_TOL.trace
+                   and per <= DEFAULT_TOL.periodicity)}
+
+
+def kramers_residual(frame):
+    """max_k of || E(-k) - theta(E(k)) J || over a time-reversal symmetric
+    frame's grid."""
+    if not frame.trs_flag or frame.theta is None:
+        raise ValueError("not a time-reversal symmetric frame")
+    e = frame.e_samples
+    return float(np.max(linalg.frob(reflect(e, 1) - frame.theta.frame(e))))
+
+
+def validate_frame(frame):
+    """Orthonormality, span and seam residuals of a Bloch frame, and its
+    Kramers residual when it is time-reversal symmetric, with "ok"."""
+    tol = DEFAULT_TOL
+    e = frame.e_samples
+    ortho = float(np.max(linalg.frob(linalg.dagger(e) @ e - np.eye(frame.rank))))
+    span = float(np.max(linalg.frob(frame.family.sample(frame.ks) - e @ linalg.dagger(e))))
+    report = {"orthonormality": ortho, "span": span, "seam": frame.seam_residual,
+              "ok": ortho <= tol.frame_orthonormal and span <= tol.frame_span
+                    and frame.seam_residual <= tol.frame_span}
+    if frame.trs_flag:
+        report["kramers"] = kramers_residual(frame)
+        report["ok"] = report["ok"] and report["kramers"] <= tol.trs
+    return report
+
+
+def validate_gauge(gauge):
+    """Unitarity residual of a gauge field, and its time-reversal residual
+    when it is symmetric, with "ok"."""
+    uni = float(np.max(linalg.unitarity_residual(gauge.u_samples)))
+    report = {"unitarity": uni, "ok": uni <= DEFAULT_TOL.unitarity}
+    if gauge.trs_flag:
+        trs = TRSOperator.standard(gauge.rank).residual(gauge.u_samples, 1)
+        report["trs"] = trs
+        report["ok"] = report["ok"] and trs <= DEFAULT_TOL.trs
+    return report
+
+
+def odd_symmetry_residual(curvature):
+    """max |Omega(k) + Omega(-k)| of a curvature on the full torus grid; zero
+    for time-reversal symmetric families."""
+    ax1, ax2 = curvature.axes
+    if not (ax1.periodic and ax2.periodic):
+        raise ValueError("odd-symmetry check needs the full torus grid")
+    return float(np.max(np.abs(curvature.omega + reflect(curvature.omega, 2))))
+
+
+def holonomy_flux_check(family, corner, widths):
+    """Stokes check on a subrectangle: the phase of the boundary holonomy
+    determinant equals the curvature integral over the rectangle (mod 2 pi).
+
+    Returns (boundary_phase, flux_integral, discrepancy mod 2 pi). Uses
+    parallel transport along the four edges, 256 grid intervals each, and
+    the curvature on the 256 x 256 grid of the rectangle; gauge invariant,
+    no frame needed.
+    """
+    n_edge = 256
+    (a1, a2), (w1, w2) = corner, widths
+    corners = [np.array([a1, a2]), np.array([a1 + w1, a2]),
+               np.array([a1 + w1, a2 + w2]), np.array([a1, a2 + w2])]
+    t_loop = np.eye(family.ambient_dim, dtype=complex)
+    for i in range(4):
+        start, stop = corners[i], corners[(i + 1) % 4]
+        edge = family.restrict(start, stop - start, f"{family.name}[edge {i}]")
+        _, t, _, _, _ = _segment_transport(edge, 0.0, 1.0, n_edge)
+        t_loop = t[-1] @ t_loop
+    b = _occupied_basis(family.sample(corners[0]))
+    hol = linalg.dagger(b) @ t_loop @ b
+    boundary_phase = float(np.angle(np.linalg.det(hol)))
+    ax1 = Axis("k1", a1, w1, n_edge, periodic=False)
+    ax2 = Axis("k2", a2, w2, n_edge, periodic=False)
+    omega, _ = _omega_on(family, torus_points(ax1, ax2))
+    flux = float(integrate_grid(omega, [ax1, ax2]))
+    diff = (boundary_phase + flux + np.pi) % (2.0 * np.pi) - np.pi
+    return boundary_phase, flux, float(abs(diff))
+
+
+def bloch_hermiticity_residual(spec):
+    """max ||H(k) - H(k)^+|| over 1000 seeded random k (should be ~1e-15
+    by construction)."""
+    rng = np.random.default_rng(7)
+    h = spec.bloch(rng.uniform(-np.pi, np.pi, size=(1000, 2)))
+    return float(np.max(np.abs(h - np.conjugate(np.swapaxes(h, -1, -2)))))
+
+
+def random_equivariant_field(n_grid, theta, seed, bandwidth=2, windings=(0, 0)):
+    """Random equivariant torus field Theta(g(k)) = g(-k), with windings.
+
+    Built as (equivariant normal form) * exp(Z) with Z an equivariantly
+    symmetrized anti-Hermitian field; returns (field, tube extension), where
+    the tube is an equivariant homotopy from the normal form.
+    """
+    ax = loop_axis(n_grid)
+    h = random_hermitian_field((ax, ax), theta.dim, seed, bandwidth)
+    n, m = windings
+    base = normal_form_field(n, m, theta.dim, equivariant=True, n_grid=n_grid)
+    ext = tube_extension(base, theta.symmetrize(1j * h, 2))
+    return FieldGrid(axes=(ax, ax), samples=ext.samples[-1], name=f"eq{seed}"), ext
+
+
+def equivariance_residual(g, theta):
+    """max_k || g(-k) - Theta(g(k)) || on the grid (loop or torus fields)."""
+    return theta.residual(g.samples, g.n_axes)
+
+
+def wz_derivative(g, g_dot):
+    """Rate of change of the action along a deformation with velocity g_dot,
+    an array of g's sample shape: (1/4 pi) int Tr{ g^-1 g_dot (g^-1 dg)^2 }."""
+    dot = entries_first(np.broadcast_to(g_dot, g.samples.shape))
+    gi = inverse_planes(entries_first(g.samples))
+    g1, g2 = (plane_product(gi, entries_first(g.derivative(i))) for i in (0, 1))
+    comm = plane_product(g1, g2) - plane_product(g2, g1)
+    return _integral(trace_product(plane_product(gi, dot), comm), g.axes)[0] / (4.0 * np.pi)

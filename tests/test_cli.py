@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import topoinv
-from topoinv import berry, certify, linalg, transport, wz
+from topoinv import berry, certify, core, lattice, linalg, transport, wz
 from topoinv.cli import main
 from topoinv.errors import BranchAmbiguity, PairingFailure
 from topoinv.models import SX, SY, SZ, BlochHamiltonianSpec, builtin_model, save_model
@@ -88,6 +90,31 @@ def test_fkm_builds_each_z2_ingredient_once(capsys, monkeypatch):
     assert calls == {"build_trs_frame": 2, "berry_curvature_ebz": 1}
 
 
+@pytest.mark.parametrize("argv,calls", [
+    (["chern", "--model", "haldane"], 2),
+    (["fkm", "--model", "kane_mele", "--param", "lambda_v=0.4", "--param", "lambda_r=0.2",
+      "--grid", "32", "--loop-grid", "64"], 6),
+], ids=["chern", "fkm"])
+def test_request_eigensystem_count(capsys, monkeypatch, argv, calls):
+    """Point sets one request diagonalizes H on. chern, at the default
+    grid: the 64^2 gap probe, which U_P then reads, and the 128^2 curvature
+    grid, which the plaquette oracle then reads. fkm: the probe, which
+    check_trs then reads, two point sets per boundary-loop transport, and
+    the half-zone grid, which lattice_z2 then reads. A consumer moved away
+    from the grid it shares diagonalizes that grid again."""
+    grids = []
+    original = core._gap_checked_eigh
+
+    def counted(spec, ks, rank=None):
+        grids.append(ks.shape[:-1])
+        return original(spec, ks, rank=rank)
+
+    monkeypatch.setattr(core, "_gap_checked_eigh", counted)
+    assert run_cli(capsys, *argv, "--json")[0] == 0
+    assert len(grids) == calls, grids
+    assert grids[0] == (64, 64)
+
+
 def test_fkm_rejects_broken_symmetry(capsys):
     code, _, err = run_cli(capsys, "fkm", "--model", "haldane", "--grid", "32")
     assert code == 2
@@ -127,14 +154,44 @@ def test_non_finite_model_entry_is_a_schema_error(capsys, tmp_path):
     for terms, location in cases:
         path = tmp_path / "bad.json"
         save_model(path, BlochHamiltonianSpec(dim=len(terms[0][0]), terms=terms, name="bad"))
-        for command in ("chern", "fkm"):
-            code, _, err = run_cli(capsys, command, "--model-file", str(path),
-                                   "--grid", "32")
-            assert code == 4, (location, command)
-            [line] = err.splitlines()
-            payload = json.loads(line)
-            assert payload["error"] == "SchemaError"
-            assert payload["message"].startswith(location)
+        assert_schema_error(capsys, path, location)
+
+
+def assert_schema_error(capsys, path, location):
+    """chern and fkm refuse the model file at `path` with exit 4 and one
+    SchemaError line whose message starts with `location`."""
+    for command in ("chern", "fkm"):
+        code, out, err = run_cli(capsys, command, "--model-file", str(path), "--grid", "32")
+        assert code == 4 and out == "", (location, command)
+        [line] = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "SchemaError"
+        assert payload["message"].startswith(location)
+
+
+MINIMAL_MODEL = {"name": "mini", "dim": 2,
+                 "terms": [{"vector": [1, 0], "matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]},
+                           {"vector": [-1, 0], "matrix": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]}]}
+
+
+@pytest.mark.parametrize("doc,location", [
+    (5, "model:"),
+    (dict(MINIMAL_MODEL, terms=5), "terms:"),
+    (dict(MINIMAL_MODEL, terms=[5]), "terms[0]:"),
+    (dict(MINIMAL_MODEL, parameters=[1]), "parameters:"),
+    (dict(MINIMAL_MODEL, dim=True), "dim:"),
+    (dict(MINIMAL_MODEL, parameters={"m": [1]}), "parameters.m:"),
+    (dict(MINIMAL_MODEL, terms=[dict(MINIMAL_MODEL["terms"][0], vector=[True, 0])]),
+     "terms[0].vector:"),
+], ids=["top_level_5", "terms_5", "terms_list_of_5", "parameters_list", "dim_true",
+        "parameter_list_value", "vector_true"])
+def test_malformed_model_file_is_a_schema_error(capsys, tmp_path, doc, location):
+    """A model file whose JSON values have the wrong types is bad input
+    (exit 4) naming the key, never a traceback with exit 1; JSON's true is
+    not the integer 1."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert_schema_error(capsys, path, location)
 
 
 def test_overflowing_curvature_is_unsnapped(tmp_path):
@@ -297,6 +354,79 @@ def test_sweep_records_default_invariants(capsys, tmp_path):
     assert (values["chern"], values["delta"], values["kappa"]) == ("0", "1", "-1")
     sidecar = json.loads((tmp_path / "a.csv.json").read_text())
     assert sidecar["invariants"] == ["chern", "delta", "kappa"]
+
+
+def _sweep_rows(capsys, *argv):
+    code, out, _ = run_cli(capsys, "sweep", *argv, "--workers", "1", "--json")
+    assert code == 0
+    return json.loads(out)["rows"]
+
+
+KM_ROW = ("--model", "kane_mele", "--param", "lambda_r=0.2",
+          "--sweep", "lambda_v", "0.4", "0.4", "1", "--grid", "32", "--loop-grid", "64")
+HALDANE_ROW = ("--model", "haldane", "--sweep", "m", "0.3", "0.3", "1", "--grid", "32",
+               "--invariants", "chern")
+
+
+def test_sweep_row_is_the_command_result(capsys):
+    """A sweep row reports the snapped delta, kappa and Berry phases of fkm
+    and the Chern number of chern at the same point, from the same
+    evaluation, with no error when every cross-check agrees."""
+    [row] = _sweep_rows(capsys, *KM_ROW)
+    code, out, _ = run_cli(capsys, "fkm", "--model", "kane_mele", "--param", "lambda_v=0.4",
+                           "--param", "lambda_r=0.2", "--grid", "32", "--loop-grid", "64", "--json")
+    assert code == 0
+    fkm = json.loads(out)
+    assert (row["delta"], row["kappa"]) == (fkm["delta"]["snapped"], fkm["kappa"]["snapped"])
+    for label in ("T0", "Tpi"):
+        assert row[f"berry_phase_{label}"] == fkm[f"berry_phase_{label}"]
+    assert "error" not in row
+
+    [row] = _sweep_rows(capsys, *HALDANE_ROW)
+    code, out, _ = run_cli(capsys, "chern", "--model", "haldane", "--param", "m=0.3",
+                           "--grid", "32", "--json")
+    assert code == 0
+    chern = json.loads(out)
+    assert row["chern"] == chern["chern"]["snapped"] == -1
+    assert row["residual_max"] == chern["chern"]["residual"]
+    assert "error" not in row
+
+
+@pytest.mark.parametrize("oracle,row_args,invariant,shift", [
+    ("lattice_z2", KM_ROW + ("--invariants", "delta"), "delta", lambda x: 1 - x),
+    ("plaquette_chern", HALDANE_ROW, "chern", lambda x: x + 1),
+], ids=["lattice_z2", "plaquette_chern"])
+def test_sweep_row_records_a_contradicted_value(capsys, monkeypatch, oracle, row_args,
+                                                invariant, shift):
+    """An oracle that snaps to a value contradicting the row's invariant
+    leaves the row's values as they were and names the pair in its error;
+    the sweep still exits 0."""
+    [clean] = _sweep_rows(capsys, *row_args)
+    assert "error" not in clean
+    original = getattr(lattice, oracle)
+
+    def contradicting(*args, **kwargs):
+        res = original(*args, **kwargs)
+        return dataclasses.replace(res, snapped=shift(res.snapped))
+
+    monkeypatch.setattr(lattice, oracle, contradicting)
+    [row] = _sweep_rows(capsys, *row_args)
+    error = row.pop("error")
+    assert row == clean
+    name = {"lattice_z2": "lattice_oracle", "plaquette_chern": "plaquette_oracle"}[oracle]
+    assert error.startswith(f"{name} ") and f"!= {invariant} {clean[invariant]}" in error
+
+
+def test_one_row_sweep_starts_no_worker(capsys, monkeypatch, tmp_path):
+    """A sweep starts no more worker processes than it has rows, and runs
+    in this process when that is one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-row sweep started a worker pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    out = tmp_path / "a.csv"
+    assert run_cli(capsys, "sweep", *HALDANE_ROW, "--workers", "2", "--out", str(out))[0] == 0
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_unknown_parameter_exit_code(capsys, tmp_path):

@@ -11,6 +11,8 @@ from topoinv.grids import loop_axis, reflect
 from topoinv.models import BlochHamiltonianSpec
 from topoinv import linalg
 
+from oracles import validate_family
+
 
 def test_constant_sigma_z_projector():
     sz = np.diag([1.0, -1.0]).astype(complex)
@@ -33,7 +35,7 @@ def test_gap_closure_on_crossing_band():
 
 
 def test_family_invariants_on_grid(km_topo):
-    report = km_topo.validate()
+    report = validate_family(km_topo)
     assert report["projector"] <= 1e-10
     assert report["trace"] <= 1e-8
     assert report["periodicity"] <= 1e-10

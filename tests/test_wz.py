@@ -7,7 +7,7 @@ from topoinv import (berry_connection, berry_phase, berry_phase_sqrt,
                      build_trs_frame, delta_invariant, kappa_invariant,
                      normal_form_field, parallel_transport,
                      up_extension, winding, winding_pair, wz_action_extension,
-                     wz_amplitude_phi, wz_derivative, z2_ingredients)
+                     wz_amplitude_phi, z2_ingredients)
 from topoinv import (build_frame, chern_number, berry_curvature, gauge_transform,
                      random_trs_gauge)
 from topoinv import wz
@@ -16,9 +16,10 @@ from topoinv.grids import (integrate_grid, interval_axis, loop_axis,
                            spectral_derivative, unit_circle_axis)
 from topoinv.wz import (FieldGrid, alpha_integral, apw_functional, beta_integral,
                         conjugated_field, constant_field, inverse_field,
-                        product_field, pw_functional, random_equivariant_field,
-                        random_hermitian_field, random_unwindable_field,
-                        tube_extension, equivariance_residual)
+                        product_field, pw_functional, random_hermitian_field,
+                        random_unwindable_field, tube_extension)
+
+from oracles import equivariance_residual, random_equivariant_field, wz_derivative
 
 TWO_PI = 2 * np.pi
 
