@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import berry, certify, lattice, wz
-from .config import DEFAULT_TOL, N_2D, N_LOOP
+from .config import DEFAULT_TOL, N_2D, N_LOOP, N_PROBE
 from .core import TRSOperator, check_trs, make_projector_family
 from .errors import (GapClosure, NotTRS, PairingFailure, ParseError, SchemaError,
                      StepFailure, TopoinvError, UnknownModel, UnknownParameter)
@@ -128,14 +128,14 @@ class _NoTimeReversal(Exception):
 
 def _chern_evaluation(fam, cfg: RunConfig):
     """The Chern number with its cross-checks: the U_P WZ amplitude against
-    (-1)^C, and the plaquette oracle. U_P reads the gap probe's 64^2 grid and
-    the oracle the curvature's, each right after the family diagonalized it.
+    (-1)^C, and the plaquette oracle. U_P reads the gap probe's grid at every
+    --grid and the oracle the curvature's, each right after the family
+    diagonalized it.
 
     Returns (fields, contradictions), as every evaluation does: the report
     values, each invariant and cross-check an InvariantResult, and a message
     per snapped cross-check that contradicts a snapped invariant."""
-    probe = min(cfg.grid, 64)
-    action = wz.wz_action_extension(wz.up_extension(fam, n_t=cfg.grid_t, n1=probe, n2=probe))
+    action = wz.wz_action_extension(wz.up_extension(fam, n_t=cfg.grid_t, n1=N_PROBE, n2=N_PROBE))
     c = berry.chern_number(berry.berry_curvature(fam, n_grid=cfg.grid))
     oracle = lattice.plaquette_chern(fam, n_grid=cfg.grid)
     wz_diff = abs(action.amplitude - (-1.0) ** c.snapped) if c.snapped is not None else None

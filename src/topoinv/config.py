@@ -37,3 +37,6 @@ DEFAULT_TOL = Tolerances()
 # so reflection pairs k <-> -k land exactly on grid points.
 N_LOOP = 256
 N_2D = 128
+# The gap probe's torus grid (N_PROBE x N_PROBE), which every family is
+# checked on and keeps; the time-reversal check and U_P in `chern` read it.
+N_PROBE = 64

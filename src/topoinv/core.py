@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, N_PROBE
 from .errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
 from .grids import loop_axis, reflect, torus_points
 from .linalg import entries_first, inverse_planes, matrices_last, plane_product
@@ -214,7 +214,7 @@ def make_projector_family(spec):
     spec : models.BlochHamiltonianSpec
         Trigonometric-polynomial Bloch Hamiltonian. Energy 0 must sit in a
         spectral gap over the whole torus: a gap of at most
-        DEFAULT_TOL.gap_threshold anywhere on the 64 x 64 probe grid (and on
+        DEFAULT_TOL.gap_threshold anywhere on the N_PROBE^2 probe grid (and on
         every later sampling) raises GapClosure.
 
     Returns
@@ -223,7 +223,7 @@ def make_projector_family(spec):
     keeps the probe grid's eigensystem, so a consumer sampling that grid
     next diagonalizes nothing.
     """
-    ax = loop_axis(64)
+    ax = loop_axis(N_PROBE)
     ks = torus_points(ax, ax)
     eigensystem = _gap_checked_eigh(spec, ks)
     rank = int(np.count_nonzero(eigensystem[0][:, 0, 0] < 0.0))
@@ -232,7 +232,7 @@ def make_projector_family(spec):
     return family
 
 
-def check_trs(family: ProjectorFamily, theta: TRSOperator, n_grid=64):
+def check_trs(family: ProjectorFamily, theta: TRSOperator, n_grid=N_PROBE):
     """Does P(-k) = Theta(P(k)) hold on a symmetric grid, to DEFAULT_TOL.trs?
 
     Returns (ok, max_violation). The grid includes the fixed points of

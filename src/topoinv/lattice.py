@@ -2,11 +2,18 @@
 boundary-constrained lattice Z2, and the link-variable Berry phase, whose
 loop integral `berry.berry_phase` also checks every frame against.
 
-These use only eigenframe overlaps on discrete grids (no transport, no
+These use only frame overlaps on discrete grids (no transport, no
 connection quadrature), so they cross-check the differential-geometry
-pipeline through an unrelated algorithm. Each plaquette flux is the argument
-of a product of overlap determinants; sums of fluxes against directed
-boundary link sums are exactly integer multiples of 2 pi by construction.
+pipeline through an unrelated algorithm. They read the family only through
+`sample`. Each plaquette flux is the argument of a product of overlap
+determinants; sums of fluxes against directed boundary link sums are exactly
+integer multiples of 2 pi by construction.
+
+Wherever fluxes are reduced mod 2 pi, any orthonormal basis of Ran P
+serves, and `_frames` builds one without diagonalizing. The Z2 boundary
+loops enter their link sums unreduced, so their frames at 0 < k2 < pi come
+from `eigh`: pivoted frames of a structured model put Kramers-paired links
+exactly on the branch cut at +-pi, where roundoff picks each sign apart.
 """
 
 import numpy as np
@@ -19,17 +26,27 @@ TWO_PI = 2.0 * np.pi
 
 
 def _frames(p):
-    """Occupied frames of the projectors p, from their own eigendecomposition."""
-    w, v = np.linalg.eigh(p)
-    occ = w > 0.5
-    m = int(occ[(0,) * (occ.ndim - 1)].sum())
-    # eigh orders ascending, so occupied columns are the trailing m
-    return v[..., -m:]
+    """Orthonormal frames of Ran P, batched, by pivoted Gram-Schmidt on the
+    columns of P: rank(P) times, normalize the largest column of what is
+    left and project it out. A column's squared norm is its diagonal entry,
+    and at step i the largest is at least (m - i) / N, so every pivot is
+    well conditioned."""
+    m = int(round(np.trace(p[(0,) * (p.ndim - 2)]).real))
+    frames = np.empty(p.shape[:-1] + (m,), dtype=complex)
+    rest = p
+    for i in range(m):
+        j = np.argmax(np.diagonal(rest, axis1=-2, axis2=-1).real, axis=-1)
+        col = np.take_along_axis(rest, j[..., None, None], axis=-1)[..., 0]
+        e = frames[..., i] = col / np.linalg.norm(col, axis=-1, keepdims=True)
+        if i + 1 < m:
+            rest = rest - e[..., :, None] * np.conjugate(e)[..., None, :]
+    return frames
 
 
 def _link_phase(e1, e2):
-    """Argument of det of the frame overlap, batched."""
-    ov = np.swapaxes(np.conjugate(e1), -1, -2) @ e2
+    """Argument of det of the frame overlap E1^+ E2, batched; the overlap
+    is one multiply-sum over the ambient axis."""
+    ov = np.sum(np.conjugate(e1)[..., :, None] * e2[..., None, :], axis=-3)
     return np.angle(np.linalg.det(ov))
 
 
@@ -41,11 +58,10 @@ def plaquette_chern(family: ProjectorFamily, n_grid=64):
     """
     ax = loop_axis(n_grid)
     frames = _frames(family.sample(torus_points(ax, ax)))
-    right = np.roll(frames, -1, axis=0)
-    up = np.roll(frames, -1, axis=1)
-    diag = np.roll(right, -1, axis=1)
-    flux = (_link_phase(frames, right) + _link_phase(right, diag)
-            + _link_phase(diag, up) + _link_phase(up, frames))
+    link1 = _link_phase(frames, np.roll(frames, -1, axis=0))   # +k1
+    link2 = _link_phase(frames, np.roll(frames, -1, axis=1))   # +k2
+    # plaquette (i,j): l1(i,j) + l2(i+1,j) - l1(i,j+1) - l2(i,j)
+    flux = link1 + np.roll(link2, -1, axis=0) - np.roll(link1, -1, axis=1) - link2
     flux = (flux + np.pi) % TWO_PI - np.pi
     total = float(np.sum(flux)) / TWO_PI
     return snap_integer("Chern", total,
@@ -104,8 +120,9 @@ def lattice_z2(family: ProjectorFamily, theta: TRSOperator, n1=32, n2=64):
     (Kramers pairs at the fixed momenta, reflection elsewhere); interior
     frames are free. The directed boundary link sums minus the plaquette
     fluxes are an exact multiple of 2 pi; half of that, mod 2, is the
-    invariant, and the raw value is reported in (-1, 1]. P is sampled once
-    on the half-zone grid, the grid of berry.berry_curvature_ebz.
+    invariant, and the raw value is reported in (-1/2, 3/2], so that both
+    classes sit well inside it. P is sampled once on the half-zone grid, the
+    grid of berry.berry_curvature_ebz.
     """
     p = family.sample(torus_points(ebz_axis(n1), loop_axis(n2)))
     dim, m = family.ambient_dim, family.rank
@@ -122,8 +139,8 @@ def lattice_z2(family: ProjectorFamily, theta: TRSOperator, n1=32, n2=64):
     flux = (flux + np.pi) % TWO_PI - np.pi
     boundary = float(np.sum(link2[-1]) - np.sum(link2[0]))
     raw = (boundary - float(np.sum(flux))) / TWO_PI
-    # whole turns follow the eigenvector gauge; only raw mod 2 is meaningful
-    raw -= 2.0 * np.ceil((raw - 1.0) / 2.0)
+    # whole turns follow the gauge of the frames; only raw mod 2 is meaningful
+    raw -= 2.0 * np.ceil((raw - 1.5) / 2.0)
     return snap_integer("Delta", raw, modulus=2,
                         meta={"method": "lattice", "grid": (n1, n2),
                               "max_flux": float(np.max(np.abs(flux)))})

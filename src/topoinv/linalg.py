@@ -1,9 +1,8 @@
-"""Dense complex linear algebra helpers: residuals, polar projection,
-unitary exponentials and logarithms, Kramers-paired (symplectic) bases, and
-the plane-product kernel.
+"""Dense complex linear algebra helpers: norms, polar projection, unitary
+exponentials and logarithms, Kramers-paired (symplectic) bases, and the
+plane-product kernel.
 
-All matrices are plain complex numpy arrays; the residual functions return
-the measured defect so callers can compare and report it.
+All matrices are plain complex numpy arrays.
 
 Batches of small matrices over a grid can also be held entries-first, as
 planes (N, M, ...): entry (a, b) of every matrix is one contiguous array
@@ -30,20 +29,6 @@ def dagger(a):
 def frob(a):
     """Frobenius norm along the last two axes (scalar for a single matrix)."""
     return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
-
-
-def unitarity_residual(u):
-    n = u.shape[-1]
-    return frob(dagger(u) @ u - np.eye(n))
-
-
-def hermiticity_residual(h):
-    return frob(h - dagger(h))
-
-
-def projector_residual(p):
-    """||P^2 - P|| + ||P - P*||, the combined projector defect."""
-    return frob(p @ p - p) + hermiticity_residual(p)
 
 
 def entries_first(samples):

@@ -1,6 +1,8 @@
-"""Checks and fields that only the tests use: residual reports of families,
-frames and gauges, the Stokes check of the curvature, random equivariant
-fields, and the rate of change of the WZ action along a deformation.
+"""Checks and fields that only the tests use: matrix residuals, residual
+reports of families, frames and gauges, the eigendecomposition frames the
+lattice oracles once used, the Stokes check of the curvature, random
+equivariant fields, and the rate of change of the WZ action along a
+deformation.
 
 Each reads the program's public objects and returns numbers; none of them
 is on a request path, so they live here and not in `topoinv`.
@@ -10,7 +12,7 @@ import numpy as np
 
 from topoinv import linalg
 from topoinv.berry import _omega_on
-from topoinv.config import DEFAULT_TOL
+from topoinv.config import DEFAULT_TOL, N_PROBE
 from topoinv.core import TRSOperator
 from topoinv.grids import Axis, integrate_grid, loop_axis, reflect, torus_points
 from topoinv.linalg import entries_first, inverse_planes, plane_product, trace_product
@@ -19,11 +21,36 @@ from topoinv.wz import (FieldGrid, _integral, normal_form_field, random_hermitia
                         tube_extension)
 
 
+def unitarity_residual(u):
+    """||U^+ U - 1||, batched."""
+    return linalg.frob(linalg.dagger(u) @ u - np.eye(u.shape[-1]))
+
+
+def hermiticity_residual(h):
+    """||H - H^+||, batched."""
+    return linalg.frob(h - linalg.dagger(h))
+
+
+def projector_residual(p):
+    """||P^2 - P|| + ||P - P^+||, the combined projector defect, batched."""
+    return linalg.frob(p @ p - p) + hermiticity_residual(p)
+
+
+def eigh_frames(p):
+    """Occupied frames of a batch of projectors from their own
+    eigendecomposition: the reference for `lattice._frames`."""
+    w, v = np.linalg.eigh(p)
+    occ = w > 0.5
+    m = int(occ[(0,) * (occ.ndim - 1)].sum())
+    # eigh orders ascending, so occupied columns are the trailing m
+    return v[..., -m:]
+
+
 def validate_family(family):
     """Projector, rank-constancy and periodicity residuals of a projector
-    family on the 64 x 64 probe grid (64 points for a loop), with "ok" when
+    family on the probe grid (N_PROBE points for a loop), with "ok" when
     each is within its DEFAULT_TOL bound."""
-    ax = loop_axis(64)
+    ax = loop_axis(N_PROBE)
     if family.domain == "loop":
         ks = ax.points
         p = family.sample(ks)
@@ -36,7 +63,7 @@ def validate_family(family):
             e = np.zeros(2)
             e[axis] = 2 * np.pi
             per = max(per, float(np.max(linalg.frob(p - family.sample(ks + e)))))
-    proj = float(np.max(linalg.projector_residual(p)))
+    proj = float(np.max(projector_residual(p)))
     tr = float(np.max(np.abs(np.trace(p, axis1=-2, axis2=-1).real - family.rank)))
     return {"projector": proj, "trace": tr, "periodicity": per,
             "ok": (proj <= DEFAULT_TOL.projector and tr <= DEFAULT_TOL.trace
@@ -71,7 +98,7 @@ def validate_frame(frame):
 def validate_gauge(gauge):
     """Unitarity residual of a gauge field, and its time-reversal residual
     when it is symmetric, with "ok"."""
-    uni = float(np.max(linalg.unitarity_residual(gauge.u_samples)))
+    uni = float(np.max(unitarity_residual(gauge.u_samples)))
     report = {"unitarity": uni, "ok": uni <= DEFAULT_TOL.unitarity}
     if gauge.trs_flag:
         trs = TRSOperator.standard(gauge.rank).residual(gauge.u_samples, 1)

@@ -32,6 +32,18 @@ def test_chern_report(capsys):
     assert report["wz_check"]["pass"]
 
 
+def test_chern_wz_check_reads_the_probe_below_its_size(capsys):
+    """At a --grid below the gap probe's, U_P still reads the probe grid, so
+    the (-1)^C check is as fine as at the default grid."""
+    code, out, _ = run_cli(capsys, "chern", "--model", "haldane", "--param", "m=0.6",
+                           "--grid", "32", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["chern"]["snapped"] == report["plaquette_oracle"]["snapped"] == -1
+    assert report["wz_check"]["amp_vs_sign_of_chern"] < 1e-4
+    assert report["wz_check"]["pass"]
+
+
 def run_module(*argv):
     """`python -m topoinv ARGV` in a fresh interpreter, outside pytest's
     warnings filter."""
@@ -92,13 +104,14 @@ def test_fkm_builds_each_z2_ingredient_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv,calls", [
     (["chern", "--model", "haldane"], 2),
+    (["chern", "--model", "haldane", "--grid", "32"], 2),
     (["fkm", "--model", "kane_mele", "--param", "lambda_v=0.4", "--param", "lambda_r=0.2",
       "--grid", "32", "--loop-grid", "64"], 6),
-], ids=["chern", "fkm"])
+], ids=["chern", "chern_grid_32", "fkm"])
 def test_request_eigensystem_count(capsys, monkeypatch, argv, calls):
-    """Point sets one request diagonalizes H on. chern, at the default
-    grid: the 64^2 gap probe, which U_P then reads, and the 128^2 curvature
-    grid, which the plaquette oracle then reads. fkm: the probe, which
+    """Point sets one request diagonalizes H on. chern, at any grid: the
+    64^2 gap probe, which U_P then reads, and the curvature grid, which the
+    plaquette oracle then reads. fkm: the probe, which
     check_trs then reads, two point sets per boundary-loop transport, and
     the half-zone grid, which lattice_z2 then reads. A consumer moved away
     from the grid it shares diagonalizes that grid again."""

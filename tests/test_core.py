@@ -309,17 +309,18 @@ def test_kept_eigensystem_changes_no_output(haldane_topo, km_topo, theta4):
 
 
 @pytest.mark.parametrize("argv,matrices", [
-    (["chern", "--model", "haldane", "--param", "m=0.6"], 36_864),
+    (["chern", "--model", "haldane", "--param", "m=0.6"], 20_480),
     (["fkm", "--model", "kane_mele", "--param", "lambda_so=0.3",
-      "--param", "lambda_v=1.44"], 24_196),
+      "--param", "lambda_v=1.44"], 16_132),
 ])
 def test_request_eigh_counts(monkeypatch, capsys, argv, matrices):
     """Matrices diagonalized by one request at the default grids: a chern
-    request diagonalizes its 64^2 probe and 128^2 curvature grids once each
-    (plus the plaquette oracle's own eigh of P), an fkm request its probe
+    request diagonalizes its 64^2 probe and 128^2 curvature grids once each,
+    and the plaquette oracle's frames need none; an fkm request its probe
     grid once and its half-zone grid once for the curvature and the lattice
     oracle (plus its transports, whose 2 x 512 Magnus steps take one eigh
-    each for their exponentials, and the oracle's eigh of P)."""
+    each for their exponentials, and the oracle's 2 x 63 boundary-line
+    projectors at 0 < k2 < pi)."""
     count = _count_eigh(monkeypatch)
     assert cli.main(argv + ["--json"]) == 0
     capsys.readouterr()
