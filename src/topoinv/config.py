@@ -10,13 +10,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    projector: float = 1e-10        # ||P^2 - P|| + ||P - P*||
-    trace: float = 1e-8             # |tr P - m| (rank constancy)
-    periodicity: float = 1e-10      # ||P(k) - P(k + 2*pi e_i)||
     trs: float = 1e-8               # ||P(-k) - Theta(P(k))||
     pairing: float = 1e-10          # Kramers pairing residual of a symplectic basis
-    frame_span: float = 1e-8        # ||P - E E*||
-    frame_orthonormal: float = 1e-9
     gap_threshold: float = 1e-6     # minimal spectral gap at the Fermi level
     branch_cut: float = 1e-10       # distance to the log branch cut that errors out
     branch_snap: float = 1e-13      # below this, a phase is roundoff and snaps to 0
@@ -24,7 +19,6 @@ class Tolerances:
     snap: float = 1e-3              # residual below which invariants snap
     winding: float = 1e-6           # residual below which a winding number snaps
     extension_end: float = 1e-8     # end slice of an extension must be constant
-    unitarity: float = 1e-10        # ||U* U - 1|| of a gauge field
     hermitian: float = 1e-12        # model terms: on-site Hermiticity, partner = T_v*
     log_branch: float = 1e-7        # eigenphase distance to -1 of a principal logarithm
     empty_subspace: float = 1e-12   # norm below which a residual subspace is empty

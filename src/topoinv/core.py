@@ -8,10 +8,11 @@ from the planes of dH (`models.fourier_planes`) by perturbation theory. The
 eigensystem is held in the plane layout of `linalg` (eigenvalues band-first,
 eigenvectors entries-first), so P, the band-basis dH and dP are plane
 products over the whole point set; P and dP are handed out as (..., N, N)
-views of their planes. The family remembers the eigensystem of the last
-point set it diagonalized (its gap probe, to begin with), so consumers that
-read the same grid one after another, such as the curvature and the lattice
-oracle of one request, diagonalize H on that grid once. The TRSOperator is
+views of their planes. The family keeps the eigensystem of its gap probe for
+its whole life and, beside it, that of the last point set it diagonalized,
+so consumers that read the same grid one after another, such as the
+curvature and the lattice oracle of one request, diagonalize H on that grid
+once, and the probe grid is never diagonalized twice. The TRSOperator is
 the antiunitary theta = J K (K = complex conjugation) with theta^2 = -1 in
 the working basis.
 """
@@ -80,18 +81,21 @@ class ProjectorFamily:
     With `line` = (origin, direction) the family is the loop
     s -> P(origin + s direction).
 
-    The eigensystem (w, v) of the last point set is kept in plane layout,
-    keyed by the bytes of the points, so sampling the same points again
-    diagonalizes nothing; P itself is formed afresh on every call and never
-    kept. A restricted family starts with nothing kept. Eigenvalues come
-    ascending and every point set is checked to have `rank` of them below
-    0, so the occupied bands are the first `rank` columns.
+    The eigensystems (w, v) of the gap probe (`_probe`, filled by
+    make_projector_family and kept) and of the last other point set
+    (`_last`) are kept in plane layout, keyed by the bytes of the points, so
+    sampling the same points again diagonalizes nothing; P itself is formed
+    afresh on every call and never kept. A restricted family starts with
+    nothing kept. Eigenvalues come ascending and every point set is checked
+    to have `rank` of them below 0, so the occupied bands are the first
+    `rank` columns.
     """
 
     spec: BlochHamiltonianSpec
     rank: int
     line: Optional[tuple] = None  # ((o1, o2), (d1, d2))
     name: str = ""
+    _probe: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -104,14 +108,15 @@ class ProjectorFamily:
 
     def _eigensystem(self, ks):
         """The torus points of ks and the eigensystem (w, v) there, in plane
-        layout, diagonalized only when ks differs from the last point set."""
+        layout, diagonalized only when ks is neither the probe nor the last
+        point set."""
         ks = np.asarray(ks, dtype=float)
         k = ks
         if self.line is not None:
             origin, direction = np.asarray(self.line)
             k = origin + ks[..., None] * direction
         key = (ks.shape, ks.tobytes())
-        eigensystem = self._last.get(key)
+        eigensystem = self._probe.get(key) or self._last.get(key)
         if eigensystem is None:
             eigensystem = _gap_checked_eigh(self.spec, k, rank=self.rank)
             self._last.clear()
@@ -220,15 +225,15 @@ def make_projector_family(spec):
     Returns
     -------
     ProjectorFamily on the torus, with rank fixed by the gap condition; it
-    keeps the probe grid's eigensystem, so a consumer sampling that grid
-    next diagonalizes nothing.
+    keeps the probe grid's eigensystem for its whole life, so a consumer
+    sampling that grid diagonalizes nothing.
     """
     ax = loop_axis(N_PROBE)
     ks = torus_points(ax, ax)
     eigensystem = _gap_checked_eigh(spec, ks)
     rank = int(np.count_nonzero(eigensystem[0][:, 0, 0] < 0.0))
     family = ProjectorFamily(spec=spec, rank=rank, name=spec.name)
-    family._last[(ks.shape, ks.tobytes())] = eigensystem
+    family._probe[(ks.shape, ks.tobytes())] = eigensystem
     return family
 
 

@@ -1,19 +1,17 @@
 """Independent lattice oracles: plaquette-flux Chern number, the
-boundary-constrained lattice Z2, and the link-variable Berry phase, whose
-loop integral `berry.berry_phase` also checks every frame against.
+boundary-constrained lattice Z2 of Fukui and Hatsugai, and the link-variable
+Berry phase, whose loop integral `berry.berry_phase` also checks every frame
+against.
 
 These use only frame overlaps on discrete grids (no transport, no
 connection quadrature), so they cross-check the differential-geometry
 pipeline through an unrelated algorithm. They read the family only through
-`sample`. Each plaquette flux is the argument of a product of overlap
-determinants; sums of fluxes against directed boundary link sums are exactly
-integer multiples of 2 pi by construction.
-
-Wherever fluxes are reduced mod 2 pi, any orthonormal basis of Ran P
-serves, and `_frames` builds one without diagonalizing. The Z2 boundary
-loops enter their link sums unreduced, so their frames at 0 < k2 < pi come
-from `eigh`: pivoted frames of a structured model put Kramers-paired links
-exactly on the branch cut at +-pi, where roundoff picks each sign apart.
+`sample`, and build every frame with one routine, `_frames`: pivoted
+Gram-Schmidt on the columns of P, with no eigendecomposition, and with
+Kramers pairs where the lattice Z2 needs them. Each plaquette flux is the
+argument of a product of overlap determinants; sums of fluxes against
+directed boundary link sums are exactly integer multiples of 2 pi by
+construction.
 """
 
 import numpy as np
@@ -25,21 +23,30 @@ from .results import snap_integer
 TWO_PI = 2.0 * np.pi
 
 
-def _frames(p):
+def _frames(p, theta=None):
     """Orthonormal frames of Ran P, batched, by pivoted Gram-Schmidt on the
-    columns of P: rank(P) times, normalize the largest column of what is
-    left and project it out. A column's squared norm is its diagonal entry,
-    and at step i the largest is at least (m - i) / N, so every pivot is
-    well conditioned."""
+    columns of P: normalize the largest column of what is left and project
+    it out, until rank(P) columns are taken. A column's squared norm is its
+    diagonal entry, and at step i the largest is at least (m - i) / N, so
+    every pivot is well conditioned.
+
+    With the time reversal `theta` (P Theta-invariant, at a fixed momentum)
+    each pivot e is followed by its Kramers partner J conj(e), which is
+    orthogonal to e and to the earlier pairs, so the frame is
+    (e1, theta e1, e2, theta e2, ...)."""
     m = int(round(np.trace(p[(0,) * (p.ndim - 2)]).real))
     frames = np.empty(p.shape[:-1] + (m,), dtype=complex)
+    step = 1 if theta is None else 2
     rest = p
-    for i in range(m):
+    for i in range(0, m, step):
         j = np.argmax(np.diagonal(rest, axis1=-2, axis2=-1).real, axis=-1)
         col = np.take_along_axis(rest, j[..., None, None], axis=-1)[..., 0]
         e = frames[..., i] = col / np.linalg.norm(col, axis=-1, keepdims=True)
-        if i + 1 < m:
-            rest = rest - e[..., :, None] * np.conjugate(e)[..., None, :]
+        if theta is not None:
+            frames[..., i + 1] = np.conjugate(e) @ theta.j.T
+        if i + step < m:
+            for v in np.moveaxis(frames[..., i:i + step], -1, 0):
+                rest = rest - v[..., :, None] * np.conjugate(v)[..., None, :]
     return frames
 
 
@@ -69,75 +76,37 @@ def plaquette_chern(family: ProjectorFamily, n_grid=64):
                               "max_flux": float(np.max(np.abs(flux)))})
 
 
-def _kramers_pairs(p, theta: TRSOperator):
-    """Self-contained Kramers-paired frame of Ran P at a fixed point.
-
-    Kept local so the Z2 oracle does not share code with the frame
-    constructions it checks.
-    """
-    n = p.shape[0]
-    rank = int(round(np.real(np.trace(p))))
-    cols = []
-    resid = p.copy()
-    for _ in range(rank // 2):
-        scores = np.linalg.norm(resid, axis=0)
-        v = resid @ np.eye(n, dtype=complex)[:, int(np.argmax(scores))]
-        e = v / np.linalg.norm(v)
-        f = theta.j @ np.conjugate(e)
-        f = f / np.linalg.norm(f)
-        cols.extend([e, f])
-        ef = np.column_stack([e, f])
-        resid = p @ (resid - ef @ (np.conjugate(ef.T) @ p))
-    return np.column_stack(cols)
-
-
-def _trs_boundary_line(p, theta: TRSOperator):
-    """Frames along a time-reversal invariant loop {k1} x T from P on its
-    loop_axis grid, with the Kramers constraint: fixed points carry paired
-    frames, negative k2 carries the reflection of positive k2, so P is read
-    only at k2 = -pi and on [0, pi)."""
-    n2 = len(p)
-    half = n2 // 2
-    start = _kramers_pairs(p[0], theta)           # k2 = -pi
-    m = start.shape[1]
-    frames = np.empty((n2,) + start.shape, dtype=complex)
-    frames[0] = start
-    frames[half] = _kramers_pairs(p[half], theta)  # k2 = 0
-    _, v = np.linalg.eigh(p[half + 1:])           # 0 < k2 < pi
-    frames[half + 1:] = v[..., -m:]
-    jm = np.zeros((m, m))
-    for b in range(m // 2):
-        jm[2 * b, 2 * b + 1] = 1.0
-        jm[2 * b + 1, 2 * b] = -1.0
-    frames[1:half] = theta.j @ np.conjugate(frames[n2 - 1:half:-1]) @ jm
-    return frames
-
-
 def lattice_z2(family: ProjectorFamily, theta: TRSOperator, n1=32, n2=64):
     """Lattice Z2 invariant on the half zone [0, pi] x T.
 
-    Boundary loops at k1 = 0, pi carry time-reversal-constrained frames
-    (Kramers pairs at the fixed momenta, reflection elsewhere); interior
-    frames are free. The directed boundary link sums minus the plaquette
-    fluxes are an exact multiple of 2 pi; half of that, mod 2, is the
-    invariant, and the raw value is reported in (-1/2, 3/2], so that both
-    classes sit well inside it. P is sampled once on the half-zone grid, the
-    grid of berry.berry_curvature_ebz.
+    The directed link sums along the boundary loops k1 = 0, pi minus the
+    plaquette fluxes are an exact multiple of 2 pi; that multiple, mod 2, is
+    the invariant. The fluxes are reduced mod 2 pi, so any frames serve there.
+    On a boundary loop, frames with E(-k) = theta(E(k)) J_m make the link
+    from -k - h to -k equal the link from k to k + h, so the loop sums to
+    twice its half line 0 <= k2 <= pi, and that doubled half line is what is
+    summed. Its end frames at the fixed momenta k2 = 0, pi are Kramers pairs,
+    whose remaining gauge freedom has det 1; any frames in between move the
+    half-line sum only by 2 pi n. So the doubled sum is fixed up to 4 pi n,
+    and a link that reads -pi instead of pi on the branch cut moves it by
+    4 pi as well: neither changes the parity, which therefore does not rest
+    on the sign that roundoff gives a link on the cut. The raw value is
+    reported in (-1/2, 3/2], so that both classes sit well inside it. P is
+    sampled once on the half-zone grid, the grid of
+    berry.berry_curvature_ebz.
     """
     p = family.sample(torus_points(ebz_axis(n1), loop_axis(n2)))
-    dim, m = family.ambient_dim, family.rank
-    frames = np.empty((n1 + 1, n2, dim, m), dtype=complex)
-    frames[0] = _trs_boundary_line(p[0], theta)
-    frames[-1] = _trs_boundary_line(p[-1], theta)
-    frames[1:-1] = _frames(p[1:-1])
+    half = n2 // 2                                         # k2 = 0
+    frames = _frames(p)
+    fixed = np.ix_([0, -1], [0, half])                     # k1 in {0, pi}, k2 in {-pi, 0}
+    frames[fixed] = _frames(p[fixed], theta)
 
-    up = np.roll(frames, -1, axis=1)                       # +k2 neighbour
-    link2 = _link_phase(frames, up)                        # (n1+1, n2)
+    link2 = _link_phase(frames, np.roll(frames, -1, axis=1))   # (n1+1, n2), +k2
     link1 = _link_phase(frames[:-1], frames[1:])           # (n1, n2), +k1
     # plaquette (i,j): l1(i,j) + l2(i+1,j) - l1(i,j+1) - l2(i,j)
     flux = link1 + link2[1:] - np.roll(link1, -1, axis=1) - link2[:-1]
     flux = (flux + np.pi) % TWO_PI - np.pi
-    boundary = float(np.sum(link2[-1]) - np.sum(link2[0]))
+    boundary = 2.0 * float(np.sum(link2[-1, half:]) - np.sum(link2[0, half:]))
     raw = (boundary - float(np.sum(flux))) / TWO_PI
     # whole turns follow the gauge of the frames; only raw mod 2 is meaningful
     raw -= 2.0 * np.ceil((raw - 1.5) / 2.0)

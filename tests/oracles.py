@@ -1,8 +1,8 @@
 """Checks and fields that only the tests use: matrix residuals, residual
-reports of families, frames and gauges, the eigendecomposition frames the
-lattice oracles once used, the Stokes check of the curvature, random
-equivariant fields, and the rate of change of the WZ action along a
-deformation.
+reports of families, frames and gauges with their bounds, the
+eigendecomposition frames the lattice oracles once used, the Stokes check
+of the curvature, random equivariant fields, and the rate of change of the
+WZ action along a deformation.
 
 Each reads the program's public objects and returns numbers; none of them
 is on a request path, so they live here and not in `topoinv`.
@@ -19,6 +19,14 @@ from topoinv.linalg import entries_first, inverse_planes, plane_product, trace_p
 from topoinv.transport import _occupied_basis, _segment_transport
 from topoinv.wz import (FieldGrid, _integral, normal_form_field, random_hermitian_field,
                         tube_extension)
+
+# Bounds of the residual reports below, which the library never reads.
+PROJECTOR_TOL = 1e-10           # ||P^2 - P|| + ||P - P*||
+TRACE_TOL = 1e-8                # |tr P - m| (rank constancy)
+PERIODICITY_TOL = 1e-10         # ||P(k) - P(k + 2*pi e_i)||
+FRAME_SPAN_TOL = 1e-8           # ||P - E E*||, and the frame's seam
+FRAME_ORTHONORMAL_TOL = 1e-9    # ||E* E - 1||
+UNITARITY_TOL = 1e-10           # ||U* U - 1|| of a gauge field
 
 
 def unitarity_residual(u):
@@ -49,7 +57,7 @@ def eigh_frames(p):
 def validate_family(family):
     """Projector, rank-constancy and periodicity residuals of a projector
     family on the probe grid (N_PROBE points for a loop), with "ok" when
-    each is within its DEFAULT_TOL bound."""
+    each is within its bound."""
     ax = loop_axis(N_PROBE)
     if family.domain == "loop":
         ks = ax.points
@@ -66,8 +74,7 @@ def validate_family(family):
     proj = float(np.max(projector_residual(p)))
     tr = float(np.max(np.abs(np.trace(p, axis1=-2, axis2=-1).real - family.rank)))
     return {"projector": proj, "trace": tr, "periodicity": per,
-            "ok": (proj <= DEFAULT_TOL.projector and tr <= DEFAULT_TOL.trace
-                   and per <= DEFAULT_TOL.periodicity)}
+            "ok": proj <= PROJECTOR_TOL and tr <= TRACE_TOL and per <= PERIODICITY_TOL}
 
 
 def kramers_residual(frame):
@@ -82,16 +89,15 @@ def kramers_residual(frame):
 def validate_frame(frame):
     """Orthonormality, span and seam residuals of a Bloch frame, and its
     Kramers residual when it is time-reversal symmetric, with "ok"."""
-    tol = DEFAULT_TOL
     e = frame.e_samples
     ortho = float(np.max(linalg.frob(linalg.dagger(e) @ e - np.eye(frame.rank))))
     span = float(np.max(linalg.frob(frame.family.sample(frame.ks) - e @ linalg.dagger(e))))
     report = {"orthonormality": ortho, "span": span, "seam": frame.seam_residual,
-              "ok": ortho <= tol.frame_orthonormal and span <= tol.frame_span
-                    and frame.seam_residual <= tol.frame_span}
+              "ok": ortho <= FRAME_ORTHONORMAL_TOL and span <= FRAME_SPAN_TOL
+                    and frame.seam_residual <= FRAME_SPAN_TOL}
     if frame.trs_flag:
         report["kramers"] = kramers_residual(frame)
-        report["ok"] = report["ok"] and report["kramers"] <= tol.trs
+        report["ok"] = report["ok"] and report["kramers"] <= DEFAULT_TOL.trs
     return report
 
 
@@ -99,7 +105,7 @@ def validate_gauge(gauge):
     """Unitarity residual of a gauge field, and its time-reversal residual
     when it is symmetric, with "ok"."""
     uni = float(np.max(unitarity_residual(gauge.u_samples)))
-    report = {"unitarity": uni, "ok": uni <= DEFAULT_TOL.unitarity}
+    report = {"unitarity": uni, "ok": uni <= UNITARITY_TOL}
     if gauge.trs_flag:
         trs = TRSOperator.standard(gauge.rank).residual(gauge.u_samples, 1)
         report["trs"] = trs

@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+from pathlib import Path
 
 import topoinv
 
@@ -25,3 +27,13 @@ def test_no_public_function_takes_a_tolerance():
     offenders = [(name, param) for name, fn in functions
                  for param in inspect.signature(fn).parameters if "tol" in param]
     assert offenders == []
+
+
+def test_every_tolerance_is_read_by_the_library():
+    """DEFAULT_TOL holds only thresholds that some module of topoinv reads;
+    bounds that only the tests check live with the tests."""
+    sources = "".join(path.read_text() for path in Path(topoinv.__file__).parent.glob("*.py")
+                      if path.name != "config.py")
+    unread = [f.name for f in dataclasses.fields(topoinv.DEFAULT_TOL)
+              if f"DEFAULT_TOL.{f.name}" not in sources]
+    assert unread == []

@@ -107,14 +107,19 @@ def test_fkm_builds_each_z2_ingredient_once(capsys, monkeypatch):
     (["chern", "--model", "haldane", "--grid", "32"], 2),
     (["fkm", "--model", "kane_mele", "--param", "lambda_v=0.4", "--param", "lambda_r=0.2",
       "--grid", "32", "--loop-grid", "64"], 6),
-], ids=["chern", "chern_grid_32", "fkm"])
+    (["sweep", "--model", "kane_mele", "--sweep", "lambda_v", "0.4", "0.4", "1",
+      "--grid", "32"], 7),
+], ids=["chern", "chern_grid_32", "fkm", "sweep_row"])
 def test_request_eigensystem_count(capsys, monkeypatch, argv, calls):
     """Point sets one request diagonalizes H on. chern, at any grid: the
     64^2 gap probe, which U_P then reads, and the curvature grid, which the
     plaquette oracle then reads. fkm: the probe, which
     check_trs then reads, two point sets per boundary-loop transport, and
-    the half-zone grid, which lattice_z2 then reads. A consumer moved away
-    from the grid it shares diagonalizes that grid again."""
+    the half-zone grid, which lattice_z2 then reads. A sweep row reporting
+    chern, delta and kappa runs both evaluations on one family, which keeps
+    its probe for its whole life: the probe once, then chern's curvature
+    grid and fkm's five. A consumer moved away from the grid it shares
+    diagonalizes that grid again."""
     grids = []
     original = core._gap_checked_eigh
 
@@ -125,7 +130,7 @@ def test_request_eigensystem_count(capsys, monkeypatch, argv, calls):
     monkeypatch.setattr(core, "_gap_checked_eigh", counted)
     assert run_cli(capsys, *argv, "--json")[0] == 0
     assert len(grids) == calls, grids
-    assert grids[0] == (64, 64)
+    assert grids[0] == (64, 64) and grids.count((64, 64)) == 1
 
 
 def test_fkm_rejects_broken_symmetry(capsys):

@@ -233,12 +233,11 @@ def _count_eigh(monkeypatch):
 
 def test_each_point_set_is_diagonalized_once(monkeypatch, haldane_topo, km_topo, theta4):
     """P and dP come from one eigh per point: the curvature and transport
-    paths diagonalize each Hamiltonian once, and the lattice boundary line
-    diagonalizes P only where its Kramers reflection does not overwrite it.
-    The transport's step exponentials (one eigh per Magnus step) are counted
-    apart. Each case runs on a copy of its family, which keeps no eigensystem."""
+    paths diagonalize each Hamiltonian once, and the lattice Z2 on the grid
+    the half-zone curvature just diagonalized takes none. The transport's
+    step exponentials (one eigh per Magnus step) are counted apart. Each case
+    runs on a copy of its family, which keeps no eigensystem."""
     haldane, km = replace(haldane_topo), replace(km_topo)
-    row = km.sample(np.stack([np.zeros(32), loop_axis(32).points], axis=-1))
     count = _count_eigh(monkeypatch)
     exponentials = [0]
     expi_hermitian = linalg.expi_hermitian
@@ -251,8 +250,8 @@ def test_each_point_set_is_diagonalized_once(monkeypatch, haldane_topo, km_topo,
     cases = (
         (lambda: berry.berry_curvature(haldane, n_grid=16), 256, 0),
         (lambda: berry.berry_curvature_ebz(km, n1=8, n2=16), 144, 0),
+        (lambda: lattice.lattice_z2(km, theta4, n1=8, n2=16), 0, 0),
         (lambda: transport._segment_transport(km.loop(0, 0.0), 0.0, np.pi, 32, 4), 257, 128),
-        (lambda: lattice._trs_boundary_line(row, theta4), 15, 0),
     )
     for run, matrices, steps in cases:
         count[0] = exponentials[0] = 0
@@ -262,7 +261,8 @@ def test_each_point_set_is_diagonalized_once(monkeypatch, haldane_topo, km_topo,
 
 def test_family_keeps_the_last_eigensystem(monkeypatch, km_topo):
     """Sampling the last point set again diagonalizes nothing, any other set
-    replaces it, and a new family starts with its gap probe's grid."""
+    replaces it, and a new family keeps its gap probe's grid beside it for
+    its whole life."""
     ax = loop_axis(64)
     probe = np.stack(np.meshgrid(ax.points, ax.points, indexing="ij"), axis=-1)
     fam = make_projector_family(km_topo.spec)
@@ -276,7 +276,8 @@ def test_family_keeps_the_last_eigensystem(monkeypatch, km_topo):
     assert np.array_equal(fam.sample(ks + 0.1), replace(fam).sample(ks + 0.1))
     assert count[0] == 32 + 2 * 32
     fam.sample(probe)
-    assert count[0] == 32 + 2 * 32 + 64 * 64
+    fam.sample(ks + 0.1)
+    assert count[0] == 32 + 2 * 32
 
 
 def test_kept_eigensystem_changes_no_output(haldane_topo, km_topo, theta4):
@@ -311,7 +312,7 @@ def test_kept_eigensystem_changes_no_output(haldane_topo, km_topo, theta4):
 @pytest.mark.parametrize("argv,matrices", [
     (["chern", "--model", "haldane", "--param", "m=0.6"], 20_480),
     (["fkm", "--model", "kane_mele", "--param", "lambda_so=0.3",
-      "--param", "lambda_v=1.44"], 16_132),
+      "--param", "lambda_v=1.44"], 16_006),
 ])
 def test_request_eigh_counts(monkeypatch, capsys, argv, matrices):
     """Matrices diagonalized by one request at the default grids: a chern
@@ -319,8 +320,7 @@ def test_request_eigh_counts(monkeypatch, capsys, argv, matrices):
     and the plaquette oracle's frames need none; an fkm request its probe
     grid once and its half-zone grid once for the curvature and the lattice
     oracle (plus its transports, whose 2 x 512 Magnus steps take one eigh
-    each for their exponentials, and the oracle's 2 x 63 boundary-line
-    projectors at 0 < k2 < pi)."""
+    each for their exponentials); the oracles diagonalize nothing."""
     count = _count_eigh(monkeypatch)
     assert cli.main(argv + ["--json"]) == 0
     capsys.readouterr()

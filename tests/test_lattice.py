@@ -148,9 +148,15 @@ def test_pivoted_frames_give_the_eigenframe_oracles(monkeypatch, theta4):
     """On the benchmark's reference inputs at the default request grids,
     the oracles on pivoted frames snap to what they give on eigh frames,
     with raw values within 1e-12 (mod 2 for the Z2)."""
+    pivoted = lattice._frames
+
+    def reference_frames(p, theta=None):
+        # the Z2's fixed points keep their Kramers pairs
+        return eigh_frames(p) if theta is None else pivoted(p, theta)
+
     def both(run):
         with monkeypatch.context() as patch:
-            patch.setattr(lattice, "_frames", eigh_frames)
+            patch.setattr(lattice, "_frames", reference_frames)
             reference = run()
         return run(), reference
 
@@ -167,18 +173,47 @@ def test_pivoted_frames_give_the_eigenframe_oracles(monkeypatch, theta4):
 
 
 def test_lattice_z2_at_zero_staggering(theta4):
-    """Kane-Mele at lambda_v = 0 is exactly structured: on the grid of a
-    default fkm request, pivoted frames on its boundary lines would put
-    Kramers-paired links on the branch cut and read delta = 0; the
-    boundary's eigh frames read 1."""
+    """Kane-Mele at lambda_v = 0 is exactly structured: its pivoted frames
+    are real and sparse and put Kramers-paired boundary links on the branch
+    cut at +-pi. The doubled half-line boundary sum reads 1 on the grid of a
+    default fkm request whatever sign those links take."""
     fam = make_projector_family(builtin_model("kane_mele", {"lambda_so": 0.3,
                                                             "lambda_v": 0.0}))
     assert lattice_z2(fam, theta4, n1=64, n2=128).snapped == 1
 
 
+@pytest.mark.parametrize("name, params, grid", [
+    ("bhz", {}, (32, 64)), ("bhz", {}, (64, 128)),
+    ("kane_mele", {"lambda_so": 0.3, "lambda_v": 0.0}, (64, 128))])
+def test_on_cut_link_signs_cannot_flip_the_z2(monkeypatch, theta4, name, params, grid):
+    """Negating a random half of the links within 1e-9 of +-pi, the sign
+    roundoff could give them, moves the raw value by whole multiples of 2:
+    over 20 seeds every run snaps 1 and keeps its raw value mod 2."""
+    fam = make_projector_family(builtin_model(name, params))
+    reference = lattice_z2(fam, theta4, *grid)
+    link_phase = lattice._link_phase
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        on_cut = [0]
+
+        def flipped(e1, e2):
+            phase = link_phase(e1, e2)
+            cut = np.abs(np.abs(phase) - np.pi) < 1e-9
+            on_cut[0] += int(np.count_nonzero(cut))
+            return np.where(cut & (rng.random(phase.shape) < 0.5), -phase, phase)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "_link_phase", flipped)
+            z2 = lattice_z2(fam, theta4, *grid)
+        assert on_cut[0] > 0
+        assert z2.snapped == reference.snapped == 1
+        assert abs((z2.raw - reference.raw + 1.0) % 2.0 - 1.0) < 1e-12
+
+
 def test_lattice_imports_share_nothing_with_the_frame_pipeline():
     """The oracles import numpy, the family and time-reversal types, grids
-    and results, and nothing that builds frames or transports."""
+    and results, and nothing that builds frames or transports; they
+    diagonalize nothing themselves."""
     tree = ast.parse(Path(lattice.__file__).read_text())
     modules, from_core = set(), set()
     for node in ast.walk(tree):
@@ -191,3 +226,4 @@ def test_lattice_imports_share_nothing_with_the_frame_pipeline():
                 from_core |= {alias.name for alias in node.names}
     assert modules <= {"numpy", ".core", ".grids", ".results"}
     assert from_core <= {"ProjectorFamily", "TRSOperator"}
+    assert "eigh" not in Path(lattice.__file__).read_text()
