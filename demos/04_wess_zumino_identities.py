@@ -8,8 +8,20 @@ import numpy as np
 from topoinv import (build_trs_frame, builtin_model, make_projector_family,
                      normal_form_field, winding_pair, wz_amplitude_phi)
 from topoinv.core import TRSOperator
-from topoinv.wz import (apw_functional, inverse_field, product_field,
-                        pw_functional, random_unwindable_field)
+from topoinv.grids import loop_axis
+from topoinv.wz import (FieldGrid, apw_functional, constant_field, inverse_field,
+                        product_field, pw_functional, random_hermitian_field,
+                        tube_extension)
+
+
+def random_unwindable_field(n_grid, dim, seed):
+    """A random smooth zero-winding field g = exp(iH) with its extension:
+    the tube exp(isH) from g = 1 at s = 0."""
+    ax = loop_axis(n_grid)
+    h = random_hermitian_field((ax, ax), dim, seed)
+    ext = tube_extension(constant_field((ax, ax), np.eye(dim, dtype=complex)), 1j * h)
+    return FieldGrid(axes=(ax, ax), samples=ext.samples[-1], name=f"rand{seed}"), ext
+
 
 print("normal forms diag(e^{i(n k1 + m k2)}, 1, ...) carry the homotopy data:")
 for n, m in [(1, 0), (0, 1), (2, -1)]:

@@ -15,7 +15,6 @@ turns planes back into a (..., N, M) view without copying, and
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchAmbiguity, OddRank, PairingFailure
 from .config import DEFAULT_TOL
@@ -103,20 +102,36 @@ def expi_hermitian_frechet(h, dh):
 
 
 def unitary_eig(u):
-    """Eigenphases and an orthonormal eigenbasis of a unitary matrix.
+    """Eigenphases and an orthonormal eigenbasis of a unitary matrix, from
+    one Hermitian eigendecomposition.
 
-    Uses a complex Schur decomposition, which for normal matrices yields an
-    orthonormal eigenbasis even at degeneracies (numpy's generic eig does not).
+    The eigenphases of u, sorted around the circle, leave a widest gap of
+    at least 2 pi / n. Rotating by the middle a of that gap, W = e^{-ia} u,
+    puts every eigenvalue of W at least 2 sin(pi / 2n) away from 1, so
+    1 - W is well conditioned and the Cayley transform
+    C = i (1 + W)(1 - W)^-1 is a Hermitian matrix (up to rounding) with
+    eigenvalues -cot((phase - a) / 2). That map is strictly increasing on
+    the circle cut at a, so eigh of C's Hermitian part gives the
+    eigenvectors of u themselves: equal phases give equal eigenvalues of C,
+    whose eigenspace eigh returns orthonormal, and distinct phases give
+    distinct ones. No degeneracy threshold or clustering is needed, where
+    numpy's generic eig returns a non-orthogonal basis at near-degenerate
+    phases. The phases are read back as the diagonal of q* u q.
 
     Returns
     -------
     phases : (n,) real, in (-pi, pi]
     q : (n, n) unitary with u = q diag(exp(i*phases)) q*
     """
-    t, q = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diagonal(t))
-    # angle() returns values in (-pi, pi] already
-    return phases, q
+    phases = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
+    widest = np.argmax(gaps)
+    w = np.exp(-1j * (phases[widest] + 0.5 * gaps[widest])) * u
+    one = np.eye(len(u))
+    # (1 + W) and (1 - W)^-1 commute, so one solve forms C
+    c = 1j * np.linalg.solve(one - w, one + w)
+    _, q = np.linalg.eigh(0.5 * (c + dagger(c)))
+    return np.angle(np.einsum("ji,jk,ki->i", q.conj(), u, q)), q
 
 
 def unitary_log_generator(u):

@@ -445,15 +445,6 @@ def random_hermitian_field(axes, dim, seed, bandwidth=2, scale=0.35):
     return matrices_last(0.5 * (h + inverse_planes(h)))
 
 
-def random_unwindable_field(n_grid, dim, seed, bandwidth=2):
-    """Random smooth zero-winding torus field with its tube extension."""
-    ax = loop_axis(n_grid)
-    h = random_hermitian_field((ax, ax), dim, seed, bandwidth)
-    base = constant_field((ax, ax), np.eye(dim, dtype=complex))
-    ext = tube_extension(base, 1j * h)
-    return FieldGrid(axes=(ax, ax), samples=ext.samples[-1], name=f"rand{seed}"), ext
-
-
 # ------------------------------------------- Polyakov-Wiegmann functionals
 
 def alpha_integral(g: FieldGrid, h: FieldGrid):

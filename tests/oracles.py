@@ -1,8 +1,8 @@
 """Checks and fields that only the tests use: matrix residuals, residual
 reports of families, frames and gauges with their bounds, the
 eigendecomposition frames the lattice oracles once used, the Stokes check
-of the curvature, random equivariant fields, and the rate of change of the
-WZ action along a deformation.
+of the curvature, random unwindable and equivariant fields, and the rate
+of change of the WZ action along a deformation.
 
 Each reads the program's public objects and returns numbers; none of them
 is on a request path, so they live here and not in `topoinv`.
@@ -17,8 +17,8 @@ from topoinv.core import TRSOperator
 from topoinv.grids import Axis, integrate_grid, loop_axis, reflect, torus_points
 from topoinv.linalg import entries_first, inverse_planes, plane_product, trace_product
 from topoinv.transport import _occupied_basis, _segment_transport
-from topoinv.wz import (FieldGrid, _integral, normal_form_field, random_hermitian_field,
-                        tube_extension)
+from topoinv.wz import (FieldGrid, _integral, constant_field, normal_form_field,
+                        random_hermitian_field, tube_extension)
 
 # Bounds of the residual reports below, which the library never reads.
 PROJECTOR_TOL = 1e-10           # ||P^2 - P|| + ||P - P*||
@@ -158,6 +158,15 @@ def bloch_hermiticity_residual(spec):
     rng = np.random.default_rng(7)
     h = spec.bloch(rng.uniform(-np.pi, np.pi, size=(1000, 2)))
     return float(np.max(np.abs(h - np.conjugate(np.swapaxes(h, -1, -2)))))
+
+
+def random_unwindable_field(n_grid, dim, seed, bandwidth=2):
+    """Random smooth zero-winding torus field with its tube extension."""
+    ax = loop_axis(n_grid)
+    h = random_hermitian_field((ax, ax), dim, seed, bandwidth)
+    base = constant_field((ax, ax), np.eye(dim, dtype=complex))
+    ext = tube_extension(base, 1j * h)
+    return FieldGrid(axes=(ax, ax), samples=ext.samples[-1], name=f"rand{seed}"), ext
 
 
 def random_equivariant_field(n_grid, theta, seed, bandwidth=2, windings=(0, 0)):

@@ -1,5 +1,8 @@
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import topoinv
@@ -37,3 +40,27 @@ def test_every_tolerance_is_read_by_the_library():
     unread = [f.name for f in dataclasses.fields(topoinv.DEFAULT_TOL)
               if f"DEFAULT_TOL.{f.name}" not in sources]
     assert unread == []
+
+
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import topoinv, topoinv.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = topoinv.cli.main(["fkm", "--model", "kane_mele", "--json"])
+print(code, sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_the_program_runs_without_scipy():
+    """numpy is the only runtime dependency: a fresh interpreter that imports
+    topoinv and its CLI and runs an fkm request, the path that takes
+    unitary logarithms, has loaded no scipy module, and no source file of
+    the package names it."""
+    src = Path(topoinv.__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["0", "[]"]
+    assert [path.name for path in sorted(src.rglob("*.py")) if "scipy" in path.read_text()] == []

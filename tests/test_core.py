@@ -312,7 +312,7 @@ def test_kept_eigensystem_changes_no_output(haldane_topo, km_topo, theta4):
 @pytest.mark.parametrize("argv,matrices", [
     (["chern", "--model", "haldane", "--param", "m=0.6"], 20_480),
     (["fkm", "--model", "kane_mele", "--param", "lambda_so=0.3",
-      "--param", "lambda_v=1.44"], 16_006),
+      "--param", "lambda_v=1.44"], 16_010),
 ])
 def test_request_eigh_counts(monkeypatch, capsys, argv, matrices):
     """Matrices diagonalized by one request at the default grids: a chern
@@ -320,7 +320,8 @@ def test_request_eigh_counts(monkeypatch, capsys, argv, matrices):
     and the plaquette oracle's frames need none; an fkm request its probe
     grid once and its half-zone grid once for the curvature and the lattice
     oracle (plus its transports, whose 2 x 512 Magnus steps take one eigh
-    each for their exponentials); the oracles diagonalize nothing."""
+    each for their exponentials, and the logarithms of its four 2 x 2
+    mismatch gauges, one eigh each); the oracles diagonalize nothing."""
     count = _count_eigh(monkeypatch)
     assert cli.main(argv + ["--json"]) == 0
     capsys.readouterr()

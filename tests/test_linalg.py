@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from topoinv import linalg
+from topoinv.config import DEFAULT_TOL
 from topoinv.errors import BranchAmbiguity, OddRank, PairingFailure, TopoinvError
 
 from oracles import hermiticity_residual, projector_residual, unitarity_residual
@@ -91,6 +92,60 @@ def test_plane_product_matches_matmul():
     assert np.max(np.abs(single - x[0, 0] @ y[0, 0])) <= 1e-14
     tr = linalg.trace_product(linalg.entries_first(x), linalg.entries_first(linalg.dagger(x)))
     assert np.max(np.abs(tr - np.trace(x @ linalg.dagger(x), axis1=-2, axis2=-1))) <= 1e-13
+
+
+def _unitary_cases(n, seed):
+    """Unitaries of size n: random ones, multiples of 1 (at 0.7, +1 and -1),
+    a pair of phases split by 1e-9, phases at +1 and -1, and a phase 1e-14
+    below 0, each in a random basis."""
+    rng = np.random.default_rng(seed)
+    q = random_unitary(n, seed + 100)
+    spectra = [rng.uniform(-np.pi, np.pi, n) for _ in range(3)]
+    spectra += [np.full(n, 0.7), np.zeros(n), np.full(n, np.pi)]
+    split = rng.uniform(-np.pi, np.pi, n)
+    split[-1] = split[0] + 1e-9
+    edges = rng.uniform(-np.pi, np.pi, n)
+    edges[0] = np.pi
+    edges[-1] = 0.0
+    below = rng.uniform(-np.pi, np.pi, n)
+    below[-1] = -1e-14
+    spectra += [split, edges, below]
+    return ([random_unitary(n, seed + j) for j in range(3)]
+            + [(q * np.exp(1j * phases)) @ linalg.dagger(q) for phases in spectra])
+
+
+def _on_circle(phases):
+    """Sorted phases, with those within rounding of -pi read as +pi: the two
+    name the same eigenvalue -1."""
+    return np.sort(np.where(phases < -np.pi + 1e-13, phases + 2.0 * np.pi, phases))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_unitary_eig_matches_schur(n):
+    """Phases and basis from the Cayley transform against scipy's complex
+    Schur form, which is an orthonormal eigenbasis for a normal matrix: the
+    basis is orthonormal and rebuilds u, the phases lie in (-pi, pi] and
+    equal Schur's, and the logarithms built on either basis agree, at
+    degenerate and 1e-9-split phases as at generic ones."""
+    snap = DEFAULT_TOL.branch_snap
+    for u in _unitary_cases(n, seed=10 * n):
+        phases, q = linalg.unitary_eig(u)
+        assert np.max(np.abs(linalg.dagger(q) @ q - np.eye(n))) <= 1e-13
+        assert np.max(np.abs((q * np.exp(1j * phases)) @ linalg.dagger(q) - u)) <= 1e-13
+        assert np.all(np.abs(phases) <= np.pi)
+        t, z = scipy.linalg.schur(u, output="complex")
+        ref = np.angle(np.diagonal(t))
+        assert np.max(np.abs(_on_circle(phases) - _on_circle(ref))) <= 1e-13
+
+        lifted = np.where(np.abs(ref) <= snap, 0.0, ref)
+        lifted = np.where(lifted < 0.0, lifted + 2.0 * np.pi, lifted)
+        m_ref = (z * (lifted / (2.0 * np.pi))) @ linalg.dagger(z)
+        m, _ = linalg.unitary_log_generator(u)
+        assert np.max(np.abs(m - 0.5 * (m_ref + linalg.dagger(m_ref)))) <= 1e-13
+        if np.all(np.pi - np.abs(ref) >= DEFAULT_TOL.log_branch):
+            l_ref = (z * (1j * ref)) @ linalg.dagger(z)
+            l, _ = linalg.principal_log_unitary(u)
+            assert np.max(np.abs(l - 0.5 * (l_ref - linalg.dagger(l_ref)))) <= 1e-13
 
 
 def test_unitary_log_generator_identity():

@@ -17,9 +17,10 @@ from topoinv.grids import (integrate_grid, interval_axis, loop_axis,
 from topoinv.wz import (FieldGrid, alpha_integral, apw_functional, beta_integral,
                         conjugated_field, constant_field, inverse_field,
                         product_field, pw_functional, random_hermitian_field,
-                        random_unwindable_field, tube_extension)
+                        tube_extension)
 
-from oracles import equivariance_residual, random_equivariant_field, wz_derivative
+from oracles import (equivariance_residual, random_equivariant_field,
+                     random_unwindable_field, wz_derivative)
 
 TWO_PI = 2 * np.pi
 
