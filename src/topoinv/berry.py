@@ -4,8 +4,12 @@ Chern number, and the boundary-minus-bulk Z2 obstruction invariant.
 Connections come from Bloch frames either through the exact channel every
 frame construction and gauge transform records or by spectral
 differentiation of the frame samples; both paths are kept and
-cross-checked. Quadratures are periodic trapezoid (spectrally accurate on
-smooth periodic data) with composite Simpson along the half-zone direction.
+cross-checked. The curvature takes the TKNN/Kubo form
+Omega = 2 Im sum_{o occ, e empty} (X_1)_oe conj((X_2)_oe) on the interband
+blocks of the projector family (`ProjectorFamily.interband`), so it is real
+by construction and forms no N x N derivative plane. Quadratures are
+periodic trapezoid (spectrally accurate on smooth periodic data) with
+composite Simpson along the half-zone direction.
 """
 
 from dataclasses import dataclass
@@ -92,7 +96,6 @@ class CurvatureField:
 
     axes: tuple                   # (Axis, Axis)
     omega: np.ndarray             # real (n1[, +1], n2)
-    imag_max: float
     family: ProjectorFamily
 
     def integral(self):
@@ -100,40 +103,38 @@ class CurvatureField:
 
 
 def _omega_on(family: ProjectorFamily, ks):
-    """-i Tr{ P [d1 P, d2 P] } at the points ks, on the planes under the
-    family's (..., N, N) views of P and its derivatives. A model whose dP
-    products overflow gets a non-finite Omega, which never snaps, so the
-    overflow is not also warned about."""
-    p, (d1, d2) = family.derivative(ks, (0, 1))
-    p, d1, d2 = (linalg.entries_first(x) for x in (p, d1, d2))
+    """Omega = 2 Im Tr{ X_1 X_2^+ } at the points ks, from the family's
+    interband blocks X_a = V_o^+ d_aH V_e / (e_o - e_e): the TKNN/Kubo form
+    (Thouless, Kohmoto, Nightingale, den Nijs, PRL 49, 405 (1982); Xiao,
+    Chang, Niu, RMP 82, 1959 (2010)) of -i Tr{ P [d1 P, d2 P] }, with no
+    N x N plane of dP formed. A model whose block products overflow gets a
+    non-finite Omega, which never snaps, so the overflow is not also warned
+    about."""
+    _, (x1, x2) = family.interband(ks, (0, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        comm = linalg.plane_product(d1, d2)
-        comm -= linalg.plane_product(d2, d1)
-        omega = -1j * linalg.trace_product(p, comm)
-    return omega.real, float(np.max(np.abs(omega.imag)))
+        return 2.0 * linalg.trace_product(x1, linalg.inverse_planes(x2)).imag
 
 
 def berry_curvature(family: ProjectorFamily, n_grid=N_2D):
-    """Omega(k) = -i Tr{ P [d1 P, d2 P] } on the full torus grid."""
+    """Omega(k) = 2 Im Tr{ X_1 X_2^+ } on the full torus grid."""
     ax = loop_axis(n_grid)
-    omega, imag_max = _omega_on(family, torus_points(ax, ax))
-    return CurvatureField(axes=(ax, ax), omega=omega, imag_max=imag_max, family=family)
+    return CurvatureField(axes=(ax, ax), omega=_omega_on(family, torus_points(ax, ax)),
+                          family=family)
 
 
 def berry_curvature_ebz(family: ProjectorFamily, n1=N_2D // 2, n2=N_2D):
     """Curvature on the half zone [0, pi] x T (k1 inclusive of both ends)."""
     ax1 = ebz_axis(n1)
     ax2 = loop_axis(n2)
-    omega, imag_max = _omega_on(family, torus_points(ax1, ax2))
-    return CurvatureField(axes=(ax1, ax2), omega=omega, imag_max=imag_max, family=family)
+    return CurvatureField(axes=(ax1, ax2), omega=_omega_on(family, torus_points(ax1, ax2)),
+                          family=family)
 
 
 def chern_number(curvature: CurvatureField):
     """C = (1/2 pi) integral of the curvature over the torus, snapped."""
     raw = curvature.integral() / TWO_PI
     return snap_integer("Chern", raw,
-                        meta={"imag_max": curvature.imag_max,
-                              "grid": tuple(ax.n for ax in curvature.axes)})
+                        meta={"grid": tuple(ax.n for ax in curvature.axes)})
 
 
 def delta_invariant(z2):

@@ -21,6 +21,7 @@ runtimes by design).
 """
 
 import argparse
+import functools
 import json
 import math
 import multiprocessing
@@ -329,7 +330,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: `_COMMANDS` binds each
+    subcommand's handler at import, and parsing leaves the parser as it
+    was, so every call of `main` can share it."""
     parser = _Parser(
         prog="topoinv",
         description="Topological band invariants: Chern numbers, the Z2 "

@@ -3,18 +3,22 @@ time-reversal structure acting on them.
 
 A ProjectorFamily is the occupied-band projector P(k) of a Bloch
 Hamiltonian H(k), on the torus or on a line through it. One eigensystem of H
-per set of points gives P and, through `derivative`, its derivatives exactly
-from the planes of dH (`models.fourier_planes`) by perturbation theory. The
-eigensystem is held in the plane layout of `linalg` (eigenvalues band-first,
-eigenvectors entries-first), so P, the band-basis dH and dP are plane
-products over the whole point set; P and dP are handed out as (..., N, N)
-views of their planes. The family keeps the eigensystem of its gap probe for
-its whole life and, beside it, that of the last point set it diagonalized,
-so consumers that read the same grid one after another, such as the
-curvature and the lattice oracle of one request, diagonalize H on that grid
-once, and the probe grid is never diagonalized twice. The TRSOperator is
-the antiunitary theta = J K (K = complex conjugation) with theta^2 = -1 in
-the working basis.
+per set of points gives P and, by first-order perturbation theory on the
+planes of dH (`models.fourier_planes`), the interband blocks
+X_a = V_o^+ d_aH V_e / (e_o - e_e) between occupied and empty bands
+(`interband`). Everything downstream of the eigensystem is built from those
+blocks by one code path: dP = Y + Y^+ with Y = V_o X V_e^+ (`derivative`),
+and the Berry curvature 2 Im sum X_1 conj(X_2) (`berry`), which needs no
+N x N derivative plane. The eigensystem is held in the plane layout of
+`linalg` (eigenvalues band-first, eigenvectors entries-first), so P, the
+blocks and dP are plane products over the whole point set; P and dP are
+handed out as (..., N, N) views of their planes. The family keeps the
+eigensystem of its gap probe for its whole life and, beside it, that of the
+last point set it diagonalized, so consumers that read the same grid one
+after another, such as the curvature and the lattice oracle of one request,
+diagonalize H on that grid once, and the probe grid is never diagonalized
+twice. The TRSOperator is the antiunitary theta = J K (K = complex
+conjugation) with theta^2 = -1 in the working basis.
 """
 
 from dataclasses import dataclass, field, replace
@@ -130,40 +134,48 @@ class ProjectorFamily:
         occupied = v[:, :self.rank]
         return matrices_last(plane_product(occupied, inverse_planes(occupied)))
 
+    def interband(self, ks, directions):
+        """The eigenvectors V = (V_o, V_e) at ks in plane layout, and an
+        iterator over the interband blocks, one per entry of `directions`
+        (torus axes, or direction vectors):
+        X_a = (V_o^+ d_aH V_e)_ij / (e_i - e_j), (rank, N - rank, ...).
+
+        Each block is formed only when the iterator reaches it, from a dH
+        plane set that is dropped before the next is formed. Only
+        occupied-empty pairs are divided, so degenerate occupied levels
+        never are, and the gap check bounds every denominator below by the
+        gap threshold.
+        """
+        k, w, v = self._eigensystem(ks)
+        v_occ_t, v_emp = v[:, :self.rank].swapaxes(0, 1), v[:, self.rank:]
+        gaps = w[:self.rank, None] - w[None, self.rank:]
+
+        def blocks():
+            for dh in fourier_planes(self.spec.terms, k, directions):
+                # X = conj(V_o^T conj(dH V_e)): no conjugated copy of V_o
+                x = plane_product(dh, v_emp)
+                del dh
+                x = plane_product(v_occ_t, np.conjugate(x, out=x))
+                np.conjugate(x, out=x)
+                x /= gaps
+                yield x
+
+        return v, blocks()
+
     def derivative(self, ks, axis=0):
         """(P, dP/dk_axis) on an array of k-points (along the line for a
         loop), both from one eigensystem of H; P equals `sample(ks)` exactly.
 
-        First-order perturbation theory on that eigensystem, with
-        V = (V_o, V_e) split into occupied and empty columns:
-        dP = V (X + X^+) V^+, where X vanishes outside its occupied-empty
-        block X_oe = (V_o^+ dH V_e)_ij / (e_i - e_j), so dP = Y + Y^+ with
-        Y = V_o X_oe V_e^+. Only occupied-empty pairs are divided, so
-        degenerate occupied levels never are, and the gap check bounds every
-        denominator below by the gap threshold. A tuple of torus axes gives
-        (P, (dP, ...)), one dP per axis.
+        With V = (V_o, V_e) split into occupied and empty columns and X the
+        interband block along the axis, dP = V (X + X^+) V^+ with X placed
+        in its occupied-empty corner, that is dP = Y + Y^+ with
+        Y = V_o X V_e^+.
         """
-        if isinstance(axis, tuple) and self.line is not None:
-            raise ValueError("a tuple of axes needs a torus family")
-        k, w, v = self._eigensystem(ks)
-        v_occ, v_emp = v[:, :self.rank], v[:, self.rank:]
-        v_occ_dag, v_emp_dag = inverse_planes(v_occ), inverse_planes(v_emp)
-        gaps = w[:self.rank, None] - w[None, self.rank:]
-        p = plane_product(v_occ, v_occ_dag)
-
-        def along(dh):
-            x = plane_product(v_occ_dag, plane_product(dh, v_emp))
-            x /= gaps
-            dp = plane_product(plane_product(v_occ, x), v_emp_dag)
-            dp += inverse_planes(dp)
-            return matrices_last(dp)
-
-        if isinstance(axis, tuple):
-            dh = fourier_planes(self.spec.terms, k, axis)
-            # popped, so each dH is freed once its dP is formed
-            return matrices_last(p), tuple(along(dh.pop(0)) for _ in axis)
-        dh, = fourier_planes(self.spec.terms, k, (axis if self.line is None else self.line[1],))
-        return matrices_last(p), along(dh)
+        v, (x,) = self.interband(ks, (axis if self.line is None else self.line[1],))
+        v_occ = v[:, :self.rank]
+        dp = plane_product(plane_product(v_occ, x), inverse_planes(v[:, self.rank:]))
+        dp += inverse_planes(dp)
+        return matrices_last(plane_product(v_occ, inverse_planes(v_occ))), matrices_last(dp)
 
     def restrict(self, origin, direction, name):
         """The loop s -> P(origin + s direction) of a torus family."""

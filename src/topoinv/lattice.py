@@ -30,6 +30,11 @@ def _frames(p, theta=None):
     diagonal entry, and at step i the largest is at least (m - i) / N, so
     every pivot is well conditioned.
 
+    What is left after the frame vectors e_a is the projector
+    P - sum_a e_a e_a^+, of which only the diagonal is kept; the pivot
+    column j is formed from P as P[:, j] - sum_a e_a conj(e_a[j]), so no
+    N x N residual is copied at any step.
+
     With the time reversal `theta` (P Theta-invariant, at a fixed momentum)
     each pivot e is followed by its Kramers partner J conj(e), which is
     orthogonal to e and to the earlier pairs, so the frame is
@@ -37,24 +42,24 @@ def _frames(p, theta=None):
     m = int(round(np.trace(p[(0,) * (p.ndim - 2)]).real))
     frames = np.empty(p.shape[:-1] + (m,), dtype=complex)
     step = 1 if theta is None else 2
-    rest = p
+    rest = np.diagonal(p, axis1=-2, axis2=-1).real.copy()
     for i in range(0, m, step):
-        j = np.argmax(np.diagonal(rest, axis1=-2, axis2=-1).real, axis=-1)
-        col = np.take_along_axis(rest, j[..., None, None], axis=-1)[..., 0]
+        j = np.argmax(rest, axis=-1)[..., None]
+        col = np.take_along_axis(p, j[..., None], axis=-1)[..., 0]
+        for e in np.moveaxis(frames[..., :i], -1, 0):
+            col = col - e * np.conjugate(np.take_along_axis(e, j, axis=-1))
         e = frames[..., i] = col / np.linalg.norm(col, axis=-1, keepdims=True)
         if theta is not None:
             frames[..., i + 1] = np.conjugate(e) @ theta.j.T
-        if i + step < m:
-            for v in np.moveaxis(frames[..., i:i + step], -1, 0):
-                rest = rest - v[..., :, None] * np.conjugate(v)[..., None, :]
+        for e in np.moveaxis(frames[..., i:i + step], -1, 0):
+            rest -= (e * np.conjugate(e)).real
     return frames
 
 
 def _link_phase(e1, e2):
     """Argument of det of the frame overlap E1^+ E2, batched; the overlap
-    is one multiply-sum over the ambient axis."""
-    ov = np.sum(np.conjugate(e1)[..., :, None] * e2[..., None, :], axis=-3)
-    return np.angle(np.linalg.det(ov))
+    is one contraction over the ambient axis."""
+    return np.angle(np.linalg.det(np.einsum("...na,...nb->...ab", np.conjugate(e1), e2)))
 
 
 def plaquette_chern(family: ProjectorFamily, n_grid=64):

@@ -26,23 +26,23 @@ S0 = np.eye(2, dtype=complex)
 
 def fourier_planes(terms, ks, directions=(None,)):
     """sum_v T_v exp(i k.v) over (matrix T_v, vector v) terms at k-points
-    (..., 2), as entries-first planes (N, N, ...), in a list with one array
-    per entry of `directions`: None gives H itself, a torus axis or a
-    direction d the exact derivative along d, each matrix weighted by
-    i (v.d). Every entry is one contraction of its weighted stack of
-    matrices with the same (T, ...) table of phases, built once per call."""
+    (..., 2), as entries-first planes (N, N, ...), yielded one array per
+    entry of `directions`: None gives H itself, a torus axis or a direction
+    d the exact derivative along d, each matrix weighted by i (v.d). Every
+    entry is one contraction of its weighted stack of matrices with the same
+    (T, ...) table of phases, built once per call; an entry is formed only
+    when it is reached, so a consumer that drops each before asking for the
+    next holds one set of planes at a time."""
     mats = np.stack([m for m, _ in terms], axis=-1)
     vecs = np.array([v for _, v in terms], dtype=float)
     phase = 1j * np.tensordot(vecs, np.asarray(ks, dtype=float), axes=(1, -1))
     np.exp(phase, out=phase)
-    planes = []
     for d in directions:
         weighted = mats
         if d is not None:
             d = np.eye(2)[d] if np.ndim(d) == 0 else np.asarray(d, dtype=float)
             weighted = mats * (1j * (vecs @ d))
-        planes.append(np.tensordot(weighted, phase, axes=1))
-    return planes
+        yield np.tensordot(weighted, phase, axes=1)
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,14 @@ of one small product per grid point; the projector family forms P and dP
 with the same plane-product kernel.
 
 The projector extensions exp(i w(t) P(k)) = 1 + (e^{i w(t)} - 1) P(k) of
-U_P and Phi are rank-one in t, so they are ProjectorExtensions: P and its
-torus derivatives on the 2D grid and the t factor are stored. Their 3-form
-density is a polynomial of degree 3 in the conjugate t factor whose
-coefficients are four trace fields on the 2D grid, so it is evaluated on
-the whole 3D grid without forming any t slice.
+U_P and Phi are rank-one in t, so they are ProjectorExtensions, built by
+one builder: P and its torus derivatives on the 2D grid and the t factor
+are stored, with P and the exact d1P from one `ProjectorFamily.derivative`
+call and d2P spectral. Their 3-form density is a polynomial of degree 3 in
+the conjugate t factor whose coefficients are four trace fields on the 2D
+grid. Its integral contracts the t-axis Simpson weights with the four
+t-factor columns first, so neither a t slice nor the density on the 3D
+grid is formed.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -36,7 +39,7 @@ from .config import DEFAULT_TOL, N_2D, N_LOOP
 from .core import ProjectorFamily, TRSOperator
 from .errors import DimensionMismatch, NotAnExtension, NotTRSFrame
 from .grids import (ebz_axis, integrate_grid, interval_axis, loop_axis,
-                    grid_derivative, spectral_derivative, torus_points,
+                    grid_derivative, quad_weights, spectral_derivative, torus_points,
                     unit_circle_axis)
 from .linalg import (entries_first, inverse_planes, matrices_last, plane_product,
                      trace_product)
@@ -97,6 +100,10 @@ class FieldGrid:
             dens[j] = _triple_density(slab, derivs, self.axes)
         return dens
 
+    def triple_integral(self):
+        """The grid integral of `triple_density`."""
+        return integrate_grid(self.triple_density(), list(self.axes))
+
 
 @dataclass(frozen=True)
 class ProjectorExtension:
@@ -105,8 +112,10 @@ class ProjectorExtension:
 
     Only P and its torus derivatives dp = (d1 P, d2 P) on the 2D grid, in
     the entries-first layout (N, N, n1, n2), and f, f' on the t axis are
-    stored, so no array of matrices spans the 3D grid. The 3-form density
-    is built from 2D trace fields (`triple_density`). Slice j is 1 + f_j P
+    stored, so no array of matrices spans the 3D grid; `_projector_extension`
+    builds them for U_P and Phi. The 3-form density is built from 2D trace
+    fields and t-factor columns (`triple_density`), and its integral
+    contracts the t axis first (`triple_integral`). Slice j is 1 + f_j P
     with the exact channels {0: f'_j P, 1: f_j d1P, 2: f_j d2P}, returned
     as (n1, n2, N, N) views of entries-first planes. `samples` and
     `derivative(i)` build the full arrays each time they are read.
@@ -139,14 +148,10 @@ class ProjectorExtension:
         return matrices_last(value), {i: matrices_last(t[j] * x)
                                       for i, (t, x) in enumerate(self._channels())}
 
-    def triple_density(self):
-        """3 Tr{A0 [A1, A2]} on the whole grid, with g^-1 read as
-        1 + conj(f) P^+: A0 = f'(P + conj(f) P^+P) and
-        A_i = f(d_iP + conj(f) P^+d_iP), so the density is
-        3 f' f^2 sum_n conj(f)^n T_n(k), n = 0..3, with the 2D trace fields
-        T_n = sum_{a+b+c=n} Tr{U_a [V_b, W_c]}, U = (P, P^+P),
-        V = (d1P, P^+d1P), W = (d2P, P^+d2P). No projector identity is
-        used, so it equals the slice-wise density up to rounding."""
+    def _trace_fields(self):
+        """The 2D trace fields T_n = sum_{a+b+c=n} Tr{U_a [V_b, W_c]},
+        n = 0..3, with U = (P, P^+P), V = (d1P, P^+d1P), W = (d2P, P^+d2P):
+        11 plane products whatever the number of t slices."""
         p_dag = inverse_planes(self.p)
         u, v, w = ((x, plane_product(p_dag, x)) for x in (self.p,) + self.dp)
         comm = {(b, c): plane_product(v[b], w[c]) - plane_product(w[c], v[b])
@@ -155,10 +160,32 @@ class ProjectorExtension:
         for a in (0, 1):
             for (b, c), x in comm.items():
                 t[a + b + c] += trace_product(u[a], x)
-        fbar_powers = np.conjugate(self.f)[:, None] ** np.arange(4)
-        dens = np.tensordot(fbar_powers, t, axes=1)    # sum_n conj(f)^n T_n
-        dens *= 3.0 * (self.df * self.f ** 2)[:, None, None]
-        return dens
+        return t
+
+    def _t_columns(self):
+        """The (n_t [+1], 4) t factors 3 f' f^2 conj(f)^n of T_n."""
+        return ((3.0 * self.df * self.f ** 2)[:, None]
+                * np.conjugate(self.f)[:, None] ** np.arange(4))
+
+    def triple_density(self):
+        """3 Tr{A0 [A1, A2]} on the whole grid, with g^-1 read as
+        1 + conj(f) P^+: A0 = f'(P + conj(f) P^+P) and
+        A_i = f(d_iP + conj(f) P^+d_iP), so the density is
+        3 f' f^2 sum_n conj(f)^n T_n(k), n = 0..3 (`_trace_fields`). No
+        projector identity is used, so it equals the slice-wise density up
+        to rounding."""
+        return np.tensordot(self._t_columns(), self._trace_fields(), axes=1)
+
+    def triple_integral(self):
+        """The grid integral of `triple_density`, with the t-axis quadrature
+        weights contracted with the four t-factor columns first, so the
+        density on the 3D grid is never formed. A model whose exact d1P
+        overflows gets a non-finite integral, which fails every check that
+        reads it, so the overflow is not also warned about."""
+        weights = quad_weights(self.axes[0]) @ self._t_columns()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return integrate_grid(np.tensordot(weights, self._trace_fields(), axes=1),
+                                  list(self.axes[1:]))
 
     @property
     def samples(self):
@@ -341,18 +368,20 @@ def chi_triple_integral(g: FieldGrid):
     the axis order of the grid. For a unitary field the result is real up to
     differencing noise; the size of its imaginary part is returned as well.
 
-    Each field supplies its density, `g.triple_density()`, with g^-1 = g^+
-    read as the conjugate-transposed planes. A FieldGrid evaluates it one
-    slice of the leading axis at a time, in the entries-first layout
-    (N, N, n1, n2): an N x N product is then N^3 multiply-adds over whole
-    planes instead of one tiny product per grid point, whose per-matrix
-    overhead would dominate, and no matrix temporary spans the whole grid.
-    A ProjectorExtension 1 + f(t) P(k) builds it from four trace fields on
-    the 2D grid, with 11 plane products whatever the number of t slices.
+    Each field supplies the integral of its density, `g.triple_integral()`,
+    with g^-1 = g^+ read as the conjugate-transposed planes. A FieldGrid
+    evaluates the density one slice of the leading axis at a time, in the
+    entries-first layout (N, N, n1, n2): an N x N product is then N^3
+    multiply-adds over whole planes instead of one tiny product per grid
+    point, whose per-matrix overhead would dominate, and no matrix temporary
+    spans the whole grid. A ProjectorExtension 1 + f(t) P(k) builds four
+    trace fields on the 2D grid, with 11 plane products whatever the number
+    of t slices, and contracts the t axis before the torus quadrature.
     """
     if g.n_axes != 3:
         raise DimensionMismatch("triple integral needs a 3-axis field")
-    return _integral(g.triple_density(), g.axes)
+    total = g.triple_integral()
+    return float(np.real(total)), float(abs(np.imag(total)))
 
 
 def _triple_density(slab, derivs, axes):
@@ -578,30 +607,37 @@ def wz_amplitude_phi(loop, method="reduced"):
                    meta={"method": method, **meta})
 
 
+def _projector_extension(family: ProjectorFamily, t_ax, k1_ax, n2, phase, dphase, name):
+    """The ProjectorExtension 1 + (phase(t) - 1) P(k) on t_ax x k1_ax x T,
+    with n2 points on T: P and the exact d1 P from one
+    `family.derivative` call, which reads a kept eigensystem when the grid
+    has one, and the spectral d2 P."""
+    k2_ax = loop_axis(n2)
+    p, dp1 = map(entries_first, family.derivative(torus_points(k1_ax, k2_ax), 0))
+    return ProjectorExtension(axes=(t_ax, k1_ax, k2_ax), p=p,
+                              dp=(dp1, spectral_derivative(p, 3, k2_ax)),
+                              f=phase - 1.0, df=dphase, name=name)
+
+
 def up_extension(family: ProjectorFamily, n_t=64, n1=64, n2=64, path="forward"):
     """Extension exp(i w(t) P(k)) = 1 + (e^{i w(t)} - 1) P(k) of U_P = 1 - 2P
-    over [0,1] x T^2, as a ProjectorExtension: P on the n1 x n2 torus grid with
-    its spectral torus derivatives, and the t factor.
+    over [0,1] x T^2, as a ProjectorExtension: P on the n1 x n2 torus grid
+    with its exact d1 P from the projector family and its spectral d2 P,
+    and the t factor.
 
     path selects the phase ramp w(t): "forward" pi t, "reverse" -pi t,
     "reparam" pi t (2 - t); all end at U_P, providing independent extensions
     whose actions differ by elements of 2 pi Z.
     """
     t_ax = interval_axis(n_t, 0.0, 1.0, name="t")
-    k_ax = loop_axis(n1)
-    k2_ax = loop_axis(n2)
-    p = entries_first(family.sample(torus_points(k_ax, k2_ax)))
     t = t_ax.points
     omega = {"forward": np.pi * t, "reverse": -np.pi * t,
              "reparam": np.pi * t * (2.0 - t)}[path]
     domega = {"forward": np.pi * np.ones_like(t), "reverse": -np.pi * np.ones_like(t),
               "reparam": np.pi * (2.0 - 2.0 * t)}[path]
     phase = np.exp(1j * omega)
-    return ProjectorExtension(axes=(t_ax, k_ax, k2_ax), p=p,
-                              dp=(spectral_derivative(p, 2, k_ax),
-                                  spectral_derivative(p, 3, k2_ax)),
-                              f=phase - 1.0, df=1j * domega * phase,
-                              name=f"U_P extension ({path})")
+    return _projector_extension(family, t_ax, loop_axis(n1), n2, phase,
+                                1j * domega * phase, f"U_P extension ({path})")
 
 
 def phi_ebz_extension(family: ProjectorFamily, n_t=16, n1=64, n2=64):
@@ -609,14 +645,9 @@ def phi_ebz_extension(family: ProjectorFamily, n_t=16, n1=64, n2=64):
     as a ProjectorExtension with the exact d1 P of the projector family and
     the spectral d2 P."""
     t_ax = unit_circle_axis(n_t)
-    k1_ax = ebz_axis(n1)
-    k2_ax = loop_axis(n2)
-    p, dp1 = map(entries_first, family.derivative(torus_points(k1_ax, k2_ax), 0))
     tphase = np.exp(TWO_PI * 1j * t_ax.points)
-    return ProjectorExtension(axes=(t_ax, k1_ax, k2_ax), p=p,
-                              dp=(dp1, spectral_derivative(p, 3, k2_ax)),
-                              f=tphase - 1.0, df=TWO_PI * 1j * tphase,
-                              name="Phi on S1 x EBZ")
+    return _projector_extension(family, t_ax, ebz_axis(n1), n2, tphase,
+                                TWO_PI * 1j * tphase, "Phi on S1 x EBZ")
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,7 @@ def holonomy_flux_check(family, corner, widths):
     boundary_phase = float(np.angle(np.linalg.det(hol)))
     ax1 = Axis("k1", a1, w1, n_edge, periodic=False)
     ax2 = Axis("k2", a2, w2, n_edge, periodic=False)
-    omega, _ = _omega_on(family, torus_points(ax1, ax2))
+    omega = _omega_on(family, torus_points(ax1, ax2))
     flux = float(integrate_grid(omega, [ax1, ax2]))
     diff = (boundary_phase + flux + np.pi) % (2.0 * np.pi) - np.pi
     return boundary_phase, flux, float(abs(diff))

@@ -158,8 +158,9 @@ def test_gauge_dimension_mismatch(km_topo):
 @pytest.mark.parametrize("name", ("haldane_topo", "km_topo", "bhz_topo"))
 def test_curvature_on_planes_matches_matmul_formula(name, request,
                                                      matmul_projector_derivative):
-    """The plane-product curvature on the full and the half zone equals
-    -i Tr{ P [d1 P, d2 P] } formed by (..., N, N) matmuls, within 1e-13."""
+    """The interband-block curvature on the full and the half zone equals
+    -i Tr{ P [d1 P, d2 P] } formed by (..., N, N) matmuls, within 1e-13,
+    and that matmul reference is real within 1e-13."""
     fam = replace(request.getfixturevalue(name))
     for field in (berry_curvature(fam, n_grid=16), berry_curvature_ebz(fam, n1=8, n2=16)):
         ax1, ax2 = field.axes
@@ -168,7 +169,7 @@ def test_curvature_on_planes_matches_matmul_formula(name, request,
         omega = -1j * np.trace(p @ (d1 @ d2 - d2 @ d1), axis1=-2, axis2=-1)
         assert field.omega.shape == omega.shape
         assert np.max(np.abs(field.omega - omega.real)) <= 1e-13
-        assert abs(field.imag_max - np.max(np.abs(omega.imag))) <= 1e-13
+        assert np.max(np.abs(omega.imag)) <= 1e-13
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -194,7 +195,6 @@ def test_random_gauge_matches_expm_frechet(m):
 
 def test_curvature_odd_under_trs(km_topo):
     curv = berry_curvature(km_topo, n_grid=64)
-    assert curv.imag_max < 1e-10
     assert odd_symmetry_residual(curv) < 1e-7
 
 

@@ -186,23 +186,23 @@ _PATHS = {"forward": (lambda t: np.pi * t, lambda t: np.pi * np.ones_like(t)),
 
 def _stored_extension(family, axes, kind, path):
     """Reference: the U_P or Phi extension as full stored arrays, samples
-    1 + (e^{iw} - 1) P and the exact channels (t; for Phi also k1), with
-    the spectral derivative of each slice on the remaining torus axes."""
+    1 + (e^{iw} - 1) P and the exact channels (t and k1), with the spectral
+    derivative of each slice on the remaining torus axis."""
     k1, k2 = np.meshgrid(axes[1].points, axes[2].points, indexing="ij")
     ks = np.stack([k1, k2], axis=-1)
     eye = np.eye(family.ambient_dim, dtype=complex)
     t = axes[0].points
+    p, dp1 = family.derivative(ks, 0)
     if kind == "phi_ebz":
-        p, dp1 = family.derivative(ks, 0)
         tfac = np.exp(TWO_PI * 1j * t)[:, None, None, None, None]
         samples = eye + (tfac - 1.0) * p[None]
         derivs = {0: TWO_PI * 1j * tfac * p[None], 1: (tfac - 1.0) * dp1[None]}
     else:
-        p = family.sample(ks)
         omega, domega = (fn(t) for fn in _PATHS[path])
-        phase = np.exp(1j * omega)
-        samples = eye + (phase[:, None, None, None, None] - 1.0) * p[None]
-        derivs = {0: (1j * domega * phase)[:, None, None, None, None] * p[None]}
+        phase = np.exp(1j * omega)[:, None, None, None, None]
+        samples = eye + (phase - 1.0) * p[None]
+        derivs = {0: 1j * domega[:, None, None, None, None] * phase * p[None],
+                  1: (phase - 1.0) * dp1[None]}
     for i in (1, 2):
         if i not in derivs:
             derivs[i] = np.stack([spectral_derivative(s, i - 1, axes[i]) for s in samples])
