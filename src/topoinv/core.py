@@ -169,8 +169,12 @@ class ProjectorFamily:
         With V = (V_o, V_e) split into occupied and empty columns and X the
         interband block along the axis, dP = V (X + X^+) V^+ with X placed
         in its occupied-empty corner, that is dP = Y + Y^+ with
-        Y = V_o X V_e^+.
+        Y = V_o X V_e^+. A torus family takes axis 0 or 1 only and raises
+        ValueError for anything else, a tuple of axes included; a loop
+        family differentiates along its line.
         """
+        if self.line is None and (np.ndim(axis) != 0 or axis not in (0, 1)):
+            raise ValueError(f"derivative axis must be 0 or 1, not {axis!r}")
         v, (x,) = self.interband(ks, (axis if self.line is None else self.line[1],))
         v_occ = v[:, :self.rank]
         dp = plane_product(plane_product(v_occ, x), inverse_planes(v[:, self.rank:]))

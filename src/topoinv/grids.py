@@ -95,7 +95,9 @@ def integrate_grid(values, axes):
 
 
 def spectral_derivative(samples, axis_index, axis: Axis):
-    """FFT differentiation along a periodic axis of grid-sampled data."""
+    """FFT differentiation along a periodic axis of grid-sampled data. The
+    wavenumber factor and the inverse transform work in place on the
+    transform of `samples`, so no other grid-sized array is made."""
     if not axis.periodic:
         raise ValueError("spectral differentiation needs a periodic axis")
     n = axis.n
@@ -106,7 +108,8 @@ def spectral_derivative(samples, axis_index, axis: Axis):
     fhat = np.fft.fft(samples, axis=axis_index)
     shape = [1] * samples.ndim
     shape[axis_index] = n
-    return np.fft.ifft(fhat * fac.reshape(shape), axis=axis_index)
+    fhat *= fac.reshape(shape)
+    return np.fft.ifft(fhat, axis=axis_index, out=fhat)
 
 
 # 4th-order finite-difference stencils on n+1 equally spaced points

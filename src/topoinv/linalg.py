@@ -11,7 +11,8 @@ whole planes (`plane_product`) instead of one tiny product per grid point,
 whose per-matrix overhead dominates at N = 2 and 4. The projector family
 and the Wess-Zumino densities both work in this layout; `matrices_last`
 turns planes back into a (..., N, M) view without copying, and
-`entries_first` of such a view returns its planes, again without copying.
+`entries_first` of such a view, or of any slice of it along the grid that
+keeps each plane contiguous, returns its planes, again without copying.
 """
 
 import numpy as np
@@ -31,9 +32,15 @@ def frob(a):
 
 
 def entries_first(samples):
-    """(..., N, M) matrices as a contiguous (N, M, ...) stack of planes."""
+    """(..., N, M) matrices as an (N, M, ...) stack of contiguous planes: a
+    view when every plane of `samples` is already contiguous (a
+    `matrices_last` view of planes, or a block of leading grid slices of
+    one), otherwise a contiguous copy."""
     nd = samples.ndim
-    return np.ascontiguousarray(samples.transpose(nd - 2, nd - 1, *range(nd - 2)))
+    planes = samples.transpose(nd - 2, nd - 1, *range(nd - 2))
+    if planes[0, 0, ...].flags.c_contiguous:
+        return planes
+    return np.ascontiguousarray(planes)
 
 
 def matrices_last(planes):
@@ -41,10 +48,12 @@ def matrices_last(planes):
     return planes.transpose(*range(2, planes.ndim), 0, 1)
 
 
-def inverse_planes(planes):
+def inverse_planes(planes, out=None):
     """Conjugate-transposed planes: the adjoint at every point, which is
-    the inverse of a unitary."""
-    return np.conjugate(planes).swapaxes(0, 1)
+    the inverse of a unitary; written into `out` when it is given."""
+    if out is None:
+        return np.conjugate(planes).swapaxes(0, 1)
+    return np.conjugate(planes.swapaxes(0, 1), out=out)
 
 
 def trace_product(x, y):
@@ -53,11 +62,14 @@ def trace_product(x, y):
     return np.einsum("ab...,ba...->...", x, y)
 
 
-def plane_product(x, y):
+def plane_product(x, y, out=None):
     """Matrix product of entries-first (N, M, ...) and (M, K, ...) arrays
     on the same grid, plane by plane; a single point, (N, M) by (M, K),
-    works the same way."""
-    out = np.empty(x.shape[:1] + y.shape[1:], dtype=np.result_type(x, y))
+    works the same way. The grids broadcast against each other, and the
+    product is written into `out` when it is given."""
+    if out is None:
+        grid = np.broadcast_shapes(x.shape[2:], y.shape[2:])
+        out = np.empty(x.shape[:1] + y.shape[1:2] + grid, dtype=np.result_type(x, y))
     term = np.empty_like(out[0, 0, ...])
     for a in range(out.shape[0]):
         for b in range(out.shape[1]):

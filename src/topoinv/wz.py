@@ -11,11 +11,14 @@ unwinding convention: their action is zero mod 2 pi, which is what makes
 Polyakov-Wiegmann values of winding fields computable.
 
 Matrix products of fields (products, inverses, adjoint products, tube
-extensions and the 3-form density) run one torus slice at a time, and the
-product-functional densities on the whole field, in the entries-first layout
-(N, N, n1, n2) of `linalg`, as N^3 multiply-adds over whole planes instead
-of one small product per grid point; the projector family forms P and dP
-with the same plane-product kernel.
+extensions and the 3-form density) run in blocks of torus slices of at most
+BLOCK_POINTS grid points, and the product-functional densities on the whole
+field, in the entries-first layout (N, N, *grid) of `linalg`, as N^3
+multiply-adds over whole planes instead of one small product per grid
+point; the projector family forms P and dP with the same plane-product
+kernel. The fields these builders make hold entries-first planes, so a
+block of them is read and written without a copy, and each field keeps its
+WZ integral once it is computed.
 
 The projector extensions exp(i w(t) P(k)) = 1 + (e^{i w(t)} - 1) P(k) of
 U_P and Phi are rank-one in t, so they are ProjectorExtensions, built by
@@ -28,7 +31,9 @@ t-factor columns first, so neither a t slice nor the density on the 3D
 grid is formed.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -48,6 +53,9 @@ from .results import snap_integer, snap_sign
 from .transport import BlochFrame, TransportResult, build_trs_frame
 
 TWO_PI = 2.0 * np.pi
+# Grid points per block of torus slices: a bound on every block temporary
+# that still amortizes the per-call overhead of the plane products.
+BLOCK_POINTS = 4096
 # the two time-reversal invariant loops k1 = 0 and k1 = pi, by label
 BOUNDARY_LOOPS = (("T0", 0.0), ("Tpi", np.pi))
 
@@ -59,6 +67,13 @@ class FieldGrid:
     Periodic axes hold n samples over one period; interval axes hold n+1
     samples including both ends. `derivs[i]`, when present, is the exact
     derivative along axis i on the same grid.
+
+    The fields this module builds (`tube_extension`, and products, inverses
+    and adjoint products through `_slicewise`) allocate entries-first
+    planes (N, N, *grid) and hold `samples` and `derivs` as `matrices_last`
+    views of them, so `entries_first` of a block of leading slices is a
+    view. A field is a value and is never written in place, so its WZ
+    integral is computed on the first request and kept.
     """
 
     axes: tuple
@@ -81,27 +96,32 @@ class FieldGrid:
         return grid_derivative(self.samples, i, self.axes[i])
 
     def slab(self, j):
-        """Slice j of the leading axis with its exact derivative channels:
+        """Slice j of the leading axis, or a block of slices when j is a
+        slice, with its exact derivative channels:
         (samples_j, {axis: derivative_j})."""
         return self.samples[j], {i: d[j] for i, d in self.derivs.items()}
 
     def triple_density(self):
-        """3 Tr{A0 [A1, A2]} on a 3-axis grid, one slice of the leading axis
-        at a time. A field without an axis-0 channel gets one whole-field
-        derivative(0), since its stencil needs the neighbouring slices."""
+        """3 Tr{A0 [A1, A2]} on a 3-axis grid, one block of leading-axis
+        slices at a time (`_slices`). A field without an axis-0 channel gets
+        one whole-field derivative(0), since its stencil needs the
+        neighbouring slices."""
         dens = np.empty(tuple(len(ax.points) for ax in self.axes), dtype=complex)
-        d0 = None
-        for j in range(len(dens)):
-            slab, derivs = self.slab(j)
-            if 0 not in derivs:
-                if d0 is None:
-                    d0 = self.derivative(0)
-                derivs[0] = d0[j]
-            dens[j] = _triple_density(slab, derivs, self.axes)
+        d0 = None if 0 in self.derivs else self.derivative(0)
+        for block in _slices(dens.shape):
+            slab, derivs = self.slab(block)
+            if d0 is not None:
+                derivs[0] = d0[block]
+            dens[block] = _triple_density(slab, derivs, self.axes)
         return dens
 
     def triple_integral(self):
-        """The grid integral of `triple_density`."""
+        """The grid integral of `triple_density`, computed on the first call
+        and kept on the field."""
+        return self._triple_total
+
+    @cached_property
+    def _triple_total(self):
         return integrate_grid(self.triple_density(), list(self.axes))
 
 
@@ -218,7 +238,7 @@ def conjugated_field(g: FieldGrid, h: FieldGrid):
     """The pointwise adjoint product g h g^-1."""
     _check_same_axes(g, h)
     samples, derivs = _slicewise(
-        lambda gs, hs: _product_rule(_product_rule(gs, hs), _inverse_rule(gs)),
+        lambda gs, hs, out: _product_rule(_product_rule(gs, hs), _inverse_rule(gs), out),
         sorted(set(g.derivs) & set(h.derivs)), g, h)
     return FieldGrid(axes=g.axes, samples=samples, derivs=derivs,
                      abelian_diagonal=g.abelian_diagonal and h.abelian_diagonal,
@@ -231,38 +251,51 @@ def inverse_field(g: FieldGrid):
                      abelian_diagonal=g.abelian_diagonal, name=f"{g.name}^-1")
 
 
-def _product_rule(x, y):
+def _product_rule(x, y, out=None):
     """(value, {axis: derivative}) of the product of two such entries-first
-    slices, by the Leibniz rule."""
+    blocks, by the Leibniz rule, written into the planes of `out`, a
+    (value, {axis: derivative}) pair, when it is given."""
     (xv, dx), (yv, dy) = x, y
-    return (plane_product(xv, yv),
-            {i: plane_product(dx[i], yv) + plane_product(xv, dy[i]) for i in dx})
+    value_out, derivs_out = out or (None, {})
+    value = plane_product(xv, yv, out=value_out)
+    derivs, term = {}, None
+    for i in dx:
+        derivs[i] = plane_product(dx[i], yv, out=derivs_out.get(i))
+        term = plane_product(xv, dy[i], out=term)
+        derivs[i] += term
+    return value, derivs
 
 
-def _inverse_rule(x):
+def _inverse_rule(x, out=None):
     """(value, {axis: derivative}) of the inverse of an entries-first unitary
-    slice: g^-1 = g^+ and d(g^-1) = -g^-1 dg g^-1."""
+    block: g^-1 = g^+ and d(g^-1) = -g^-1 dg g^-1, written into the planes
+    of `out` when it is given."""
     xv, dx = x
-    xi = inverse_planes(xv)
-    return xi, {i: -plane_product(plane_product(xi, d), xi) for i, d in dx.items()}
+    value_out, derivs_out = out or (None, {})
+    xi = inverse_planes(xv, out=value_out)
+    derivs, term = {}, None
+    for i, d in dx.items():
+        term = plane_product(xi, d, out=term)
+        derivs[i] = plane_product(term, xi, out=derivs_out.get(i))
+        np.negative(derivs[i], out=derivs[i])
+    return xi, derivs
 
 
 def _slicewise(rule, axes, *fields):
     """Samples and exact derivatives along `axes` of a pointwise function of
-    fields, built one torus slice at a time: `rule` maps the entries-first
-    (value, {axis: derivative}) slice of each field to the result's, which is
-    written into preallocated (..., N, N) arrays."""
-    shape = fields[0].samples.shape
-    samples = np.empty(shape, dtype=complex)
-    derivs = {i: np.empty(shape, dtype=complex) for i in axes}
-    for j in _slices(fields[0]):
-        value, dvalue = rule(*[(entries_first(f.samples[j]),
-                               {i: entries_first(f.derivs[i][j]) for i in axes})
-                              for f in fields])
-        samples[j] = matrices_last(value)
-        for i in axes:
-            derivs[i][j] = matrices_last(dvalue[i])
-    return samples, derivs
+    fields, as `matrices_last` views of entries-first planes that are
+    filled one block of torus slices at a time (`_slices`): `rule` maps the
+    entries-first (value, {axis: derivative}) block of each field to the
+    result's and writes it into the block of the planes passed as `out`."""
+    grid = fields[0].samples.shape[:-2]
+    planes = np.empty((fields[0].dim,) * 2 + grid, dtype=complex)
+    dplanes = {i: np.empty_like(planes) for i in axes}
+    for block in _slices(grid):
+        at = (slice(None), slice(None)) + block
+        rule(*[(entries_first(f.samples[block]),
+                {i: entries_first(f.derivs[i][block]) for i in axes}) for f in fields],
+             out=(planes[at], {i: d[at] for i, d in dplanes.items()}))
+    return matrices_last(planes), {i: matrices_last(d) for i, d in dplanes.items()}
 
 
 def _check_same_axes(g, h):
@@ -385,22 +418,29 @@ def chi_triple_integral(g: FieldGrid):
 
 
 def _triple_density(slab, derivs, axes):
-    """3 Tr{A0 [A1, A2]} on one slice of the leading axis, from its samples
-    and derivative channels; torus axes without a channel differentiate the
-    slice. Its temporaries are freed before the next slice is produced."""
+    """3 Tr{A0 [A1, A2]} on a block of slices of the leading axis, from its
+    samples and derivative channels; torus axes without a channel
+    differentiate the block. Its temporaries are freed before the next block
+    is produced."""
     slab = entries_first(slab)
     ginv = inverse_planes(slab)
     a1, a2 = (plane_product(ginv, entries_first(derivs[i]) if i in derivs
-                            else grid_derivative(slab, i + 1, axes[i])) for i in (1, 2))
+                            else grid_derivative(slab, i + 2, axes[i])) for i in (1, 2))
     comm = plane_product(a1, a2)
     comm -= plane_product(a2, a1)
     return 3.0 * trace_product(plane_product(ginv, entries_first(derivs[0])), comm)
 
 
-def _slices(g: FieldGrid):
-    """Indices of the torus slices of a field, its last two grid axes; a loop
-    or torus field is a single slice."""
-    return np.ndindex(g.samples.shape[:max(g.n_axes - 2, 0)])
+def _slices(grid):
+    """Index tuples of the blocks of leading-axis slices of a grid of shape
+    `grid`, each block at most BLOCK_POINTS points and at least one slice; a
+    loop or torus grid is a single block, the whole grid."""
+    if len(grid) < 3:
+        yield ()
+        return
+    step = max(1, BLOCK_POINTS // math.prod(grid[1:]))
+    for j in range(0, grid[0], step):
+        yield (slice(j, j + step),)
 
 
 def wz_action_extension(ext: FieldGrid):
@@ -437,24 +477,29 @@ def tube_extension(base: FieldGrid, z_samples, n_s=32):
 
     The s=1 slice is the field of interest; the s=0 slice is `base`, which
     must itself be constant or a diagonal normal form. The s-derivative is
-    exact: d/ds [base e^{sZ}] = (base e^{sZ}) Z.
+    exact: d/ds [base e^{sZ}] = (base e^{sZ}) Z. One eigensystem of Z serves
+    every s; the samples and the s-channel are entries-first planes, filled
+    one block of s slices at a time (`_slices`).
     """
     if base.n_axes != 2:
         raise DimensionMismatch("tube base must live on a 2-axis grid")
     s_ax = interval_axis(n_s, 0.0, 1.0, name="s")
     z_samples = np.broadcast_to(z_samples, base.samples.shape)
     w, v = np.linalg.eigh(-1j * z_samples)
-    w = np.moveaxis(w, -1, 0)
+    w = np.moveaxis(w, -1, 0)[:, None]
     v = entries_first(v)
-    vi = inverse_planes(v)
-    b, z = entries_first(base.samples), entries_first(z_samples)
-    samples = np.empty((n_s + 1,) + base.samples.shape, dtype=complex)
-    ds = np.empty_like(samples)
-    for j, s in enumerate(s_ax.points):
-        slab = plane_product(b, plane_product(v * np.exp(1j * s * w), vi))
-        samples[j] = matrices_last(slab)
-        ds[j] = matrices_last(plane_product(slab, z))
-    return FieldGrid(axes=(s_ax,) + base.axes, samples=samples, derivs={0: ds},
+    vi = inverse_planes(v)[:, :, None]
+    b, z = (entries_first(x)[:, :, None] for x in (base.samples, z_samples))
+    planes = np.empty((base.dim,) * 2 + (n_s + 1,) + base.samples.shape[:-2], dtype=complex)
+    ds = np.empty_like(planes)
+    for block in _slices(planes.shape[2:]):
+        at = (slice(None), slice(None)) + block
+        s = s_ax.points[block][:, None, None]
+        rotation = plane_product(v[:, :, None] * np.exp(1j * s * w), vi)
+        plane_product(b, rotation, out=planes[at])
+        plane_product(planes[at], z, out=ds[at])
+    return FieldGrid(axes=(s_ax,) + base.axes, samples=matrices_last(planes),
+                     derivs={0: matrices_last(ds)},
                      abelian_diagonal=base.abelian_diagonal,
                      name=f"tube({base.name})")
 

@@ -186,6 +186,15 @@ def test_analytic_derivative_matches_finite_differences_with_rashba():
     assert np.max(np.abs(d_line - fd)) < 1e-10
 
 
+@pytest.mark.parametrize("axis", [(0, 1), 2, -1, 0.5, np.array([1.0, 0.0])])
+def test_torus_derivative_rejects_any_axis_but_0_and_1(axis, km_topo):
+    """A tuple of axes, an out-of-range axis or a direction vector is a
+    ValueError, not one dP along some direction."""
+    ks = np.array([[0.3, -0.7], [1.1, 2.0]])
+    with pytest.raises(ValueError, match="axis must be 0 or 1"):
+        km_topo.derivative(ks, axis)
+
+
 _PLANE_FAMILIES = ("haldane_topo", "km_topo", "bhz_topo")
 
 

@@ -10,7 +10,7 @@ from topoinv import (berry_connection, berry_phase, berry_phase_sqrt,
                      wz_amplitude_phi, z2_ingredients)
 from topoinv import (build_frame, chern_number, berry_curvature, gauge_transform,
                      random_trs_gauge)
-from topoinv import wz
+from topoinv import certify, linalg, wz
 from topoinv.errors import DimensionMismatch, NotAnExtension, NotTRSFrame
 from topoinv.grids import (integrate_grid, interval_axis, loop_axis,
                            spectral_derivative, unit_circle_axis)
@@ -590,6 +590,188 @@ def test_tube_and_product_build_no_full_grid_temporary():
     ext_h = tube_extension(nf_h, 1j * hh, n_s=48)
     ext_gh, peak = _peak_bytes(lambda: product_field(ext_g, ext_h))
     assert peak < 1.25 * _field_bytes(ext_gh)
+
+
+# ----------------------- blocks of slices against a per-slice reference
+#
+# The library builds fields and densities in blocks of leading-axis slices,
+# on views of entries-first planes. The references below run the same plane
+# kernels on one contiguous slice at a time, so the two must agree bit for
+# bit: every product is elementwise over the grid.
+
+def _slice_planes(a, j):
+    """Contiguous entries-first copy of slice j of a (..., N, N) array."""
+    return np.ascontiguousarray(np.moveaxis(a[j], (-2, -1), (0, 1)))
+
+
+def _slice_indices(g):
+    return [()] if g.n_axes < 3 else [(j,) for j in range(g.samples.shape[0])]
+
+
+def _slice_product(x, y):
+    (xv, dx), (yv, dy) = x, y
+    return (linalg.plane_product(xv, yv),
+            {i: linalg.plane_product(dx[i], yv) + linalg.plane_product(xv, dy[i])
+             for i in dx})
+
+
+def _slice_inverse(x):
+    xv, dx = x
+    xi = linalg.inverse_planes(xv)
+    return xi, {i: -linalg.plane_product(linalg.plane_product(xi, d), xi)
+                for i, d in dx.items()}
+
+
+def _slice_field(rule, *fields):
+    """(samples, derivs) of a pointwise function of fields, one slice at a
+    time, on the axes where every field carries a channel."""
+    axes = sorted(set.intersection(*(set(f.derivs) for f in fields)))
+    samples = np.empty(fields[0].samples.shape, dtype=complex)
+    derivs = {i: np.empty_like(samples) for i in axes}
+    for j in _slice_indices(fields[0]):
+        value, dvalue = rule(*[(_slice_planes(f.samples, j),
+                                {i: _slice_planes(f.derivs[i], j) for i in axes})
+                               for f in fields])
+        samples[j] = linalg.matrices_last(value)
+        for i in axes:
+            derivs[i][j] = linalg.matrices_last(dvalue[i])
+    return samples, derivs
+
+
+def _slice_density(g):
+    """3 Tr{A0 [A1, A2]} one slice at a time, torus channels spectral."""
+    dens = np.empty(g.samples.shape[:3], dtype=complex)
+    d0 = g.derivative(0)
+    for j in range(len(dens)):
+        slab = _slice_planes(g.samples, j)
+        ginv = linalg.inverse_planes(slab)
+        a1, a2 = (linalg.plane_product(ginv, _slice_planes(g.derivs[i], j) if i in g.derivs
+                                       else spectral_derivative(slab, i + 1, g.axes[i]))
+                  for i in (1, 2))
+        comm = linalg.plane_product(a1, a2)
+        comm -= linalg.plane_product(a2, a1)
+        dens[j] = 3.0 * linalg.trace_product(
+            linalg.plane_product(ginv, _slice_planes(d0, j)), comm)
+    return dens
+
+
+def _slice_tube(base, z, n_s):
+    w, v = np.linalg.eigh(-1j * z)
+    w, v = np.moveaxis(w, -1, 0), linalg.entries_first(v)
+    vi = linalg.inverse_planes(v)
+    b, zp = linalg.entries_first(base.samples), linalg.entries_first(z)
+    points = interval_axis(n_s, 0.0, 1.0).points
+    samples = np.empty((n_s + 1,) + base.samples.shape, dtype=complex)
+    ds = np.empty_like(samples)
+    for j, s in enumerate(points):
+        slab = linalg.plane_product(b, linalg.plane_product(v * np.exp(1j * s * w), vi))
+        samples[j] = linalg.matrices_last(slab)
+        ds[j] = linalg.matrices_last(linalg.plane_product(slab, zp))
+    return samples, {0: ds}
+
+
+def _assert_field_equal(fld, ref):
+    samples, derivs = ref
+    assert np.array_equal(fld.samples, samples)
+    assert set(fld.derivs) == set(derivs)
+    for i, d in derivs.items():
+        assert np.array_equal(fld.derivs[i], d), i
+
+
+@pytest.mark.parametrize("dim, n_grid, n_s", [(2, 32, 48), (4, 32, 48), (2, 128, 4)])
+def test_blocks_of_slices_equal_the_per_slice_reference(dim, n_grid, n_s):
+    """Tubes, products, inverses, adjoint products and the 3-form density
+    equal one-slice-at-a-time references exactly: at 32^2 the 49 s slices
+    end in a partial block, and a 128^2 slice is larger than a block."""
+    bases = [normal_form_field(n, m, dim, equivariant=dim == 4, n_grid=n_grid)
+             for n, m in ((1, -1), (0, 1))]
+    zs = [1j * random_hermitian_field(f.axes, dim, seed=s, scale=0.3)
+          for f, s in zip(bases, (3, 4))]
+    ext_g, ext_h = (tube_extension(f, z, n_s=n_s) for f, z in zip(bases, zs))
+    _assert_field_equal(ext_g, _slice_tube(bases[0], zs[0], n_s))
+    _assert_field_equal(ext_h, _slice_tube(bases[1], zs[1], n_s))
+    assert np.array_equal(ext_g.triple_density(), _slice_density(ext_g))
+    for fld, ref in ((lambda: product_field(ext_g, ext_h),
+                      lambda: _slice_field(_slice_product, ext_g, ext_h)),
+                     (lambda: inverse_field(ext_g), lambda: _slice_field(_slice_inverse, ext_g)),
+                     (lambda: conjugated_field(ext_g, ext_h),
+                      lambda: _slice_field(lambda x, y: _slice_product(
+                          _slice_product(x, y), _slice_inverse(x)), ext_g, ext_h))):
+        fld = fld()
+        _assert_field_equal(fld, ref())
+        assert np.array_equal(fld.triple_density(), _slice_density(fld))
+        del fld
+    no_channel = FieldGrid(axes=ext_g.axes, samples=ext_g.samples)
+    assert np.array_equal(no_channel.triple_density(), _slice_density(no_channel))
+
+
+def test_second_action_of_a_field_computes_no_density(monkeypatch):
+    """A field keeps its WZ integral: a second action of the same extension
+    forms no 3-form density and returns the same value."""
+    calls = []
+    density = wz._triple_density
+
+    def counted(*args):
+        calls.append(1)
+        return density(*args)
+
+    monkeypatch.setattr(wz, "_triple_density", counted)
+    nf = normal_form_field(1, -1, 2, n_grid=16)
+    ext = tube_extension(nf, 1j * random_hermitian_field(nf.axes, 2, seed=1, scale=0.3),
+                         n_s=8)
+    first = wz_action_extension(ext)
+    n_calls = len(calls)
+    second = wz_action_extension(ext)
+    assert n_calls > 0 and len(calls) == n_calls
+    assert second.raw_action == first.raw_action
+
+
+def test_field_operations_leave_their_inputs_unchanged():
+    """Fields share planes with their views; no operation or functional
+    writes into any array of its inputs."""
+    nf_g, nf_h = normal_form_field(1, -1, 2, n_grid=16), normal_form_field(0, 2, 2, n_grid=16)
+    hg, hh = (random_hermitian_field(nf_g.axes, 2, seed=s, scale=0.3) for s in (1, 2))
+    ext_g, ext_h = tube_extension(nf_g, 1j * hg, n_s=8), tube_extension(nf_h, 1j * hh, n_s=8)
+    g_s, h_s = (FieldGrid(axes=nf_g.axes, samples=e.samples[-1]) for e in (ext_g, ext_h))
+    chan_g, chan_h = _with_channels(ext_g), _with_channels(ext_h)
+    inputs = (nf_g, nf_h, ext_g, ext_h, g_s, h_s, chan_g, chan_h)
+    arrays = [a for f in inputs for a in (f.samples, *f.derivs.values())] + [hg, hh]
+    copies = [a.copy() for a in arrays]
+    operations = (
+        lambda: tube_extension(nf_g, 1j * hg, n_s=8),
+        lambda: product_field(ext_g, ext_h), lambda: product_field(chan_g, chan_h),
+        lambda: inverse_field(chan_g), lambda: conjugated_field(chan_g, chan_h),
+        lambda: conjugated_field(ext_g, ext_h), lambda: ext_g.triple_density(),
+        lambda: chan_g.triple_density(), lambda: wz_action_extension(ext_h),
+        lambda: alpha_integral(g_s, h_s), lambda: beta_integral(g_s, h_s),
+        lambda: pw_functional(g_s, h_s, ext_g=ext_g, ext_h=ext_h,
+                              ext_gh=product_field(ext_g, ext_h)),
+        lambda: apw_functional(g_s, h_s, ext_h=ext_h,
+                               ext_ghg=conjugated_field(ext_g, ext_h)))
+    for k, op in enumerate(operations):
+        op()
+        for a, c in zip(arrays, copies):
+            assert np.array_equal(a, c), k
+
+
+def test_homotopy_trial_memory_peak():
+    """One criterion-8 trial (two N=2 tubes of 49 x 32^2 points, five s
+    values) peaks below 38 MiB under tracemalloc, the parent design's
+    37.9 MiB: blocks of slices add no full-grid temporary."""
+    _, peak = _peak_bytes(lambda: certify.homotopy_trial((2, -2, -1, -2), 11, 12))
+    assert peak < 38 * 2 ** 20
+
+
+@pytest.mark.xfail(strict=True, reason="the 32^2 torus grid resolves this trial's APW "
+                                       "to 1.5e-5 only (ROADMAP item 6)")
+def test_homotopy_trial_of_benchmark_seed_5502():
+    """The trial that fails the benchmark's check at seed 5502 (its second
+    cycle): windings (2, -2, -1, -2), field seeds 1686547273 and 1736312120.
+    Its APW spreads by 1.548e-5 over s against criterion 8's 1e-5; a 64^2
+    grid gives 1.13e-6, so the torus grid, not the s quadrature, is at
+    fault."""
+    values = certify.homotopy_trial((2, -2, -1, -2), 1686547273, 1736312120)
+    assert max(np.ptp(values["pw"]), np.ptp(values["apw"])) < 1e-5
 
 
 # ------------------------------------------- phi amplitudes and kappa
