@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import berry, certify, lattice, wz
-from .config import DEFAULT_TOL, N_2D, N_LOOP, N_PROBE
+from .config import DEFAULT_TOL, N_2D, N_LOOP, N_UP
 from .core import TRSOperator, check_trs, make_projector_family
 from .errors import (GapClosure, NotTRS, PairingFailure, ParseError, SchemaError,
                      StepFailure, TopoinvError, UnknownModel, UnknownParameter)
@@ -119,8 +119,8 @@ def _family(cfg: RunConfig):
 
 
 class _NoTimeReversal(Exception):
-    """fkm's precondition failed; `violation` is check_trs's measure, infinite
-    for an odd dimension, where no odd time reversal exists."""
+    """fkm's precondition failed; `violation` is check_trs's residual on H's
+    terms, infinite for an odd dimension, where no odd time reversal exists."""
 
     def __init__(self, message, violation):
         super().__init__(message)
@@ -129,14 +129,14 @@ class _NoTimeReversal(Exception):
 
 def _chern_evaluation(fam, cfg: RunConfig):
     """The Chern number with its cross-checks: the U_P WZ amplitude against
-    (-1)^C, and the plaquette oracle. U_P reads the gap probe's grid at every
-    --grid and the oracle the curvature's, each right after the family
+    (-1)^C, and the plaquette oracle. U_P reads its own N_UP^2 grid at every
+    --grid, and the oracle reads the curvature's grid right after the family
     diagonalized it.
 
     Returns (fields, contradictions), as every evaluation does: the report
     values, each invariant and cross-check an InvariantResult, and a message
     per snapped cross-check that contradicts a snapped invariant."""
-    action = wz.wz_action_extension(wz.up_extension(fam, n_t=cfg.grid_t, n1=N_PROBE, n2=N_PROBE))
+    action = wz.wz_action_extension(wz.up_extension(fam, n_t=cfg.grid_t, n1=N_UP, n2=N_UP))
     c = berry.chern_number(berry.berry_curvature(fam, n_grid=cfg.grid))
     oracle = lattice.plaquette_chern(fam, n_grid=cfg.grid)
     wz_diff = abs(action.amplitude - (-1.0) ** c.snapped) if c.snapped is not None else None
@@ -154,9 +154,9 @@ def _chern_evaluation(fam, cfg: RunConfig):
 def _fkm_evaluation(fam, cfg: RunConfig):
     """delta from the Berry connection and curvature and kappa from the WZ
     amplitudes, with their cross-checks: the lattice oracle against delta,
-    and kappa against (-1)^delta. check_trs reads the gap probe's grid, and
-    lattice_z2 the half-zone grid right after z2_ingredients' curvature.
-    Raises _NoTimeReversal unless the family is time-reversal symmetric."""
+    and kappa against (-1)^delta. check_trs reads the Fourier terms of H,
+    and lattice_z2 the half-zone grid right after z2_ingredients' curvature.
+    Raises _NoTimeReversal unless H is time-reversal symmetric."""
     if fam.ambient_dim % 2 != 0:
         raise _NoTimeReversal(f"odd ambient dimension {fam.ambient_dim}", math.inf)
     theta = TRSOperator.standard(fam.ambient_dim)

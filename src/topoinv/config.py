@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    trs: float = 1e-8               # ||P(-k) - Theta(P(k))||
+    trs: float = 1e-8               # ||C - Theta(C)||: H's Fourier coefficients, projectors
     pairing: float = 1e-10          # Kramers pairing residual of a symplectic basis
     gap_threshold: float = 1e-6     # minimal spectral gap at the Fermi level
     branch_cut: float = 1e-10       # distance to the log branch cut that errors out
@@ -31,6 +31,6 @@ DEFAULT_TOL = Tolerances()
 # so reflection pairs k <-> -k land exactly on grid points.
 N_LOOP = 256
 N_2D = 128
-# The gap probe's torus grid (N_PROBE x N_PROBE), which every family is
-# checked on and keeps; the time-reversal check and U_P in `chern` read it.
-N_PROBE = 64
+# The torus grid (N_UP x N_UP) of the U_P extension in `chern`, the same at
+# every --grid.
+N_UP = 64

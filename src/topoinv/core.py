@@ -13,12 +13,12 @@ N x N derivative plane. The eigensystem is held in the plane layout of
 `linalg` (eigenvalues band-first, eigenvectors entries-first), so P, the
 blocks and dP are plane products over the whole point set; P and dP are
 handed out as (..., N, N) views of their planes. The family keeps the
-eigensystem of its gap probe for its whole life and, beside it, that of the
-last point set it diagonalized, so consumers that read the same grid one
-after another, such as the curvature and the lattice oracle of one request,
-diagonalize H on that grid once, and the probe grid is never diagonalized
-twice. The TRSOperator is the antiunitary theta = J K (K = complex
-conjugation) with theta^2 = -1 in the working basis.
+eigensystem of the last point set it diagonalized, so consumers that read
+the same grid one after another, such as the curvature and the lattice
+oracle of one request, diagonalize H on that grid once. The TRSOperator is
+the antiunitary theta = J K (K = complex conjugation) with theta^2 = -1 in
+the working basis; `check_trs` tests it exactly on the Fourier terms of H,
+with no grid and no eigh.
 """
 
 from dataclasses import dataclass, field, replace
@@ -27,9 +27,9 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOL, N_PROBE
+from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
-from .grids import loop_axis, reflect, torus_points
+from .grids import reflect
 from .linalg import entries_first, inverse_planes, matrices_last, plane_product
 from .models import BlochHamiltonianSpec, fourier_planes
 
@@ -65,10 +65,6 @@ class TRSOperator:
         """theta(E) J_m for frames E (..., N, m), J_m of the frame's rank m."""
         return self.apply(e) @ linalg.symplectic_blocks(e.shape[-1])
 
-    def residual(self, x, n_axes):
-        """max_k ||X(-k) - Theta(X(k))|| on a loop (1) or torus (2) grid."""
-        return float(np.max(linalg.frob(reflect(x, n_axes) - self.adjoint(x))))
-
     def symmetrize(self, x, n_axes):
         """(X(k) + Theta(X(-k))) / 2 on a loop (1) or torus (2) grid."""
         return 0.5 * (x + self.adjoint(reflect(x, n_axes)))
@@ -85,21 +81,18 @@ class ProjectorFamily:
     With `line` = (origin, direction) the family is the loop
     s -> P(origin + s direction).
 
-    The eigensystems (w, v) of the gap probe (`_probe`, filled by
-    make_projector_family and kept) and of the last other point set
-    (`_last`) are kept in plane layout, keyed by the bytes of the points, so
-    sampling the same points again diagonalizes nothing; P itself is formed
-    afresh on every call and never kept. A restricted family starts with
-    nothing kept. Eigenvalues come ascending and every point set is checked
-    to have `rank` of them below 0, so the occupied bands are the first
-    `rank` columns.
+    The eigensystem (w, v) of the last point set (`_last`) is kept in plane
+    layout, keyed by the bytes of the points, so sampling the same points
+    again diagonalizes nothing; P itself is formed afresh on every call and
+    never kept. A restricted family starts with nothing kept. Eigenvalues
+    come ascending and every point set is checked to have `rank` of them
+    below 0, so the occupied bands are the first `rank` columns.
     """
 
     spec: BlochHamiltonianSpec
     rank: int
     line: Optional[tuple] = None  # ((o1, o2), (d1, d2))
     name: str = ""
-    _probe: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -112,15 +105,14 @@ class ProjectorFamily:
 
     def _eigensystem(self, ks):
         """The torus points of ks and the eigensystem (w, v) there, in plane
-        layout, diagonalized only when ks is neither the probe nor the last
-        point set."""
+        layout, diagonalized only when ks is not the last point set."""
         ks = np.asarray(ks, dtype=float)
         k = ks
         if self.line is not None:
             origin, direction = np.asarray(self.line)
             k = origin + ks[..., None] * direction
         key = (ks.shape, ks.tobytes())
-        eigensystem = self._probe.get(key) or self._last.get(key)
+        eigensystem = self._last.get(key)
         if eigensystem is None:
             eigensystem = _gap_checked_eigh(self.spec, k, rank=self.rank)
             self._last.clear()
@@ -235,37 +227,39 @@ def make_projector_family(spec):
     spec : models.BlochHamiltonianSpec
         Trigonometric-polynomial Bloch Hamiltonian. Energy 0 must sit in a
         spectral gap over the whole torus: a gap of at most
-        DEFAULT_TOL.gap_threshold anywhere on the N_PROBE^2 probe grid (and on
-        every later sampling) raises GapClosure.
+        DEFAULT_TOL.gap_threshold at k = 0, or at any point a consumer later
+        samples, raises GapClosure.
 
     Returns
     -------
-    ProjectorFamily on the torus, with rank fixed by the gap condition; it
-    keeps the probe grid's eigensystem for its whole life, so a consumer
-    sampling that grid diagonalizes nothing.
+    ProjectorFamily on the torus, with rank the number of bands below 0 at
+    k = 0, read from one eigensystem that is not kept.
     """
-    ax = loop_axis(N_PROBE)
-    ks = torus_points(ax, ax)
-    eigensystem = _gap_checked_eigh(spec, ks)
-    rank = int(np.count_nonzero(eigensystem[0][:, 0, 0] < 0.0))
-    family = ProjectorFamily(spec=spec, rank=rank, name=spec.name)
-    family._probe[(ks.shape, ks.tobytes())] = eigensystem
-    return family
+    w, _ = _gap_checked_eigh(spec, np.zeros((1, 2)))
+    return ProjectorFamily(spec=spec, rank=int(np.count_nonzero(w < 0.0)), name=spec.name)
 
 
-def check_trs(family: ProjectorFamily, theta: TRSOperator, n_grid=N_PROBE):
-    """Does P(-k) = Theta(P(k)) hold on a symmetric grid, to DEFAULT_TOL.trs?
+def check_trs(family: ProjectorFamily, theta: TRSOperator):
+    """Does Theta H(k) Theta^-1 = H(-k) hold, to DEFAULT_TOL.trs?
 
-    Returns (ok, max_violation). The grid includes the fixed points of
-    k -> -k so reflection pairs are exact.
+    Fourier coefficients are unique, so on the torus this holds for all k
+    exactly when each C_v, the sum of the spec's terms at v, equals
+    Theta(C_v) = J conj(C_v) J^T; on a loop s -> H(o + s d), each
+    C_f = sum_{d.v = f} T_v exp(i o.v) must, so a loop off the invariant
+    lines is refused. Returns (ok, max ||C - Theta(C)||); no grid, no eigh.
+    Stricter than P(-k) = Theta(P(k)): an odd shift f(k) 1 of H is refused.
     """
     if family.ambient_dim != theta.dim:
         raise DimensionMismatch(
             f"family dimension {family.ambient_dim} != theta dimension {theta.dim}")
-    ax = loop_axis(n_grid)
-    loop = family.domain == "loop"
-    ks = ax.points if loop else torus_points(ax, ax)
-    violation = theta.residual(family.sample(ks), 1 if loop else 2)
+    coefficients = {}
+    for t, v in family.spec.terms:
+        key = (int(v[0]), int(v[1]))
+        if family.line is not None:
+            origin, direction = family.line
+            key, t = float(np.dot(direction, v)), t * np.exp(1j * np.dot(origin, v))
+        coefficients[key] = coefficients.get(key, 0) + t
+    violation = max(float(linalg.frob(c - theta.adjoint(c))) for c in coefficients.values())
     return violation <= DEFAULT_TOL.trs, violation
 
 

@@ -265,10 +265,11 @@ def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid=N_LOOP,
     construction on the complementary band group (same transport:
     i[dP,P] = i[d(1-P),(1-P)]) gives W = E E(0)^+ + E_c E_c(0)^+.
 
-    Raises NotTRS if the family is not symmetric, SymmetrizationFailure when
-    log u_pi hits the -1 branch degeneracy.
+    Raises NotTRS unless H on the loop is time-reversal symmetric
+    (`check_trs`, on its Fourier terms), SymmetrizationFailure when log u_pi
+    hits the -1 branch degeneracy.
     """
-    ok, viol = check_trs(family, theta, n_grid=n_grid)
+    ok, viol = check_trs(family, theta)
     if not ok:
         raise NotTRS(viol, DEFAULT_TOL.trs)
     if n_grid % 2 != 0:

@@ -1,5 +1,6 @@
-"""Checks and fields that only the tests use: matrix residuals, residual
-reports of families, frames and gauges with their bounds, the
+"""Checks and fields that only the tests use: matrix residuals, the
+time-reversal residual of sampled fields, residual reports of families,
+frames and gauges with their bounds, the
 eigendecomposition frames the lattice oracles once used, the Stokes check
 of the curvature, random unwindable and equivariant fields, and the rate
 of change of the WZ action along a deformation.
@@ -12,7 +13,7 @@ import numpy as np
 
 from topoinv import linalg
 from topoinv.berry import _omega_on
-from topoinv.config import DEFAULT_TOL, N_PROBE
+from topoinv.config import DEFAULT_TOL
 from topoinv.core import TRSOperator
 from topoinv.grids import Axis, integrate_grid, loop_axis, reflect, torus_points
 from topoinv.linalg import entries_first, inverse_planes, plane_product, trace_product
@@ -56,9 +57,9 @@ def eigh_frames(p):
 
 def validate_family(family):
     """Projector, rank-constancy and periodicity residuals of a projector
-    family on the probe grid (N_PROBE points for a loop), with "ok" when
-    each is within its bound."""
-    ax = loop_axis(N_PROBE)
+    family on a 64^2 grid (64 points for a loop), with "ok" when each is
+    within its bound."""
+    ax = loop_axis(64)
     if family.domain == "loop":
         ks = ax.points
         p = family.sample(ks)
@@ -107,7 +108,7 @@ def validate_gauge(gauge):
     uni = float(np.max(unitarity_residual(gauge.u_samples)))
     report = {"unitarity": uni, "ok": uni <= UNITARITY_TOL}
     if gauge.trs_flag:
-        trs = TRSOperator.standard(gauge.rank).residual(gauge.u_samples, 1)
+        trs = trs_residual(TRSOperator.standard(gauge.rank), gauge.u_samples, 1)
         report["trs"] = trs
         report["ok"] = report["ok"] and trs <= DEFAULT_TOL.trs
     return report
@@ -184,9 +185,15 @@ def random_equivariant_field(n_grid, theta, seed, bandwidth=2, windings=(0, 0)):
     return FieldGrid(axes=(ax, ax), samples=ext.samples[-1], name=f"eq{seed}"), ext
 
 
+def trs_residual(theta, x, n_axes):
+    """max_k ||X(-k) - Theta(X(k))|| of samples on a loop (1) or torus (2)
+    grid."""
+    return float(np.max(linalg.frob(reflect(x, n_axes) - theta.adjoint(x))))
+
+
 def equivariance_residual(g, theta):
     """max_k || g(-k) - Theta(g(k)) || on the grid (loop or torus fields)."""
-    return theta.residual(g.samples, g.n_axes)
+    return trs_residual(theta, g.samples, g.n_axes)
 
 
 def wz_derivative(g, g_dot):

@@ -13,6 +13,7 @@ import topoinv
 from topoinv import berry, certify, core, lattice, linalg, transport, wz
 from topoinv.cli import main
 from topoinv.errors import BranchAmbiguity, PairingFailure
+from topoinv.grids import loop_axis
 from topoinv.models import SX, SY, SZ, BlochHamiltonianSpec, builtin_model, save_model
 
 
@@ -32,8 +33,8 @@ def test_chern_report(capsys):
     assert report["wz_check"]["pass"]
 
 
-def test_chern_wz_check_reads_the_probe_below_its_size(capsys):
-    """At a --grid below the gap probe's, U_P still reads the probe grid, so
+def test_chern_wz_check_reads_its_own_grid_below_its_size(capsys):
+    """At a --grid below U_P's own 64^2 grid, U_P still reads that grid, so
     the (-1)^C check is as fine as at the default grid."""
     code, out, _ = run_cli(capsys, "chern", "--model", "haldane", "--param", "m=0.6",
                            "--grid", "32", "--json")
@@ -103,22 +104,22 @@ def test_fkm_builds_each_z2_ingredient_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,calls", [
-    (["chern", "--model", "haldane"], 2),
-    (["chern", "--model", "haldane", "--grid", "32"], 2),
+    (["chern", "--model", "haldane"], 3),
+    (["chern", "--model", "haldane", "--grid", "32"], 3),
     (["fkm", "--model", "kane_mele", "--param", "lambda_v=0.4", "--param", "lambda_r=0.2",
-      "--grid", "32", "--loop-grid", "64"], 6),
+      "--grid", "32", "--loop-grid", "64"], 4),
     (["sweep", "--model", "kane_mele", "--sweep", "lambda_v", "0.4", "0.4", "1",
-      "--grid", "32"], 7),
+      "--grid", "32"], 6),
 ], ids=["chern", "chern_grid_32", "fkm", "sweep_row"])
 def test_request_eigensystem_count(capsys, monkeypatch, argv, calls):
-    """Point sets one request diagonalizes H on. chern, at any grid: the
-    64^2 gap probe, which U_P then reads, and the curvature grid, which the
-    plaquette oracle then reads. fkm: the probe, which
-    check_trs then reads, two point sets per boundary-loop transport, and
-    the half-zone grid, which lattice_z2 then reads. A sweep row reporting
-    chern, delta and kappa runs both evaluations on one family, which keeps
-    its probe for its whole life: the probe once, then chern's curvature
-    grid and fkm's five. A consumer moved away from the grid it shares
+    """Point sets one request diagonalizes H on. Every request first
+    diagonalizes k = 0 alone, to fix the family's rank. chern, at any grid:
+    then U_P's own 64^2 grid, and the curvature grid, which the plaquette
+    oracle then reads. fkm: one point set per boundary-loop transport, and
+    the half-zone grid, which lattice_z2 then reads; check_trs reads the
+    terms and diagonalizes nothing. A sweep row reporting chern, delta and
+    kappa runs both evaluations on one family: k = 0 once, then chern's two
+    grids and fkm's three. A consumer moved away from the grid it shares
     diagonalizes that grid again."""
     grids = []
     original = core._gap_checked_eigh
@@ -130,13 +131,34 @@ def test_request_eigensystem_count(capsys, monkeypatch, argv, calls):
     monkeypatch.setattr(core, "_gap_checked_eigh", counted)
     assert run_cli(capsys, *argv, "--json")[0] == 0
     assert len(grids) == calls, grids
-    assert grids[0] == (64, 64) and grids.count((64, 64)) == 1
+    assert grids[0] == (1,) and grids.count((64, 64)) == int(argv[0] != "fkm")
 
 
 def test_fkm_rejects_broken_symmetry(capsys):
     code, _, err = run_cli(capsys, "fkm", "--model", "haldane", "--grid", "32")
     assert code == 2
     assert json.loads(err.splitlines()[-1])["error"] == "NotTRS"
+
+
+def test_fkm_refuses_an_odd_energy_shift_that_leaves_p_alone(capsys, tmp_path):
+    """kane_mele plus 0.05 sin(k1) 1 has the projector of kane_mele, which
+    is time-reversal symmetric, but H(-k) != Theta(H(k)): the terms at
+    (+-1, 0) gain -+0.025i 1, whose residual ||0.05i 1|| is 0.1. fkm
+    refuses it with NotTRS and that violation."""
+    base = builtin_model("kane_mele", {"lambda_so": 0.3, "lambda_v": 0.4})
+    eye = np.eye(4, dtype=complex)
+    spec = BlochHamiltonianSpec(dim=4, name="kane_mele_odd_shift", terms=base.terms + (
+        (-0.025j * eye, np.array([1, 0])), (0.025j * eye, np.array([-1, 0]))))
+    ks = np.stack(np.meshgrid(*2 * [loop_axis(16).points], indexing="ij"), axis=-1)
+    shifted, plain = core.make_projector_family(spec), core.make_projector_family(base)
+    assert np.max(linalg.frob(shifted.sample(ks) - plain.sample(ks))) < 1e-12
+    path = tmp_path / "odd_shift.json"
+    save_model(path, spec)
+    code, _, err = run_cli(capsys, "fkm", "--model-file", str(path), "--grid", "32")
+    assert code == 2
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["error"] == "NotTRS"
+    assert payload["violation"] == pytest.approx(0.1, rel=1e-12)
 
 
 def test_gap_closure_exit_code(capsys, tmp_path):

@@ -12,7 +12,7 @@ from topoinv.grids import loop_axis, reflect
 from topoinv.models import BlochHamiltonianSpec
 from topoinv import linalg
 
-from oracles import validate_family
+from oracles import trs_residual, validate_family
 
 
 def test_constant_sigma_z_projector():
@@ -62,8 +62,9 @@ def test_trs_operator_structure(theta4):
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_time_reversal_methods_match_the_inline_formulas(dim):
-    """grids.reflect and TRSOperator.frame, residual and symmetrize equal
-    the index map k -> -k, theta(E) J_m and J conj(X) J^T written out, exactly,
+    """grids.reflect, TRSOperator.frame and symmetrize, and the oracles'
+    trs_residual equal the index map k -> -k, theta(E) J_m and J conj(X) J^T
+    written out, exactly,
     on loop and torus grids; a symmetrized field is symmetric to 1e-15."""
     theta = TRSOperator.standard(dim)
     j, jm = linalg.symplectic_blocks(dim), linalg.symplectic_blocks(2)
@@ -75,11 +76,11 @@ def test_time_reversal_methods_match_the_inline_formulas(dim):
         x, e = draw(grid + (dim, dim)), draw(grid + (dim, 2))
         assert np.array_equal(reflect(x, len(grid)), flipped(x))
         assert np.array_equal(theta.frame(e), j @ np.conjugate(e) @ jm)
-        assert theta.residual(x, len(grid)) == float(np.max(linalg.frob(
+        assert trs_residual(theta, x, len(grid)) == float(np.max(linalg.frob(
             flipped(x) - j @ np.conjugate(x) @ j.T)))
         symmetric = theta.symmetrize(x, len(grid))
         assert np.array_equal(symmetric, 0.5 * (x + j @ np.conjugate(flipped(x)) @ j.T))
-        assert theta.residual(symmetric, len(grid)) <= 1e-15
+        assert trs_residual(theta, symmetric, len(grid)) <= 1e-15
 
 
 def test_check_trs_constant_invariant(atomic_limit, theta4):
@@ -101,6 +102,23 @@ def test_check_trs_kane_mele(km_topo, theta4):
 def test_check_trs_dimension_mismatch(haldane_topo, theta4):
     with pytest.raises(DimensionMismatch):
         check_trs(haldane_topo, theta4)
+
+
+def test_check_trs_sums_the_terms_at_one_vector(theta4):
+    """Two terms at a vector kane_mele leaves empty, each breaking time
+    reversal by +-0.1i, sum to the symmetric coefficient 0.04: the check
+    compares the sum, and finds it exactly symmetric. Either term alone is
+    refused by ||0.2i 1|| = 0.4."""
+    base = builtin_model("kane_mele", {"lambda_so": 0.3, "lambda_v": 0.4})
+    eye = np.eye(4, dtype=complex)
+    pair = lambda c, v: [(c * eye, np.array(v)), (np.conjugate(c) * eye, -np.array(v))]
+    halves = pair(0.02 + 0.1j, (2, 0)), pair(0.02 - 0.1j, (2, 0))
+    family = lambda *extra: make_projector_family(BlochHamiltonianSpec(
+        dim=4, terms=base.terms + tuple(t for e in extra for t in e), name="split"))
+    assert check_trs(family(*halves), theta4) == (True, 0.0)
+    for half in halves:
+        ok, violation = check_trs(family(half), theta4)
+        assert not ok and violation == pytest.approx(0.4, rel=1e-12)
 
 
 def test_symplectic_basis_full_space(theta2):
@@ -264,23 +282,18 @@ def test_each_point_set_is_diagonalized_once(monkeypatch, haldane_topo, km_topo,
 
 
 def test_family_keeps_the_last_eigensystem(monkeypatch, km_topo):
-    """Sampling the last point set again diagonalizes nothing, any other set
-    replaces it, and a new family keeps its gap probe's grid beside it for
-    its whole life."""
+    """Sampling the last point set again diagonalizes nothing, and any other
+    set replaces it."""
     ax = loop_axis(64)
-    probe = np.stack(np.meshgrid(ax.points, ax.points, indexing="ij"), axis=-1)
     fam = make_projector_family(km_topo.spec)
     ks = np.stack(np.meshgrid(ax.points[:8], ax.points[:4], indexing="ij"), axis=-1)
     count = _count_eigh(monkeypatch)
-    fam.sample(probe)
-    assert count[0] == 0
     fam.sample(ks)
     fam.derivative(ks, 0)
     fam.derivative(ks, 1)
     assert count[0] == 32
     assert np.array_equal(fam.sample(ks + 0.1), replace(fam).sample(ks + 0.1))
     assert count[0] == 32 + 2 * 32
-    fam.sample(probe)
     fam.sample(ks + 0.1)
     assert count[0] == 32 + 2 * 32
 
@@ -315,18 +328,19 @@ def test_kept_eigensystem_changes_no_output(haldane_topo, km_topo, theta4):
 
 
 @pytest.mark.parametrize("argv,matrices", [
-    (["chern", "--model", "haldane", "--param", "m=0.6"], 20_480),
+    (["chern", "--model", "haldane", "--param", "m=0.6"], 20_481),
     (["fkm", "--model", "kane_mele", "--param", "lambda_so=0.3",
-      "--param", "lambda_v=1.44"], 16_010),
+      "--param", "lambda_v=1.44"], 11_403),
 ])
 def test_request_eigh_counts(monkeypatch, capsys, argv, matrices):
-    """Matrices diagonalized by one request at the default grids: a chern
-    request diagonalizes its 64^2 probe and 128^2 curvature grids once each,
-    and the plaquette oracle's frames need none; an fkm request its probe
-    grid once and its half-zone grid once for the curvature and the lattice
-    oracle (plus its transports, whose 2 x 512 Magnus steps take one eigh
-    each for their exponentials, and the logarithms of its four 2 x 2
-    mismatch gauges, one eigh each); the oracles diagonalize nothing."""
+    """Matrices diagonalized by one request at the default grids, each
+    after the one at k = 0 that fixes the rank: a chern request
+    diagonalizes its 64^2 U_P and 128^2 curvature grids once each, and the
+    plaquette oracle's frames need none; an fkm request its half-zone grid
+    once for the curvature and the lattice oracle, plus its transports,
+    whose 2 x 512 Magnus steps take one eigh each for their exponentials,
+    and the logarithms of its four 2 x 2 mismatch gauges, one eigh each;
+    the time-reversal check and the oracles diagonalize nothing."""
     count = _count_eigh(monkeypatch)
     assert cli.main(argv + ["--json"]) == 0
     capsys.readouterr()

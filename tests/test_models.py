@@ -83,7 +83,7 @@ def test_unknown_parameter_is_refused(name, bad):
 def test_trs_at_projector_level(name, params):
     fam = make_projector_family(builtin_model(name, params))
     theta = TRSOperator.standard(4)
-    ok, violation = check_trs(fam, theta, n_grid=32)
+    ok, violation = check_trs(fam, theta)
     assert ok and violation < 1e-10
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topoinv import (berry_connection, berry_phase, build_frame, build_trs_frame,
-                     parallel_transport, wilson_holonomy)
+                     check_trs, parallel_transport, wilson_holonomy)
 from topoinv import linalg, make_projector_family, transport, wz
 from topoinv.errors import NotTRS, StepFailure
 from topoinv.grids import loop_axis
@@ -185,6 +185,18 @@ def test_kramers_residual_matches_per_point_and_sees_perturbation(model, request
 def test_trs_frame_requires_symmetry(haldane_topo, theta2):
     with pytest.raises(NotTRS):
         build_trs_frame(haldane_topo.loop(0, 0.0), theta2, n_grid=64)
+
+
+def test_trs_frame_refuses_a_loop_off_the_invariant_lines(km_topo, theta4):
+    """A loop at k1 = 0.5 is not mapped to itself by k -> -k, and its
+    Fourier coefficients sum_v T_v exp(i 0.5 v1) say so exactly; the loops
+    at k1 = 0 and +-pi are symmetric to roundoff in exp(i pi v1)."""
+    with pytest.raises(NotTRS) as err:
+        build_trs_frame(km_topo.loop(0, 0.5), theta4, n_grid=64)
+    assert err.value.violation > 1e-2
+    for k1 in (0.0, np.pi, -np.pi):
+        ok, violation = check_trs(km_topo.loop(0, k1), theta4)
+        assert ok and violation <= 1e-15
 
 
 def test_resymmetrization_stability(km_topo, theta4):
