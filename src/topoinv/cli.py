@@ -118,15 +118,6 @@ def _family(cfg: RunConfig):
     return spec, make_projector_family(spec)
 
 
-class _NoTimeReversal(Exception):
-    """fkm's precondition failed; `violation` is check_trs's residual on H's
-    terms, infinite for an odd dimension, where no odd time reversal exists."""
-
-    def __init__(self, message, violation):
-        super().__init__(message)
-        self.violation = violation
-
-
 def _chern_evaluation(fam, cfg: RunConfig):
     """The Chern number with its cross-checks: the U_P WZ amplitude against
     (-1)^C, and the plaquette oracle. U_P reads its own N_UP^2 grid at every
@@ -156,13 +147,14 @@ def _fkm_evaluation(fam, cfg: RunConfig):
     amplitudes, with their cross-checks: the lattice oracle against delta,
     and kappa against (-1)^delta. check_trs reads the Fourier terms of H,
     and lattice_z2 the half-zone grid right after z2_ingredients' curvature.
-    Raises _NoTimeReversal unless H is time-reversal symmetric."""
+    Raises NotTRS unless H is time-reversal symmetric, with an infinite
+    violation for an odd dimension, where no odd time reversal exists."""
     if fam.ambient_dim % 2 != 0:
-        raise _NoTimeReversal(f"odd ambient dimension {fam.ambient_dim}", math.inf)
+        raise NotTRS(math.inf, DEFAULT_TOL.trs)
     theta = TRSOperator.standard(fam.ambient_dim)
     ok, violation = check_trs(fam, theta)
     if not ok:
-        raise _NoTimeReversal("family is not time-reversal symmetric", violation)
+        raise NotTRS(violation, DEFAULT_TOL.trs)
     n1 = max(16, cfg.grid // 2)
     z2 = wz.z2_ingredients(fam, theta, n_loop=cfg.loop_grid, n1=n1, n2=cfg.grid)
     d, kap = berry.delta_invariant(z2), wz.kappa_invariant(z2)
@@ -223,7 +215,7 @@ def _sweep_point(args):
                 continue
             try:
                 fields, found = evaluate(fam, cfg)
-            except _NoTimeReversal as exc:
+            except NotTRS as exc:
                 row["error"] = f"NotTRS(violation={exc.violation:.3e})"
                 continue
             for key in (k for k in names if k in wants):
@@ -367,7 +359,7 @@ def main(argv=None):
         return fn(cfg)
     except GapClosure as exc:
         return _fail(EXIT_PRECONDITION, "GapClosure", str(exc), gap=exc.gap, k=exc.k)
-    except (NotTRS, _NoTimeReversal) as exc:
+    except NotTRS as exc:
         return _fail(EXIT_PRECONDITION, "NotTRS", str(exc), violation=exc.violation)
     except (UnknownModel, UnknownParameter, ParseError, SchemaError) as exc:
         return _fail(EXIT_IO, type(exc).__name__, str(exc))

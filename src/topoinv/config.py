@@ -20,7 +20,6 @@ class Tolerances:
     winding: float = 1e-6           # residual below which a winding number snaps
     extension_end: float = 1e-8     # end slice of an extension must be constant
     hermitian: float = 1e-12        # model terms: on-site Hermiticity, partner = T_v*
-    log_branch: float = 1e-7        # eigenphase distance to -1 of a principal logarithm
     empty_subspace: float = 1e-12   # norm below which a residual subspace is empty
     wz_sign: float = 1e-4           # |WZ amplitude of U_P - (-1)^Chern| in `chern`
 

@@ -78,15 +78,6 @@ class BranchAmbiguity(TopoinvError):
                          "perturb the family or shift the branch")
 
 
-class SymmetrizationFailure(TopoinvError):
-    """The fixed-point mismatch unitary cannot be interpolated smoothly."""
-
-    def __init__(self, phases):
-        self.phases = phases
-        super().__init__("mismatch unitary has an eigenvalue at -1 (log branch degeneracy); "
-                         f"eigenphases: {phases}")
-
-
 class NotTRSFrame(TopoinvError):
     pass
 

@@ -132,7 +132,7 @@ def unitary_eig(u):
 
     Returns
     -------
-    phases : (n,) real, in (-pi, pi]
+    phases : (n,) real, in [-pi, pi]
     q : (n, n) unitary with u = q diag(exp(i*phases)) q*
     """
     phases = np.sort(np.angle(np.linalg.eigvals(u)))
@@ -163,20 +163,6 @@ def unitary_log_generator(u):
     lam = phases / (2.0 * np.pi)
     m = (q * lam[None, :]) @ dagger(q)
     return 0.5 * (m + dagger(m)), lam
-
-
-def principal_log_unitary(u):
-    """Anti-Hermitian L = log(u) with eigenphases in (-pi, pi].
-
-    Returns (L, phases). Raises ValueError if an eigenphase is within
-    DEFAULT_TOL.log_branch of -1 = exp(+-i*pi), where the principal branch
-    is ambiguous; callers translate this into their own error type.
-    """
-    phases, q = unitary_eig(u)
-    if np.any(np.pi - np.abs(phases) < DEFAULT_TOL.log_branch):
-        raise ValueError("eigenvalue at -1")
-    l = (q * (1j * phases)[None, :]) @ dagger(q)
-    return 0.5 * (l - dagger(l)), phases
 
 
 def kramers_basis(apply_antiunitary, projector, rng=None):

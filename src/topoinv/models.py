@@ -129,7 +129,7 @@ def _haldane_terms(t1, t2, phi, m):
     return _merge_terms(_with_conjugates(terms))
 
 
-def _kane_mele_terms(t, lam_so, lam_v, lam_r):
+def _kane_mele_terms(t, lambda_so, lambda_v, lambda_r):
     """Honeycomb with spin: intrinsic spin-orbit (opposite Haldane flux per
     spin), staggered sublattice potential, and Rashba coupling.
 
@@ -145,7 +145,7 @@ def _kane_mele_terms(t, lam_so, lam_v, lam_r):
     }
 
     def rashba(d):
-        return 1j * lam_r * (SX * d[1] - SY * d[0])
+        return 1j * lambda_r * (SX * d[1] - SY * d[0])
 
     def ab_block(spin_mat):
         out = np.zeros((4, 4), dtype=complex)
@@ -158,11 +158,11 @@ def _kane_mele_terms(t, lam_so, lam_v, lam_r):
         out[2:4, 2:4] = b_spin
         return out
 
-    so = 1j * lam_so  # +i lam_so toward the positive-orientation A loop
+    so = 1j * lambda_so  # +i lambda_so toward the positive-orientation A loop
     incell = ab_block(t * S0 + rashba((0, 0)))
     incell = incell + incell.conj().T  # in-cell bond and its reverse
     terms = [
-        (diag_block(lam_v * S0, -lam_v * S0), (0, 0)),
+        (diag_block(lambda_v * S0, -lambda_v * S0), (0, 0)),
         (incell, (0, 0)),
         (ab_block(t * S0 + rashba((-1, 0))), (-1, 0)),
         (ab_block(t * S0 + rashba((0, -1))), (0, -1)),
@@ -212,11 +212,14 @@ def _flat_two_band_terms():
     return _merge_terms(_with_conjugates([(hop, (1, 0))]))
 
 
-_DEFAULTS = {
-    "haldane": {"t1": 1.0, "t2": 0.15, "phi": np.pi / 2, "m": 0.2},
-    "kane_mele": {"t": 1.0, "lambda_so": 0.3, "lambda_v": 0.0, "lambda_r": 0.0},
-    "bhz": {"a": 1.0, "b": 1.0, "d": 0.0, "m": 1.0},
-    "flat_two_band": {},
+# name -> (dim, terms builder, default parameters); the builder takes the
+# parameters by name
+_MODELS = {
+    "haldane": (2, _haldane_terms, {"t1": 1.0, "t2": 0.15, "phi": np.pi / 2, "m": 0.2}),
+    "kane_mele": (4, _kane_mele_terms,
+                  {"t": 1.0, "lambda_so": 0.3, "lambda_v": 0.0, "lambda_r": 0.0}),
+    "bhz": (4, _bhz_terms, {"a": 1.0, "b": 1.0, "d": 0.0, "m": 1.0}),
+    "flat_two_band": (2, _flat_two_band_terms, {}),
 }
 
 
@@ -228,25 +231,15 @@ def builtin_model(name, params=None):
     UnknownParameter. The returned spec always satisfies the Hermitian pairing
     invariant; kane_mele and bhz are time-reversal symmetric.
     """
-    if name not in _DEFAULTS:
-        raise UnknownModel(f"unknown model {name!r}; known: {sorted(_DEFAULTS)}")
-    p = dict(_DEFAULTS[name])
+    if name not in _MODELS:
+        raise UnknownModel(f"unknown model {name!r}; known: {sorted(_MODELS)}")
+    dim, build, defaults = _MODELS[name]
+    p = dict(defaults)
     for key in params or {}:
         if key not in p:
             raise UnknownParameter(name, key, sorted(p))
     p.update(params or {})
-    if name == "haldane":
-        t1, t2, phi, m = (float(p[n]) for n in ("t1", "t2", "phi", "m"))
-        terms, dim = _haldane_terms(t1, t2, phi, m), 2
-    elif name == "kane_mele":
-        t, lso, lv, lr = (float(p[n])
-                          for n in ("t", "lambda_so", "lambda_v", "lambda_r"))
-        terms, dim = _kane_mele_terms(t, lso, lv, lr), 4
-    elif name == "bhz":
-        a, b, d, m = (float(p[n]) for n in ("a", "b", "d", "m"))
-        terms, dim = _bhz_terms(a, b, d, m), 4
-    else:
-        terms, dim = _flat_two_band_terms(), 2
+    terms = build(**{key: float(value) for key, value in p.items()})
     _validate_hermitian_pairing(terms)
     return BlochHamiltonianSpec(dim=dim, terms=terms, name=name, parameters=p)
 

@@ -10,7 +10,7 @@ step the trivialization W(k) = T(k) exp(-i (k-k0) M), with
 exp(2 pi i M) = T(k0 + 2 pi): smooth, periodic, and intertwining P(k) with
 P(k0). Time-reversal symmetric frames are built by transporting a
 Kramers-paired basis over half the loop, absorbing the fixed-point mismatch
-with a smooth gauge ramp, and reflecting.
+with a smooth ramp of its eigenphases in its own eigenbasis, and reflecting.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT_TOL, N_LOOP
 from .core import ProjectorFamily, TRSOperator, check_trs, symplectic_basis
-from .errors import NotTRS, StepFailure, SymmetrizationFailure
+from .errors import NotTRS, StepFailure
 from .grids import loop_axis
 
 
@@ -258,16 +258,18 @@ def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid=N_LOOP,
     with its time-reversal symmetric trivialization W(k), W(0) = 1.
 
     Steps: Kramers-paired (symplectic) basis at the fixed point k = 0;
-    parallel transport over [0, pi]; the fixed-point mismatch at pi is
-    absorbed by exp(ramp(k/pi) log u_pi) with a flat-ended smooth ramp; the
-    frame on (-pi, 0) is the Kramers reflection. The exact connection
-    A(k) = ramp'(|k|/pi)/pi * sum(eigenphases of u_pi) is recorded. The same
-    construction on the complementary band group (same transport:
-    i[dP,P] = i[d(1-P),(1-P)]) gives W = E E(0)^+ + E_c E_c(0)^+.
+    parallel transport over [0, pi]; the fixed-point mismatch
+    u_pi = q diag(exp(i phi)) q^+ at pi is absorbed in its eigenbasis by
+    q diag(exp(i ramp(k/pi) phi)) q^+ with a flat-ended smooth ramp, which
+    takes no logarithm; the frame on (-pi, 0) is the Kramers reflection.
+    The exact connection A(k) = ramp'(|k|/pi)/pi * sum(phi) is recorded. An
+    eigenvalue -1 of u_pi read as phase -pi rather than pi moves the loop
+    integral by 4 pi, which no invariant sees. The same construction on the
+    complementary band group (same transport: i[dP,P] = i[d(1-P),(1-P)])
+    gives W = E E(0)^+ + E_c E_c(0)^+.
 
     Raises NotTRS unless H on the loop is time-reversal symmetric
-    (`check_trs`, on its Fourier terms), SymmetrizationFailure when log u_pi
-    hits the -1 branch degeneracy.
+    (`check_trs`, on its Fourier terms).
     """
     ok, viol = check_trs(family, theta)
     if not ok:
@@ -281,28 +283,14 @@ def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid=N_LOOP,
 
     def symmetrized_half(projector):
         """Frame of Ran(projector) on [0, pi], its sum of mismatch
-        eigenphases and its Kramers basis at k = 0.
-
-        The fixed-point basis is free up to an exact symplectic gauge; a
-        mismatch eigenvalue pinned at -1 (extra model symmetries do this)
-        moves off the cut under a redrawn basis while every mod-4pi
-        observable stays fixed. Deterministic unless the caller's rng is
-        used; only persistent failure propagates.
-        """
-        draws = [rng] + [rng if rng is not None else np.random.default_rng(1009 + retry)
-                         for retry in range(8)]
-        for draw in draws:
-            base = symplectic_basis(theta, projector, rng=draw)
-            e_sharp = t_half @ base
-            u_pi = _trs_mismatch_gauge(e_sharp[-1], theta, rng=draw)
-            try:
-                log_u, phases = linalg.principal_log_unitary(u_pi)
-            except ValueError:
-                failure = SymmetrizationFailure(np.angle(np.linalg.eigvals(u_pi)))
-                continue
-            return (e_sharp @ linalg.expi_hermitian(-1j * log_u, ramp),
-                    float(np.sum(phases)), base)
-        raise failure
+        eigenphases and its Kramers basis at k = 0; deterministic unless
+        the caller passes an rng."""
+        base = symplectic_basis(theta, projector, rng=rng)
+        e_sharp = t_half @ base
+        phases, q = linalg.unitary_eig(_trs_mismatch_gauge(e_sharp[-1], theta, rng=rng))
+        turn = np.exp(1j * np.multiply.outer(ramp, phases))
+        absorb = (q * turn[:, None, :]) @ linalg.dagger(q)
+        return e_sharp @ absorb, float(np.sum(phases)), base
 
     def whole_loop(e_plus):
         """The loop-grid frame from its half on [0, pi]: grid index of

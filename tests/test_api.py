@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import topoinv
+from topoinv.errors import TopoinvError
 
 
 def test_every_public_name_resolves():
@@ -41,6 +42,22 @@ def test_every_tolerance_is_read_by_the_library():
               if f"DEFAULT_TOL.{f.name}" not in sources]
     assert unread == []
 
+
+
+def test_every_error_is_raised_by_the_library():
+    """Every TopoinvError subclass is raised by some module of topoinv, so
+    an error that no code path can reach does not linger in errors.py."""
+    sources = "".join(path.read_text() for path in Path(topoinv.__file__).parent.glob("*.py")
+                      if path.name != "errors.py")
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    unraised = [cls.__name__ for cls in subclasses(TopoinvError)
+                if f"raise {cls.__name__}(" not in sources]
+    assert unraised == []
 
 _SCIPY_PROBE = """
 import contextlib, io, sys

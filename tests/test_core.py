@@ -330,7 +330,7 @@ def test_kept_eigensystem_changes_no_output(haldane_topo, km_topo, theta4):
 @pytest.mark.parametrize("argv,matrices", [
     (["chern", "--model", "haldane", "--param", "m=0.6"], 20_481),
     (["fkm", "--model", "kane_mele", "--param", "lambda_so=0.3",
-      "--param", "lambda_v=1.44"], 11_403),
+      "--param", "lambda_v=1.44"], 11_399),
 ])
 def test_request_eigh_counts(monkeypatch, capsys, argv, matrices):
     """Matrices diagonalized by one request at the default grids, each
@@ -339,8 +339,9 @@ def test_request_eigh_counts(monkeypatch, capsys, argv, matrices):
     plaquette oracle's frames need none; an fkm request its half-zone grid
     once for the curvature and the lattice oracle, plus its transports,
     whose 2 x 512 Magnus steps take one eigh each for their exponentials,
-    and the logarithms of its four 2 x 2 mismatch gauges, one eigh each;
-    the time-reversal check and the oracles diagonalize nothing."""
+    and the eigenbases of its four 2 x 2 mismatch gauges, one eigh each,
+    in which their eigenphases are ramped with no second eigh; the
+    time-reversal check and the oracles diagonalize nothing."""
     count = _count_eigh(monkeypatch)
     assert cli.main(argv + ["--json"]) == 0
     capsys.readouterr()

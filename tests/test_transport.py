@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topoinv import (berry_connection, berry_phase, build_frame, build_trs_frame,
-                     check_trs, parallel_transport, wilson_holonomy)
+                     check_trs, parallel_transport, symplectic_basis, wilson_holonomy)
 from topoinv import linalg, make_projector_family, transport, wz
 from topoinv.errors import NotTRS, StepFailure
 from topoinv.grids import loop_axis
@@ -209,6 +209,31 @@ def test_resymmetrization_stability(km_topo, theta4):
         other_val = np.exp(-0.5j * other.analytic_loop_integral)
         assert abs(other_val - val) < 1e-6
 
+
+def test_trs_frame_absorbs_a_mismatch_at_minus_one(bhz_topo, theta4, monkeypatch):
+    """On bhz at k1 = 0 the mismatch unitaries of both band groups have an
+    eigenvalue at -1, where the principal logarithm has no unique branch.
+    The frame absorbs them in their eigenbasis from the deterministic
+    Kramers basis, drawing no random one; E(pi) is Kramers-symmetric, and
+    the exact loop integral matches the spectral connection of the samples."""
+    loop = bhz_topo.loop(0, 0.0)
+    _, t_half, p_half, _, _ = transport._segment_transport(loop, 0.0, np.pi, 64)
+    for projector in (p_half[0], np.eye(4) - p_half[0]):
+        e_sharp = t_half @ symplectic_basis(theta4, projector)
+        u_pi = transport._trs_mismatch_gauge(e_sharp[-1], theta4)
+        assert np.min(np.abs(np.linalg.eigvals(u_pi) + 1.0)) < 1e-8
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the frame drew a random basis")
+
+    monkeypatch.setattr(transport.np.random, "default_rng", refuse)
+    frame = build_trs_frame(loop, theta4, n_grid=128)
+    e_pi = frame.e_samples[0]
+    assert linalg.frob(e_pi - theta4.frame(e_pi)) < 1e-12
+    report = validate_frame(frame)
+    assert report["ok"], report
+    spectral = berry_connection(frame, method="spectral")
+    assert abs(spectral.loop_integral - frame.analytic_loop_integral) < 1e-8
 
 def test_relative_gauge_between_trs_frames_has_even_winding(km_topo, theta4):
     loop = km_topo.loop(0, 0.0)
