@@ -21,7 +21,7 @@ family = make_projector_family(builtin_model("flat_two_band"))
 loop = family.loop(1, 0.0)   # fix k2, walk the k1 circle
 
 print("transporting the lower band around the loop, with its periodic trivialization W ...")
-tr = parallel_transport(loop, n_grid=256, substeps=4)
+tr = parallel_transport(loop, n_grid=256)   # 4 Magnus steps per grid interval
 print(f"  intertwining residual : {tr.intertwine_residual:.2e}")
 print(f"  W periodicity residual: {tr.w_periodicity:.2e}")
 

@@ -29,7 +29,8 @@ print("-" * 80)
 for lv in [0.0, 0.5, 1.0, 1.4, 1.8, 2.2, 2.8]:
     spec = builtin_model("kane_mele", {"lambda_so": LAMBDA_SO, "lambda_v": lv})
     fam = make_projector_family(spec)
-    ingredients = z2_ingredients(fam, theta, n_loop=128, n1=48, n2=64)
+    # half zone 49 x 64 points; the boundary loops take 2 * n2 = 128
+    ingredients = z2_ingredients(fam, theta, n1=48, n2=64)
     d = delta_invariant(ingredients)
     kap = kappa_invariant(ingredients)
     z2 = lattice_z2(fam, theta, n1=24, n2=48)
@@ -45,7 +46,7 @@ print("\nwith Rashba coupling the spin blocks mix; the machinery is unchanged:")
 spec = builtin_model("kane_mele", {"lambda_so": LAMBDA_SO, "lambda_v": 1.0,
                                    "lambda_r": 0.4})
 fam = make_projector_family(spec)
-ingredients = z2_ingredients(fam, theta, n_loop=128, n1=48, n2=64)
+ingredients = z2_ingredients(fam, theta, n1=48, n2=64)
 d = delta_invariant(ingredients)
 kap = kappa_invariant(ingredients)
 z2 = lattice_z2(fam, theta, n1=24, n2=48)

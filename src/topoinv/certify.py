@@ -166,9 +166,8 @@ def criterion_4_fkm(scale, tol):
     """K = (-1)^delta with snapped residuals below 1e-3 across >= 20
     kane_mele points in both phases, each agreeing with the lattice oracle
     and (at zero Rashba) the closed-form phase boundary."""
-    n_loop = _grid(128, scale)
     # the half-zone direction is Simpson-limited; near-transition curvature
-    # peaks need its resolution more than the loops need theirs
+    # peaks need its resolution (the boundary loops follow at 2 * n2 points)
     n1, n2 = _grid(96, scale), _grid(96, scale)
     theta = TRSOperator.standard(4)
     worst = 0.0
@@ -183,7 +182,7 @@ def criterion_4_fkm(scale, tol):
               for lv, lr in ((0.4, 0.2), (1.0, 0.4))]
     for (lv, lr), label, expected in cases:
         fam = _km(lv, lr)
-        ingredients = wz.z2_ingredients(fam, theta, n_loop=n_loop, n1=n1, n2=n2)
+        ingredients = wz.z2_ingredients(fam, theta, n1=n1, n2=n2)
         d, kap = berry.delta_invariant(ingredients), wz.kappa_invariant(ingredients)
         z2 = lattice.lattice_z2(fam, theta, n1=max(16, n1), n2=max(32, n2))
         ok = (d.snapped is not None and kap.snapped == (-1) ** d.snapped
@@ -202,7 +201,7 @@ def criterion_5_phi_reduction(scale, tol):
     half-zone curvature integral, 1e-5 relative at 64^3 / 128^2."""
     n3, n2d = _grid(64, scale), _grid(128, scale)
     ingredients = wz.z2_ingredients(_km(0.4, 0.2), TRSOperator.standard(4),
-                                    n_loop=_grid(128, scale), n1=n2d // 2, n2=n2d)
+                                    n1=n2d // 2, n2=n2d)
     kap = wz.kappa_invariant(ingredients, direct_grid=(max(8, n3 // 4), n3, n3))
     worst = kap.meta["phi3_discrepancy"]
     return worst < tol, worst, {"direct": kap.meta["phi3_direct"],
@@ -340,11 +339,11 @@ def criterion_11_convergence(scale, tol):
     probes = {
         "chern": lambda n: berry.chern_number(berry.berry_curvature(fam_h, n_grid=n)).residual,
         "amplitude_vs_berry": lambda n: abs(wz.wz_amplitude_phi(
-            transport.parallel_transport(loop_km, n_grid=2 * n, substeps=2),
+            transport.parallel_transport(loop_km, n_grid=2 * n),
             method="beta").amplitude - reference),
         "wz_chern": lambda n: _wz_vs_chern(fam_h, 32, n)[2],
         "delta": lambda n: berry.delta_invariant(
-            wz.z2_ingredients(fam_km, theta, n_loop=4 * n, n1=n, n2=2 * n)).residual,
+            wz.z2_ingredients(fam_km, theta, n1=n, n2=2 * n)).residual,
     }
     details = {}
     for name, probe in probes.items():

@@ -7,17 +7,19 @@ oracle and kappa = (-1)^delta for delta). A sweep row reads its columns from
 the same evaluations, and its error column names any snapped cross-check
 that contradicts a value it reports.
 
-Each subcommand accepts only the options it reads. Exit codes: 0 success,
-1 a certification criterion failed (certify only), 2 precondition violated
-(no time-reversal symmetry / gap closure), 3 a result refused to snap or
-another library error stopped it, 4 bad input (usage errors, such as an
-option the subcommand does not read, non-finite numbers, a loop grid too
-coarse for the transport step, StepFailure, and a fixed-point basis that will
-not form Kramers pairs, PairingFailure, included) or I/O. Every error is
-one JSON object on stderr so sweeps stay scriptable. Outputs written with
---out contain no wall-clock data, so runs of identical configurations are
-byte-identical; the certify report is the one exception (it reports
-runtimes by design).
+Each subcommand accepts only the options it reads. --grid is the only
+resolution option: the torus has --grid^2 points, the half zone
+(--grid/2 + 1) x --grid and each boundary loop 2 * --grid; U_P's N_UP^3 is
+fixed. Exit codes: 0 success, 1 a certification criterion failed (certify
+only), 2 precondition violated (no time-reversal symmetry / gap closure),
+3 a result refused to snap or another library error stopped it, 4 bad input
+(usage errors, such as an option the subcommand does not read, non-finite
+numbers, a --grid too coarse for the transport step, StepFailure, and a
+fixed-point basis that will not form Kramers pairs, PairingFailure,
+included) or I/O. Every error is one JSON object on stderr so sweeps stay
+scriptable. Outputs written with --out contain no wall-clock data, so runs
+of identical configurations are byte-identical; the certify report is the
+one exception (it reports runtimes by design).
 """
 
 import argparse
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import berry, certify, lattice, wz
-from .config import DEFAULT_TOL, N_2D, N_LOOP, N_UP
+from .config import DEFAULT_TOL, N_2D, N_UP
 from .core import TRSOperator, check_trs, make_projector_family
 from .errors import (GapClosure, NotTRS, PairingFailure, ParseError, SchemaError,
                      StepFailure, TopoinvError, UnknownModel, UnknownParameter)
@@ -55,8 +57,6 @@ class RunConfig:
     model_file: str = ""
     params: dict = field(default_factory=dict)
     grid: int = N_2D
-    grid_t: int = 64
-    loop_grid: int = N_LOOP
     out: str = ""
     as_json: bool = False
     invariants: tuple = ()
@@ -64,10 +64,8 @@ class RunConfig:
     workers: int = 1
 
     def validate(self):
-        for label, n in (("--grid", self.grid), ("--grid-t", self.grid_t),
-                         ("--loop-grid", self.loop_grid)):
-            if n < 16 or n > 1024 or (n & (n - 1)) != 0:
-                raise ValueError(f"{label} must be a power of two in [16, 1024], got {n}")
+        if self.grid < 16 or self.grid > 1024 or (self.grid & (self.grid - 1)) != 0:
+            raise ValueError(f"--grid must be a power of two in [16, 1024], got {self.grid}")
         unknown = [x for x in self.invariants if x not in INVARIANTS]
         if unknown:
             raise ValueError(f"unknown --invariants {unknown}; choose among "
@@ -120,14 +118,14 @@ def _family(cfg: RunConfig):
 
 def _chern_evaluation(fam, cfg: RunConfig):
     """The Chern number with its cross-checks: the U_P WZ amplitude against
-    (-1)^C, and the plaquette oracle. U_P reads its own N_UP^2 grid at every
+    (-1)^C, and the plaquette oracle. U_P reads its own N_UP^3 grid at every
     --grid, and the oracle reads the curvature's grid right after the family
     diagonalized it.
 
     Returns (fields, contradictions), as every evaluation does: the report
     values, each invariant and cross-check an InvariantResult, and a message
     per snapped cross-check that contradicts a snapped invariant."""
-    action = wz.wz_action_extension(wz.up_extension(fam, n_t=cfg.grid_t, n1=N_UP, n2=N_UP))
+    action = wz.wz_action_extension(wz.up_extension(fam, n_t=N_UP, n1=N_UP, n2=N_UP))
     c = berry.chern_number(berry.berry_curvature(fam, n_grid=cfg.grid))
     oracle = lattice.plaquette_chern(fam, n_grid=cfg.grid)
     wz_diff = abs(action.amplitude - (-1.0) ** c.snapped) if c.snapped is not None else None
@@ -156,7 +154,7 @@ def _fkm_evaluation(fam, cfg: RunConfig):
     if not ok:
         raise NotTRS(violation, DEFAULT_TOL.trs)
     n1 = max(16, cfg.grid // 2)
-    z2 = wz.z2_ingredients(fam, theta, n_loop=cfg.loop_grid, n1=n1, n2=cfg.grid)
+    z2 = wz.z2_ingredients(fam, theta, n1=n1, n2=cfg.grid)
     d, kap = berry.delta_invariant(z2), wz.kappa_invariant(z2)
     oracle = lattice.lattice_z2(fam, theta, n1=n1, n2=cfg.grid)
     agree = (d.snapped is not None and kap.snapped is not None
@@ -174,7 +172,7 @@ def _fkm_evaluation(fam, cfg: RunConfig):
             }, contradictions
 
 
-def _report(cfg: RunConfig, evaluate, **settings):
+def _report(cfg: RunConfig, evaluate):
     """Emit one command's evaluation, with residual_max over its invariants
     and cross-checks; exit 3 when an invariant refused to snap."""
     spec, fam = _family(cfg)
@@ -183,18 +181,18 @@ def _report(cfg: RunConfig, evaluate, **settings):
     payloads = {k: {"raw": v.raw, "snapped": v.snapped, "residual": v.residual,
                     "unsnapped": v.snapped is None} for k, v in results.items()}
     _emit({"command": cfg.command, "model": spec.name, "parameters": spec.parameters,
-           "grid": cfg.grid, **settings, **fields, **payloads,
+           "grid": cfg.grid, **fields, **payloads,
            "residual_max": max(v.residual for v in results.values())}, cfg)
     unsnapped = any(v.snapped is None for k, v in results.items() if k in INVARIANTS)
     return EXIT_UNSNAPPED if unsnapped else EXIT_OK
 
 
 def cmd_chern(cfg: RunConfig):
-    return _report(cfg, _chern_evaluation, grid_t=cfg.grid_t)
+    return _report(cfg, _chern_evaluation)
 
 
 def cmd_fkm(cfg: RunConfig):
-    return _report(cfg, _fkm_evaluation, loop_grid=cfg.loop_grid)
+    return _report(cfg, _fkm_evaluation)
 
 
 def _sweep_point(args):
@@ -246,8 +244,7 @@ def cmd_sweep(cfg: RunConfig):
         rows = [_sweep_point(a) for a in args]
     sidecar_config = {"command": "sweep", "model": cfg.model,
                       "base_params": cfg.params, "sweeps": list(cfg.sweeps),
-                      "grid": cfg.grid, "loop_grid": cfg.loop_grid,
-                      "invariants": list(cfg.invariants or INVARIANTS)}
+                      "grid": cfg.grid, "invariants": list(cfg.invariants or INVARIANTS)}
     if cfg.out:
         save_results(cfg.out, rows, config=sidecar_config)
         print(f"wrote {cfg.out} ({len(rows)} rows)")
@@ -298,11 +295,9 @@ _OPTIONS = {
     "params": ("--param", dict(action="append", metavar="NAME=VALUE",
                                help="model parameter override (repeatable)")),
     "grid": ("--grid", dict(type=int, default=N_2D,
-                            help="2D grid size per direction (power of two, 16..1024)")),
-    "grid_t": ("--grid-t", dict(type=int, default=64,
-                                help="extension-direction grid for 3D quadratures")),
-    "loop_grid": ("--loop-grid", dict(type=int, default=N_LOOP,
-                                      help="loop grid for transport and connections")),
+                            help="grid points per k direction (power of two, 16..1024); "
+                                 "the boundary loops take twice as many, and certify "
+                                 f"scales its grids by --grid/{N_2D}")),
     "out": ("--out", dict(default="", help="write the report/CSV here")),
     "as_json": ("--json", dict(action="store_true", help="machine-readable output on stdout")),
     "sweeps": ("--sweep", dict(action="append", nargs=4, metavar=("NAME", "START", "STOP", "COUNT"),
@@ -315,9 +310,9 @@ _OPTIONS = {
 # each subcommand takes only the options it reads; any other is a usage
 # error (a model file fixes its matrices, so sweep takes no --model-file)
 _COMMANDS = {
-    "chern": (cmd_chern, "model model_file params grid grid_t out as_json"),
-    "fkm": (cmd_fkm, "model model_file params grid loop_grid out as_json"),
-    "sweep": (cmd_sweep, "model params grid loop_grid out as_json sweeps invariants workers"),
+    "chern": (cmd_chern, "model model_file params grid out as_json"),
+    "fkm": (cmd_fkm, "model model_file params grid out as_json"),
+    "sweep": (cmd_sweep, "model params grid out as_json sweeps invariants workers"),
     "certify": (cmd_certify, "grid out as_json"),
 }
 

@@ -26,10 +26,9 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
-# Default grid sizes: loops and 2D tori include the symmetric points 0 and pi
-# so reflection pairs k <-> -k land exactly on grid points.
-N_LOOP = 256
+# Default grid size: 2D tori include the symmetric points 0 and pi so
+# reflection pairs k <-> -k land exactly on grid points.
 N_2D = 128
-# The torus grid (N_UP x N_UP) of the U_P extension in `chern`, the same at
-# every --grid.
+# The grid (N_UP^3) of the U_P extension in `chern`, its t axis and its
+# torus alike, the same at every --grid.
 N_UP = 64

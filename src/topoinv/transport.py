@@ -19,10 +19,13 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOL, N_LOOP
+from .config import DEFAULT_TOL
 from .core import ProjectorFamily, TRSOperator, check_trs, symplectic_basis
 from .errors import NotTRS, StepFailure
 from .grids import loop_axis
+
+# Magnus steps per stored grid interval of every transport
+MAGNUS_STEPS = 4
 
 
 def smooth_ramp(x):
@@ -113,18 +116,18 @@ def _magnus_transport(p_fine, dp_fine, h, k_start):
     return out, float(np.max(error))
 
 
-def _segment_transport(family, k_start, k_end, n_grid_points, substeps=4):
-    """Transport from k_start to k_end, returning T, P, G at the n_grid_points+1
-    evenly spaced sample points and the march's residuals (a dict of
-    TransportResult fields). The kept T are polar-projected in one call,
-    whose singular values give their unitarity drift and reprojection
-    distance."""
-    n_steps = n_grid_points * substeps
+def _segment_transport(family, k_start, k_end, n_grid_points):
+    """Transport from k_start to k_end in MAGNUS_STEPS steps per interval,
+    returning T, P, G at the n_grid_points+1 evenly spaced sample points and
+    the march's residuals (a dict of TransportResult fields). The kept T are
+    polar-projected in one call, whose singular values give their unitarity
+    drift and reprojection distance."""
+    n_steps = n_grid_points * MAGNUS_STEPS
     fine = np.linspace(k_start, k_end, 2 * n_steps + 1)
     p_fine, dp_fine = family.derivative(fine)
     h = (k_end - k_start) / n_steps
     t_all, step_error = _magnus_transport(p_fine, dp_fine, h, k_start)
-    sel = np.arange(0, n_steps + 1, substeps)
+    sel = np.arange(0, n_steps + 1, MAGNUS_STEPS)
     t = t_all[sel]
     t[1:], sigma = linalg.polar_project(t[1:])
     drift = np.sqrt(np.sum((sigma ** 2 - 1.0) ** 2, axis=1))
@@ -137,15 +140,15 @@ def _segment_transport(family, k_start, k_end, n_grid_points, substeps=4):
     return fine[2 * sel], t, p, g, residuals
 
 
-def parallel_transport(family: ProjectorFamily, n_grid=N_LOOP, substeps=4):
+def parallel_transport(family: ProjectorFamily, n_grid):
     """Parallel-transport unitaries T(k) around the loop, base point k0 = -pi,
     and the periodic trivialization W(k) = T(k) exp(-i (k-k0) M).
 
     Parameters
     ----------
     family : loop-domain ProjectorFamily
-    n_grid : grid points stored per loop (T also sampled at the closure)
-    substeps : Magnus steps per grid interval; total steps = n_grid * substeps
+    n_grid : grid points stored per loop (T also sampled at the closure);
+        the march takes MAGNUS_STEPS steps per grid interval
 
     A step whose local error estimate exceeds DEFAULT_TOL.drift, or which
     lies outside the Magnus series' convergence radius, raises StepFailure
@@ -159,12 +162,11 @@ def parallel_transport(family: ProjectorFamily, n_grid=N_LOOP, substeps=4):
     """
     if family.domain != "loop":
         raise ValueError("parallel_transport needs a loop family")
-    if n_grid * substeps < 16:
+    if n_grid * MAGNUS_STEPS < 16:
         raise ValueError("need at least 16 transport steps")
     ax = loop_axis(n_grid)
     k0 = ax.start
-    ks, t, p, g, residuals = _segment_transport(
-        family, k0, k0 + 2 * np.pi, n_grid, substeps)
+    ks, t, p, g, residuals = _segment_transport(family, k0, k0 + 2 * np.pi, n_grid)
     inter = float(np.max(linalg.frob(p - t @ p[0] @ linalg.dagger(t))))
     m, lam = linalg.unitary_log_generator(t[-1])
     expm = linalg.expi_hermitian(m, -(ks - ks[0]))
@@ -252,16 +254,17 @@ def _trs_mismatch_gauge(e_pi, theta, rng=None):
     return linalg.kramers_basis(tau, np.eye(v.shape[0], dtype=complex), rng=rng)
 
 
-def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid=N_LOOP,
-                    rng=None):
-    """Smooth periodic time-reversal symmetric Bloch frame on a symmetric loop,
-    with its time-reversal symmetric trivialization W(k), W(0) = 1.
+def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid, rng=None):
+    """Smooth periodic time-reversal symmetric Bloch frame on a symmetric loop
+    of n_grid points, with its time-reversal symmetric trivialization W(k),
+    W(0) = 1.
 
     Steps: Kramers-paired (symplectic) basis at the fixed point k = 0;
-    parallel transport over [0, pi]; the fixed-point mismatch
-    u_pi = q diag(exp(i phi)) q^+ at pi is absorbed in its eigenbasis by
-    q diag(exp(i ramp(k/pi) phi)) q^+ with a flat-ended smooth ramp, which
-    takes no logarithm; the frame on (-pi, 0) is the Kramers reflection.
+    parallel transport over [0, pi], MAGNUS_STEPS steps per grid interval;
+    the fixed-point mismatch u_pi = q diag(exp(i phi)) q^+ at pi is absorbed
+    in its eigenbasis by q diag(exp(i ramp(k/pi) phi)) q^+ with a flat-ended
+    smooth ramp, which takes no logarithm; the frame on (-pi, 0) is the
+    Kramers reflection.
     The exact connection A(k) = ramp'(|k|/pi)/pi * sum(phi) is recorded. An
     eigenvalue -1 of u_pi read as phase -pi rather than pi moves the loop
     integral by 4 pi, which no invariant sees. The same construction on the

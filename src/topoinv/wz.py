@@ -40,7 +40,7 @@ import numpy as np
 
 from . import linalg
 from .berry import berry_curvature_ebz
-from .config import DEFAULT_TOL, N_2D, N_LOOP
+from .config import DEFAULT_TOL, N_2D
 from .core import ProjectorFamily, TRSOperator
 from .errors import DimensionMismatch, NotAnExtension, NotTRSFrame
 from .grids import (ebz_axis, integrate_grid, interval_axis, loop_axis,
@@ -707,20 +707,20 @@ class Z2Ingredients:
     frames: dict
     wz: dict
     ebz_integral: float
-    grid: tuple                   # (n_loop, n1, n2)
+    grid: tuple                   # (n1, n2) of the half zone
 
 
-def z2_ingredients(family: ProjectorFamily, theta: TRSOperator, n_loop=N_LOOP,
-                   n1=N_2D // 2, n2=N_2D):
+def z2_ingredients(family: ProjectorFamily, theta: TRSOperator, n1=N_2D // 2, n2=N_2D):
     """Build the boundary frames, their WZ values and the half-zone curvature
-    shared by delta_invariant and kappa_invariant."""
+    shared by delta_invariant and kappa_invariant: the half zone on
+    (n1 + 1) x n2 points, each boundary loop on 2 * n2."""
     frames, values = {}, {}
     for label, k1 in BOUNDARY_LOOPS:
-        frames[label] = build_trs_frame(family.loop(0, k1), theta, n_grid=n_loop)
+        frames[label] = build_trs_frame(family.loop(0, k1), theta, n_grid=2 * n2)
         values[label] = wz_amplitude_phi(frames[label])
     ebz = berry_curvature_ebz(family, n1=n1, n2=n2).integral()
     return Z2Ingredients(family=family, theta=theta, frames=frames, wz=values,
-                         ebz_integral=ebz, grid=(n_loop, n1, n2))
+                         ebz_integral=ebz, grid=(n1, n2))
 
 
 def kappa_invariant(z2: Z2Ingredients, direct_grid=None):

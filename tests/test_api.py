@@ -1,11 +1,13 @@
 import dataclasses
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import topoinv
+from topoinv import config
 from topoinv.errors import TopoinvError
 
 
@@ -42,6 +44,16 @@ def test_every_tolerance_is_read_by_the_library():
               if f"DEFAULT_TOL.{f.name}" not in sources]
     assert unread == []
 
+
+def test_every_config_constant_is_read_by_the_library():
+    """Each module-level constant of config.py (DEFAULT_TOL and the default
+    grid sizes) is read by another module of topoinv, so a constant whose
+    last reader goes cannot linger."""
+    sources = "".join(path.read_text() for path in Path(topoinv.__file__).parent.glob("*.py")
+                      if path.name != "config.py")
+    constants = [name for name in vars(config) if name.isupper()]
+    assert {"DEFAULT_TOL", "N_2D", "N_UP"} <= set(constants)
+    assert [name for name in constants if not re.search(rf"\b{name}\b", sources)] == []
 
 
 def test_every_error_is_raised_by_the_library():

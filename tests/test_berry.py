@@ -20,11 +20,11 @@ from oracles import holonomy_flux_check, odd_symmetry_residual, validate_gauge
 
 def w_frame(family, k1=0.0, n=256, axis=0):
     loop = family.loop(axis, k1)
-    return build_frame(parallel_transport(loop, n_grid=n, substeps=4))
+    return build_frame(parallel_transport(loop, n_grid=n))
 
 
 def test_constant_frame_zero_connection(constant_loop):
-    trp = parallel_transport(constant_loop, n_grid=64, substeps=2)
+    trp = parallel_transport(constant_loop, n_grid=32)
     frame = build_frame(trp)
     conn = berry_connection(frame, method="spectral")
     assert np.max(np.abs(conn.a_values)) < 1e-12
@@ -240,20 +240,20 @@ def test_stokes_on_subrectangles(haldane_topo):
 
 
 def test_delta_atomic_limit_is_trivial(atomic_limit, theta4):
-    d = delta_invariant(z2_ingredients(atomic_limit, theta4, n_loop=64, n1=16, n2=32))
+    d = delta_invariant(z2_ingredients(atomic_limit, theta4, n1=16, n2=32))
     assert d.snapped == 0
     assert d.residual < 1e-10
 
 
 def test_delta_kane_mele_phases(km_topo, km_trivial, theta4):
-    d_topo = delta_invariant(z2_ingredients(km_topo, theta4, n_loop=128, n1=32, n2=64))
-    d_triv = delta_invariant(z2_ingredients(km_trivial, theta4, n_loop=128, n1=32, n2=64))
+    d_topo = delta_invariant(z2_ingredients(km_topo, theta4, n1=32, n2=64))
+    d_triv = delta_invariant(z2_ingredients(km_trivial, theta4, n1=32, n2=64))
     assert d_topo.snapped == 1
     assert d_triv.snapped == 0
     # raw lands near an integer and the integer is grid-stable 64 -> 256
     assert d_topo.residual < 1e-3
-    d_coarse = delta_invariant(z2_ingredients(km_topo, theta4, n_loop=64, n1=16, n2=32))
-    d_fine = delta_invariant(z2_ingredients(km_topo, theta4, n_loop=256, n1=64, n2=128))
+    d_coarse = delta_invariant(z2_ingredients(km_topo, theta4, n1=16, n2=32))
+    d_fine = delta_invariant(z2_ingredients(km_topo, theta4, n1=64, n2=128))
     assert d_coarse.snapped == d_fine.snapped == d_topo.snapped
 
 

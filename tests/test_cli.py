@@ -58,7 +58,7 @@ def run_module(*argv):
 def test_python_dash_m_runs_the_command():
     """`python -m topoinv` is the `topoinv` command: its exit code and its
     JSON report on stdout, and an error object on stderr with exit code 4."""
-    done = run_module("chern", "--model", "haldane", "--grid", "16", "--grid-t", "16", "--json")
+    done = run_module("chern", "--model", "haldane", "--grid", "16", "--json")
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["command"] == "chern" and report["chern"]["snapped"] == -1
@@ -70,7 +70,7 @@ def test_python_dash_m_runs_the_command():
 def test_fkm_report(capsys):
     code, out, _ = run_cli(capsys, "fkm", "--model", "kane_mele",
                            "--param", "lambda_v=0.4", "--param", "lambda_r=0.2",
-                           "--grid", "32", "--loop-grid", "64", "--json")
+                           "--grid", "32", "--json")
     assert code == 0
     report = json.loads(out)
     assert report["delta"]["snapped"] == 1
@@ -81,13 +81,17 @@ def test_fkm_report(capsys):
 
 
 def test_fkm_builds_each_z2_ingredient_once(capsys, monkeypatch):
-    """One fkm request builds one TRS frame per boundary loop and one
-    half-zone curvature, shared by delta, kappa and the Berry phases."""
+    """One fkm request builds one TRS frame per boundary loop, on 2 * --grid
+    points, and one half-zone curvature, shared by delta, kappa and the
+    Berry phases."""
     calls = {"build_trs_frame": 0, "berry_curvature_ebz": 0}
+    frame_grids = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "build_trs_frame":
+                frame_grids.append(kwargs["n_grid"])
             return fn(*args, **kwargs)
         return wrapper
 
@@ -98,16 +102,17 @@ def test_fkm_builds_each_z2_ingredient_once(capsys, monkeypatch):
                 monkeypatch.setattr(module, name, counted(name, original))
     code, _, _ = run_cli(capsys, "fkm", "--model", "kane_mele",
                          "--param", "lambda_v=0.4", "--param", "lambda_r=0.2",
-                         "--grid", "32", "--loop-grid", "64", "--json")
+                         "--grid", "32", "--json")
     assert code == 0
     assert calls == {"build_trs_frame": 2, "berry_curvature_ebz": 1}
+    assert frame_grids == [64, 64]
 
 
 @pytest.mark.parametrize("argv,calls", [
     (["chern", "--model", "haldane"], 3),
     (["chern", "--model", "haldane", "--grid", "32"], 3),
     (["fkm", "--model", "kane_mele", "--param", "lambda_v=0.4", "--param", "lambda_r=0.2",
-      "--grid", "32", "--loop-grid", "64"], 4),
+      "--grid", "32"], 4),
     (["sweep", "--model", "kane_mele", "--sweep", "lambda_v", "0.4", "0.4", "1",
       "--grid", "32"], 6),
 ], ids=["chern", "chern_grid_32", "fkm", "sweep_row"])
@@ -253,11 +258,12 @@ def test_overflowing_curvature_is_unsnapped(tmp_path):
 
 
 def test_step_failure_is_one_json_line(capsys, tmp_path):
-    """A time-reversal symmetric file too steep along k2 for the loop grid:
-    up block sin(12 k2) sx + sin k1 sy + (1 - cos k1 - cos 12 k2) sz, down
-    block its time-reversed copy, in the basis order of bhz. At --loop-grid
-    16 a transport step drifts past the bound; that is bad input, exit 4,
-    reported as one JSON line with the step's k and drift."""
+    """A time-reversal symmetric file too steep along k2 for the grid:
+    up block sin(24 k2) sx + sin k1 sy + (1 - cos k1 - cos 24 k2) sz, down
+    block its time-reversed copy, in the basis order of bhz. At --grid 16
+    (boundary loops of 32 points) a transport step drifts past the bound;
+    that is bad input, exit 4, reported as one JSON line with the step's k
+    and drift."""
     def spin_blocks(up):
         out = np.zeros((4, 4), dtype=complex)
         out[0::2, 0::2] = up
@@ -265,12 +271,12 @@ def test_step_failure_is_one_json_line(capsys, tmp_path):
         return out
 
     up = {(0, 0): SZ, (1, 0): -0.5 * SZ - 0.5j * SY, (-1, 0): -0.5 * SZ + 0.5j * SY,
-          (0, 12): -0.5 * SZ - 0.5j * SX, (0, -12): -0.5 * SZ + 0.5j * SX}
+          (0, 24): -0.5 * SZ - 0.5j * SX, (0, -24): -0.5 * SZ + 0.5j * SX}
     terms = tuple((spin_blocks(m), np.array(v)) for v, m in up.items())
     path = tmp_path / "steep.json"
     save_model(path, BlochHamiltonianSpec(dim=4, terms=terms, name="steep"))
     code, out, err = run_cli(capsys, "fkm", "--model-file", str(path),
-                             "--loop-grid", "16", "--grid", "32", "--json")
+                             "--grid", "16", "--json")
     assert code == 4 and out == ""
     [line] = err.splitlines()
     payload = json.loads(line)
@@ -286,7 +292,7 @@ def test_pairing_failure_is_one_json_line(capsys, monkeypatch):
     monkeypatch.setattr(linalg, "kramers_basis", lambda tau, p, rng=None: kramers_basis(
         lambda x: (1 + 1e-6) * tau(x), p, rng=rng))
     code, out, err = run_cli(capsys, "fkm", "--model", "kane_mele",
-                             "--grid", "16", "--loop-grid", "32", "--json")
+                             "--grid", "16", "--json")
     assert code == 4 and out == ""
     [line] = err.splitlines()
     payload = json.loads(line)
@@ -352,6 +358,10 @@ def test_usage_error_exit_code(capsys):
     returned from main rather than raised as argparse's SystemExit(2)."""
     for argv in (["chern", "--grid", "abc"], ["chern", "--model", "haldane", "--nope"],
                  ["bogus"], [], ["fkm", "--model", "kane_mele", "--grid-t", "32"],
+                 ["chern", "--model", "haldane", "--grid-t", "32"],
+                 ["fkm", "--model", "kane_mele", "--loop-grid", "64"],
+                 ["sweep", "--model", "kane_mele", "--sweep", "lambda_v", "0.4", "0.4", "1",
+                  "--loop-grid", "64"],
                  ["certify", "--model", "haldane"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 4, argv
@@ -366,7 +376,7 @@ def test_usage_error_exit_code(capsys):
 def test_sweep_deterministic_and_records_failures(capsys, tmp_path):
     args = ["sweep", "--model", "kane_mele", "--param", "lambda_so=0.3",
             "--sweep", "lambda_v", "0.0", "2.4", "4",
-            "--grid", "32", "--loop-grid", "64", "--invariants", "delta",
+            "--grid", "32", "--invariants", "delta",
             "--workers", "1"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(capsys, *args, "--out", str(out1))[0] == 0
@@ -388,7 +398,7 @@ def test_sweep_records_default_invariants(capsys, tmp_path):
     sidecar says so."""
     out = tmp_path / "a.csv"
     assert run_cli(capsys, "sweep", "--model", "kane_mele", "--sweep", "lambda_v", "0.4", "0.4", "1",
-                   "--grid", "32", "--loop-grid", "64", "--workers", "1", "--out", str(out))[0] == 0
+                   "--grid", "32", "--workers", "1", "--out", str(out))[0] == 0
     header, row = out.read_text().splitlines()
     values = dict(zip(header.split(","), row.split(",")))
     assert (values["chern"], values["delta"], values["kappa"]) == ("0", "1", "-1")
@@ -403,7 +413,7 @@ def _sweep_rows(capsys, *argv):
 
 
 KM_ROW = ("--model", "kane_mele", "--param", "lambda_r=0.2",
-          "--sweep", "lambda_v", "0.4", "0.4", "1", "--grid", "32", "--loop-grid", "64")
+          "--sweep", "lambda_v", "0.4", "0.4", "1", "--grid", "32")
 HALDANE_ROW = ("--model", "haldane", "--sweep", "m", "0.3", "0.3", "1", "--grid", "32",
                "--invariants", "chern")
 
@@ -414,7 +424,7 @@ def test_sweep_row_is_the_command_result(capsys):
     evaluation, with no error when every cross-check agrees."""
     [row] = _sweep_rows(capsys, *KM_ROW)
     code, out, _ = run_cli(capsys, "fkm", "--model", "kane_mele", "--param", "lambda_v=0.4",
-                           "--param", "lambda_r=0.2", "--grid", "32", "--loop-grid", "64", "--json")
+                           "--param", "lambda_r=0.2", "--grid", "32", "--json")
     assert code == 0
     fkm = json.loads(out)
     assert (row["delta"], row["kappa"]) == (fkm["delta"]["snapped"], fkm["kappa"]["snapped"])
@@ -507,7 +517,7 @@ def test_sweep_rejects_unknown_invariant_and_worker_count(capsys, tmp_path, flag
     out = tmp_path / "a.csv"
     code, stdout, err = run_cli(capsys, "sweep", "--model", "kane_mele",
                                 "--sweep", "lambda_v", "0.4", "0.4", "1", "--grid", "32",
-                                "--loop-grid", "64", flag, value, "--out", str(out))
+                                flag, value, "--out", str(out))
     assert code == 4
     payload = json.loads(err.splitlines()[-1])
     assert payload["error"] == "BadConfig"
@@ -524,7 +534,7 @@ def test_sweep_rejects_model_file(capsys, tmp_path):
     save_model(path, builtin_model("kane_mele", {"lambda_so": 0.3}))
     code, _, err = run_cli(capsys, "sweep", "--model-file", str(path),
                            "--sweep", "lambda_v", "0.0", "2.4", "3",
-                           "--grid", "32", "--loop-grid", "64", "--workers", "1")
+                           "--grid", "32", "--workers", "1")
     assert code == 4
     assert json.loads(err.splitlines()[-1])["error"] == "BadConfig"
 

@@ -273,7 +273,7 @@ def test_each_point_set_is_diagonalized_once(monkeypatch, haldane_topo, km_topo,
         (lambda: berry.berry_curvature(haldane, n_grid=16), 256, 0),
         (lambda: berry.berry_curvature_ebz(km, n1=8, n2=16), 144, 0),
         (lambda: lattice.lattice_z2(km, theta4, n1=8, n2=16), 0, 0),
-        (lambda: transport._segment_transport(km.loop(0, 0.0), 0.0, np.pi, 32, 4), 257, 128),
+        (lambda: transport._segment_transport(km.loop(0, 0.0), 0.0, np.pi, 32), 257, 128),
     )
     for run, matrices, steps in cases:
         count[0] = exponentials[0] = 0

@@ -25,7 +25,7 @@ def test_lattice_z2_matches_delta_with_rashba(theta4):
                                        "lambda_r": 0.4})
     fam = make_projector_family(spec)
     z2 = lattice_z2(fam, theta4, n1=24, n2=48)
-    d = delta_invariant(z2_ingredients(fam, theta4, n_loop=128, n1=32, n2=64))
+    d = delta_invariant(z2_ingredients(fam, theta4, n1=32, n2=64))
     assert z2.residual < 1e-12
     assert z2.snapped == d.snapped == 1
 
@@ -53,7 +53,7 @@ def test_spin_chern_parity_oracle(theta4):
 def test_overlap_berry_phase_matches_wilson(km_topo):
     loop = km_topo.loop(0, 0.0)
     oracle = overlap_berry_phase(loop, n_grid=2048)
-    trp = parallel_transport(loop, n_grid=256, substeps=4)
+    trp = parallel_transport(loop, n_grid=256)
     det = np.linalg.det(wilson_holonomy(trp))
     assert abs(oracle - det) < 1e-6
 

@@ -14,7 +14,7 @@ from oracles import kramers_residual, unitarity_residual, validate_frame
 
 
 def test_constant_family_trivial_transport(constant_loop):
-    tr = parallel_transport(constant_loop, n_grid=64, substeps=2)
+    tr = parallel_transport(constant_loop, n_grid=32)
     assert np.max(np.abs(tr.t_samples - np.eye(2))) == 0.0
     assert np.max(np.abs(tr.m_generator)) == 0.0
     assert np.max(np.abs(tr.w_samples - tr.t_samples)) == 0.0
@@ -22,17 +22,19 @@ def test_constant_family_trivial_transport(constant_loop):
 
 def test_flat_band_holonomy(flat_band):
     loop = flat_band.loop(1, 0.0)
-    tr = parallel_transport(loop, n_grid=256, substeps=4)
+    tr = parallel_transport(loop, n_grid=256)
     assert tr.intertwine_residual < 1e-7
     hol = wilson_holonomy(tr)
     assert hol.shape == (1, 1)
     assert abs(np.linalg.det(hol) - (-1.0)) < 1e-9
 
 
-def test_rk4_order(km_topo):
+def test_magnus_transport_is_fourth_order(km_topo):
+    """Doubling the steps, 64 -> 128, cuts the intertwining residual by
+    about 2^4."""
     loop = km_topo.loop(0, 0.0)
-    coarse = parallel_transport(loop, n_grid=64, substeps=1)
-    fine = parallel_transport(loop, n_grid=64, substeps=2)
+    coarse = parallel_transport(loop, n_grid=16)
+    fine = parallel_transport(loop, n_grid=32)
     assert coarse.intertwine_residual / fine.intertwine_residual >= 14.0
 
 
@@ -43,7 +45,7 @@ def test_step_failure_on_underresolved_loop():
                                 name="fast_winding")
     fast = make_projector_family(spec).loop(0, 0.0)
     with pytest.raises(StepFailure):
-        parallel_transport(fast, n_grid=16, substeps=1)
+        parallel_transport(fast, n_grid=4)
 
 
 def _fast_winding_loop():
@@ -60,7 +62,7 @@ def test_step_failure_reports_the_momentum_of_the_step():
     """Every step of the fast-winding loop at 16 steps lies past the Magnus
     radius, so the first one fails, at the loop's base point -pi."""
     with pytest.raises(StepFailure) as info:
-        parallel_transport(_fast_winding_loop(), n_grid=16, substeps=1)
+        parallel_transport(_fast_winding_loop(), n_grid=4)
     assert info.value.k == -np.pi
     assert info.value.step_norm >= np.pi
     assert "reaches pi" in str(info.value)
@@ -69,7 +71,7 @@ def test_step_failure_reports_the_momentum_of_the_step():
 def test_magnus_is_exact_for_a_constant_generator():
     """With a constant generator each Magnus step is the exact propagator,
     so 64 steps of the fast-winding loop intertwine to rounding."""
-    tr = parallel_transport(_fast_winding_loop(), n_grid=64, substeps=1)
+    tr = parallel_transport(_fast_winding_loop(), n_grid=16)
     assert tr.intertwine_residual < 1e-12
     assert tr.step_error_max < 1e-12
 
@@ -92,7 +94,7 @@ def test_transport_segment_makes_one_exponential_and_one_projection(km_topo,
 
     for name in calls:
         monkeypatch.setattr(linalg, name, counted(name))
-    tr = transport._segment_transport(km_topo.loop(0, 0.0), 0.0, np.pi, 32, 2)
+    tr = transport._segment_transport(km_topo.loop(0, 0.0), 0.0, np.pi, 16)
     assert calls == {"expi_hermitian": 1, "polar_project": 1}
     assert not hasattr(linalg, "unitarity_residual")
     residuals = tr[-1]
@@ -103,7 +105,7 @@ def test_transport_segment_makes_one_exponential_and_one_projection(km_topo,
 
 def test_periodized_w_properties(km_topo):
     loop = km_topo.loop(0, np.pi)
-    trp = parallel_transport(loop, n_grid=128, substeps=4)
+    trp = parallel_transport(loop, n_grid=128)
     w = trp.w_samples
     assert trp.w_periodicity < 1e-8
     assert np.max(np.abs(w[0] - np.eye(4))) == 0.0
@@ -122,7 +124,7 @@ def test_build_frame_is_valid(km_topo):
     P(k) that closes the loop; its exact connection is constant and matches
     the spectral connection of its samples."""
     loop = km_topo.loop(0, 0.0)
-    trp = parallel_transport(loop, n_grid=128, substeps=4)
+    trp = parallel_transport(loop, n_grid=128)
     frame = build_frame(trp)
     report = validate_frame(frame)
     assert report["ok"], report
@@ -263,7 +265,7 @@ def test_conjugation_identity_phi_w_psi(km_topo, theta4):
 
 def test_wilson_determinant_matches_berry_phase(km_topo):
     loop = km_topo.loop(0, 0.0)
-    trp = parallel_transport(loop, n_grid=256, substeps=4)
+    trp = parallel_transport(loop, n_grid=256)
     det = np.linalg.det(wilson_holonomy(trp))
     frame = build_frame(trp)
     bp = berry_phase(berry_connection(frame, method="spectral"))

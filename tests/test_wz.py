@@ -783,7 +783,7 @@ def test_amplitude_constant_family(constant_loop):
 
 def test_amplitude_flat_band_matches_berry(flat_band):
     loop = flat_band.loop(1, 0.0)
-    trp = parallel_transport(loop, n_grid=256, substeps=4)
+    trp = parallel_transport(loop, n_grid=256)
     val = wz_amplitude_phi(trp)
     assert abs(val.amplitude - (-1.0)) < 1e-7
     bp = berry_phase(berry_connection(build_frame(trp)))
@@ -815,14 +815,14 @@ def test_amplitude_of_frame_needs_trs_frame_with_w(km_topo, theta4):
 
 
 def test_kappa_atomic_limit(atomic_limit, theta4):
-    kap = kappa_invariant(z2_ingredients(atomic_limit, theta4, n_loop=64, n1=16, n2=32))
+    kap = kappa_invariant(z2_ingredients(atomic_limit, theta4, n1=16, n2=32))
     assert kap.snapped == 1
     assert kap.residual < 1e-8
 
 
 def test_kappa_equals_sign_of_delta(km_topo, km_trivial, theta4):
     for fam, expected in ((km_topo, 1), (km_trivial, 0)):
-        z2 = z2_ingredients(fam, theta4, n_loop=128, n1=32, n2=64)
+        z2 = z2_ingredients(fam, theta4, n1=32, n2=64)
         kap = kappa_invariant(z2, direct_grid=(8, 32, 32))
         d = delta_invariant(z2)
         assert d.snapped == expected

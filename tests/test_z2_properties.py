@@ -44,7 +44,7 @@ def test_z2_votes_agree_on_perturbed_kane_mele(ratio, lambda_r, entries):
                                 name="kane_mele_perturbed")
     family = make_projector_family(spec)
     assert check_trs(family, THETA)[0]
-    z2 = z2_ingredients(family, THETA, n_loop=64, n1=16, n2=32)
+    z2 = z2_ingredients(family, THETA, n1=16, n2=32)
     delta, kappa = delta_invariant(z2), kappa_invariant(z2)
     oracle = lattice.lattice_z2(family, THETA, n1=16, n2=32)
     if None in (delta.snapped, kappa.snapped, oracle.snapped):
