@@ -10,16 +10,18 @@ that contradicts a value it reports.
 Each subcommand accepts only the options it reads. --grid is the only
 resolution option: the torus has --grid^2 points, the half zone
 (--grid/2 + 1) x --grid and each boundary loop 2 * --grid; U_P's N_UP^3 is
-fixed. Exit codes: 0 success, 1 a certification criterion failed (certify
-only), 2 precondition violated (no time-reversal symmetry / gap closure),
-3 a result refused to snap or another library error stopped it, 4 bad input
-(usage errors, such as an option the subcommand does not read, non-finite
-numbers, a --grid too coarse for the transport step, StepFailure, and a
-fixed-point basis that will not form Kramers pairs, PairingFailure,
-included) or I/O. Every error is one JSON object on stderr so sweeps stay
-scriptable. Outputs written with --out contain no wall-clock data, so runs
-of identical configurations are byte-identical; the certify report is the
-one exception (it reports runtimes by design).
+fixed, and when --grid is a multiple of N_UP its N_UP^2 torus is read from
+the eigensystem of the curvature's grid. Exit codes: 0 success, 1 a
+certification criterion failed (certify only), 2 precondition violated (no
+time-reversal symmetry / gap closure), 3 a result refused to snap or
+another library error stopped it, 4 bad input (usage errors, such as an
+option the subcommand does not read, non-finite numbers, a --grid too
+coarse for the transport step, StepFailure, and a fixed-point basis that
+will not form Kramers pairs, PairingFailure, included) or I/O. Every error
+is one JSON object on stderr so sweeps stay scriptable. Outputs written
+with --out contain no wall-clock data, so runs of identical configurations
+are byte-identical; the certify report is the one exception (it reports
+runtimes by design).
 """
 
 import argparse
@@ -118,16 +120,17 @@ def _family(cfg: RunConfig):
 
 def _chern_evaluation(fam, cfg: RunConfig):
     """The Chern number with its cross-checks: the U_P WZ amplitude against
-    (-1)^C, and the plaquette oracle. U_P reads its own N_UP^3 grid at every
-    --grid, and the oracle reads the curvature's grid right after the family
-    diagonalized it.
+    (-1)^C, and the plaquette oracle. The curvature diagonalizes the --grid^2
+    torus, the oracle reads that grid right after it, and U_P then reads its
+    N_UP^2 torus as a sub-grid of the same eigensystem when --grid is a
+    multiple of N_UP; at a coarser --grid U_P diagonalizes its own.
 
     Returns (fields, contradictions), as every evaluation does: the report
     values, each invariant and cross-check an InvariantResult, and a message
     per snapped cross-check that contradicts a snapped invariant."""
-    action = wz.wz_action_extension(wz.up_extension(fam, n_t=N_UP, n1=N_UP, n2=N_UP))
     c = berry.chern_number(berry.berry_curvature(fam, n_grid=cfg.grid))
     oracle = lattice.plaquette_chern(fam, n_grid=cfg.grid)
+    action = wz.wz_action_extension(wz.up_extension(fam, n_t=N_UP, n1=N_UP, n2=N_UP))
     wz_diff = abs(action.amplitude - (-1.0) ** c.snapped) if c.snapped is not None else None
     wz_pass = wz_diff is not None and wz_diff < DEFAULT_TOL.wz_sign
     contradictions = []

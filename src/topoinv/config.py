@@ -30,5 +30,7 @@ DEFAULT_TOL = Tolerances()
 # reflection pairs k <-> -k land exactly on grid points.
 N_2D = 128
 # The grid (N_UP^3) of the U_P extension in `chern`, its t axis and its
-# torus alike, the same at every --grid.
+# torus alike, the same at every --grid. When --grid is a multiple of N_UP
+# the N_UP^2 torus is a sub-grid of the curvature's, and U_P reads it from
+# that grid's eigensystem.
 N_UP = 64

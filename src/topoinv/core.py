@@ -13,12 +13,14 @@ N x N derivative plane. The eigensystem is held in the plane layout of
 `linalg` (eigenvalues band-first, eigenvectors entries-first), so P, the
 blocks and dP are plane products over the whole point set; P and dP are
 handed out as (..., N, N) views of their planes. The family keeps the
-eigensystem of the last point set it diagonalized, so consumers that read
-the same grid one after another, such as the curvature and the lattice
-oracle of one request, diagonalize H on that grid once. The TRSOperator is
-the antiunitary theta = J K (K = complex conjugation) with theta^2 = -1 in
-the working basis; `check_trs` tests it exactly on the Fourier terms of H,
-with no grid and no eigh.
+eigensystem of the last point set it diagonalized, and the kept eigensystem
+also answers every strided sub-grid of a kept torus grid. So consumers that
+read the same grid one after another, such as the curvature and the lattice
+oracle of one request, diagonalize H on that grid once, and the U_P
+extension of `chern` reads its coarser grid from the curvature's. The
+TRSOperator is the antiunitary theta = J K (K = complex conjugation) with
+theta^2 = -1 in the working basis; `check_trs` tests it exactly on the
+Fourier terms of H, with no grid and no eigh.
 """
 
 from dataclasses import dataclass, field, replace
@@ -81,12 +83,16 @@ class ProjectorFamily:
     With `line` = (origin, direction) the family is the loop
     s -> P(origin + s direction).
 
-    The eigensystem (w, v) of the last point set (`_last`) is kept in plane
-    layout, keyed by the bytes of the points, so sampling the same points
-    again diagonalizes nothing; P itself is formed afresh on every call and
-    never kept. A restricted family starts with nothing kept. Eigenvalues
-    come ascending and every point set is checked to have `rank` of them
-    below 0, so the occupied bands are the first `rank` columns.
+    The eigensystem (w, v) of the last point set diagonalized is kept in
+    plane layout next to a copy of its points (`_last`). Sampling the same
+    points again diagonalizes nothing, and neither does sampling a torus
+    grid that is a strided sub-grid kept[::s1, ::s2] of a kept torus grid:
+    it reads strided views of the kept w and v. Any other point set is
+    diagonalized and replaces the kept one. P itself is formed afresh on
+    every call and never kept. A restricted family starts with nothing
+    kept. Eigenvalues come ascending and every point set is checked to have
+    `rank` of them below 0, so the occupied bands are the first `rank`
+    columns.
     """
 
     spec: BlochHamiltonianSpec
@@ -105,19 +111,36 @@ class ProjectorFamily:
 
     def _eigensystem(self, ks):
         """The torus points of ks and the eigensystem (w, v) there, in plane
-        layout, diagonalized only when ks is not the last point set."""
+        layout, read from the kept one (`_kept`) when it covers ks and
+        otherwise diagonalized and kept in its place."""
         ks = np.asarray(ks, dtype=float)
         k = ks
         if self.line is not None:
             origin, direction = np.asarray(self.line)
             k = origin + ks[..., None] * direction
-        key = (ks.shape, ks.tobytes())
-        eigensystem = self._last.get(key)
+        eigensystem = self._kept(ks)
         if eigensystem is None:
-            eigensystem = _gap_checked_eigh(self.spec, k, rank=self.rank)
             self._last.clear()
-            self._last[key] = eigensystem
+            eigensystem = _gap_checked_eigh(self.spec, k, rank=self.rank)
+            self._last.update(points=ks.copy(), eigensystem=eigensystem)
         return (k,) + eigensystem
+
+    def _kept(self, ks):
+        """The kept (w, v) at ks, or None: ks is the kept point set, or, on
+        the torus, a grid (m1, m2, 2) equal to kept[::s1, ::s2] for integer
+        strides, read as strided views with no eigh and no second gap check,
+        since every kept point passed it."""
+        if not self._last:
+            return None
+        kept, grid = self._last["points"], ()
+        if self.line is None and ks.ndim == kept.ndim == 3:
+            (n1, n2), (m1, m2) = kept.shape[:2], ks.shape[:2]
+            if m1 and m2 and n1 % m1 == n2 % m2 == 0:
+                grid = (slice(None, None, n1 // m1), slice(None, None, n2 // m2))
+        if not np.array_equal(ks, kept[grid]):
+            return None
+        w, v = self._last["eigensystem"]
+        return w[(slice(None),) + grid], v[(slice(None),) * 2 + grid]
 
     def sample(self, ks):
         """Evaluate P on an array of k-points: (..., 2) on the torus and (...)

@@ -30,13 +30,18 @@ def fourier_planes(terms, ks, directions=(None,)):
     entry of `directions`: None gives H itself, a torus axis or a direction
     d the exact derivative along d, each matrix weighted by i (v.d). Every
     entry is one contraction of its weighted stack of matrices with the same
-    (T, ...) table of phases, built once per call; an entry is formed only
-    when it is reached, so a consumer that drops each before asking for the
-    next holds one set of planes at a time."""
+    (T, ...) table of phases, built once per call by writing cos(k.v) and
+    sin(k.v) into its real and imaginary parts: numpy's complex exponential
+    of i k.v gives the same bits (the tests check this) at more cost. An
+    entry is formed only when it is reached, so a consumer that drops each
+    before asking for the next holds one set of planes at a time."""
     mats = np.stack([m for m, _ in terms], axis=-1)
     vecs = np.array([v for _, v in terms], dtype=float)
-    phase = 1j * np.tensordot(vecs, np.asarray(ks, dtype=float), axes=(1, -1))
-    np.exp(phase, out=phase)
+    angle = np.tensordot(vecs, np.asarray(ks, dtype=float), axes=(1, -1))
+    phase = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    del angle
     for d in directions:
         weighted = mats
         if d is not None:

@@ -171,15 +171,19 @@ class ProjectorExtension:
     def _trace_fields(self):
         """The 2D trace fields T_n = sum_{a+b+c=n} Tr{U_a [V_b, W_c]},
         n = 0..3, with U = (P, P^+P), V = (d1P, P^+d1P), W = (d2P, P^+d2P):
-        11 plane products whatever the number of t slices."""
+        11 plane products whatever the number of t slices. Each commutator
+        is folded into T_n before the next is formed, so one is alive at a
+        time; taking them in the order (1,1), (0,1), (1,0), (0,0) adds the
+        terms of every T_n in (a, b, c) order."""
         p_dag = inverse_planes(self.p)
         u, v, w = ((x, plane_product(p_dag, x)) for x in (self.p,) + self.dp)
-        comm = {(b, c): plane_product(v[b], w[c]) - plane_product(w[c], v[b])
-                for b in (0, 1) for c in (0, 1)}
+        del p_dag
         t = np.zeros((4,) + self.p.shape[2:], dtype=complex)
-        for a in (0, 1):
-            for (b, c), x in comm.items():
-                t[a + b + c] += trace_product(u[a], x)
+        for b, c in ((1, 1), (0, 1), (1, 0), (0, 0)):
+            comm = plane_product(v[b], w[c])
+            comm -= plane_product(w[c], v[b])
+            for a in (0, 1):
+                t[a + b + c] += trace_product(u[a], comm)
         return t
 
     def _t_columns(self):

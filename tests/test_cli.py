@@ -108,24 +108,26 @@ def test_fkm_builds_each_z2_ingredient_once(capsys, monkeypatch):
     assert frame_grids == [64, 64]
 
 
-@pytest.mark.parametrize("argv,calls", [
-    (["chern", "--model", "haldane"], 3),
-    (["chern", "--model", "haldane", "--grid", "32"], 3),
+@pytest.mark.parametrize("argv,calls,up_grids", [
+    (["chern", "--model", "haldane"], 2, 0),
+    (["chern", "--model", "haldane", "--grid", "32"], 3, 1),
     (["fkm", "--model", "kane_mele", "--param", "lambda_v=0.4", "--param", "lambda_r=0.2",
-      "--grid", "32"], 4),
+      "--grid", "32"], 4, 0),
     (["sweep", "--model", "kane_mele", "--sweep", "lambda_v", "0.4", "0.4", "1",
-      "--grid", "32"], 6),
+      "--grid", "32"], 6, 1),
 ], ids=["chern", "chern_grid_32", "fkm", "sweep_row"])
-def test_request_eigensystem_count(capsys, monkeypatch, argv, calls):
+def test_request_eigensystem_count(capsys, monkeypatch, argv, calls, up_grids):
     """Point sets one request diagonalizes H on. Every request first
-    diagonalizes k = 0 alone, to fix the family's rank. chern, at any grid:
-    then U_P's own 64^2 grid, and the curvature grid, which the plaquette
-    oracle then reads. fkm: one point set per boundary-loop transport, and
-    the half-zone grid, which lattice_z2 then reads; check_trs reads the
-    terms and diagonalizes nothing. A sweep row reporting chern, delta and
-    kappa runs both evaluations on one family: k = 0 once, then chern's two
-    grids and fkm's three. A consumer moved away from the grid it shares
-    diagonalizes that grid again."""
+    diagonalizes k = 0 alone, to fix the family's rank. chern: then the
+    curvature grid, which the plaquette oracle reads next; U_P's 64^2 grid
+    is a sub-grid of it at the default grid, read with no eigh, and at
+    --grid 32 is diagonalized on its own (`up_grids` counts the 64^2 point
+    sets). fkm: one point set per boundary-loop transport, and the
+    half-zone grid, which lattice_z2 then reads; check_trs reads the terms
+    and diagonalizes nothing. A sweep row at --grid 32 reporting chern,
+    delta and kappa runs both evaluations on one family: k = 0 once, then
+    chern's two grids and fkm's three. A consumer moved away from the grid
+    it shares diagonalizes that grid again."""
     grids = []
     original = core._gap_checked_eigh
 
@@ -136,7 +138,7 @@ def test_request_eigensystem_count(capsys, monkeypatch, argv, calls):
     monkeypatch.setattr(core, "_gap_checked_eigh", counted)
     assert run_cli(capsys, *argv, "--json")[0] == 0
     assert len(grids) == calls, grids
-    assert grids[0] == (1,) and grids.count((64, 64)) == int(argv[0] != "fkm")
+    assert grids[0] == (1,) and grids.count((64, 64)) == up_grids
 
 
 def test_fkm_rejects_broken_symmetry(capsys):

@@ -8,7 +8,7 @@ from topoinv import (berry, builtin_model, check_trs, cli, lattice, make_project
                      symplectic_basis, transport)
 from topoinv.errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
 from topoinv.core import TRSOperator
-from topoinv.grids import loop_axis, reflect
+from topoinv.grids import loop_axis, reflect, torus_points
 from topoinv.models import BlochHamiltonianSpec
 from topoinv import linalg
 
@@ -298,6 +298,29 @@ def test_family_keeps_the_last_eigensystem(monkeypatch, km_topo):
     assert count[0] == 32 + 2 * 32
 
 
+def test_kept_grid_answers_its_strided_sub_grids(monkeypatch, haldane_topo):
+    """After the 128^2 loop grid, its 64^2 and 32^2 sub-grids kept[::s, ::s]
+    are read from the kept eigensystem with no eigh, exactly as a fresh
+    family computes them; the 64^2 grid shifted by half its step (the odd
+    points of the kept grid) and a 48^2 grid are diagonalized."""
+    grid = lambda n, shift=0.0: torus_points(loop_axis(n), loop_axis(n)) + shift
+    fresh = {n: (replace(haldane_topo).sample(grid(n)),
+                 replace(haldane_topo).derivative(grid(n), 0)) for n in (64, 32)}
+    fam = replace(haldane_topo)
+    fam.sample(grid(128))
+    count = _count_eigh(monkeypatch)
+    for n, (p, (p0, dp)) in fresh.items():
+        assert np.array_equal(fam.sample(grid(n)), p)
+        kept_p, kept_dp = fam.derivative(grid(n), 0)
+        assert np.array_equal(kept_p, p0) and np.array_equal(kept_dp, dp)
+    assert count[0] == 0
+    fam.sample(grid(64, np.pi / 64))
+    assert count[0] == 64 ** 2
+    fam.sample(grid(128))
+    fam.sample(grid(48))
+    assert count[0] == 64 ** 2 + 128 ** 2 + 48 ** 2
+
+
 def test_kept_eigensystem_changes_no_output(haldane_topo, km_topo, theta4):
     """The oracles read the grid the curvature just diagonalized and give
     exactly what a family that keeps nothing gives; writing into a returned
@@ -328,15 +351,16 @@ def test_kept_eigensystem_changes_no_output(haldane_topo, km_topo, theta4):
 
 
 @pytest.mark.parametrize("argv,matrices", [
-    (["chern", "--model", "haldane", "--param", "m=0.6"], 20_481),
+    (["chern", "--model", "haldane", "--param", "m=0.6"], 16_385),
     (["fkm", "--model", "kane_mele", "--param", "lambda_so=0.3",
       "--param", "lambda_v=1.44"], 11_399),
 ])
 def test_request_eigh_counts(monkeypatch, capsys, argv, matrices):
     """Matrices diagonalized by one request at the default grids, each
     after the one at k = 0 that fixes the rank: a chern request
-    diagonalizes its 64^2 U_P and 128^2 curvature grids once each, and the
-    plaquette oracle's frames need none; an fkm request its half-zone grid
+    diagonalizes its 128^2 curvature grid once, the plaquette oracle's
+    frames need none, and U_P reads its 64^2 grid as a sub-grid of the
+    curvature's eigensystem; an fkm request its half-zone grid
     once for the curvature and the lattice oracle, plus its transports,
     whose 2 x 512 Magnus steps take one eigh each for their exponentials,
     and the eigenbases of its four 2 x 2 mismatch gauges, one eigh each,
@@ -351,16 +375,18 @@ def test_request_eigh_counts(monkeypatch, capsys, argv, matrices):
 _KM_1_44 = ["--model", "kane_mele", "--param", "lambda_so=0.3", "--param", "lambda_v=1.44"]
 
 
-@pytest.mark.parametrize("argv,mib", [(["chern"] + _KM_1_44, 24), (["fkm"] + _KM_1_44, 14)],
+@pytest.mark.parametrize("argv,mib", [(["chern"] + _KM_1_44, 17), (["fkm"] + _KM_1_44, 14)],
                          ids=("chern", "fkm"))
 def test_request_memory_peaks(capsys, argv, mib):
     """A default-grid kane_mele request allocates at most `mib` MiB at its
     peak, as tracemalloc counts it: the curvature forms its interband blocks
     one dH plane set at a time and no N x N derivative plane, the plaquette
     oracle copies no N x N residual, and the U_P integral never forms its
-    density on the 3D grid. Forming two dP plane sets and their commutator
-    for the chern curvature peaks near 32 MiB, and for fkm's half-zone
-    curvature near 18 MiB."""
+    density on the 3D grid and holds one commutator plane set at a time,
+    while the curvature's 128^2 eigensystem it reads stays alive. Forming
+    two dP plane sets and their commutator for the chern curvature peaks
+    near 32 MiB, and for fkm's half-zone curvature near 18 MiB; holding all
+    four U_P commutators next to the kept eigensystem peaks near 18 MiB."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -59,6 +59,23 @@ def test_fourier_planes_match_per_term_sum(name, per_term_fourier_sum):
             assert np.array_equal(planes, alone)
 
 
+@pytest.mark.parametrize("name", ["haldane", "kane_mele", "bhz", "flat_two_band"])
+def test_phase_table_equals_the_complex_exponential_bit_for_bit(name):
+    """The phase table written as cos and sin into one complex array gives
+    the planes of exp(1j k.v) exactly, for every builtin model's terms plus
+    a (0, +-20) term, on a 128^2 torus grid and a 1025-point line."""
+    spec = builtin_model(name)
+    far = np.arange(spec.dim ** 2).reshape(spec.dim, spec.dim) * (0.1 + 0.2j)
+    terms = spec.terms + ((far, np.array([0, 20])), (far.conj().T, np.array([0, -20])))
+    mats = np.stack([m for m, _ in terms], axis=-1)
+    vecs = np.array([v for _, v in terms], dtype=float)
+    line = np.array([0.3, -0.2]) + np.linspace(-np.pi, np.pi, 1025)[:, None] * np.array([1.0, 2.0])
+    for ks in (torus_points(loop_axis(128), loop_axis(128)), line):
+        exp_form = np.tensordot(mats, np.exp(1j * np.tensordot(vecs, ks, axes=(1, -1))), axes=1)
+        planes, = fourier_planes(terms, ks)
+        assert np.array_equal(planes, exp_form)
+
+
 def test_unknown_model_and_missing_parameter():
     with pytest.raises(UnknownModel):
         builtin_model("nonsense")
