@@ -360,7 +360,8 @@ def main(argv=None):
     except NotTRS as exc:
         return _fail(EXIT_PRECONDITION, "NotTRS", str(exc), violation=exc.violation)
     except (UnknownModel, UnknownParameter, ParseError, SchemaError) as exc:
-        return _fail(EXIT_IO, type(exc).__name__, str(exc))
+        # each error's own fields: key; path, line, col; name, valid
+        return _fail(EXIT_IO, type(exc).__name__, str(exc), **vars(exc))
     except StepFailure as exc:
         return _fail(EXIT_IO, "StepFailure", str(exc), k=exc.k, drift=exc.drift,
                      step_norm=exc.step_norm)

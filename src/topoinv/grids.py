@@ -3,7 +3,8 @@ quadrature and differentiation rules used everywhere in the library.
 
 Periodic directions use the periodic trapezoid rule (spectrally accurate on
 smooth data) and FFT differentiation; interval directions use composite
-Simpson and 4th-order finite-difference stencils.
+Simpson and have no differentiation rule here: every field on an interval
+axis carries its exact derivative along it.
 """
 
 from dataclasses import dataclass
@@ -111,33 +112,3 @@ def spectral_derivative(samples, axis_index, axis: Axis):
     fhat *= fac.reshape(shape)
     return np.fft.ifft(fhat, axis=axis_index, out=fhat)
 
-
-# 4th-order finite-difference stencils on n+1 equally spaced points
-_FD4_EDGE = np.array([
-    [-25.0, 48.0, -36.0, 16.0, -3.0],
-    [-3.0, -10.0, 18.0, -6.0, 1.0],
-])
-
-
-def fd4_derivative(samples, axis_index, axis: Axis):
-    """4th-order finite differences along an interval axis (n+1 points)."""
-    if axis.periodic:
-        raise ValueError("use spectral_derivative for periodic axes")
-    x = np.moveaxis(samples, axis_index, 0)
-    npt = x.shape[0]
-    if npt < 5:
-        raise ValueError("need at least 5 points for 4th-order stencils")
-    h = axis.step
-    out = np.empty_like(x)
-    out[2:-2] = (x[:-4] - 8 * x[1:-3] + 8 * x[3:-1] - x[4:]) / (12 * h)
-    for row, j in ((0, 0), (1, 1)):
-        out[j] = np.tensordot(_FD4_EDGE[row], x[:5], axes=(0, 0)) / (12 * h)
-        out[npt - 1 - j] = -np.tensordot(_FD4_EDGE[row], x[::-1][:5], axes=(0, 0)) / (12 * h)
-    return np.moveaxis(out, 0, axis_index)
-
-
-def grid_derivative(samples, axis_index, axis: Axis):
-    """Differentiate grid samples along one axis with the rule fitting the axis."""
-    if axis.periodic:
-        return spectral_derivative(samples, axis_index, axis)
-    return fd4_derivative(samples, axis_index, axis)

@@ -4,9 +4,11 @@ numbers, normal forms, and the Z2 invariant in its amplitude form.
 
 A field lives on a FieldGrid (loop, torus, or interval x torus). Actions of
 extended fields are quadratures of the pulled-back 3-form
-(1/12 pi) Tr{(g^-1 dg)^3}; periodic axes differentiate spectrally, interval
-axes by 4th-order stencils, and builders attach exact derivative channels
-where the closed form is available. Diagonal phase fields carry the
+(1/12 pi) Tr{(g^-1 dg)^3}. Every builder attaches the exact derivative
+channel of each interval axis, and of each periodic axis where the closed
+form is available; a periodic axis without one differentiates spectrally,
+and an interval axis without one is refused, so every derivative along an
+interval is exact. Diagonal phase fields carry the
 unwinding convention: their action is zero mod 2 pi, which is what makes
 Polyakov-Wiegmann values of winding fields computable.
 
@@ -43,9 +45,8 @@ from .berry import berry_curvature_ebz
 from .config import DEFAULT_TOL, N_2D
 from .core import ProjectorFamily, TRSOperator
 from .errors import DimensionMismatch, NotAnExtension, NotTRSFrame
-from .grids import (ebz_axis, integrate_grid, interval_axis, loop_axis,
-                    grid_derivative, quad_weights, spectral_derivative, torus_points,
-                    unit_circle_axis)
+from .grids import (ebz_axis, integrate_grid, interval_axis, loop_axis, quad_weights,
+                    spectral_derivative, torus_points, unit_circle_axis)
 from .linalg import (entries_first, inverse_planes, matrices_last, plane_product,
                      trace_product)
 from .models import fourier_planes
@@ -66,7 +67,8 @@ class FieldGrid:
 
     Periodic axes hold n samples over one period; interval axes hold n+1
     samples including both ends. `derivs[i]`, when present, is the exact
-    derivative along axis i on the same grid.
+    derivative along axis i on the same grid; a periodic axis without one
+    differentiates spectrally, and an interval axis must have one.
 
     The fields this module builds (`tube_extension`, and products, inverses
     and adjoint products through `_slicewise`) allocate entries-first
@@ -93,7 +95,11 @@ class FieldGrid:
     def derivative(self, i):
         if i in self.derivs:
             return self.derivs[i]
-        return grid_derivative(self.samples, i, self.axes[i])
+        return spectral_derivative(self.samples, i, self.axes[i])
+
+    def value(self, j):
+        """Slice j of the leading axis, without derivative channels."""
+        return self.samples[j]
 
     def slab(self, j):
         """Slice j of the leading axis, or a block of slices when j is a
@@ -103,16 +109,13 @@ class FieldGrid:
 
     def triple_density(self):
         """3 Tr{A0 [A1, A2]} on a 3-axis grid, one block of leading-axis
-        slices at a time (`_slices`). A field without an axis-0 channel gets
-        one whole-field derivative(0), since its stencil needs the
-        neighbouring slices."""
+        slices at a time (`_slices`), from the exact axis-0 channel."""
+        if 0 not in self.derivs:
+            raise NotAnExtension(f"{self.name or 'field'} has no exact derivative "
+                                 "channel along its leading axis")
         dens = np.empty(tuple(len(ax.points) for ax in self.axes), dtype=complex)
-        d0 = None if 0 in self.derivs else self.derivative(0)
         for block in _slices(dens.shape):
-            slab, derivs = self.slab(block)
-            if d0 is not None:
-                derivs[0] = d0[block]
-            dens[block] = _triple_density(slab, derivs, self.axes)
+            dens[block] = _triple_density(*self.slab(block), self.axes)
         return dens
 
     def triple_integral(self):
@@ -137,7 +140,8 @@ class ProjectorExtension:
     fields and t-factor columns (`triple_density`), and its integral
     contracts the t axis first (`triple_integral`). Slice j is 1 + f_j P
     with the exact channels {0: f'_j P, 1: f_j d1P, 2: f_j d2P}, returned
-    as (n1, n2, N, N) views of entries-first planes. `samples` and
+    as (n1, n2, N, N) views of entries-first planes by `slab(j)`, and
+    without them by `value(j)`. `samples` and
     `derivative(i)` build the full arrays each time they are read.
     """
 
@@ -161,12 +165,15 @@ class ProjectorExtension:
         """(t factor, 2D planes) per axis: d_i g = t_i(t) planes_i(k)."""
         return (self.df, self.p), (self.f, self.dp[0]), (self.f, self.dp[1])
 
-    def slab(self, j):
+    def value(self, j):
         value = self.f[j] * self.p
         for a in range(self.dim):
             value[a, a] += 1.0
-        return matrices_last(value), {i: matrices_last(t[j] * x)
-                                      for i, (t, x) in enumerate(self._channels())}
+        return matrices_last(value)
+
+    def slab(self, j):
+        return self.value(j), {i: matrices_last(t[j] * x)
+                               for i, (t, x) in enumerate(self._channels())}
 
     def _trace_fields(self):
         """The 2D trace fields T_n = sum_{a+b+c=n} Tr{U_a [V_b, W_c]},
@@ -222,9 +229,11 @@ class ProjectorExtension:
 
 
 def constant_field(axes, matrix):
+    """The constant field with its exact zero derivative on every axis."""
     shape = tuple(ax.n if ax.periodic else ax.n + 1 for ax in axes)
     samples = np.broadcast_to(matrix, shape + matrix.shape).copy()
-    return FieldGrid(axes=tuple(axes), samples=samples, name="constant")
+    return FieldGrid(axes=tuple(axes), samples=samples, name="constant",
+                     derivs=dict.fromkeys(range(len(axes)), np.zeros_like(samples)))
 
 
 def product_field(g: FieldGrid, h: FieldGrid):
@@ -424,12 +433,12 @@ def chi_triple_integral(g: FieldGrid):
 def _triple_density(slab, derivs, axes):
     """3 Tr{A0 [A1, A2]} on a block of slices of the leading axis, from its
     samples and derivative channels; torus axes without a channel
-    differentiate the block. Its temporaries are freed before the next block
-    is produced."""
+    differentiate the block spectrally. Its temporaries are freed before the
+    next block is produced."""
     slab = entries_first(slab)
     ginv = inverse_planes(slab)
     a1, a2 = (plane_product(ginv, entries_first(derivs[i]) if i in derivs
-                            else grid_derivative(slab, i + 2, axes[i])) for i in (1, 2))
+                            else spectral_derivative(slab, i + 2, axes[i])) for i in (1, 2))
     comm = plane_product(a1, a2)
     comm -= plane_product(a2, a1)
     return 3.0 * trace_product(plane_product(ginv, entries_first(derivs[0])), comm)
@@ -459,18 +468,14 @@ def wz_action_extension(ext: FieldGrid):
     if ext.n_axes != 3 or ext.axes[0].periodic or not (ext.axes[1].periodic
                                                        and ext.axes[2].periodic):
         raise NotAnExtension("need axes (interval, periodic, periodic)")
-    end0 = ext.slab(0)[0]
-    const_resid = float(np.max(linalg.frob(end0 - end0.reshape(-1, ext.dim, ext.dim)[0])))
-    ok = const_resid <= DEFAULT_TOL.extension_end
-    if not ok:
-        for axis in (0, 1):
-            ref = end0.take([0], axis=axis)
-            if float(np.max(linalg.frob(end0 - ref))) <= DEFAULT_TOL.extension_end:
-                ok = True
-                break
-    if not ok and not ext.abelian_diagonal:
+    end0 = ext.value(0)
+    const_resid = float(np.max(linalg.frob(end0 - end0[0, 0])))
+    if (const_resid > DEFAULT_TOL.extension_end and not ext.abelian_diagonal
+            and all(float(np.max(linalg.frob(end0 - end0.take([0], axis=axis))))
+                    > DEFAULT_TOL.extension_end for axis in (0, 1))):
         raise NotAnExtension(f"end-0 slice is not constant (residual {const_resid:.2e}) "
                              "nor cylinder-degenerate nor a marked normal form")
+    del end0  # only the slice's value was formed; it is freed before the integral
     raw, imag = chi_triple_integral(ext)
     return WZValue(raw_action=raw / (12.0 * np.pi), modulus=TWO_PI, quad_residual=imag,
                    meta={"end0_constant_residual": const_resid, "name": ext.name})
@@ -627,7 +632,7 @@ def wz_amplitude_phi(loop, method="reduced"):
         if not loop.trs_flag or loop.w_samples is None:
             raise NotTRSFrame("the amplitude of a frame needs a TRS frame with W")
         w = loop.w_samples
-        dw = grid_derivative(w, 0, loop_axis(len(w)))
+        dw = spectral_derivative(w, 0, loop_axis(len(w)))
         e0 = loop.e_samples[loop.n // 2]           # k = 0 sits mid-grid
         p0 = e0 @ linalg.dagger(e0)
         modulus = 4.0 * np.pi

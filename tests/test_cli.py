@@ -206,7 +206,8 @@ def test_non_finite_model_entry_is_a_schema_error(capsys, tmp_path):
 
 def assert_schema_error(capsys, path, location):
     """chern and fkm refuse the model file at `path` with exit 4 and one
-    SchemaError line whose message starts with `location`."""
+    SchemaError line whose message starts with `location`, the key the
+    payload names."""
     for command in ("chern", "fkm"):
         code, out, err = run_cli(capsys, command, "--model-file", str(path), "--grid", "32")
         assert code == 4 and out == "", (location, command)
@@ -214,6 +215,7 @@ def assert_schema_error(capsys, path, location):
         payload = json.loads(line)
         assert payload["error"] == "SchemaError"
         assert payload["message"].startswith(location)
+        assert payload["key"] + ":" == location
 
 
 MINIMAL_MODEL = {"name": "mini", "dim": 2,
@@ -469,6 +471,21 @@ def test_sweep_row_records_a_contradicted_value(capsys, monkeypatch, oracle, row
     assert error.startswith(f"{name} ") and f"!= {invariant} {clean[invariant]}" in error
 
 
+def test_malformed_json_is_a_parse_error(capsys, tmp_path):
+    """A model file that is not JSON is bad input (exit 4) whose payload
+    names the file and the line and column where decoding stopped."""
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": "mini",\n "dim": 2,,\n "terms": []}')
+    for command in ("chern", "fkm"):
+        code, out, err = run_cli(capsys, command, "--model-file", str(path), "--grid", "32")
+        assert code == 4 and out == ""
+        [line] = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ParseError"
+        assert (payload["path"], payload["line"], payload["col"]) == (str(path), 2, 11)
+        assert payload["message"].startswith(f"{path}:2:11: ")
+
+
 def test_one_row_sweep_starts_no_worker(capsys, monkeypatch, tmp_path):
     """A sweep starts no more worker processes than it has rows, and runs
     in this process when that is one."""
@@ -501,6 +518,8 @@ def test_unknown_parameter_exit_code(capsys, tmp_path):
         assert payload["error"] == "UnknownParameter"
         assert repr(bad) in payload["message"]
         assert "valid: [" in payload["message"]
+        assert payload["name"] == bad and bad not in payload["valid"]
+        assert f"valid: {payload['valid']}" in payload["message"]
         assert stdout == ""
     assert not out.exists()
 

@@ -103,7 +103,11 @@ def _batched_chi_triple(g):
 
 
 def _no_exact_channel(g):
-    return FieldGrid(axes=g.axes, samples=g.samples, name=f"{g.name} (no channel)")
+    """g without the exact channels of its periodic torus axes, which then
+    differentiate spectrally; the leading and interval channels stay."""
+    keep = [i for i, ax in enumerate(g.axes) if i == 0 or not ax.periodic]
+    return FieldGrid(axes=g.axes, samples=g.samples, derivs={i: g.derivative(i) for i in keep},
+                     name=f"{g.name} (no channel)")
 
 
 def _generic_rank_one(g):
@@ -271,6 +275,42 @@ def test_not_an_extension():
         wz_action_extension(FieldGrid(axes=axes, samples=samples))
 
 
+def test_interval_axis_is_differentiated_only_through_its_channel(km_topo):
+    """A 3-axis field without the exact channel of its leading axis is no
+    extension, and an interval axis without a channel, here the half-zone
+    axis of Phi, has no derivative: neither is differenced from the
+    samples."""
+    nf = normal_form_field(1, 0, 2, n_grid=8)
+    ext = tube_extension(nf, 1j * random_hermitian_field(nf.axes, 2, seed=1, scale=0.3), n_s=4)
+    bare = FieldGrid(axes=ext.axes, samples=ext.samples)
+    for refused in (bare.triple_density, lambda: wz_action_extension(bare)):
+        with pytest.raises(NotAnExtension, match="leading axis"):
+            refused()
+    with pytest.raises(ValueError, match="periodic axis"):
+        bare.derivative(0)
+    phi = wz.phi_ebz_extension(km_topo, n_t=4, n1=4, n2=8)
+    ebz = FieldGrid(axes=phi.axes, samples=phi.samples, derivs={0: phi.derivative(0)})
+    for refused in (lambda: ebz.derivative(1), ebz.triple_density):
+        with pytest.raises(ValueError, match="periodic axis"):
+            refused()
+
+
+def test_end0_check_forms_only_the_slice_value(km_topo, monkeypatch):
+    """The end-0 check of a ProjectorExtension forms the slice's value and
+    no derivative channel, and the action is unchanged."""
+    ext = up_extension(km_topo, n_t=8, n1=16, n2=16)
+    expected = wz_action_extension(up_extension(km_topo, n_t=8, n1=16, n2=16))
+
+    def refuse(self):
+        raise AssertionError("the end-0 check formed derivative channels")
+
+    monkeypatch.setattr(wz.ProjectorExtension, "_channels", refuse)
+    val = wz_action_extension(ext)
+    assert val.raw_action == expected.raw_action and val.meta == expected.meta
+    monkeypatch.undo()
+    assert np.array_equal(ext.value(0), ext.slab(0)[0])
+
+
 def test_extension_independence(haldane_topo):
     c = chern_number(berry_curvature(haldane_topo, n_grid=32)).require_snapped()
     acts = {p: wz_action_extension(up_extension(haldane_topo, 32, 32, 32, path=p)).raw_action
@@ -287,7 +327,8 @@ def test_k_independent_field_has_zero_action():
     tphase = np.exp(2j * np.pi * t_ax.points)
     psi_t = np.eye(4, dtype=complex) + (tphase[:, None, None] - 1.0) * p0
     samples = np.broadcast_to(psi_t[None, :, None], (9, 16, 16, 4, 4)).copy()
-    val = wz_action_extension(FieldGrid(axes=(s_ax, t_ax, k_ax), samples=samples))
+    val = wz_action_extension(FieldGrid(axes=(s_ax, t_ax, k_ax), samples=samples,
+                                        derivs={0: np.zeros_like(samples)}))
     assert abs(val.raw_action) < 1e-10
 
 
@@ -472,8 +513,8 @@ def _ref_wz_derivative(g, dot):
 
 
 def _with_channels(g):
-    """The field with a derivative channel on every axis (spectral or
-    stencil), so that every Leibniz term of a product runs."""
+    """The field with a derivative channel on every axis (its exact one or
+    spectral), so that every Leibniz term of a product runs."""
     return FieldGrid(axes=g.axes, samples=g.samples,
                      derivs={i: g.derivative(i) for i in range(g.n_axes)}, name=g.name)
 
@@ -701,7 +742,7 @@ def test_blocks_of_slices_equal_the_per_slice_reference(dim, n_grid, n_s):
         _assert_field_equal(fld, ref())
         assert np.array_equal(fld.triple_density(), _slice_density(fld))
         del fld
-    no_channel = FieldGrid(axes=ext_g.axes, samples=ext_g.samples)
+    no_channel = FieldGrid(axes=ext_g.axes, samples=ext_g.samples, derivs={0: ext_g.derivs[0]})
     assert np.array_equal(no_channel.triple_density(), _slice_density(no_channel))
 
 
