@@ -1,7 +1,8 @@
 """Checks and fields that only the tests use: matrix residuals, the
 time-reversal residual of sampled fields, residual reports of families,
 frames and gauges with their bounds, the
-eigendecomposition frames the lattice oracles once used, the Stokes check
+eigendecomposition frames and LAPACK determinants the lattice oracles once
+used, the Stokes check
 of the curvature, random unwindable and equivariant fields, and the rate
 of change of the WZ action along a deformation.
 
@@ -53,6 +54,12 @@ def eigh_frames(p):
     m = int(occ[(0,) * (occ.ndim - 1)].sum())
     # eigh orders ascending, so occupied columns are the trailing m
     return v[..., -m:]
+
+
+def det_phase(planes):
+    """Argument of the LAPACK determinant of (m, m, ...) planes: the
+    reference for `lattice._det_phase`."""
+    return np.angle(np.linalg.det(np.moveaxis(planes, (0, 1), (-2, -1))))
 
 
 def validate_family(family):

@@ -1,4 +1,6 @@
 import ast
+import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,10 @@ from topoinv import (berry_curvature, chern_number, delta_invariant, lattice_z2,
                      overlap_berry_phase, parallel_transport,
                      plaquette_chern, wilson_holonomy, z2_ingredients)
 from topoinv import builtin_model, lattice, make_projector_family
-from topoinv.models import BlochHamiltonianSpec
+from topoinv.core import TRSOperator, check_trs
+from topoinv.models import BlochHamiltonianSpec, _merge_terms
 
-from oracles import eigh_frames
+from oracles import det_phase, eigh_frames
 
 
 def test_plaquette_chern_is_exactly_integer(haldane_topo):
@@ -130,11 +133,125 @@ def test_pivoted_frames_span_the_range(n):
     rng = np.random.default_rng(n)
     for m in range(1, min(3, n) + 1):
         p = _projectors(n, m, rng)
-        e = lattice._frames(p)
+        e = np.moveaxis(lattice._frames(np.moveaxis(p, 0, -1)), -1, 0)
         assert e.shape == (len(p), n, m)
         eh = np.conjugate(np.swapaxes(e, -1, -2))
         assert np.max(np.abs(eh @ e - np.eye(m))) < 1e-13
         assert np.max(np.abs(p @ e - e)) < 1e-13
+
+
+def _theta_invariant_projectors(n, m, rng, theta):
+    """Rank-m projectors on C^n with Theta(P) = P: the span of random
+    vectors v and their partners J conj(v), and the diagonal projectors onto
+    the first and the last m/2 Kramers pairs."""
+    out = []
+    for real in (False, True):
+        for _ in range(3):
+            v = rng.standard_normal((n, m // 2))
+            if not real:
+                v = v + 1j * rng.standard_normal((n, m // 2))
+            pairs = np.stack([v, theta.apply(v)], axis=-1).reshape(n, m)
+            q, _ = np.linalg.qr(pairs)
+            out.append(q @ np.conjugate(q.T))
+    out.append(np.diag((np.arange(n) < m).astype(float)))
+    out.append(np.diag((np.arange(n) >= n - m).astype(float)))
+    return np.array(out, dtype=complex)
+
+
+@pytest.mark.parametrize("n, m", [(4, 2), (6, 2), (6, 4), (8, 4)])
+def test_kramers_frames_pair_each_pivot_with_its_partner(n, m):
+    """With theta, the frames of Theta-invariant projectors are orthonormal
+    bases of Ran P whose odd vectors are the Kramers partners
+    J conj(e) of the even ones, all to 1e-13."""
+    theta = TRSOperator.standard(n)
+    p = _theta_invariant_projectors(n, m, np.random.default_rng(n + m), theta)
+    assert np.max(np.abs(theta.adjoint(p) - p)) < 1e-13
+    e = np.moveaxis(lattice._frames(np.moveaxis(p, 0, -1), theta), -1, 0)
+    assert e.shape == (len(p), n, m)
+    eh = np.conjugate(np.swapaxes(e, -1, -2))
+    assert np.max(np.abs(eh @ e - np.eye(m))) < 1e-13
+    assert np.max(np.abs(p @ e - e)) < 1e-13
+    assert np.max(np.abs(e[..., 1::2] - theta.apply(e[..., 0::2]))) < 1e-13
+
+
+def _phase_gap(x, y):
+    return np.max(np.abs((x - y + np.pi) % (2 * np.pi) - np.pi))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_plane_elimination_matches_the_lapack_determinant(m):
+    """arg det by elimination on planes equals arg of np.linalg.det, to
+    1e-12, on random complex matrices, on every permutation matrix and on
+    matrices with a zero (0, 0) entry, which force row swaps."""
+    rng = np.random.default_rng(m)
+    dense = rng.standard_normal((m, m, 6, 40)) + 1j * rng.standard_normal((m, m, 6, 40))
+    assert _phase_gap(lattice._det_phase(dense), det_phase(dense)) < 1e-12
+    perms = np.array([np.eye(m)[list(p)] for p in itertools.permutations(range(m))],
+                     dtype=complex)
+    perms = np.moveaxis(perms * np.exp(1j * rng.uniform(0, 7, (len(perms), 1, m))), 0, -1)
+    assert _phase_gap(lattice._det_phase(perms), det_phase(perms)) < 1e-12
+    if m > 1:
+        zero_corner = dense.copy()
+        zero_corner[0, 0] = 0.0
+        assert _phase_gap(lattice._det_phase(zero_corner), det_phase(zero_corner)) < 1e-12
+
+
+def test_singular_overlap_has_phase_zero():
+    """A singular overlap, here of two rank-2 frames on C^4 that share one
+    vector and are orthogonal in the other, has det 0; its phase is 0, as
+    np.linalg.det gives, with no warning on the division it avoids, also
+    where elimination leaves det = -1 * 0 = -0."""
+    basis = np.eye(4, dtype=complex)
+    e1 = basis[:, [0, 1]][..., None]
+    e2 = basis[:, [0, 2]][..., None]
+    singular = np.zeros((3, 3, 3), dtype=complex)
+    singular[:, :, 1] = [[0, 1, 2], [0, 3, 4], [0, 5, 6]]   # zero first column
+    singular[:, :, 2] = [[-1, 1, 0], [1, -1, 0], [0, 0, 1]]  # eliminates to -1 * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lattice._link_phase(e1, e2).tolist() == [0.0]
+        assert lattice._det_phase(singular).tolist() == [0.0, 0.0, 0.0]
+        assert det_phase(singular).tolist() == [0.0, 0.0, 0.0]
+
+
+def _direct_sum(*specs):
+    """Block-diagonal Bloch Hamiltonian H_1 + H_2 + ... of builtin specs,
+    its Fourier terms merged at equal vectors."""
+    dim = sum(s.dim for s in specs)
+    raw, start = [], 0
+    for s in specs:
+        for mat, vec in s.terms:
+            block = np.zeros((dim, dim), dtype=complex)
+            block[start:start + s.dim, start:start + s.dim] = mat
+            raw.append((block, vec))
+        start += s.dim
+    return make_projector_family(BlochHamiltonianSpec(dim=dim, terms=_merge_terms(raw),
+                                                      name="direct_sum"))
+
+
+@pytest.mark.parametrize("m2, expected", [(0.3, -2), (1.5, -1)])
+def test_plaquette_chern_adds_over_direct_sums(m2, expected):
+    """Rank-2 haldane direct sums on the 128^2 grid: the plaquette Chern
+    number is the sum of the summands', -1 + -1 and -1 + 0."""
+    fam = _direct_sum(builtin_model("haldane", {"m": 0.3}), builtin_model("haldane", {"m": m2}))
+    assert fam.rank == 2
+    assert plaquette_chern(fam, n_grid=128).snapped == expected
+
+
+def test_lattice_oracles_on_two_kramers_pairs_of_bands():
+    """An 8-band kane_mele direct sum of rank 4, one topological and one
+    trivial summand, both with Rashba coupling: time reversal holds
+    exactly, the lattice Z2 on 65 x 128 is 1 + 0 = 1 and the plaquette
+    Chern number 0; the topological summand with itself has Z2 1 + 1 = 0."""
+    topo = builtin_model("kane_mele", {"lambda_so": 0.3, "lambda_v": 0.4, "lambda_r": 0.1})
+    trivial = builtin_model("kane_mele", {"lambda_so": 0.3, "lambda_v": 2.0, "lambda_r": 0.05})
+    theta8 = TRSOperator.standard(8)
+    fam = _direct_sum(topo, trivial)
+    assert fam.rank == 4
+    assert check_trs(fam, theta8) == (True, 0.0)
+    assert lattice_z2(fam, theta8, n1=64, n2=128).snapped == 1
+    assert plaquette_chern(fam, n_grid=128).snapped == 0
+    assert lattice_z2(_direct_sum(topo, topo), theta8, n1=64, n2=128).snapped == 0
 
 
 _REFERENCE_CHERN = [("haldane", {"m": 0.6}), ("haldane", {"m": 1.0}),
@@ -152,7 +269,9 @@ def test_pivoted_frames_give_the_eigenframe_oracles(monkeypatch, theta4):
 
     def reference_frames(p, theta=None):
         # the Z2's fixed points keep their Kramers pairs
-        return eigh_frames(p) if theta is None else pivoted(p, theta)
+        if theta is not None:
+            return pivoted(p, theta)
+        return np.moveaxis(eigh_frames(np.moveaxis(p, (0, 1), (-2, -1))), (-2, -1), (0, 1))
 
     def both(run):
         with monkeypatch.context() as patch:
@@ -227,3 +346,29 @@ def test_lattice_imports_share_nothing_with_the_frame_pipeline():
     assert modules <= {"numpy", ".core", ".grids", ".results"}
     assert from_core <= {"ProjectorFamily", "TRSOperator"}
     assert "eigh" not in Path(lattice.__file__).read_text()
+
+
+def test_oracles_on_a_kept_grid_call_no_linalg_and_no_einsum(monkeypatch, theta4):
+    """Once the family keeps the grid's eigensystem, the oracles are plane
+    arithmetic only: with every numpy.linalg routine and np.einsum made to
+    raise, plaquette_chern and lattice_z2 give their values unchanged."""
+    spec = builtin_model("kane_mele", {"lambda_v": 0.4, "lambda_r": 0.2})
+    chern_fam, z2_fam = make_projector_family(spec), make_projector_family(spec)
+    chern, z2 = plaquette_chern(chern_fam, 32), lattice_z2(z2_fam, theta4, 16, 32)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracles called numpy.linalg or np.einsum")
+
+    routines = [name for name in np.linalg.__all__
+                if callable(getattr(np.linalg, name))
+                and not isinstance(getattr(np.linalg, name), type)]
+    assert {"det", "norm", "eigh", "svd", "solve", "qr"} <= set(routines)
+    for name in routines:
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    monkeypatch.setattr(np, "einsum", forbidden)
+    with pytest.raises(AssertionError):
+        np.linalg.det(np.eye(2))
+    with pytest.raises(AssertionError):
+        np.einsum("ii", np.eye(2))
+    assert plaquette_chern(chern_fam, 32).raw == chern.raw
+    assert lattice_z2(z2_fam, theta4, 16, 32).raw == z2.raw
