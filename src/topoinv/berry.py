@@ -47,6 +47,8 @@ def berry_connection(frame: BlochFrame, method="analytic"):
     method: "analytic" uses the exact channel the frame construction
     recorded; "spectral" differentiates the frame samples by FFT.
     """
+    if method not in ("analytic", "spectral"):
+        raise ValueError(f"method must be 'analytic' or 'spectral', got {method!r}")
     if method == "analytic":
         return ConnectionSamples(ks=frame.ks, a_values=np.asarray(frame.analytic_a),
                                  loop_integral=float(frame.analytic_loop_integral),

@@ -12,16 +12,16 @@ resolution option: the torus has --grid^2 points, the half zone
 (--grid/2 + 1) x --grid and each boundary loop 2 * --grid; U_P's N_UP^3 is
 fixed, and when --grid is a multiple of N_UP its N_UP^2 torus is read from
 the eigensystem of the curvature's grid. Exit codes: 0 success, 1 a
-certification criterion failed (certify only), 2 precondition violated (no
-time-reversal symmetry / gap closure), 3 a result refused to snap or
-another library error stopped it, 4 bad input (usage errors, such as an
-option the subcommand does not read, non-finite numbers, a --grid too
-coarse for the transport step, StepFailure, and a fixed-point basis that
-will not form Kramers pairs, PairingFailure, included) or I/O. Every error
-is one JSON object on stderr so sweeps stay scriptable. Outputs written
-with --out contain no wall-clock data, so runs of identical configurations
-are byte-identical; the certify report is the one exception (it reports
-runtimes by design).
+certification criterion failed (certify only), 2 precondition violated
+(NotTRS, GapClosure), 3 a result refused to snap or any other library error
+stopped it, 4 bad input or I/O: usage errors (BadConfig), such as an option
+the subcommand does not read or a non-finite number; UnknownModel,
+UnknownParameter, ParseError, SchemaError; a --grid too coarse for the
+transport step (StepFailure); a fixed-point basis that will not form
+Kramers pairs (PairingFailure). Every error is one JSON object on stderr,
+its type, message and own fields. Outputs written with --out contain no
+wall-clock data, so runs of identical configurations are byte-identical;
+the certify report is the one exception (it reports runtimes by design).
 """
 
 import argparse
@@ -48,6 +48,11 @@ EXIT_CRITERION_FAILED = 1
 EXIT_PRECONDITION = 2
 EXIT_UNSNAPPED = 3
 EXIT_IO = 4
+
+# the library errors with an exit code of their own; any other exits 3
+_ERROR_EXITS = {GapClosure: EXIT_PRECONDITION, NotTRS: EXIT_PRECONDITION,
+                **dict.fromkeys((UnknownModel, UnknownParameter, ParseError, SchemaError,
+                                 StepFailure, PairingFailure), EXIT_IO)}
 
 INVARIANTS = ("chern", "delta", "kappa")
 
@@ -83,7 +88,9 @@ class RunConfig:
 
 
 def _jsonify(obj):
-    """Plain JSON values; a NaN or infinite float becomes null."""
+    """Plain JSON values, an InvariantResult as its fields; NaN and inf floats are null."""
+    if isinstance(obj, InvariantResult):
+        return _jsonify(vars(obj))
     if isinstance(obj, complex):
         return [_jsonify(obj.real), _jsonify(obj.imag)]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
@@ -355,21 +362,9 @@ def main(argv=None):
         return _fail(EXIT_IO, "BadConfig", str(exc))
     try:
         return fn(cfg)
-    except GapClosure as exc:
-        return _fail(EXIT_PRECONDITION, "GapClosure", str(exc), gap=exc.gap, k=exc.k)
-    except NotTRS as exc:
-        return _fail(EXIT_PRECONDITION, "NotTRS", str(exc), violation=exc.violation)
-    except (UnknownModel, UnknownParameter, ParseError, SchemaError) as exc:
-        # each error's own fields: key; path, line, col; name, valid
-        return _fail(EXIT_IO, type(exc).__name__, str(exc), **vars(exc))
-    except StepFailure as exc:
-        return _fail(EXIT_IO, "StepFailure", str(exc), k=exc.k, drift=exc.drift,
-                     step_norm=exc.step_norm)
-    except PairingFailure as exc:
-        return _fail(EXIT_IO, "PairingFailure", str(exc), residual=exc.residual,
-                     bound=exc.bound)
     except TopoinvError as exc:
-        return _fail(EXIT_UNSNAPPED, type(exc).__name__, str(exc))
+        return _fail(_ERROR_EXITS.get(type(exc), EXIT_UNSNAPPED), type(exc).__name__,
+                     str(exc), **vars(exc))
     except ValueError as exc:
         return _fail(EXIT_IO, "BadConfig", str(exc))
     except OSError as exc:

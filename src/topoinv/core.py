@@ -286,7 +286,7 @@ def check_trs(family: ProjectorFamily, theta: TRSOperator):
     return violation <= DEFAULT_TOL.trs, violation
 
 
-def symplectic_basis(theta: TRSOperator, projector, rng=None):
+def symplectic_basis(theta: TRSOperator, projector):
     """Orthonormal Kramers-paired basis of the range of a Theta-invariant projector.
 
     Pairs satisfy e_{2j} = theta e_{2j-1}; raises NotInvariant when the
@@ -300,4 +300,4 @@ def symplectic_basis(theta: TRSOperator, projector, rng=None):
     resid = float(linalg.frob(projector - theta.adjoint(projector)))
     if resid > DEFAULT_TOL.trs:
         raise NotInvariant(resid, DEFAULT_TOL.trs)
-    return linalg.kramers_basis(theta.apply, projector, rng=rng)
+    return linalg.kramers_basis(theta.apply, projector)

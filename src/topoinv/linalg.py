@@ -165,32 +165,26 @@ def unitary_log_generator(u):
     return 0.5 * (m + dagger(m)), lam
 
 
-def kramers_basis(apply_antiunitary, projector, rng=None):
+def kramers_basis(apply_antiunitary, projector):
     """Orthonormal basis of Ran(projector) in Kramers pairs (e, tau e).
 
     `apply_antiunitary` maps a vector x to tau(x) for an antiunitary tau with
     tau^2 = -1 that commutes with the projector. Pairs are ordered
     [e_1, tau e_1, e_2, tau e_2, ...], i.e. e_{2j} = tau e_{2j-1}.
 
-    With `rng` given, seed vectors are drawn at random (used to probe
-    construction independence); otherwise the choice is deterministic.
-    A measured pairing residual above DEFAULT_TOL.pairing raises
-    PairingFailure with that residual.
+    Each pair is seeded by the largest column of the part of Ran P not yet
+    spanned; any other Kramers basis differs by a symplectic unitary, which
+    no reported quantity sees. A measured pairing residual above
+    DEFAULT_TOL.pairing raises PairingFailure with that residual.
     """
     p = projector
-    n = p.shape[0]
     rank = int(round(np.real(np.trace(p))))
     if rank % 2 != 0:
         raise OddRank(f"rank {rank} is odd; Kramers pairs need even rank")
     cols = []
     resid = p.copy()  # projector onto the part of Ran P not yet spanned
     for _ in range(rank // 2):
-        if rng is None:
-            scores = np.linalg.norm(resid, axis=0)
-            seed = np.eye(n, dtype=complex)[:, int(np.argmax(scores))]
-        else:
-            seed = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = resid @ seed
+        v = resid[:, int(np.argmax(np.linalg.norm(resid, axis=0)))]
         nv = np.linalg.norm(v)
         if nv < DEFAULT_TOL.empty_subspace:
             raise ValueError("failed to find a vector in the residual subspace")

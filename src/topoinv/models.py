@@ -9,6 +9,7 @@ sums (H, dH, random Hermitian fields) as one contraction onto planes.
 
 import csv
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -258,7 +259,7 @@ def _matrix_to_json(m):
 def _matrix_from_json(obj, key):
     try:
         arr = np.array([[complex(re, im) for re, im in row] for row in obj])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(key, f"matrix entries must be [re, im] pairs: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SchemaError(key, f"matrix must be square, got shape {arr.shape}")
@@ -303,8 +304,9 @@ def load_model(path):
     if not isinstance(params, dict):
         raise SchemaError("parameters", f"must be an object, got {type(params).__name__}")
     for name, value in params.items():
-        if not (_is_int(value) or isinstance(value, float)):
-            raise SchemaError(f"parameters.{name}", f"must be a number, got {value!r}")
+        # NaN, the infinities and integers beyond the float range fail the bound
+        if not ((_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max):
+            raise SchemaError(f"parameters.{name}", f"must be a finite number, got {value!r}")
     raw = []
     for i, term in enumerate(doc["terms"]):
         where = f"terms[{i}]"

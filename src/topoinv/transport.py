@@ -242,7 +242,7 @@ def wilson_holonomy(tr: TransportResult):
     return linalg.dagger(b) @ tr.holonomy @ b
 
 
-def _trs_mismatch_gauge(e_pi, theta, rng=None):
+def _trs_mismatch_gauge(e_pi, theta):
     """Mismatch unitary u with E(pi) u Kramers-symmetric at the fixed point.
 
     The sewing matrix V = E(pi)* theta(E(pi)) is antisymmetric unitary, so
@@ -251,24 +251,25 @@ def _trs_mismatch_gauge(e_pi, theta, rng=None):
     """
     v = linalg.dagger(e_pi) @ theta.apply(e_pi)
     tau = lambda x: v @ np.conjugate(x)
-    return linalg.kramers_basis(tau, np.eye(v.shape[0], dtype=complex), rng=rng)
+    return linalg.kramers_basis(tau, np.eye(v.shape[0], dtype=complex))
 
 
-def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid, rng=None):
+def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid):
     """Smooth periodic time-reversal symmetric Bloch frame on a symmetric loop
     of n_grid points, with its time-reversal symmetric trivialization W(k),
     W(0) = 1.
 
-    Steps: Kramers-paired (symplectic) basis at the fixed point k = 0;
-    parallel transport over [0, pi], MAGNUS_STEPS steps per grid interval;
-    the fixed-point mismatch u_pi = q diag(exp(i phi)) q^+ at pi is absorbed
-    in its eigenbasis by q diag(exp(i ramp(k/pi) phi)) q^+ with a flat-ended
-    smooth ramp, which takes no logarithm; the frame on (-pi, 0) is the
-    Kramers reflection.
-    The exact connection A(k) = ramp'(|k|/pi)/pi * sum(phi) is recorded. An
-    eigenvalue -1 of u_pi read as phase -pi rather than pi moves the loop
-    integral by 4 pi, which no invariant sees. The same construction on the
-    complementary band group (same transport: i[dP,P] = i[d(1-P),(1-P)])
+    Steps: the deterministic Kramers-paired basis of `symplectic_basis` at
+    the fixed point k = 0; parallel transport over [0, pi], MAGNUS_STEPS
+    steps per grid interval; the fixed-point mismatch
+    u_pi = q diag(exp(i phi)) q^+ at pi is absorbed in its eigenbasis by
+    q diag(exp(i ramp(k/pi) phi)) q^+ with a flat-ended smooth ramp, which
+    takes no logarithm; the frame on (-pi, 0) is the Kramers reflection.
+    The exact connection A(k) = ramp'(|k|/pi)/pi * sum(phi) is recorded.
+    Another Kramers-paired basis changes the frame by a symmetric gauge, and
+    an eigenvalue -1 of u_pi read as phase -pi rather than pi moves the loop
+    integral by 4 pi; no invariant sees either. The same construction on
+    the complementary band group (same transport: i[dP,P] = i[d(1-P),(1-P)])
     gives W = E E(0)^+ + E_c E_c(0)^+.
 
     Raises NotTRS unless H on the loop is time-reversal symmetric
@@ -286,11 +287,10 @@ def build_trs_frame(family: ProjectorFamily, theta: TRSOperator, n_grid, rng=Non
 
     def symmetrized_half(projector):
         """Frame of Ran(projector) on [0, pi], its sum of mismatch
-        eigenphases and its Kramers basis at k = 0; deterministic unless
-        the caller passes an rng."""
-        base = symplectic_basis(theta, projector, rng=rng)
+        eigenphases and its Kramers basis at k = 0."""
+        base = symplectic_basis(theta, projector)
         e_sharp = t_half @ base
-        phases, q = linalg.unitary_eig(_trs_mismatch_gauge(e_sharp[-1], theta, rng=rng))
+        phases, q = linalg.unitary_eig(_trs_mismatch_gauge(e_sharp[-1], theta))
         turn = np.exp(1j * np.multiply.outer(ramp, phases))
         absorb = (q * turn[:, None, :]) @ linalg.dagger(q)
         return e_sharp @ absorb, float(np.sum(phases)), base

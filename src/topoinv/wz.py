@@ -136,13 +136,9 @@ class ProjectorExtension:
     Only P and its torus derivatives dp = (d1 P, d2 P) on the 2D grid, in
     the entries-first layout (N, N, n1, n2), and f, f' on the t axis are
     stored, so no array of matrices spans the 3D grid; `_projector_extension`
-    builds them for U_P and Phi. The 3-form density is built from 2D trace
-    fields and t-factor columns (`triple_density`), and its integral
-    contracts the t axis first (`triple_integral`). Slice j is 1 + f_j P
-    with the exact channels {0: f'_j P, 1: f_j d1P, 2: f_j d2P}, returned
-    as (n1, n2, N, N) views of entries-first planes by `slab(j)`, and
-    without them by `value(j)`. `samples` and
-    `derivative(i)` build the full arrays each time they are read.
+    builds them for U_P and Phi. The field is read through its t slice
+    `value(j)`, for the end-0 check, and `triple_integral`, which contracts
+    the t axis first. `samples` builds the full array each time it is read.
     """
 
     axes: tuple
@@ -161,19 +157,11 @@ class ProjectorExtension:
     def n_axes(self):
         return len(self.axes)
 
-    def _channels(self):
-        """(t factor, 2D planes) per axis: d_i g = t_i(t) planes_i(k)."""
-        return (self.df, self.p), (self.f, self.dp[0]), (self.f, self.dp[1])
-
     def value(self, j):
         value = self.f[j] * self.p
         for a in range(self.dim):
             value[a, a] += 1.0
         return matrices_last(value)
-
-    def slab(self, j):
-        return self.value(j), {i: matrices_last(t[j] * x)
-                               for i, (t, x) in enumerate(self._channels())}
 
     def _trace_fields(self):
         """The 2D trace fields T_n = sum_{a+b+c=n} Tr{U_a [V_b, W_c]},
@@ -193,27 +181,19 @@ class ProjectorExtension:
                 t[a + b + c] += trace_product(u[a], comm)
         return t
 
-    def _t_columns(self):
-        """The (n_t [+1], 4) t factors 3 f' f^2 conj(f)^n of T_n."""
-        return ((3.0 * self.df * self.f ** 2)[:, None]
-                * np.conjugate(self.f)[:, None] ** np.arange(4))
-
-    def triple_density(self):
-        """3 Tr{A0 [A1, A2]} on the whole grid, with g^-1 read as
-        1 + conj(f) P^+: A0 = f'(P + conj(f) P^+P) and
-        A_i = f(d_iP + conj(f) P^+d_iP), so the density is
-        3 f' f^2 sum_n conj(f)^n T_n(k), n = 0..3 (`_trace_fields`). No
-        projector identity is used, so it equals the slice-wise density up
-        to rounding."""
-        return np.tensordot(self._t_columns(), self._trace_fields(), axes=1)
-
     def triple_integral(self):
-        """The grid integral of `triple_density`, with the t-axis quadrature
-        weights contracted with the four t-factor columns first, so the
-        density on the 3D grid is never formed. A model whose exact d1P
-        overflows gets a non-finite integral, which fails every check that
-        reads it, so the overflow is not also warned about."""
-        weights = quad_weights(self.axes[0]) @ self._t_columns()
+        """The grid integral of the density 3 Tr{A0 [A1, A2]}. With g^-1
+        read as 1 + conj(f) P^+, A0 = f'(P + conj(f) P^+P) and
+        A_i = f(d_iP + conj(f) P^+d_iP), so the density is
+        3 f' f^2 sum_n conj(f)^n T_n(k), n = 0..3 (`_trace_fields`); no
+        projector identity is used. The t-axis quadrature weights are
+        contracted with the four t factors first, so the density on the 3D
+        grid is never formed. A model whose exact d1P overflows gets a
+        non-finite integral, which fails every check that reads it, so the
+        overflow is not also warned about."""
+        columns = ((3.0 * self.df * self.f ** 2)[:, None]
+                   * np.conjugate(self.f)[:, None] ** np.arange(4))
+        weights = quad_weights(self.axes[0]) @ columns
         with np.errstate(over="ignore", invalid="ignore"):
             return integrate_grid(np.tensordot(weights, self._trace_fields(), axes=1),
                                   list(self.axes[1:]))
@@ -222,10 +202,6 @@ class ProjectorExtension:
     def samples(self):
         return (np.eye(self.dim, dtype=complex)
                 + np.multiply.outer(self.f, matrices_last(self.p)))
-
-    def derivative(self, i):
-        t, x = self._channels()[i]
-        return np.multiply.outer(t, matrices_last(x))
 
 
 def constant_field(axes, matrix):
@@ -375,19 +351,15 @@ def normal_form_field(n, m, dim, equivariant=False, n_grid=64):
 class WZValue:
     """A Wess-Zumino action with its amplitude.
 
-    raw_action keeps the computed representative; `action` reduces it into
-    [0, modulus). modulus is 2 pi, or 4 pi for equivariant (square-root)
-    channels, where sqrt_amplitude = exp(i raw_action / 2).
+    raw_action keeps the computed representative, defined mod `modulus`:
+    2 pi, or 4 pi for equivariant (square-root) channels, where
+    sqrt_amplitude = exp(i raw_action / 2).
     """
 
     raw_action: float
     modulus: float
     quad_residual: float
     meta: dict = dc_field(default_factory=dict)
-
-    @property
-    def action(self):
-        return self.raw_action % self.modulus
 
     @property
     def amplitude(self):
@@ -644,6 +616,8 @@ def wz_amplitude_phi(loop, method="reduced"):
         meta = {"m_eigenvalues": loop.m_eigenvalues}
     else:
         raise TypeError("the amplitude needs a TransportResult or a TRS BlochFrame")
+    if method not in ("reduced", "beta"):
+        raise ValueError(f"method must be 'reduced' or 'beta', got {method!r}")
     n = len(w)
     if method == "reduced":
         logd = linalg.dagger(w) @ dw
@@ -685,10 +659,12 @@ def up_extension(family: ProjectorFamily, n_t=64, n1=64, n2=64, path="forward"):
     """
     t_ax = interval_axis(n_t, 0.0, 1.0, name="t")
     t = t_ax.points
-    omega = {"forward": np.pi * t, "reverse": -np.pi * t,
-             "reparam": np.pi * t * (2.0 - t)}[path]
-    domega = {"forward": np.pi * np.ones_like(t), "reverse": -np.pi * np.ones_like(t),
-              "reparam": np.pi * (2.0 - 2.0 * t)}[path]
+    ramps = {"forward": (np.pi * t, np.pi * np.ones_like(t)),
+             "reverse": (-np.pi * t, -np.pi * np.ones_like(t)),
+             "reparam": (np.pi * t * (2.0 - t), np.pi * (2.0 - 2.0 * t))}
+    if path not in ramps:
+        raise ValueError(f"path must be one of {sorted(ramps)}, got {path!r}")
+    omega, domega = ramps[path]
     phase = np.exp(1j * omega)
     return _projector_extension(family, t_ax, loop_axis(n1), n2, phase,
                                 1j * domega * phase, f"U_P extension ({path})")

@@ -1,6 +1,6 @@
 """Checks and fields that only the tests use: matrix residuals, the
 time-reversal residual of sampled fields, residual reports of families,
-frames and gauges with their bounds, the
+frames and gauges with their bounds, a randomly seeded Kramers basis, the
 eigendecomposition frames and LAPACK determinants the lattice oracles once
 used, the Stokes check
 of the curvature, random unwindable and equivariant fields, and the rate
@@ -60,6 +60,28 @@ def det_phase(planes):
     """Argument of the LAPACK determinant of (m, m, ...) planes: the
     reference for `lattice._det_phase`."""
     return np.angle(np.linalg.det(np.moveaxis(planes, (0, 1), (-2, -1))))
+
+
+def random_kramers_basis(seed):
+    """A variant of `linalg.kramers_basis` that seeds each Kramers pair with
+    a random vector of Ran P, drawn from one generator across calls: another
+    Kramers-paired construction, for checks that nothing the program
+    reports depends on which one `linalg.kramers_basis` makes."""
+    rng = np.random.default_rng(seed)
+
+    def kramers_basis(apply_antiunitary, projector):
+        n = projector.shape[0]
+        cols, resid = [], projector.copy()
+        for _ in range(int(round(np.real(np.trace(projector)))) // 2):
+            v = resid @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            e = v / np.linalg.norm(v)
+            f = apply_antiunitary(e)
+            cols += [e, f / np.linalg.norm(f)]
+            ef = np.column_stack(cols[-2:])
+            resid = projector @ (resid - ef @ (linalg.dagger(ef) @ projector))
+        return np.column_stack(cols)
+
+    return kramers_basis
 
 
 def validate_family(family):

@@ -32,6 +32,14 @@ def test_constant_frame_zero_connection(constant_loop):
     assert abs(berry_phase(conn).raw - 1.0) < 1e-12
 
 
+def test_unknown_connection_method_is_refused(constant_loop):
+    """A misspelled route is refused, naming the valid ones, instead of
+    returning the spectral connection."""
+    frame = build_frame(parallel_transport(constant_loop, n_grid=32))
+    with pytest.raises(ValueError, match="'analytic' or 'spectral', got 'analitic'"):
+        berry_connection(frame, method="analitic")
+
+
 def test_connection_is_real(km_topo):
     frame = w_frame(km_topo, np.pi)
     conn = berry_connection(frame, method="spectral")

@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 
 import topoinv
-from topoinv import berry, certify, core, lattice, linalg, transport, wz
+from topoinv import berry, certify, cli, core, lattice, linalg, transport, wz
 from topoinv.cli import main
-from topoinv.errors import BranchAmbiguity, PairingFailure
+from topoinv.errors import (BranchAmbiguity, DimensionMismatch, GapClosure, NotAnExtension,
+                            NotInvariant, NotTRS, NotTRSFrame, OddRank, PairingFailure,
+                            ParseError, SchemaError, StepFailure, TopoinvError,
+                            UnknownModel, UnknownParameter, UnsnappedError)
+from topoinv.results import snap_integer
 from topoinv.grids import loop_axis
 from topoinv.models import SX, SY, SZ, BlochHamiltonianSpec, builtin_model, save_model
 
@@ -232,12 +236,21 @@ MINIMAL_MODEL = {"name": "mini", "dim": 2,
     (dict(MINIMAL_MODEL, parameters={"m": [1]}), "parameters.m:"),
     (dict(MINIMAL_MODEL, terms=[dict(MINIMAL_MODEL["terms"][0], vector=[True, 0])]),
      "terms[0].vector:"),
+    (dict(MINIMAL_MODEL, parameters={"m": float("nan")}), "parameters.m:"),
+    (dict(MINIMAL_MODEL, parameters={"m": float("inf")}), "parameters.m:"),
+    (dict(MINIMAL_MODEL, parameters={"m": -float("inf")}), "parameters.m:"),
+    (dict(MINIMAL_MODEL, parameters={"m": 10 ** 400}), "parameters.m:"),
+    (dict(MINIMAL_MODEL, terms=[dict(MINIMAL_MODEL["terms"][0],
+                                     matrix=[[[0, 0], [10 ** 400, 0]], [[0, 0], [0, 0]]])]),
+     "terms[0].matrix:"),
 ], ids=["top_level_5", "terms_5", "terms_list_of_5", "parameters_list", "dim_true",
-        "parameter_list_value", "vector_true"])
+        "parameter_list_value", "vector_true", "parameter_nan", "parameter_infinity",
+        "parameter_minus_infinity", "parameter_beyond_float", "matrix_entry_beyond_float"])
 def test_malformed_model_file_is_a_schema_error(capsys, tmp_path, doc, location):
-    """A model file whose JSON values have the wrong types is bad input
-    (exit 4) naming the key, never a traceback with exit 1; JSON's true is
-    not the integer 1."""
+    """A model file whose JSON values have the wrong types, or a parameter
+    that is JSON's NaN or Infinity, or a number beyond the float range, is
+    bad input (exit 4) naming the key, never a traceback with exit 1 nor a
+    report with a null parameter; JSON's true is not the integer 1."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert_schema_error(capsys, path, location)
@@ -293,8 +306,8 @@ def test_pairing_failure_is_one_json_line(capsys, monkeypatch):
     exit 4 with one JSON line carrying the measured residual and the bound;
     the certification run reports it as an errored criterion."""
     kramers_basis = linalg.kramers_basis
-    monkeypatch.setattr(linalg, "kramers_basis", lambda tau, p, rng=None: kramers_basis(
-        lambda x: (1 + 1e-6) * tau(x), p, rng=rng))
+    monkeypatch.setattr(linalg, "kramers_basis", lambda tau, p: kramers_basis(
+        lambda x: (1 + 1e-6) * tau(x), p))
     code, out, err = run_cli(capsys, "fkm", "--model", "kane_mele",
                              "--grid", "16", "--json")
     assert code == 4 and out == ""
@@ -326,6 +339,60 @@ def test_other_library_error_is_one_json_line(capsys, monkeypatch):
     assert code == 3 and out == ""
     [line] = err.splitlines()
     assert json.loads(line)["error"] == "BranchAmbiguity"
+
+
+# one instance of every library error, with the exit code main gives it
+ERROR_EXITS = [
+    (GapClosure((0.5, -1.0), 1e-9, 1e-6), 2),
+    (NotTRS(0.1, 1e-10), 2),
+    (UnknownModel("unknown model 'x'"), 4),
+    (UnknownParameter("haldane", "q", ["m", "t2"]), 4),
+    (ParseError("m.json", 3, 7, "Expecting value"), 4),
+    (SchemaError("terms[0].matrix", "matrix must be square"), 4),
+    (StepFailure(0.25, 2e-3, 1e-4, 0.5), 4),
+    (PairingFailure(1e-6, 1e-10), 4),
+    (BranchAmbiguity(-1e-12), 3),
+    (DimensionMismatch("fields live on different grids"), 3),
+    (NotAnExtension("need axes (interval, periodic, periodic)"), 3),
+    (NotInvariant(1e-3, 1e-10), 3),
+    (NotTRSFrame("the amplitude of a frame needs a TRS frame with W"), 3),
+    (OddRank("rank 3 is odd"), 3),
+    (UnsnappedError(snap_integer("Chern", complex(0.4, 1e-9), meta={"grid": (16, 16)})), 3),
+]
+
+
+def test_error_exits_cover_every_library_error():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    assert {type(error) for error, _ in ERROR_EXITS} == set(subclasses(TopoinvError))
+
+
+@pytest.mark.parametrize("error,exit_code", ERROR_EXITS,
+                         ids=[type(error).__name__ for error, _ in ERROR_EXITS])
+def test_library_error_is_one_json_line_with_its_fields(capsys, monkeypatch, error,
+                                                        exit_code):
+    """Every library error that stops a command exits with its own code,
+    as one JSON line holding its type, its message and each of its fields."""
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "_family", refuse)
+    code, out, err = run_cli(capsys, "chern", "--model", "haldane", "--grid", "16")
+    assert code == exit_code and out == ""
+    [line] = err.splitlines()
+    payload = json.loads(line)
+    assert payload.pop("error") == type(error).__name__
+    assert payload.pop("message") == str(error)
+    assert set(payload) == set(vars(error))
+    plain = {k: v for k, v in vars(error).items() if k != "result"}
+    assert {k: payload[k] for k in plain} == json.loads(json.dumps(plain))
+    if isinstance(error, UnsnappedError):
+        assert payload["result"] == {"kind": "Chern", "raw": [0.4, 1e-9], "snapped": None,
+                                     "residual": pytest.approx(0.4), "snap_tol": 1e-3,
+                                     "meta": {"grid": [16, 16]}}
 
 
 def test_param_must_be_a_finite_number(capsys):

@@ -86,8 +86,6 @@ def test_up_extension_gives_pi_chern(haldane_topo):
     val = wz_action_extension(up_extension(haldane_topo, n_t=32, n1=32, n2=32))
     assert dist_to_lattice(val.raw_action - np.pi * c, TWO_PI) < 1e-6
     assert abs(val.amplitude - (-1.0) ** c) < 1e-6
-    # action representative is reduced into [0, modulus)
-    assert 0.0 <= val.action < val.modulus
 
 
 def _batched_chi_triple(g):
@@ -111,15 +109,18 @@ def _no_exact_channel(g):
 
 
 def _generic_rank_one(g):
-    """The extension g with P replaced by a smooth non-Hermitian matrix field
-    that is no projector, so every term of the rank-one density counts."""
+    """The U_P extension g with P replaced by a smooth non-Hermitian matrix
+    field that is no projector, so every term of the rank-one density
+    counts, and its stored-array reference field."""
     ax1, ax2 = g.axes[1:]
     x = random_hermitian_field((ax1, ax2), 3, seed=7) + 1j * random_hermitian_field(
         (ax1, ax2), 3, seed=8)
     p = np.moveaxis(x, (-2, -1), (0, 1)).copy()
-    return wz.ProjectorExtension(axes=g.axes, p=p, dp=(spectral_derivative(p, 2, ax1),
-                                                       spectral_derivative(p, 3, ax2)),
-                                 f=g.f, df=g.df, name="generic rank one")
+    dp1 = spectral_derivative(p, 2, ax1)
+    ext = wz.ProjectorExtension(axes=g.axes, p=p, dp=(dp1, spectral_derivative(p, 3, ax2)),
+                                f=g.f, df=g.df, name="generic rank one")
+    planes = (x, np.moveaxis(dp1, (0, 1), (-2, -1)))
+    return ext, _stored_field(None, g.axes, "up", "reparam", planes=planes)
 
 
 @pytest.mark.parametrize("case", ["haldane", "kane_mele_rashba", "tube", "no_channel",
@@ -127,25 +128,32 @@ def _generic_rank_one(g):
                          + [f"{m}-{p}" for m in ("haldane", "kane_mele_rashba")
                             for p in ("reverse", "reparam")] + ["rank_one_generic"])
 def test_chi_triple_matches_batched_reference(case, haldane_topo, km_topo):
+    """The triple integral of every field kind equals the batched reference
+    on stored arrays; a FieldGrid's density equals it pointwise."""
     model, _, path = case.partition("-")
     if model in ("haldane", "kane_mele_rashba"):
         family = haldane_topo if model == "haldane" else km_topo
         g = up_extension(family, n_t=16, n1=16, n2=16, path=path or "forward")
+        ref_field = _stored_field(family, g.axes, "up", path or "forward")
     elif case == "tube":
-        g = random_unwindable_field(16, 3, seed=5)[1]
+        g = ref_field = random_unwindable_field(16, 3, seed=5)[1]
     elif case == "no_channel":
-        g = _no_exact_channel(up_extension(haldane_topo, n_t=16, n1=16, n2=16))
+        axes = up_extension(haldane_topo, n_t=16, n1=16, n2=16).axes
+        g = ref_field = _no_exact_channel(_stored_field(haldane_topo, axes, "up", "forward"))
     elif case == "rank_one_generic":
-        g = _generic_rank_one(up_extension(haldane_topo, n_t=16, n1=16, n2=16,
-                                           path="reparam"))
+        g, ref_field = _generic_rank_one(up_extension(haldane_topo, n_t=16, n1=16, n2=16,
+                                                      path="reparam"))
     elif case == "phi_ebz":
         g = wz.phi_ebz_extension(km_topo, n_t=8, n1=8, n2=16)
+        ref_field = _stored_field(km_topo, g.axes, "phi_ebz", None)
     else:
-        g = _no_exact_channel(wz.phi_ebz_extension(km_topo, n_t=8, n1=8, n2=16))
-    ref, scale, dens = _batched_chi_triple(g)
+        axes = wz.phi_ebz_extension(km_topo, n_t=8, n1=8, n2=16).axes
+        g = ref_field = _no_exact_channel(_stored_field(km_topo, axes, "phi_ebz", None))
+    ref, scale, dens = _batched_chi_triple(ref_field)
     real, imag = wz.chi_triple_integral(g)
     assert scale > 1.0
-    assert np.max(np.abs(g.triple_density() - dens)) <= 1e-12 * np.max(np.abs(dens))
+    if isinstance(g, FieldGrid):
+        assert np.max(np.abs(g.triple_density() - dens)) <= 1e-12 * np.max(np.abs(dens))
     assert abs(real - ref.real) <= 1e-12 * scale
     assert abs(imag - abs(ref.imag)) <= 1e-12 * scale
 
@@ -188,15 +196,16 @@ _PATHS = {"forward": (lambda t: np.pi * t, lambda t: np.pi * np.ones_like(t)),
           "reparam": (lambda t: np.pi * t * (2.0 - t), lambda t: np.pi * (2.0 - 2.0 * t))}
 
 
-def _stored_extension(family, axes, kind, path):
+def _stored_extension(family, axes, kind, path, planes=None):
     """Reference: the U_P or Phi extension as full stored arrays, samples
     1 + (e^{iw} - 1) P and the exact channels (t and k1), with the spectral
-    derivative of each slice on the remaining torus axis."""
+    derivative of each slice on the remaining torus axis. P and d1P come
+    from the family, or are the (n1, n2, N, N) arrays `planes`."""
     k1, k2 = np.meshgrid(axes[1].points, axes[2].points, indexing="ij")
     ks = np.stack([k1, k2], axis=-1)
-    eye = np.eye(family.ambient_dim, dtype=complex)
     t = axes[0].points
-    p, dp1 = family.derivative(ks, 0)
+    p, dp1 = family.derivative(ks, 0) if planes is None else planes
+    eye = np.eye(p.shape[-1], dtype=complex)
     if kind == "phi_ebz":
         tfac = np.exp(TWO_PI * 1j * t)[:, None, None, None, None]
         samples = eye + (tfac - 1.0) * p[None]
@@ -213,28 +222,32 @@ def _stored_extension(family, axes, kind, path):
     return samples, derivs
 
 
+def _stored_field(family, axes, kind, path, planes=None):
+    """The stored-array extension as a FieldGrid with all three channels."""
+    samples, derivs = _stored_extension(family, axes, kind, path, planes)
+    return FieldGrid(axes=axes, samples=samples, derivs=derivs, name=f"stored {kind}")
+
+
 @pytest.mark.parametrize("case", [f"{m}-{p}" for m in ("haldane", "kane_mele_rashba")
                                   for p in _PATHS] + ["phi_ebz"])
 def test_projector_extension_slabs_match_stored_arrays(case, haldane_topo, km_topo):
-    """Every slab and channel a ProjectorExtension produces equals the
-    stored-array extension: samples exactly, derivatives within 1e-12."""
+    """Every slice and the samples of a ProjectorExtension equal the
+    stored-array extension exactly, and its triple integral equals the
+    batched reference on those arrays within 1e-12 of its scale."""
     kind, _, path = case.partition("-")
     family = haldane_topo if kind == "haldane" else km_topo
     if kind == "phi_ebz":
         ext = wz.phi_ebz_extension(family, n_t=8, n1=8, n2=16)
     else:
         ext = up_extension(family, n_t=16, n1=16, n2=16, path=path)
-    samples, derivs = _stored_extension(family, ext.axes, kind, path)
+    stored = _stored_field(family, ext.axes, kind, path)
+    samples = stored.samples
     assert len(ext.axes[0].points) == len(samples) and ext.dim == samples.shape[-1]
     for j, ref in enumerate(samples):
-        value, channels = ext.slab(j)
-        assert np.array_equal(value, ref)
-        assert set(channels) == {0, 1, 2}
-        for i, d in channels.items():
-            assert np.max(np.abs(d - derivs[i][j])) <= 1e-12, (j, i)
+        assert np.array_equal(ext.value(j), ref)
     assert np.array_equal(ext.samples, samples)
-    for i in range(3):
-        assert np.max(np.abs(ext.derivative(i) - derivs[i])) <= 1e-12, i
+    ref, scale, _ = _batched_chi_triple(stored)
+    assert abs(ext.triple_integral() - ref) <= 1e-12 * scale
 
 
 def test_up_extension_action_holds_no_full_grid_array(km_topo):
@@ -289,26 +302,28 @@ def test_interval_axis_is_differentiated_only_through_its_channel(km_topo):
     with pytest.raises(ValueError, match="periodic axis"):
         bare.derivative(0)
     phi = wz.phi_ebz_extension(km_topo, n_t=4, n1=4, n2=8)
-    ebz = FieldGrid(axes=phi.axes, samples=phi.samples, derivs={0: phi.derivative(0)})
+    samples, derivs = _stored_extension(km_topo, phi.axes, "phi_ebz", None)
+    ebz = FieldGrid(axes=phi.axes, samples=samples, derivs={0: derivs[0]})
     for refused in (lambda: ebz.derivative(1), ebz.triple_density):
         with pytest.raises(ValueError, match="periodic axis"):
             refused()
 
 
-def test_end0_check_forms_only_the_slice_value(km_topo, monkeypatch):
-    """The end-0 check of a ProjectorExtension forms the slice's value and
-    no derivative channel, and the action is unchanged."""
+def test_end0_check_forms_only_the_slice_value(km_topo):
+    """The end-0 check of a ProjectorExtension reads its t = 0 slice
+    `value(0)`, which equals the first slice of its samples, and the action
+    equals that of a fresh extension."""
     ext = up_extension(km_topo, n_t=8, n1=16, n2=16)
     expected = wz_action_extension(up_extension(km_topo, n_t=8, n1=16, n2=16))
-
-    def refuse(self):
-        raise AssertionError("the end-0 check formed derivative channels")
-
-    monkeypatch.setattr(wz.ProjectorExtension, "_channels", refuse)
+    assert np.array_equal(ext.value(0), ext.samples[0])
     val = wz_action_extension(ext)
     assert val.raw_action == expected.raw_action and val.meta == expected.meta
-    monkeypatch.undo()
-    assert np.array_equal(ext.value(0), ext.slab(0)[0])
+
+
+def test_unknown_extension_path_is_refused(haldane_topo):
+    with pytest.raises(ValueError,
+                       match=r"\['forward', 'reparam', 'reverse'\], got 'backward'"):
+        up_extension(haldane_topo, n_t=4, n1=4, n2=4, path="backward")
 
 
 def test_extension_independence(haldane_topo):
@@ -820,6 +835,14 @@ def test_homotopy_trial_of_benchmark_seed_5502():
 def test_amplitude_constant_family(constant_loop):
     val = wz_amplitude_phi(parallel_transport(constant_loop, n_grid=64))
     assert abs(val.amplitude - 1.0) < 1e-12
+
+
+def test_unknown_amplitude_method_is_refused(constant_loop):
+    """A misspelled route is refused, naming the valid ones, instead of
+    running the beta route under the wrong label."""
+    trp = parallel_transport(constant_loop, n_grid=64)
+    with pytest.raises(ValueError, match="'reduced' or 'beta', got 'reduce'"):
+        wz_amplitude_phi(trp, method="reduce")
 
 
 def test_amplitude_flat_band_matches_berry(flat_band):
