@@ -3,7 +3,9 @@ time-reversal structure acting on them.
 
 A ProjectorFamily is the occupied-band projector P(k) of a Bloch
 Hamiltonian H(k), on the torus or on a line through it. One eigensystem of H
-per set of points gives P and, by first-order perturbation theory on the
+per set of points, solved one decoupled block of H at a time
+(`models.BlochHamiltonianSpec.blocks`, `linalg.block_eigh`), gives P and,
+by first-order perturbation theory on the
 planes of dH (`models.fourier_planes`), the interband blocks
 X_a = V_o^+ d_aH V_e / (e_o - e_e) between occupied and empty bands
 (`interband`). Everything downstream of the eigensystem is built from those
@@ -32,7 +34,7 @@ from . import linalg
 from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, GapClosure, NotInvariant, OddRank
 from .grids import reflect
-from .linalg import entries_first, inverse_planes, matrices_last, plane_product
+from .linalg import inverse_planes, matrices_last, plane_product
 from .models import BlochHamiltonianSpec, fourier_planes
 
 
@@ -83,8 +85,10 @@ class ProjectorFamily:
     With `line` = (origin, direction) the family is the loop
     s -> P(origin + s direction).
 
-    The eigensystem (w, v) of the last point set diagonalized is kept in
-    plane layout next to a copy of its points (`_last`). Sampling the same
+    H is diagonalized block by block over the spec's decoupled blocks,
+    with each two-band block solved as a real symmetric matrix, and the
+    eigensystem (w, v) of the last point set diagonalized is kept in plane
+    layout next to a copy of its points (`_last`). Sampling the same
     points again diagonalizes nothing, and neither does sampling a torus
     grid that is a strided sub-grid kept[::s1, ::s2] of a kept torus grid:
     it reads strided views of the kept w and v. Any other point set is
@@ -213,7 +217,9 @@ class ProjectorFamily:
 def _gap_checked_eigh(spec, ks, rank=None):
     """Batched eigensystem of spec.bloch(ks) on torus points ks in plane
     layout: eigenvalues w band-first (N, ...), ascending, and eigenvectors
-    v entries-first (N, N, ...), column i belonging to w[i].
+    v entries-first (N, N, ...), column i belonging to w[i]. H is solved one
+    block of spec.blocks at a time by `linalg.block_eigh`, so a spec of one
+    block of three or more bands takes numpy's eigh of the whole matrix.
 
     Raises GapClosure, carrying the momentum (k1, k2), where the number of
     negative eigenvalues (the occupied bands, below the Fermi level 0)
@@ -222,9 +228,7 @@ def _gap_checked_eigh(spec, ks, rank=None):
     DEFAULT_TOL.gap_threshold.
     """
     threshold = DEFAULT_TOL.gap_threshold
-    w, v = np.linalg.eigh(spec.bloch(ks))
-    w = np.ascontiguousarray(np.moveaxis(w, -1, 0))
-    v = entries_first(v)
+    w, v = linalg.block_eigh(spec.bloch(ks), spec.blocks)
     ranks = np.count_nonzero(w < 0.0, axis=0).reshape(-1)
     momentum = lambda j: tuple(float(x) for x in np.reshape(ks, (-1, 2))[j])
     r0 = int(ranks[0]) if rank is None else rank

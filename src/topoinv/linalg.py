@@ -1,6 +1,7 @@
-"""Dense complex linear algebra helpers: norms, polar projection, unitary
-exponentials and logarithms, Kramers-paired (symplectic) bases, and the
-plane-product kernel.
+"""Dense complex linear algebra helpers: norms, the block-by-block
+Hermitian eigensolver, polar projection, unitary exponentials and
+logarithms, Kramers-paired (symplectic) bases, and the plane-product
+kernel.
 
 All matrices are plain complex numpy arrays.
 
@@ -77,6 +78,52 @@ def plane_product(x, y, out=None):
             for c in range(1, x.shape[1]):
                 entry += np.multiply(x[a, c], y[c, b], out=term)
     return out
+
+
+def block_eigh(h, blocks):
+    """Eigensystem of Hermitian (..., N, N) matrices that are block-diagonal
+    in `blocks`, disjoint sorted index tuples covering range(N), in plane
+    layout: eigenvalues band-first (N, ...), ascending, and eigenvectors
+    entries-first (N, N, ...), column i belonging to eigenvalue i.
+
+    Each block is diagonalized on its own by numpy's eigh, so the matrices
+    diagonalized are points x blocks. A two-band block [[a, b], [conj(b), d]]
+    is D S D^+ with the phase D = diag(1, conj(b)/|b|), 1 where b = 0, and
+    S = [[a, |b|], [|b|, d]] real symmetric, whose eigh costs half of the
+    complex one; its eigenvectors are D times those of S. Every other block
+    takes complex eigh, and a single such block is exactly numpy's eigh of
+    h. The eigenvalues of several blocks are merged ascending by a stable
+    sort, their eigenvectors embedded in N x N planes.
+    """
+    if len(blocks) == 1 and len(blocks[0]) != 2:
+        w, v = np.linalg.eigh(h)
+        return np.ascontiguousarray(np.moveaxis(w, -1, 0)), entries_first(v)
+    grid = h.shape[:-2]
+    w = np.empty(h.shape[-1:] + grid)
+    v = np.zeros(h.shape[-2:] + grid, dtype=complex)
+    start = 0
+    for block in blocks:
+        cols = slice(start, start + len(block))
+        start = cols.stop
+        if len(block) == 2:
+            i, j = block
+            s = np.empty(grid + (2, 2))
+            s[..., 0, 0], s[..., 1, 1] = h[..., i, i].real, h[..., j, j].real
+            s[..., 0, 1] = s[..., 1, 0] = np.abs(h[..., i, j])
+            wb, u = np.linalg.eigh(s)
+            v[i, cols], v[j, cols] = np.moveaxis(u[..., 0, :], -1, 0), np.moveaxis(u[..., 1, :], -1, 0)
+            v[j, cols] *= np.divide(np.conjugate(h[..., i, j]), s[..., 0, 1],
+                                    out=np.ones(grid, dtype=complex), where=s[..., 0, 1] > 0)
+        else:
+            wb, vb = np.linalg.eigh(h[(Ellipsis,) + np.ix_(block, block)])
+            v[list(block), cols] = np.moveaxis(vb, (-2, -1), (0, 1))
+        w[cols] = np.moveaxis(wb, -1, 0)
+    if len(blocks) > 1:
+        order = np.argsort(w, axis=0, kind="stable")
+        w = np.take_along_axis(w, order, axis=0)
+        for row in v:  # one row at a time, so no second N x N plane set is held
+            row[...] = np.take_along_axis(row, order, axis=0)
+    return w, v
 
 
 def polar_project(a):

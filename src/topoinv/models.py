@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,20 @@ class BlochHamiltonianSpec:
         """Evaluate H on an array of k-points, (..., 2) -> (..., N, N)."""
         h, = fourier_planes(self.terms, ks)
         return matrices_last(h)
+
+    @cached_property
+    def blocks(self):
+        """The decoupled blocks of H, computed once per spec: the connected
+        components of the union of the nonzero patterns of the terms, each a
+        sorted tuple of band indices, ordered by their first. Only exact
+        zeros decouple, so H(k) is block-diagonal in them at every k."""
+        reach = np.eye(self.dim, dtype=bool)
+        for m, _ in self.terms:
+            reach |= m != 0
+        reach |= reach.T
+        for _ in range(self.dim.bit_length()):  # transitive closure by squaring
+            reach = reach @ reach
+        return tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in reach}))
 
 
 def _merge_terms(raw_terms):
@@ -315,6 +330,8 @@ def load_model(path):
         vec = term["vector"]
         if not isinstance(vec, list) or len(vec) != 2 or not all(map(_is_int, vec)):
             raise SchemaError(f"{where}.vector", "must be a pair of integers")
+        if max(map(abs, vec)) > 2 ** 53:   # float phases would round the entry
+            raise SchemaError(f"{where}.vector", f"entries must be at most 2^53 in size, got {vec}")
         mat = _matrix_from_json(term["matrix"], f"{where}.matrix")
         if mat.shape[0] != doc["dim"]:
             raise SchemaError(f"{where}.matrix",

@@ -243,17 +243,65 @@ MINIMAL_MODEL = {"name": "mini", "dim": 2,
     (dict(MINIMAL_MODEL, terms=[dict(MINIMAL_MODEL["terms"][0],
                                      matrix=[[[0, 0], [10 ** 400, 0]], [[0, 0], [0, 0]]])]),
      "terms[0].matrix:"),
+    (dict(MINIMAL_MODEL, terms=[dict(MINIMAL_MODEL["terms"][0], vector=[10 ** 30, 0])]),
+     "terms[0].vector:"),
+    (dict(MINIMAL_MODEL, terms=[dict(MINIMAL_MODEL["terms"][0], vector=[0, -2 ** 53 - 1])]),
+     "terms[0].vector:"),
 ], ids=["top_level_5", "terms_5", "terms_list_of_5", "parameters_list", "dim_true",
         "parameter_list_value", "vector_true", "parameter_nan", "parameter_infinity",
-        "parameter_minus_infinity", "parameter_beyond_float", "matrix_entry_beyond_float"])
+        "parameter_minus_infinity", "parameter_beyond_float", "matrix_entry_beyond_float",
+        "vector_entry_1e30", "vector_entry_beyond_2_53"])
 def test_malformed_model_file_is_a_schema_error(capsys, tmp_path, doc, location):
     """A model file whose JSON values have the wrong types, or a parameter
-    that is JSON's NaN or Infinity, or a number beyond the float range, is
-    bad input (exit 4) naming the key, never a traceback with exit 1 nor a
-    report with a null parameter; JSON's true is not the integer 1."""
+    that is JSON's NaN or Infinity, or a number beyond the float range, or
+    a term vector entry above 2^53 in size, which the float phases would
+    round, is bad input (exit 4) naming the key, never a traceback with
+    exit 1 nor a report with a null parameter; JSON's true is not the
+    integer 1."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert_schema_error(capsys, path, location)
+
+
+def _direct_sum(a, b):
+    """The terms of the block-diagonal Hamiltonian H_a(k) + H_b(k) of two
+    specs with the same term vectors."""
+    terms_b = {tuple(v): m for m, v in b.terms}
+    out = []
+    for m, v in a.terms:
+        t = np.zeros((a.dim + b.dim,) * 2, dtype=complex)
+        t[:a.dim, :a.dim], t[a.dim:, a.dim:] = m, terms_b[tuple(v)]
+        out.append((t, v))
+    return tuple(out)
+
+
+def test_direct_sum_chern_is_merged_from_its_blocks(capsys, tmp_path):
+    """haldane(m = 0.3) + haldane(m = 1.5) as a 4-band model file is two
+    two-band blocks whose eigenvalues interleave, so the eigensystem is
+    merged from both: chern snaps -1 = -1 + 0, agrees with the plaquette
+    oracle and passes the WZ check. Under a constant random unitary basis
+    change the model is one dense block, diagonalized whole, and gives the
+    same snapped values with raw values within 1e-10."""
+    terms = _direct_sum(builtin_model("haldane", {"m": 0.3}), builtin_model("haldane", {"m": 1.5}))
+    u, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4, 2)) @ [1, 1j])
+    reports = []
+    for name, basis in (("sum", np.eye(4)), ("rotated", u)):
+        spec = BlochHamiltonianSpec(dim=4, terms=tuple((basis @ m @ basis.conj().T, v)
+                                                       for m, v in terms), name=name)
+        path = tmp_path / f"{name}.json"
+        save_model(path, spec)
+        assert len(topoinv.load_model(path).blocks) == (2 if name == "sum" else 1)
+        code, out, _ = run_cli(capsys, "chern", "--model-file", str(path), "--json")
+        assert code == 0
+        reports.append(json.loads(out))
+    for report in reports:
+        assert report["chern"]["snapped"] == report["plaquette_oracle"]["snapped"] == -1
+        assert report["wz_check"]["pass"]
+    (summed, rotated) = reports
+    for key in ("chern", "plaquette_oracle"):
+        assert abs(summed[key]["raw"] - rotated[key]["raw"]) <= 1e-10
+    assert np.max(np.abs(np.subtract(summed["wz_check"]["amplitude"],
+                                     rotated["wz_check"]["amplitude"]))) <= 1e-10
 
 
 def test_overflowing_curvature_is_unsnapped(tmp_path):

@@ -353,15 +353,19 @@ def test_kept_eigensystem_changes_no_output(haldane_topo, km_topo, theta4):
 @pytest.mark.parametrize("argv,matrices", [
     (["chern", "--model", "haldane", "--param", "m=0.6"], 16_385),
     (["fkm", "--model", "kane_mele", "--param", "lambda_so=0.3",
-      "--param", "lambda_v=1.44"], 11_399),
+      "--param", "lambda_v=1.44"], 21_770),
 ])
 def test_request_eigh_counts(monkeypatch, capsys, argv, matrices):
     """Matrices diagonalized by one request at the default grids, each
-    after the one at k = 0 that fixes the rank: a chern request
+    after the one at k = 0 that fixes the rank. H(k) is diagonalized block
+    by block, so its count is points x blocks: haldane is one two-band
+    block and kane_mele at lambda_r = 0 two. A chern request on haldane
     diagonalizes its 128^2 curvature grid once, the plaquette oracle's
     frames need none, and U_P reads its 64^2 grid as a sub-grid of the
-    curvature's eigensystem; an fkm request its half-zone grid
-    once for the curvature and the lattice oracle, plus its transports,
+    curvature's eigensystem; an fkm request on kane_mele its half-zone grid
+    once for the curvature and the lattice oracle, plus its two boundary
+    loops of 1,025 points (10,371 points of two blocks each with k = 0),
+    plus its transports,
     whose 2 x 512 Magnus steps take one eigh each for their exponentials,
     and the eigenbases of its four 2 x 2 mismatch gauges, one eigh each,
     in which their eigenphases are ramped with no second eigh; the

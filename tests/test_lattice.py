@@ -84,9 +84,10 @@ def test_lattice_z2_raw_is_reported_mod_2(theta4, name, params, expected):
 
 
 def test_overlap_berry_phase_diagonalizes_one_grid(monkeypatch):
-    """n_grid = 1024 diagonalizes 1,024 Hamiltonians for P and none of the
-    projectors for their frames; the Richardson coarse grid is the even
-    points of the same frames."""
+    """n_grid = 1024 diagonalizes 1,024 Hamiltonians for P, once per block
+    (kane_mele at lambda_r = 0 has two two-band blocks, so the count is
+    points x blocks), and none of the projectors for their frames; the
+    Richardson coarse grid is the even points of the same frames."""
     eigh = np.linalg.eigh
     batches = []
 
@@ -97,7 +98,7 @@ def test_overlap_berry_phase_diagonalizes_one_grid(monkeypatch):
     loop = make_projector_family(builtin_model("kane_mele", {"lambda_v": 0.4})).loop(0, 0.0)
     monkeypatch.setattr(np.linalg, "eigh", counted)
     overlap_berry_phase(loop, n_grid=1024)
-    assert batches == [1024]
+    assert batches == [1024, 1024]
 
 
 def _random_projector(n, m, rng, real=False):

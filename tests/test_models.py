@@ -155,6 +155,35 @@ def test_missing_conjugate_term_is_schema_error(tmp_path):
     assert "(1,0)" in str(err.value)
 
 
+def test_term_vectors_up_to_2_53_load_exactly(tmp_path):
+    """A term vector entry of 2^53 in size still loads, exactly, since the
+    float phases hold it; one more is refused."""
+    for big, ok in ((2 ** 53, True), (2 ** 53 + 1, False)):
+        doc = {"name": "far", "dim": 2,
+               "terms": [{"vector": [big, 0], "matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]},
+                         {"vector": [-big, 0], "matrix": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]}]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        if ok:
+            assert sorted(int(v[0]) for _, v in load_model(path).terms) == [-big, big]
+        else:
+            with pytest.raises(SchemaError, match="terms\\[0\\].vector"):
+                load_model(path)
+
+
+@pytest.mark.parametrize("name,params,blocks", [
+    ("haldane", {}, ((0, 1),)),
+    ("kane_mele", {"lambda_v": 1.44}, ((0, 2), (1, 3))),
+    ("kane_mele", {"lambda_v": 0.4, "lambda_r": 0.2}, ((0, 1, 2, 3),)),
+    ("bhz", {}, ((0, 2), (1, 3))),
+    ("flat_two_band", {}, ((0, 1),))])
+def test_builtin_model_blocks(name, params, blocks):
+    """H(k) decouples exactly along the zeros of every term: kane_mele
+    without Rashba coupling and bhz into their two spin blocks, and the
+    Rashba coupling joins them."""
+    assert builtin_model(name, params).blocks == blocks
+
+
 def test_parse_error_carries_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json }")
