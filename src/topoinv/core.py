@@ -5,9 +5,10 @@ A ProjectorFamily is the occupied-band projector P(k) of a Bloch
 Hamiltonian H(k), on the torus or on a line through it. One eigensystem of H
 per set of points, solved one decoupled block of H at a time
 (`models.BlochHamiltonianSpec.blocks`, `linalg.block_eigh`), gives P and,
-by first-order perturbation theory on the
-planes of dH (`models.fourier_planes`), the interband blocks
-X_a = V_o^+ d_aH V_e / (e_o - e_e) between occupied and empty bands
+by first-order perturbation theory on the planes of dH
+(`models.fourier_planes`, which on a product grid of points takes the
+phases of k1 and of k2 apart and joins them by one matmul), the interband
+blocks X_a = V_o^+ d_aH V_e / (e_o - e_e) between occupied and empty bands
 (`interband`). Everything downstream of the eigensystem is built from those
 blocks by one code path: dP = Y + Y^+ with Y = V_o X V_e^+ (`derivative`),
 and the Berry curvature 2 Im sum X_1 conj(X_2) (`berry`), which needs no

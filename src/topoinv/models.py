@@ -4,7 +4,9 @@ Bloch Hamiltonians are trigonometric polynomials
 H(k) = sum_v T_v exp(i k.v) over integer lattice vectors v, so smoothness
 and 2*pi-periodicity are automatic; Hermiticity is enforced by requiring the
 conjugate-transpose partner term at -v. `fourier_planes` evaluates all such
-sums (H, dH, random Hermitian fields) as one contraction onto planes.
+sums (H, dH, random Hermitian fields) as entries-first planes; on a product
+grid of points it factors each phase as exp(i k1 v1) exp(i k2 v2), so it
+takes cos and sin one momentum coordinate at a time.
 """
 
 import csv
@@ -26,30 +28,52 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 S0 = np.eye(2, dtype=complex)
 
 
+def _unit_phases(angle):
+    """exp(i angle), written as cos and sin into one complex array."""
+    phase = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    return phase
+
+
 def fourier_planes(terms, ks, directions=(None,)):
     """sum_v T_v exp(i k.v) over (matrix T_v, vector v) terms at k-points
     (..., 2), as entries-first planes (N, N, ...), yielded one array per
     entry of `directions`: None gives H itself, a torus axis or a direction
-    d the exact derivative along d, each matrix weighted by i (v.d). Every
-    entry is one contraction of its weighted stack of matrices with the same
-    (T, ...) table of phases, built once per call by writing cos(k.v) and
-    sin(k.v) into its real and imaginary parts: numpy's complex exponential
-    of i k.v gives the same bits (the tests check this) at more cost. An
-    entry is formed only when it is reached, so a consumer that drops each
-    before asking for the next holds one set of planes at a time."""
-    mats = np.stack([m for m, _ in terms], axis=-1)
+    d the exact derivative along d, each matrix weighted by i (v.d).
+
+    The points are read as P product grids n1 x n2, from the last two axes
+    of the point array (a line is 1 x n, a single point 1 x 1) when k1 is
+    exactly constant along the last axis and k2 along the one before, and
+    otherwise as P single points. On a product grid the phase factors as
+    exp(i k1 v1) exp(i k2 v2), so the call takes cos and sin of T x n1
+    values k1 v1 and of D x n2 values k2 v2 over the D distinct v2, never
+    of a (T, n1, n2) table. Each entry contracts its weighted matrices with
+    the k1 table, summing the terms of equal v2, into (N^2, P, n1, D), and
+    forms its planes by one matmul with the (P, D, n2) k2 table. An entry
+    is formed only when it is reached, so a consumer that drops each before
+    asking for the next holds one set of planes at a time."""
+    ks = np.asarray(ks, dtype=float)
+    shape = ks.shape[:-1]
+    n1, n2 = ((1, 1) + shape)[-2:]
+    grid = ks.reshape(int(np.prod(shape[:-2])), n1, n2, 2)
+    if not (np.all(grid[..., 0] == grid[:, :, :1, 0])
+            and np.all(grid[..., 1] == grid[:, :1, :, 1])):
+        grid = ks.reshape(-1, 1, 1, 2)
+    k1, k2 = grid[:, :, :1, 0], grid[:, :1, :, 1]     # (P, n1, 1), (P, 1, n2)
+    mats = np.stack([m for m, _ in terms])
     vecs = np.array([v for _, v in terms], dtype=float)
-    angle = np.tensordot(vecs, np.asarray(ks, dtype=float), axes=(1, -1))
-    phase = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=phase.real)
-    np.sin(angle, out=phase.imag)
-    del angle
+    v2, group = np.unique(vecs[:, 1], return_inverse=True)
+    # (N^2, T, D): each matrix in the column of its v2
+    by_v2 = mats.reshape(len(terms), -1).T[:, :, None] * (group[:, None] == np.arange(len(v2)))
+    phase1 = _unit_phases(k1 * vecs[:, 0])        # (P, n1, T)
+    phase2 = _unit_phases(v2[:, None] * k2)       # (P, D, n2)
     for d in directions:
-        weighted = mats
+        weighted = by_v2
         if d is not None:
             d = np.eye(2)[d] if np.ndim(d) == 0 else np.asarray(d, dtype=float)
-            weighted = mats * (1j * (vecs @ d))
-        yield np.tensordot(weighted, phase, axes=1)
+            weighted = by_v2 * (1j * (vecs @ d))[:, None]
+        yield ((phase1 @ weighted[:, None]) @ phase2).reshape(mats.shape[1:] + shape)
 
 
 @dataclass(frozen=True)

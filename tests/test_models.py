@@ -1,12 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topoinv import builtin_model, load_model, make_projector_family, save_model
 from topoinv.core import TRSOperator, check_trs
 from topoinv.errors import ParseError, SchemaError, UnknownModel, UnknownParameter
-from topoinv.grids import loop_axis, torus_points
+from topoinv.grids import Axis, ebz_axis, loop_axis, torus_points
 from topoinv.linalg import matrices_last
 from topoinv.models import BlochHamiltonianSpec, fourier_planes, save_results
 
@@ -32,48 +34,118 @@ def _random_paired_spec(seed, dim=3):
     return BlochHamiltonianSpec(dim=dim, terms=tuple(terms), name="random")
 
 
+def _point_sets():
+    """(points, directions) for every kind of point array the program
+    evaluates, and for arrays that are not product grids: tori from
+    loop_axis (which starts at -pi), the half zone, a strided sub-grid, the
+    loops at k1 = 0 and pi, the k2 = 0 line of random gauges, an off-axis
+    line, a single point as (2,) and (1, 2), a torus with k1 varying along
+    axis 1, tori with one point's k1 or k2 moved, and random points."""
+    torus = torus_points(loop_axis(12), loop_axis(10))
+    direction = np.array([1.0, 2.0])
+    s = loop_axis(16).points
+    moved = torus.copy(), torus.copy()
+    moved[0][5, 3, 0] += 1e-3
+    moved[1][5, 3, 1] += 1e-3
+    return (
+        (torus, (0, 1)),
+        (torus_points(loop_axis(128), loop_axis(128)), (0, 1)),
+        (torus_points(ebz_axis(8), loop_axis(10)), (0, 1)),
+        (torus[::3, ::2], (0, 1)),
+        (np.array([0.0, 0.0]) + s[:, None] * np.array([0.0, 1.0]), ((0.0, 1.0),)),
+        (np.array([np.pi, 0.0]) + s[:, None] * np.array([0.0, 1.0]), ((0.0, 1.0),)),
+        (np.stack([s, np.zeros_like(s)], axis=-1), (0,)),
+        (np.array([0.2, -0.5]) + s[:, None] * direction, (direction,)),
+        (np.array([0.3, -0.2]) + np.linspace(-np.pi, np.pi, 1025)[:, None] * direction,
+         (direction,)),
+        (np.array([0.3, -1.1]), (0, 1, direction)),
+        (np.array([[0.3, -1.1]]), (0, 1, direction)),
+        (torus.swapaxes(0, 1), (0, 1)),
+        (moved[0], (0, 1)),
+        (moved[1], (0, 1)),
+        (np.random.default_rng(3).uniform(-np.pi, np.pi, (5, 7, 2)), (0, 1, direction)),
+    )
+
+
 @pytest.mark.parametrize("name", ["haldane", "kane_mele", "bhz", "flat_two_band", "random"])
 def test_fourier_planes_match_per_term_sum(name, per_term_fourier_sum):
-    """H from `bloch` and dH from the one contraction equal a term-by-term
-    sum within 1e-14 relative: on torus points along both axes, on loop
-    points along the line's direction vector, and at a single k. H and every
+    """H from `bloch` and dH from one `fourier_planes` call equal a
+    term-by-term sum within 1e-14 relative, for the model's terms and with
+    a (0, +-20) term added, on every point set of `_point_sets`. H and every
     dH of one call come out exactly as from calls of their own."""
     spec = _random_paired_spec(5) if name == "random" else builtin_model(name)
-    direction = np.array([1.0, 2.0])
-    line = np.array([0.2, -0.5]) + loop_axis(16).points[:, None] * direction
-    for ks, directions in ((torus_points(loop_axis(12), loop_axis(10)), (0, 1)),
-                           (line, (direction,)),
-                           (np.array([0.3, -1.1]), (0, 1, direction))):
-        ref = per_term_fourier_sum(spec.terms, ks)
-        got = spec.bloch(ks)
-        assert got.shape == ref.shape == ks.shape[:-1] + (spec.dim, spec.dim)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-        together = fourier_planes(spec.terms, ks, (None,) + directions)
-        for d, planes in zip((None,) + directions, together):
-            ref = per_term_fourier_sum(spec.terms, ks, d)
-            got = matrices_last(planes)
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-            # one phase table for several directions changes no bit
-            alone, = fourier_planes(spec.terms, ks, (d,))
-            assert np.array_equal(planes, alone)
-
-
-@pytest.mark.parametrize("name", ["haldane", "kane_mele", "bhz", "flat_two_band"])
-def test_phase_table_equals_the_complex_exponential_bit_for_bit(name):
-    """The phase table written as cos and sin into one complex array gives
-    the planes of exp(1j k.v) exactly, for every builtin model's terms plus
-    a (0, +-20) term, on a 128^2 torus grid and a 1025-point line."""
-    spec = builtin_model(name)
     far = np.arange(spec.dim ** 2).reshape(spec.dim, spec.dim) * (0.1 + 0.2j)
-    terms = spec.terms + ((far, np.array([0, 20])), (far.conj().T, np.array([0, -20])))
-    mats = np.stack([m for m, _ in terms], axis=-1)
-    vecs = np.array([v for _, v in terms], dtype=float)
-    line = np.array([0.3, -0.2]) + np.linspace(-np.pi, np.pi, 1025)[:, None] * np.array([1.0, 2.0])
-    for ks in (torus_points(loop_axis(128), loop_axis(128)), line):
-        exp_form = np.tensordot(mats, np.exp(1j * np.tensordot(vecs, ks, axes=(1, -1))), axes=1)
-        planes, = fourier_planes(terms, ks)
-        assert np.array_equal(planes, exp_form)
+    far_terms = spec.terms + ((far, np.array([0, 20])), (far.conj().T, np.array([0, -20])))
+    for terms in (spec.terms, far_terms):
+        for ks, directions in _point_sets():
+            ref = per_term_fourier_sum(terms, ks)
+            got = BlochHamiltonianSpec(dim=spec.dim, terms=terms).bloch(ks)
+            assert got.shape == ref.shape == ks.shape[:-1] + (spec.dim, spec.dim)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            together = fourier_planes(terms, ks, (None,) + directions)
+            for d, planes in zip((None,) + directions, together):
+                ref = per_term_fourier_sum(terms, ks, d)
+                got = matrices_last(planes)
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+                # one set of phase tables for several directions changes no bit
+                alone, = fourier_planes(terms, ks, (d,))
+                assert np.array_equal(planes, alone)
+
+
+def _axes(n_max=24):
+    """A periodic axis of 1 to n_max points or an interval axis of 2 to
+    n_max, from a random start over a random length."""
+    start, length = st.floats(-4.0, 4.0), st.floats(0.1, 2 * np.pi)
+    return st.one_of(st.builds(Axis, st.just("k"), start, length, st.integers(1, n_max)),
+                     st.builds(Axis, st.just("k"), start, length, st.integers(1, n_max - 1),
+                               st.just(False)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(dim=st.integers(1, 4),
+       vectors=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=4),
+       shared=st.tuples(st.lists(st.integers(-3, 3), min_size=2, max_size=4, unique=True),
+                        st.integers(-3, 3)),
+       ax1=_axes(), ax2=_axes(), seed=st.integers(0, 2 ** 32 - 1))
+def test_fourier_planes_on_random_product_grids(per_term_fourier_sum, dim, vectors, shared,
+                                                ax1, ax2, seed):
+    """A random Hermitian-paired spec (N <= 4, vectors in [-3, 3]^2, some
+    terms sharing a v2) on a random product grid of periodic or interval
+    axes: H and dH along both axes equal the term-by-term sum within 1e-14
+    relative."""
+    rng = np.random.default_rng(seed)
+    merged = {}
+    for v in vectors + [(v1, shared[1]) for v1 in shared[0]]:
+        hop = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        back = tuple(-np.array(v))
+        merged[v] = merged.get(v, 0) + hop
+        merged[back] = merged.get(back, 0) + hop.conj().T
+    terms = tuple((m, np.array(v)) for v, m in merged.items())
+    ks = torus_points(ax1, ax2)
+    for d, planes in zip((None, 0, 1), fourier_planes(terms, ks, (None, 0, 1))):
+        ref = per_term_fourier_sum(terms, ks, d)
+        assert np.max(np.abs(matrices_last(planes) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["haldane", "kane_mele"])
+def test_fourier_planes_hold_one_plane_set(name):
+    """Consumed one plane set at a time on a 256^2 torus, H and dH along
+    both axes allocate at most 1.1 times one set of planes at their peak,
+    as tracemalloc counts it: no phase table of the terms times the grid is
+    made."""
+    spec = builtin_model(name)
+    ks = torus_points(loop_axis(256), loop_axis(256))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for planes in fourier_planes(spec.terms, ks, (None, 0, 1)):
+            del planes
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * spec.dim ** 2 * ks[..., 0].size * 16
 
 
 def test_unknown_model_and_missing_parameter():
