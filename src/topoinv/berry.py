@@ -207,8 +207,9 @@ def _fourier_hermitian(rng, ks, m, scale):
     for p in range(4):
         c = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) * (scale / (1 + p))
         terms += [(c, (p, 0)), (c.conj().T, (-p, 0))]
-    points = np.stack([ks, np.zeros_like(ks)], axis=-1)
-    return tuple(linalg.matrices_last(x) for x in fourier_planes(terms, points, (None, 0)))
+    # the k2 = 0 line as an n x 1 product grid, whose extra axis is dropped
+    points = np.stack([ks, np.zeros_like(ks)], axis=-1)[:, None]
+    return tuple(linalg.matrices_last(x)[:, 0] for x in fourier_planes(terms, points, (None, 0)))
 
 
 def random_gauge(n_points, m, seed):

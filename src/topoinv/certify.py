@@ -5,6 +5,9 @@ Each criterion is a check registered in ALL_CRITERIA with its index, name
 and tolerance; the registration times it and reports a library error as a
 failed result that keeps the name and tolerance, with worst NaN. Grids scale
 with `scale`, so coarse smoke runs stay cheap and may fail, reported, not raised.
+
+chern_evaluation and fkm_evaluation answer `chern`, `fkm` and every sweep row;
+criteria 1 and 4 run them as served, so the certified code is the served code.
 """
 
 import time
@@ -14,8 +17,9 @@ from typing import Callable
 import numpy as np
 
 from . import berry, lattice, transport, wz
-from .core import TRSOperator, make_projector_family
-from .errors import TopoinvError
+from .config import DEFAULT_TOL, N_UP
+from .core import TRSOperator, check_trs, make_projector_family
+from .errors import NotTRS, TopoinvError
 from .grids import loop_axis
 from .models import builtin_model
 from .wz import BOUNDARY_LOOPS, FieldGrid, normal_form_field
@@ -89,18 +93,69 @@ def _km(lv, lr=0.0):
     return _fam("kane_mele", lambda_so=KM_SO, lambda_v=lv, lambda_r=lr)
 
 
-def _wz_vs_chern(fam, n_curv, n_ext):
-    """(Chern number on an n_curv^2 grid, WZ action of the U_P extension on an
-    n_ext^3 grid, |its amplitude - (-1)^Chern|)."""
-    c = berry.chern_number(berry.berry_curvature(fam, n_grid=n_curv)).require_snapped()
-    action = wz.wz_action_extension(wz.up_extension(fam, n_t=n_ext, n1=n_ext, n2=n_ext))
-    return c, action.raw_action, abs(action.amplitude - (-1.0) ** c)
+def chern_evaluation(fam, grid):
+    """The Chern number with its cross-checks: the U_P WZ amplitude against
+    (-1)^C, and the plaquette oracle. The curvature diagonalizes the grid^2
+    torus, the oracle reads that grid right after it, and U_P then reads its
+    N_UP^2 torus as a sub-grid of the same eigensystem when grid is a
+    multiple of N_UP; at a coarser grid U_P diagonalizes its own.
+
+    Returns (fields, contradictions), as every evaluation does: the report
+    values, each invariant and cross-check an InvariantResult, and a message
+    per snapped cross-check that contradicts a snapped invariant."""
+    c = berry.chern_number(berry.berry_curvature(fam, n_grid=grid))
+    oracle = lattice.plaquette_chern(fam, n_grid=grid)
+    action = wz.wz_action_extension(wz.up_extension(fam, n_t=N_UP, n1=N_UP, n2=N_UP))
+    # with no snapped C there is no sign to meet: the miss is infinite (null in JSON)
+    wz_diff = abs(action.amplitude - (-1.0) ** c.snapped) if c.snapped is not None else np.inf
+    wz_pass = wz_diff < DEFAULT_TOL.wz_sign
+    contradictions = []
+    if c.snapped is not None and oracle.snapped not in (None, c.snapped):
+        contradictions.append(f"plaquette_oracle {oracle.snapped} != chern {c.snapped}")
+    if c.snapped is not None and not wz_pass:
+        contradictions.append(f"wz_check |amplitude - (-1)^chern| = {wz_diff:.3e}")
+    return {"chern": c, "plaquette_oracle": oracle,
+            "wz_check": {"action": action.raw_action, "amplitude": action.amplitude,
+                         "amp_vs_sign_of_chern": wz_diff, "pass": wz_pass}}, contradictions
+
+
+def fkm_evaluation(fam, grid):
+    """delta from the Berry connection and curvature and kappa from the WZ
+    amplitudes, with their cross-checks: the lattice oracle against delta,
+    and kappa against (-1)^delta; (fields, contradictions) as above.
+    check_trs reads the Fourier terms of H, and lattice_z2 the half-zone grid
+    right after z2_ingredients' curvature. Raises NotTRS unless H is
+    time-reversal symmetric, with an infinite violation for an odd
+    dimension, where no odd time reversal exists."""
+    if fam.ambient_dim % 2 != 0:
+        raise NotTRS(np.inf, DEFAULT_TOL.trs)
+    theta = TRSOperator.standard(fam.ambient_dim)
+    ok, violation = check_trs(fam, theta)
+    if not ok:
+        raise NotTRS(violation, DEFAULT_TOL.trs)
+    n1 = max(16, grid // 2)
+    z2 = wz.z2_ingredients(fam, theta, n1=n1, n2=grid)
+    d, kap = berry.delta_invariant(z2), wz.kappa_invariant(z2)
+    oracle = lattice.lattice_z2(fam, theta, n1=n1, n2=grid)
+    agree = d.snapped is not None and kap.snapped == (-1) ** d.snapped
+    contradictions = []
+    if d.snapped is not None and oracle.snapped not in (None, d.snapped):
+        contradictions.append(f"lattice_oracle {oracle.snapped} != delta {d.snapped}")
+    if d.snapped is not None and kap.snapped is not None and not agree:
+        contradictions.append(f"kappa {kap.snapped} != (-1)^delta {(-1) ** d.snapped}")
+    return {"trs_violation": violation, "delta": d, "kappa": kap,
+            "lattice_oracle": oracle, "oracle_agrees": oracle.snapped == d.snapped,
+            "kappa_equals_minus_one_to_delta": agree,
+            **{f"berry_phase_{label}": v.amplitude for label, v in z2.wz.items()},
+            **{f"sqrt_berry_phase_{label}": v.sqrt_amplitude for label, v in z2.wz.items()},
+            }, contradictions
 
 
 @_criterion(1, "WZ amplitude of U_P equals (-1)^Chern", 1e-5)
 def criterion_1_wz_chern(scale, tol):
     """exp(i S[U_P extension]) equals (-1)^Chern, haldane both phases and
-    kane_mele, 3D grid 64^3, under 60 s per model."""
+    kane_mele, through chern_evaluation at grid 64 (U_P on its N_UP^3 grid),
+    under 60 s per model; a contradiction it reports fails the case."""
     n = _grid(64, scale)
     cases = [("haldane topological", _fam("haldane", m=0.2)),
              ("haldane trivial", _fam("haldane", m=1.5)),
@@ -108,12 +163,14 @@ def criterion_1_wz_chern(scale, tol):
     details = {}
     for label, fam in cases:
         t_model = time.time()
-        c, action, diff = _wz_vs_chern(fam, n, n)
-        runtime = time.time() - t_model
-        details[label] = {"chern": c, "action": action, "amp_diff": diff,
-                          "runtime_s": runtime, "under_60s": runtime < 60.0}
+        fields, found = chern_evaluation(fam, n)
+        wz_check = fields["wz_check"]
+        details[label] = {"chern": fields["chern"].snapped, "action": wz_check["action"],
+                          "amp_diff": wz_check["amp_vs_sign_of_chern"], "contradictions": found,
+                          "runtime_s": time.time() - t_model}
     worst = max(row["amp_diff"] for row in details.values())
-    return worst < tol and all(row["under_60s"] for row in details.values()), worst, details
+    return worst < tol and all(row["runtime_s"] < 60.0 and not row["contradictions"]
+                               for row in details.values()), worst, details
 
 
 @_criterion(2, "WZ amplitude of phi equals the Berry phase", 1e-6)
@@ -164,15 +221,10 @@ def criterion_3_sqrt_channel(scale, tol):
 @_criterion(4, "K = (-1)^delta across the phase diagram, oracle-checked", 1e-3)
 def criterion_4_fkm(scale, tol):
     """K = (-1)^delta with snapped residuals below 1e-3 across >= 20
-    kane_mele points in both phases, each agreeing with the lattice oracle
-    and (at zero Rashba) the closed-form phase boundary."""
-    # the half-zone direction is Simpson-limited; near-transition curvature
-    # peaks need its resolution (the boundary loops follow at 2 * n2 points)
-    n1, n2 = _grid(96, scale), _grid(96, scale)
-    theta = TRSOperator.standard(4)
-    worst = 0.0
-    rows = []
-    all_ok = True
+    kane_mele points in both phases, through fkm_evaluation at grid 128:
+    each agrees with the lattice oracle and (at zero Rashba) the closed-form
+    phase boundary, and has no contradiction."""
+    grid = _grid(128, scale)
     # ((lambda_v, lambda_r), row label, closed-form delta or None with Rashba);
     # 21 mass ratios span both phases, clear of the transition
     ratios = np.concatenate([np.linspace(0.0, 4.8, 11), np.linspace(5.6, 8.0, 10)])
@@ -180,19 +232,18 @@ def criterion_4_fkm(scale, tol):
              for ratio in map(float, ratios)]
     cases += [((lv, lr), {"lambda_v": lv, "lambda_r": lr}, None)
               for lv, lr in ((0.4, 0.2), (1.0, 0.4))]
+    rows = []
     for (lv, lr), label, expected in cases:
-        fam = _km(lv, lr)
-        ingredients = wz.z2_ingredients(fam, theta, n1=n1, n2=n2)
-        d, kap = berry.delta_invariant(ingredients), wz.kappa_invariant(ingredients)
-        z2 = lattice.lattice_z2(fam, theta, n1=max(16, n1), n2=max(32, n2))
-        ok = (d.snapped is not None and kap.snapped == (-1) ** d.snapped
-              and z2.snapped == d.snapped and (expected is None or d.snapped == expected))
-        worst = max(worst, d.residual, kap.residual)
-        all_ok = all_ok and ok
+        fields, found = fkm_evaluation(_km(lv, lr), grid)
+        d, kap = fields["delta"], fields["kappa"]
+        ok = (fields["kappa_equals_minus_one_to_delta"] and fields["oracle_agrees"]
+              and not found and (expected is None or d.snapped == expected))
         rows.append({**label, "delta": d.snapped, "kappa": kap.snapped,
-                     "lattice_z2": z2.snapped, "expected": expected,
-                     "delta_residual": d.residual, "kappa_residual": kap.residual})
-    return all_ok and worst < tol, worst, {"points": rows}
+                     "lattice_z2": fields["lattice_oracle"].snapped, "expected": expected,
+                     "delta_residual": d.residual, "kappa_residual": kap.residual,
+                     "contradictions": found, "ok": ok})
+    worst = max(max(row["delta_residual"], row["kappa_residual"]) for row in rows)
+    return all(row["ok"] for row in rows) and worst < tol, worst, {"points": rows}
 
 
 @_criterion(5, "3D winding density reduces to the curvature integral", 1e-5)
@@ -336,12 +387,16 @@ def criterion_11_convergence(scale, tol):
     # the amplitude's transport and agrees with it to rounding
     loop_km = fam_km.loop(0, 0.0)
     reference = lattice.overlap_berry_phase(loop_km)
+    # (-1)^C at 32^2, which the wz_chern probe's U_P amplitude must meet
+    sign_h = (-1.0) ** berry.chern_number(berry.berry_curvature(fam_h, n_grid=32)).require_snapped()
+
     probes = {
         "chern": lambda n: berry.chern_number(berry.berry_curvature(fam_h, n_grid=n)).residual,
         "amplitude_vs_berry": lambda n: abs(wz.wz_amplitude_phi(
             transport.parallel_transport(loop_km, n_grid=2 * n),
             method="beta").amplitude - reference),
-        "wz_chern": lambda n: _wz_vs_chern(fam_h, 32, n)[2],
+        "wz_chern": lambda n: abs(wz.wz_action_extension(
+            wz.up_extension(fam_h, n_t=n, n1=n, n2=n)).amplitude - sign_h),
         "delta": lambda n: berry.delta_invariant(
             wz.z2_ingredients(fam_km, theta, n1=n, n2=2 * n)).residual,
     }

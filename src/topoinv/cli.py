@@ -1,11 +1,10 @@
 """Command-line driver: compute invariants for builtin or file-loaded
 models, run parameter sweeps, and run the certification suite.
 
-chern and fkm each run one evaluation: the invariants and their cross-checks
-(the U_P WZ sign and the plaquette oracle for the Chern number; the lattice
-oracle and kappa = (-1)^delta for delta). A sweep row reads its columns from
-the same evaluations, and its error column names any snapped cross-check
-that contradicts a value it reports.
+chern and fkm each format one evaluation, certify.chern_evaluation or
+certify.fkm_evaluation, which certify's criteria 1 and 4 check at grids 64
+and 128. A sweep row reads its columns from the same evaluations, and its
+error column names any snapped cross-check that contradicts a value it reports.
 
 Each subcommand accepts only the options it reads. --grid is the only
 resolution option: the torus has --grid^2 points, the half zone
@@ -35,9 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import berry, certify, lattice, wz
-from .config import DEFAULT_TOL, N_2D, N_UP
-from .core import TRSOperator, check_trs, make_projector_family
+from . import certify
+from .config import N_2D
+from .core import make_projector_family
 from .errors import (GapClosure, NotTRS, PairingFailure, ParseError, SchemaError,
                      StepFailure, TopoinvError, UnknownModel, UnknownParameter)
 from .models import builtin_model, load_model, save_results, sweep_points
@@ -125,68 +124,11 @@ def _family(cfg: RunConfig):
     return spec, make_projector_family(spec)
 
 
-def _chern_evaluation(fam, cfg: RunConfig):
-    """The Chern number with its cross-checks: the U_P WZ amplitude against
-    (-1)^C, and the plaquette oracle. The curvature diagonalizes the --grid^2
-    torus, the oracle reads that grid right after it, and U_P then reads its
-    N_UP^2 torus as a sub-grid of the same eigensystem when --grid is a
-    multiple of N_UP; at a coarser --grid U_P diagonalizes its own.
-
-    Returns (fields, contradictions), as every evaluation does: the report
-    values, each invariant and cross-check an InvariantResult, and a message
-    per snapped cross-check that contradicts a snapped invariant."""
-    c = berry.chern_number(berry.berry_curvature(fam, n_grid=cfg.grid))
-    oracle = lattice.plaquette_chern(fam, n_grid=cfg.grid)
-    action = wz.wz_action_extension(wz.up_extension(fam, n_t=N_UP, n1=N_UP, n2=N_UP))
-    wz_diff = abs(action.amplitude - (-1.0) ** c.snapped) if c.snapped is not None else None
-    wz_pass = wz_diff is not None and wz_diff < DEFAULT_TOL.wz_sign
-    contradictions = []
-    if c.snapped is not None and oracle.snapped not in (None, c.snapped):
-        contradictions.append(f"plaquette_oracle {oracle.snapped} != chern {c.snapped}")
-    if c.snapped is not None and not wz_pass:
-        contradictions.append(f"wz_check |amplitude - (-1)^chern| = {wz_diff:.3e}")
-    return {"chern": c, "plaquette_oracle": oracle,
-            "wz_check": {"action": action.raw_action, "amplitude": action.amplitude,
-                         "amp_vs_sign_of_chern": wz_diff, "pass": wz_pass}}, contradictions
-
-
-def _fkm_evaluation(fam, cfg: RunConfig):
-    """delta from the Berry connection and curvature and kappa from the WZ
-    amplitudes, with their cross-checks: the lattice oracle against delta,
-    and kappa against (-1)^delta. check_trs reads the Fourier terms of H,
-    and lattice_z2 the half-zone grid right after z2_ingredients' curvature.
-    Raises NotTRS unless H is time-reversal symmetric, with an infinite
-    violation for an odd dimension, where no odd time reversal exists."""
-    if fam.ambient_dim % 2 != 0:
-        raise NotTRS(math.inf, DEFAULT_TOL.trs)
-    theta = TRSOperator.standard(fam.ambient_dim)
-    ok, violation = check_trs(fam, theta)
-    if not ok:
-        raise NotTRS(violation, DEFAULT_TOL.trs)
-    n1 = max(16, cfg.grid // 2)
-    z2 = wz.z2_ingredients(fam, theta, n1=n1, n2=cfg.grid)
-    d, kap = berry.delta_invariant(z2), wz.kappa_invariant(z2)
-    oracle = lattice.lattice_z2(fam, theta, n1=n1, n2=cfg.grid)
-    agree = (d.snapped is not None and kap.snapped is not None
-             and kap.snapped == (-1) ** d.snapped)
-    contradictions = []
-    if d.snapped is not None and oracle.snapped not in (None, d.snapped):
-        contradictions.append(f"lattice_oracle {oracle.snapped} != delta {d.snapped}")
-    if d.snapped is not None and kap.snapped is not None and not agree:
-        contradictions.append(f"kappa {kap.snapped} != (-1)^delta {(-1) ** d.snapped}")
-    return {"trs_violation": violation, "delta": d, "kappa": kap,
-            "lattice_oracle": oracle, "oracle_agrees": oracle.snapped == d.snapped,
-            "kappa_equals_minus_one_to_delta": agree,
-            **{f"berry_phase_{label}": v.amplitude for label, v in z2.wz.items()},
-            **{f"sqrt_berry_phase_{label}": v.sqrt_amplitude for label, v in z2.wz.items()},
-            }, contradictions
-
-
 def _report(cfg: RunConfig, evaluate):
     """Emit one command's evaluation, with residual_max over its invariants
     and cross-checks; exit 3 when an invariant refused to snap."""
     spec, fam = _family(cfg)
-    fields, _ = evaluate(fam, cfg)
+    fields, _ = evaluate(fam, cfg.grid)
     results = {k: v for k, v in fields.items() if isinstance(v, InvariantResult)}
     payloads = {k: {"raw": v.raw, "snapped": v.snapped, "residual": v.residual,
                     "unsnapped": v.snapped is None} for k, v in results.items()}
@@ -198,11 +140,11 @@ def _report(cfg: RunConfig, evaluate):
 
 
 def cmd_chern(cfg: RunConfig):
-    return _report(cfg, _chern_evaluation)
+    return _report(cfg, certify.chern_evaluation)
 
 
 def cmd_fkm(cfg: RunConfig):
-    return _report(cfg, _fkm_evaluation)
+    return _report(cfg, certify.fkm_evaluation)
 
 
 def _sweep_point(args):
@@ -217,12 +159,12 @@ def _sweep_point(args):
     try:
         fam = make_projector_family(builtin_model(cfg.model, params))
         residuals, contradictions = [], []
-        for evaluate, names in ((_chern_evaluation, ("chern",)),
-                                (_fkm_evaluation, ("delta", "kappa"))):
+        for evaluate, names in ((certify.chern_evaluation, ("chern",)),
+                                (certify.fkm_evaluation, ("delta", "kappa"))):
             if not set(names) & set(wants):
                 continue
             try:
-                fields, found = evaluate(fam, cfg)
+                fields, found = evaluate(fam, cfg.grid)
             except NotTRS as exc:
                 row["error"] = f"NotTRS(violation={exc.violation:.3e})"
                 continue

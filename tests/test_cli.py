@@ -700,3 +700,48 @@ def test_certify_smoke_at_coarse_grids(capsys):
     assert code in (0, 1)
     assert len(report["criteria"]) == 11
     assert all("worst" in c for c in report["criteria"])
+
+
+def registered_criterion(index):
+    [criterion] = [c for c in certify.ALL_CRITERIA if c.index == index]
+    return criterion
+
+
+@pytest.mark.parametrize("index,evaluation,grid,cases", [
+    (1, "chern_evaluation", 64, lambda details: details),
+    (4, "fkm_evaluation", 128, lambda details: details["points"]),
+], ids=["criterion_1", "criterion_4"])
+def test_certify_runs_the_served_evaluation(monkeypatch, index, evaluation, grid, cases):
+    """Criteria 1 and 4 certify the evaluations that answer chern, fkm and
+    every sweep row: each case calls the served evaluation once, at grid 64
+    and 128 respectively, and the criterion passes on what it returns."""
+    grids = []
+    original = getattr(certify, evaluation)
+
+    def spy(fam, n):
+        grids.append(n)
+        return original(fam, n)
+
+    monkeypatch.setattr(certify, evaluation, spy)
+    result = registered_criterion(index)(scale=1.0)
+    assert result.passed, result.details
+    assert grids == [grid] * len(cases(result.details))
+
+
+def test_certify_fails_on_a_contradicted_chern(monkeypatch):
+    """A plaquette oracle that snaps to a value contradicting the Chern
+    number fails criterion 1, with the pair named in each case, although
+    every WZ amplitude still equals (-1)^C."""
+    original = lattice.plaquette_chern
+
+    def contradicting(*args, **kwargs):
+        res = original(*args, **kwargs)
+        return dataclasses.replace(res, snapped=res.snapped + 1)
+
+    monkeypatch.setattr(lattice, "plaquette_chern", contradicting)
+    result = registered_criterion(1)(scale=1.0)
+    assert not result.passed
+    assert result.worst < result.tolerance
+    for row in result.details.values():
+        [found] = row["contradictions"]
+        assert found == f"plaquette_oracle {row['chern'] + 1} != chern {row['chern']}"
