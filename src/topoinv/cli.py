@@ -8,9 +8,9 @@ error column names any snapped cross-check that contradicts a value it reports.
 
 Each subcommand accepts only the options it reads. --grid is the only
 resolution option: the torus has --grid^2 points, the half zone
-(--grid/2 + 1) x --grid and each boundary loop 2 * --grid; U_P's N_UP^3 is
-fixed, and when --grid is a multiple of N_UP its N_UP^2 torus is read from
-the eigensystem of the curvature's grid. Exit codes: 0 success, 1 a
+(max(16, --grid/2) + 1) x --grid and each boundary loop 2 * --grid; U_P's
+N_UP^3 is fixed, and when --grid is a multiple of N_UP its N_UP^2 torus is
+read from the eigensystem of the curvature's grid. Exit codes: 0 success, 1 a
 certification criterion failed (certify only), 2 precondition violated
 (NotTRS, GapClosure), 3 a result refused to snap or any other library error
 stopped it, 4 bad input or I/O: usage errors (BadConfig), such as an option
@@ -29,7 +29,7 @@ import json
 import math
 import multiprocessing
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -152,19 +152,17 @@ def _sweep_point(args):
     its invariants; runs in a worker process, never raises. residual_max is
     the largest residual of the invariants the row reports; `error` names a
     failure, or each contradiction that those evaluations found."""
-    cfg_dict, params = args
-    cfg = RunConfig(**cfg_dict)
-    wants = cfg.invariants or INVARIANTS
-    row = dict(params, model=cfg.model)
+    (model, grid, wants), params = args
+    row = dict(params, model=model)
     try:
-        fam = make_projector_family(builtin_model(cfg.model, params))
+        fam = make_projector_family(builtin_model(model, params))
         residuals, contradictions = [], []
         for evaluate, names in ((certify.chern_evaluation, ("chern",)),
                                 (certify.fkm_evaluation, ("delta", "kappa"))):
             if not set(names) & set(wants):
                 continue
             try:
-                fields, found = evaluate(fam, cfg.grid)
+                fields, found = evaluate(fam, grid)
             except NotTRS as exc:
                 row["error"] = f"NotTRS(violation={exc.violation:.3e})"
                 continue
@@ -187,7 +185,7 @@ def cmd_sweep(cfg: RunConfig):
     points = sweep_points(cfg.sweeps, cfg.params)
     # every row sets the same parameter names: check them before any row runs
     builtin_model(cfg.model, points[0])
-    args = [(asdict(cfg), t) for t in points]
+    args = [((cfg.model, cfg.grid, cfg.invariants or INVARIANTS), t) for t in points]
     workers = min(cfg.workers, len(args))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:

@@ -86,18 +86,16 @@ def block_eigh(h, blocks):
     layout: eigenvalues band-first (N, ...), ascending, and eigenvectors
     entries-first (N, N, ...), column i belonging to eigenvalue i.
 
-    Each block is diagonalized on its own by numpy's eigh, so the matrices
-    diagonalized are points x blocks. A two-band block [[a, b], [conj(b), d]]
-    is D S D^+ with the phase D = diag(1, conj(b)/|b|), 1 where b = 0, and
-    S = [[a, |b|], [|b|, d]] real symmetric, whose eigh costs half of the
-    complex one; its eigenvectors are D times those of S. Every other block
-    takes complex eigh, and a single such block is exactly numpy's eigh of
-    h. The eigenvalues of several blocks are merged ascending by a stable
+    One loop serves every block structure: each block is diagonalized on
+    its own by numpy's eigh, so the matrices diagonalized are points x
+    blocks. A two-band block [[a, b], [conj(b), d]] is D S D^+ with the
+    phase D = diag(1, conj(b)/|b|), 1 where b = 0, and S = [[a, |b|],
+    [|b|, d]] real symmetric, whose eigh costs half of the complex one; its
+    eigenvectors are D times those of S. Every other block takes complex
+    eigh, so a single dense block is still numpy's eigh of h, bit for bit.
+    The eigenvalues of several blocks are merged ascending by a stable
     sort, their eigenvectors embedded in N x N planes.
     """
-    if len(blocks) == 1 and len(blocks[0]) != 2:
-        w, v = np.linalg.eigh(h)
-        return np.ascontiguousarray(np.moveaxis(w, -1, 0)), entries_first(v)
     grid = h.shape[:-2]
     w = np.empty(h.shape[-1:] + grid)
     v = np.zeros(h.shape[-2:] + grid, dtype=complex)

@@ -12,15 +12,15 @@ interval is exact. Diagonal phase fields carry the
 unwinding convention: their action is zero mod 2 pi, which is what makes
 Polyakov-Wiegmann values of winding fields computable.
 
-Matrix products of fields (products, inverses, adjoint products, tube
-extensions and the 3-form density) run in blocks of torus slices of at most
-BLOCK_POINTS grid points, and the product-functional densities on the whole
-field, in the entries-first layout (N, N, *grid) of `linalg`, as N^3
-multiply-adds over whole planes instead of one small product per grid
-point; the projector family forms P and dP with the same plane-product
-kernel. The fields these builders make hold entries-first planes, so a
-block of them is read and written without a copy, and each field keeps its
-WZ integral once it is computed.
+Matrix products of fields (products, inverses, tube extensions and the
+3-form density; an adjoint product g h g^-1 is the product of gh with g^-1)
+run in blocks of torus slices of at most BLOCK_POINTS grid points, and the
+product-functional densities on the whole field, in the entries-first
+layout (N, N, *grid) of `linalg`, as N^3 multiply-adds over whole planes
+instead of one small product per grid point; the projector family forms P
+and dP with the same plane-product kernel. The fields these builders make
+hold entries-first planes, so a block of them is read and written without a
+copy, and each field keeps its WZ integral once it is computed.
 
 The projector extensions exp(i w(t) P(k)) = 1 + (e^{i w(t)} - 1) P(k) of
 U_P and Phi are rank-one in t, so they are ProjectorExtensions, built by
@@ -70,12 +70,13 @@ class FieldGrid:
     derivative along axis i on the same grid; a periodic axis without one
     differentiates spectrally, and an interval axis must have one.
 
-    The fields this module builds (`tube_extension`, and products, inverses
-    and adjoint products through `_slicewise`) allocate entries-first
-    planes (N, N, *grid) and hold `samples` and `derivs` as `matrices_last`
-    views of them, so `entries_first` of a block of leading slices is a
-    view. A field is a value and is never written in place, so its WZ
-    integral is computed on the first request and kept.
+    The fields this module builds (`tube_extension`, and products and
+    inverses through `_slicewise`, so also g h g^-1, the product of gh with
+    g^-1) allocate entries-first planes (N, N, *grid) and hold `samples`
+    and `derivs` as `matrices_last` views of them, so `entries_first` of a
+    block of leading slices is a view. A field is a value and is never
+    written in place, so its WZ integral is computed on the first request
+    and kept.
     """
 
     axes: tuple
@@ -101,12 +102,6 @@ class FieldGrid:
         """Slice j of the leading axis, without derivative channels."""
         return self.samples[j]
 
-    def slab(self, j):
-        """Slice j of the leading axis, or a block of slices when j is a
-        slice, with its exact derivative channels:
-        (samples_j, {axis: derivative_j})."""
-        return self.samples[j], {i: d[j] for i, d in self.derivs.items()}
-
     def triple_density(self):
         """3 Tr{A0 [A1, A2]} on a 3-axis grid, one block of leading-axis
         slices at a time (`_slices`), from the exact axis-0 channel."""
@@ -115,7 +110,9 @@ class FieldGrid:
                                  "channel along its leading axis")
         dens = np.empty(tuple(len(ax.points) for ax in self.axes), dtype=complex)
         for block in _slices(dens.shape):
-            dens[block] = _triple_density(*self.slab(block), self.axes)
+            dens[block] = _triple_density(self.samples[block],
+                                          {i: d[block] for i, d in self.derivs.items()},
+                                          self.axes)
         return dens
 
     def triple_integral(self):
@@ -224,14 +221,9 @@ def product_field(g: FieldGrid, h: FieldGrid):
 
 
 def conjugated_field(g: FieldGrid, h: FieldGrid):
-    """The pointwise adjoint product g h g^-1."""
-    _check_same_axes(g, h)
-    samples, derivs = _slicewise(
-        lambda gs, hs, out: _product_rule(_product_rule(gs, hs), _inverse_rule(gs), out),
-        sorted(set(g.derivs) & set(h.derivs)), g, h)
-    return FieldGrid(axes=g.axes, samples=samples, derivs=derivs,
-                     abelian_diagonal=g.abelian_diagonal and h.abelian_diagonal,
-                     name=f"{g.name}.{h.name}.inv")
+    """The pointwise adjoint product g h g^-1, built as the product of gh
+    with g^-1."""
+    return product_field(product_field(g, h), inverse_field(g))
 
 
 def inverse_field(g: FieldGrid):
@@ -240,34 +232,31 @@ def inverse_field(g: FieldGrid):
                      abelian_diagonal=g.abelian_diagonal, name=f"{g.name}^-1")
 
 
-def _product_rule(x, y, out=None):
-    """(value, {axis: derivative}) of the product of two such entries-first
-    blocks, by the Leibniz rule, written into the planes of `out`, a
-    (value, {axis: derivative}) pair, when it is given."""
+def _product_rule(x, y, out):
+    """The product of two entries-first (value, {axis: derivative}) blocks,
+    by the Leibniz rule, written into the planes of `out`, a
+    (value, {axis: derivative}) pair."""
     (xv, dx), (yv, dy) = x, y
-    value_out, derivs_out = out or (None, {})
-    value = plane_product(xv, yv, out=value_out)
-    derivs, term = {}, None
+    value, derivs = out
+    plane_product(xv, yv, out=value)
+    term = None
     for i in dx:
-        derivs[i] = plane_product(dx[i], yv, out=derivs_out.get(i))
+        plane_product(dx[i], yv, out=derivs[i])
         term = plane_product(xv, dy[i], out=term)
         derivs[i] += term
-    return value, derivs
 
 
-def _inverse_rule(x, out=None):
-    """(value, {axis: derivative}) of the inverse of an entries-first unitary
-    block: g^-1 = g^+ and d(g^-1) = -g^-1 dg g^-1, written into the planes
-    of `out` when it is given."""
-    xv, dx = x
-    value_out, derivs_out = out or (None, {})
-    xi = inverse_planes(xv, out=value_out)
-    derivs, term = {}, None
+def _inverse_rule(x, out):
+    """The inverse of an entries-first unitary (value, {axis: derivative})
+    block, g^-1 = g^+ and d(g^-1) = -g^-1 dg g^-1, written into the planes
+    of `out`."""
+    (xv, dx), (xi, derivs) = x, out
+    inverse_planes(xv, out=xi)
+    term = None
     for i, d in dx.items():
         term = plane_product(xi, d, out=term)
-        derivs[i] = plane_product(term, xi, out=derivs_out.get(i))
+        plane_product(term, xi, out=derivs[i])
         np.negative(derivs[i], out=derivs[i])
-    return xi, derivs
 
 
 def _slicewise(rule, axes, *fields):
@@ -688,7 +677,6 @@ class Z2Ingredients:
     integral of the curvature over the half zone [0, pi] x T."""
 
     family: ProjectorFamily
-    theta: TRSOperator
     frames: dict
     wz: dict
     ebz_integral: float
@@ -704,7 +692,7 @@ def z2_ingredients(family: ProjectorFamily, theta: TRSOperator, n1=N_2D // 2, n2
         frames[label] = build_trs_frame(family.loop(0, k1), theta, n_grid=2 * n2)
         values[label] = wz_amplitude_phi(frames[label])
     ebz = berry_curvature_ebz(family, n1=n1, n2=n2).integral()
-    return Z2Ingredients(family=family, theta=theta, frames=frames, wz=values,
+    return Z2Ingredients(family=family, frames=frames, wz=values,
                          ebz_integral=ebz, grid=(n1, n2))
 
 

@@ -84,6 +84,20 @@ def test_fkm_report(capsys):
     assert "residual_max" in report
 
 
+def test_fkm_half_zone_keeps_16_intervals_at_grid_16(capsys):
+    """At --grid 16 the half zone keeps 16 intervals along k1, not
+    --grid/2: on this Rashba point delta snaps to 1 on the 17 x 16 half zone
+    (residual 7.2e-5), where 9 x 16 leaves it unsnapped (residual 1.9e-3)."""
+    code, out, _ = run_cli(capsys, "fkm", "--model", "kane_mele",
+                           "--param", "lambda_v=0.4", "--param", "lambda_r=0.2",
+                           "--grid", "16", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["delta"]["snapped"] == 1
+    assert report["kappa"]["snapped"] == -1
+    assert report["lattice_oracle"]["snapped"] == 1
+
+
 def test_fkm_builds_each_z2_ingredient_once(capsys, monkeypatch):
     """One fkm request builds one TRS frame per boundary loop, on 2 * --grid
     points, and one half-zone curvature, shared by delta, kappa and the
